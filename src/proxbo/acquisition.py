@@ -181,6 +181,9 @@ def select_batch(strategy: str, model, pool: list[Sequence], data: Dataset, m: i
         # the incumbent term is constant per slot, so it is dropped
         scores = _kg_slot_scores(model, chosen, subset, inner_pool, data, cfg,
                                  slot_seed)
+        bad = sum(not math.isfinite(score) for score in scores)
+        if bad:
+            raise ValueError(f"non-finite KG slot score for {bad} of {len(scores)} candidates")
         best_c, best_score = None, -math.inf
         for c, score in zip(subset, scores):
             if score > best_score:

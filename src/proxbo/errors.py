@@ -24,6 +24,10 @@ class DomainError(ProxboError, KeyError):
         return self.args[0] if self.args else ""
 
 
+class DomainExhausted(ProxboError):
+    """No unmeasured in-domain sequence is left to propose."""
+
+
 class TrainingError(ProxboError, RuntimeError):
     """Surrogate training diverged or was misused."""
 

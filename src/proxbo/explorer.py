@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .acquisition import KGConfig, select_batch
+from .errors import DomainExhausted
 from .landscape import BudgetedOracle
 from .sequences import Sequence, hamming_distance, sample_mutants
 from .surrogate import Dataset, Ensemble, TrainConfig
@@ -193,7 +194,8 @@ def _finish_round(state: ExplorerState, batch, scores, t0, **extra) -> RoundReco
 
 
 def _cold_start(state: ExplorerState, oracle: BudgetedOracle, m: int,
-                rng: np.random.Generator, t0) -> tuple[ExplorerState, RoundRecord]:
+                rng: np.random.Generator) -> tuple[list[Sequence], list[float]]:
+    """Query and ingest random low-order mutants of the wild type."""
     domain = oracle.inner
     batch: list[Sequence] = []
     attempts = 0
@@ -209,10 +211,10 @@ def _cold_start(state: ExplorerState, oracle: BudgetedOracle, m: int,
             continue
         batch.append(c)
     if not batch:
-        raise RuntimeError("cold start could not find any unmeasured in-domain mutants")
+        raise DomainExhausted("cold start could not find any unmeasured in-domain mutants")
     scores = oracle.query_batch(batch)
     _ingest(state, batch, scores)
-    return state, _finish_round(state, batch, scores, t0)
+    return batch, scores
 
 
 def run_round(state: ExplorerState, ensemble: Ensemble, oracle: BudgetedOracle,
@@ -231,14 +233,14 @@ def run_round(state: ExplorerState, ensemble: Ensemble, oracle: BudgetedOracle,
     rng = rng if rng is not None else np.random.default_rng(0)
     t0 = time.perf_counter()
     if len(state.data) <= 1:
-        state, record = _cold_start(state, oracle, oracle.batch_size, rng, t0)
+        batch, scores = _cold_start(state, oracle, oracle.batch_size, rng)
         ensemble.fit(state.data, train_cfg, rng)
-        return state, record
+        return state, _finish_round(state, batch, scores, t0)
 
     proposal = propose_pool(state, oracle.inner, pool_size, radius, rng)
     m = min(oracle.batch_size, len(proposal.sequences))
     if m == 0:
-        raise RuntimeError("candidate pool is empty; domain exhausted")
+        raise DomainExhausted("candidate pool is empty; domain exhausted")
 
     penalty = lambda s: lam * hamming_distance(s, state.wild_type)
     model = _ShiftedModel(ensemble, penalty) if lam > 0 else ensemble
@@ -278,7 +280,7 @@ def random_search_round(state: ExplorerState, oracle: BudgetedOracle, m: int,
         chosen.add(c)
         batch.append(c)
     if not batch:
-        raise RuntimeError("random search found no unmeasured in-domain mutants")
+        raise DomainExhausted("random search found no unmeasured in-domain mutants")
     scores = oracle.query_batch(batch)
     _ingest(state, batch, scores)
     return state, _finish_round(state, batch, scores, t0)
@@ -298,13 +300,13 @@ def pex_greedy_round(state: ExplorerState, ensemble: Ensemble, oracle: BudgetedO
     rng = rng if rng is not None else np.random.default_rng(0)
     t0 = time.perf_counter()
     if len(state.data) <= 1:
-        state, record = _cold_start(state, oracle, m, rng, t0)
+        batch, scores = _cold_start(state, oracle, m, rng)
         ensemble.fit(state.data, train_cfg, rng)
-        return state, record
+        return state, _finish_round(state, batch, scores, t0)
 
     proposal = propose_pool(state, oracle.inner, pool_size, radius, rng)
     if not proposal.sequences:
-        raise RuntimeError("candidate pool is empty; domain exhausted")
+        raise DomainExhausted("candidate pool is empty; domain exhausted")
     stats = ensemble.predict_batch(proposal.sequences)
     by_class: dict[int, list[tuple[float, Sequence]]] = {}
     for s, (mu, _) in zip(proposal.sequences, stats):

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .acquisition import KGConfig
-from .errors import ConfigError
+from .errors import ConfigError, DomainExhausted
 from .explorer import (ExplorerState, RoundRecord, pex_greedy_round,
                        random_search_round, run_round)
 from .landscape import BudgetedOracle, LookupLandscape, load_lookup, make_nk
@@ -272,7 +272,7 @@ def run_one_seed(cfg: CampaignConfig, seed: int) -> tuple[list[RoundRecord], Seq
                                        beta=cfg.beta, kg_config=kg_cfg,
                                        pool_size=cfg.pool_size, radius=cfg.pool_radius,
                                        train_cfg=train_cfg, warm_cfg=warm_cfg, rng=rng)
-        except RuntimeError:
+        except DomainExhausted:
             exhausted = True  # domain exhausted before the budget; flagged in the CSV
             break
         records.append(rec)

@@ -29,13 +29,18 @@ class FitnessLandscape(Protocol):
 
 @dataclass
 class LookupLandscape:
-    """Fitness defined by an explicit sequence -> score table."""
+    """Fitness defined by an explicit table of scores.
 
-    table: dict[Sequence, float]
+    `table` is keyed by residue tuples (`Sequence.residues`, ordinals into
+    the wild type's alphabet), not by `Sequence` objects, so lookups hash and
+    compare plain tuples.
+    """
+
+    table: dict[tuple[int, ...], float]
     wild_type: Sequence
 
     def __post_init__(self):
-        if self.wild_type not in self.table:
+        if self.wild_type.residues not in self.table:
             raise DataError("wild type is not a key of the lookup table")
 
     @property
@@ -47,19 +52,20 @@ class LookupLandscape:
         return self.wild_type.alphabet
 
     def contains(self, s: Sequence) -> bool:
-        return s in self.table
+        return s.residues in self.table
 
     def evaluate_batch(self, batch: list[Sequence]) -> list[float]:
         scores = []
         for s in batch:
             try:
-                scores.append(self.table[s])
+                scores.append(self.table[s.residues])
             except KeyError:
                 raise DomainError(f"sequence {s.text} is not in the lookup table") from None
         return scores
 
     def iter_domain(self) -> Iterator[Sequence]:
-        return iter(self.table)
+        alphabet = self.alphabet
+        return (Sequence(residues, alphabet) for residues in self.table)
 
     def num_states(self) -> int:
         return len(self.table)
@@ -79,8 +85,8 @@ def load_lookup(
     `negate`, scores are sign-flipped on load (for lower-is-better energies).
     """
     path = Path(path)
-    table: dict[Sequence, float] = {}
-    first_seq: Sequence | None = None
+    table: dict[tuple[int, ...], float] = {}
+    first: tuple[int, ...] | None = None
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
@@ -97,34 +103,36 @@ def load_lookup(
             if alphabet is None:
                 alphabet = protein_alphabet()
             try:
-                seq = alphabet.encode(cols[0])
+                residues = alphabet.ordinals(cols[0])
             except ValueError as e:
                 raise ParseError(f"{path}:{lineno}: {e}") from None
+            if not residues:
+                raise ParseError(f"{path}:{lineno}: sequence must have at least one residue")
             try:
                 score = float(cols[1])
             except ValueError:
                 raise ParseError(f"{path}:{lineno}: non-numeric score {cols[1]!r}") from None
             if negate:
                 score = -score
-            if first_seq is not None and len(seq) != len(first_seq):
-                raise ParseError(f"{path}:{lineno}: sequence length {len(seq)} != {len(first_seq)}")
-            if seq in table:
-                if table[seq] != score:
+            if first is not None and len(residues) != len(first):
+                raise ParseError(f"{path}:{lineno}: sequence length {len(residues)} != {len(first)}")
+            if residues in table:
+                if table[residues] != score:
                     raise DataError(
-                        f"{path}:{lineno}: conflicting scores for {cols[0]}: {table[seq]} vs {score}"
+                        f"{path}:{lineno}: conflicting scores for {cols[0]}: {table[residues]} vs {score}"
                     )
                 continue
-            table[seq] = score
-            if first_seq is None:
-                first_seq = seq
+            table[residues] = score
+            if first is None:
+                first = residues
     if not table:
         raise ParseError(f"{path}: no data rows")
     if wild_type is not None:
         wt = alphabet.encode(wild_type)
-        if wt not in table:
+        if wt.residues not in table:
             raise DataError(f"wild-type override {wild_type} is not in the table")
     else:
-        wt = first_seq
+        wt = Sequence(first, alphabet)
     return LookupLandscape(table=table, wild_type=wt)
 
 

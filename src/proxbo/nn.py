@@ -2,7 +2,8 @@
 
 Just enough machinery for the two regressor architectures: 1D convolution
 (stride 1, same padding), rectified-linear, dense layers, mean pooling over
-positions, a tanh recurrence, and mean-squared-error. Everything is float64.
+positions and mean-squared-error; the tanh recurrence lives with its
+regressor. Everything is float64.
 """
 
 from __future__ import annotations
@@ -16,49 +17,70 @@ def he_uniform(shape: tuple[int, ...], fan_in: int, rng: np.random.Generator) ->
 
 
 # ---------------------------------------------------------------------------
-# layers: each forward returns (output, cache); backward takes (cache, dout)
+# layers: each forward returns (output, cache); backward takes (cache, dout).
+# Every layer also accepts leading axes in front of the shapes given below;
+# an ensemble puts its member axis there and runs all members in lockstep.
+# Each member's slice goes through the same matrix product as a lone
+# network's, so stacking does not change a single bit of the result.
+
+
+def stacked_conv1d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
+    """Same-padded 1D convolution via im2col and a single (batched) matmul.
+
+    x: (..., B, L, Cin); w: (..., k, Cin, Cout) with k odd; b: (..., Cout)
+    -> (..., B, L, Cout). An x without the leading axes is shared by every
+    stacked filter bank.
+    """
+    k, cin, cout = w.shape[-3:]
+    pad = (k - 1) // 2
+    *lead, bsz, l, _ = x.shape
+    xp = np.pad(x, [(0, 0)] * len(lead) + [(0, 0), (pad, pad), (0, 0)])
+    # (..., B, L, k, Cin) windows flattened to an im2col matrix
+    win = np.lib.stride_tricks.sliding_window_view(xp, k, axis=-2)  # (..., B, L, Cin, k)
+    col = np.swapaxes(win, -1, -2).reshape(*lead, bsz * l, k * cin)
+    out = col @ w.reshape(*w.shape[:-3], k * cin, cout) + b[..., None, :]
+    return out.reshape(*out.shape[:-2], bsz, l, cout), (col, w, (bsz, l))
+
+
+def stacked_conv1d_backward(cache, dout: np.ndarray, need_dx: bool = True):
+    """Gradients (dx, dw, db) of `stacked_conv1d_forward`; dx is None unless `need_dx`."""
+    col, w, (bsz, l) = cache
+    k, cin, cout = w.shape[-3:]
+    pad = (k - 1) // 2
+    dout2 = dout.reshape(*dout.shape[:-3], bsz * l, cout)
+    dw = (np.swapaxes(col, -1, -2) @ dout2).reshape(*dout.shape[:-3], k, cin, cout)
+    db = dout2.sum(axis=-2)
+    if not need_dx:
+        return None, dw, db
+    w2 = w.reshape(*w.shape[:-3], k * cin, cout)
+    dcol = (dout2 @ np.swapaxes(w2, -1, -2)).reshape(*dout.shape[:-3], bsz, l, k, cin)
+    # scatter the window gradients back onto the padded input
+    dxp = np.zeros((*dout.shape[:-3], bsz, l + 2 * pad, cin))
+    for j in range(k):
+        dxp[..., j:j + l, :] += dcol[..., j, :]
+    return dxp[..., pad:pad + l, :], dw, db
 
 
 def conv1d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
-    """Same-padded 1D convolution via im2col and a single matmul.
-
-    x: (B, L, Cin); w: (k, Cin, Cout) with k odd; b: (Cout,) -> (B, L, Cout).
-    """
-    k, cin, cout = w.shape
-    pad = (k - 1) // 2
-    bsz, l, _ = x.shape
-    xp = np.pad(x, ((0, 0), (pad, pad), (0, 0)))
-    # (B, L, k, Cin) windows flattened to an im2col matrix
-    win = np.lib.stride_tricks.sliding_window_view(xp, k, axis=1)  # (B, L, Cin, k)
-    col = win.transpose(0, 1, 3, 2).reshape(bsz * l, k * cin)
-    out = col @ w.reshape(k * cin, cout) + b
-    return out.reshape(bsz, l, cout), (col, w, (bsz, l))
+    """One network's convolution: x (B, L, Cin), w (k, Cin, Cout), b (Cout,)."""
+    return stacked_conv1d_forward(x, w, b)
 
 
 def conv1d_backward(cache, dout: np.ndarray):
-    col, w, (bsz, l) = cache
-    k, cin, cout = w.shape
-    pad = (k - 1) // 2
-    dout2 = dout.reshape(bsz * l, cout)
-    dw = (col.T @ dout2).reshape(k, cin, cout)
-    db = dout2.sum(axis=0)
-    dcol = (dout2 @ w.reshape(k * cin, cout).T).reshape(bsz, l, k, cin)
-    # scatter the window gradients back onto the padded input
-    dxp = np.zeros((bsz, l + 2 * pad, cin))
-    for j in range(k):
-        dxp[:, j:j + l, :] += dcol[:, :, j, :]
-    return dxp[:, pad:pad + l, :], dw, db
+    """Gradients (dx, dw, db) of `conv1d_forward`."""
+    return stacked_conv1d_backward(cache, dout)
 
 
 def dense_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
-    return x @ w + b, (x, w)
+    """x: (..., B, Din); w: (..., Din, Dout); b: (..., Dout) -> (..., B, Dout)."""
+    return x @ w + b[..., None, :], (x, w)
 
 
 def dense_backward(cache, dout: np.ndarray):
     x, w = cache
-    dw = x.reshape(-1, x.shape[-1]).T @ dout.reshape(-1, dout.shape[-1])
-    db = dout.reshape(-1, dout.shape[-1]).sum(axis=0)
-    return dout @ w.T, dw, db
+    dw = np.swapaxes(x, -1, -2) @ dout
+    db = dout.sum(axis=-2)
+    return dout @ np.swapaxes(w, -1, -2), dw, db
 
 
 def relu_forward(x: np.ndarray):
@@ -71,27 +93,32 @@ def relu_backward(cache, dout: np.ndarray):
 
 
 def mean_pool_forward(x: np.ndarray):
-    """Mean over the position axis: (B, L, C) -> (B, C)."""
-    return x.mean(axis=1), x.shape
+    """Mean over the position axis: (..., B, L, C) -> (..., B, C)."""
+    return x.mean(axis=-2), x.shape
 
 
 def mean_pool_backward(cache, dout: np.ndarray):
-    b, l, c = cache
-    return np.broadcast_to(dout[:, None, :] / l, (b, l, c)).copy()
+    shape = cache
+    return np.broadcast_to(dout[..., None, :] / shape[-2], shape).copy()
 
 
 def mse_forward(pred: np.ndarray, target: np.ndarray):
+    """Mean squared error over the last axis: a scalar for (B,), one per row for (M, B)."""
     diff = pred - target
-    return float(np.mean(diff * diff)), diff
+    return np.mean(diff * diff, axis=-1), diff
 
 
 def mse_backward(cache: np.ndarray):
     diff = cache
-    return 2.0 * diff / diff.size
+    return 2.0 * diff / diff.shape[-1]
 
 
 class Adam:
-    """Adaptive moment estimation over a dict of parameter arrays."""
+    """Adaptive moment estimation over a dict of parameter arrays.
+
+    The update is elementwise, so one optimizer over stacked parameters steps
+    every member exactly as separate per-member optimizers would.
+    """
 
     def __init__(self, params: dict[str, np.ndarray], lr: float = 1e-3,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):

@@ -38,9 +38,16 @@ class Alphabet:
     def symbol(self, ordinal: int) -> str:
         return self.symbols[ordinal]
 
+    def ordinals(self, text: str) -> tuple[int, ...]:
+        """Residue ordinals of a text sequence; raises like `index` on an unknown symbol."""
+        try:
+            return tuple(map(self._index.__getitem__, text))
+        except KeyError as e:
+            raise ValueError(f"symbol {e.args[0]!r} not in alphabet {self.symbols!r}") from None
+
     def encode(self, text: str) -> "Sequence":
         """Parse a text sequence into ordinals."""
-        return Sequence(tuple(self.index(c) for c in text), self)
+        return Sequence(self.ordinals(text), self)
 
 
 def protein_alphabet() -> Alphabet:

@@ -8,13 +8,14 @@ from __future__ import annotations
 
 import copy
 import json
-from dataclasses import dataclass, field
+from collections.abc import MutableMapping
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import nn
-from .errors import TrainingError
+from .errors import DataError, TrainingError
 from .sequences import Sequence, encode_batch
 
 
@@ -77,7 +78,7 @@ class Dataset:
     def add(self, s: Sequence, y: float) -> None:
         if s in self._index:
             if self._index[s] != y:
-                raise ValueError(f"conflicting scores for {s.text}: {self._index[s]} vs {y}")
+                raise DataError(f"conflicting scores for {s.text}: {self._index[s]} vs {y}")
             return
         self._seqs.append(s)
         self._ys.append(float(y))
@@ -93,153 +94,196 @@ class Dataset:
         return max(self._ys)
 
 
-class ConvRegressor:
-    """1D conv stack -> mean pool over positions -> dense -> scalar."""
+class _StackedNet:
+    """What both stacked regressors share: the stacked parameters, forward = head after features.
 
-    kind = "conv"
+    `rngs` holds one generator per member; each draws its member's weights
+    layer by layer, and the members' parameters are stacked on a leading axis.
+    """
 
-    def __init__(self, cfg: ConvRegressorConfig, length: int, vocab: int, rng: np.random.Generator):
+    def __init__(self, cfg, length: int, vocab: int, rngs: list[np.random.Generator]):
         self.cfg = cfg
         self.length = length
         self.vocab = vocab
-        self.params: dict[str, np.ndarray] = {}
-        cin = vocab
-        k = cfg.kernel_size
-        for i, cout in enumerate(cfg.channels):
-            fan_in = k * cin
-            self.params[f"conv{i}_w"] = nn.he_uniform((k, cin, cout), fan_in, rng)
-            self.params[f"conv{i}_b"] = np.zeros(cout)
-            cin = cout
-        self.params["dense_w"] = nn.he_uniform((cin, cfg.hidden_dense), cin, rng)
-        self.params["dense_b"] = np.zeros(cfg.hidden_dense)
-        self.params["out_w"] = nn.he_uniform((cfg.hidden_dense, 1), cfg.hidden_dense, rng)
-        self.params["out_b"] = np.zeros(1)
+        members = [self._init_member(rng) for rng in rngs]
+        self.params = {name: np.stack([p[name] for p in members]) for name in members[0]}
+
+    def features(self, x: np.ndarray) -> np.ndarray:
+        """(M, B, d) features of x: (M, B, L, V), or (B, L, V) shared by all members."""
+        return self._features(x)[0]
 
     def forward(self, x: np.ndarray):
+        feats, c_feats = self._features(x)
+        pred, c_head = self.head_forward(feats)
+        return pred, (c_feats, c_head)
+
+    def member(self, m: int):
+        """Member m alone, as a one-member stack sharing this stack's arrays."""
+        one = copy.copy(self)
+        one.params = {name: arr[m:m + 1] for name, arr in self.params.items()}
+        return one
+
+
+class ConvRegressor(_StackedNet):
+    """M conv networks stacked: 1D convs -> mean pool over positions -> dense -> scalar.
+
+    Every parameter carries a leading member axis, and the forward and
+    backward passes run all members at once.
+    """
+
+    kind = "conv"
+    head_param_names = ("dense_w", "dense_b", "out_w", "out_b")
+
+    def _init_member(self, rng: np.random.Generator) -> dict[str, np.ndarray]:
+        cfg = self.cfg
+        k = cfg.kernel_size
+        params = {}
+        cin = self.vocab
+        for i, cout in enumerate(cfg.channels):
+            params[f"conv{i}_w"] = nn.he_uniform((k, cin, cout), k * cin, rng)
+            params[f"conv{i}_b"] = np.zeros(cout)
+            cin = cout
+        params["dense_w"] = nn.he_uniform((cin, cfg.hidden_dense), cin, rng)
+        params["dense_b"] = np.zeros(cfg.hidden_dense)
+        params["out_w"] = nn.he_uniform((cfg.hidden_dense, 1), cfg.hidden_dense, rng)
+        params["out_b"] = np.zeros(1)
+        return params
+
+    def _features(self, x: np.ndarray):
         caches = []
         h = x
         for i in range(len(self.cfg.channels)):
-            h, c_conv = nn.conv1d_forward(h, self.params[f"conv{i}_w"], self.params[f"conv{i}_b"])
+            h, c_conv = nn.stacked_conv1d_forward(h, self.params[f"conv{i}_w"],
+                                                  self.params[f"conv{i}_b"])
             h, c_relu = nn.relu_forward(h)
             caches.append((c_conv, c_relu))
-        pooled, c_pool = nn.mean_pool_forward(h)
-        hid, c_dense = nn.dense_forward(pooled, self.params["dense_w"], self.params["dense_b"])
-        hid, c_hrelu = nn.relu_forward(hid)
-        out, c_out = nn.dense_forward(hid, self.params["out_w"], self.params["out_b"])
-        return out[:, 0], (caches, c_pool, c_dense, c_hrelu, c_out)
-
-    def backward(self, cache, dpred: np.ndarray) -> dict[str, np.ndarray]:
-        caches, c_pool, c_dense, c_hrelu, c_out = cache
-        grads: dict[str, np.ndarray] = {}
-        d = dpred[:, None]
-        d, grads["out_w"], grads["out_b"] = nn.dense_backward(c_out, d)
-        d = nn.relu_backward(c_hrelu, d)
-        d, grads["dense_w"], grads["dense_b"] = nn.dense_backward(c_dense, d)
-        d = nn.mean_pool_backward(c_pool, d)
-        for i in reversed(range(len(self.cfg.channels))):
-            c_conv, c_relu = caches[i]
-            d = nn.relu_backward(c_relu, d)
-            d, grads[f"conv{i}_w"], grads[f"conv{i}_b"] = nn.conv1d_backward(c_conv, d)
-        return grads
+        feats, c_pool = nn.mean_pool_forward(h)
+        return feats, (caches, c_pool)
 
     # feature map (conv stack + pooling) vs head (dense layers): the split
     # lets fantasy updates retrain the head only, on cached features
 
-    def features(self, x: np.ndarray) -> np.ndarray:
-        h = x
-        for i in range(len(self.cfg.channels)):
-            h, _ = nn.conv1d_forward(h, self.params[f"conv{i}_w"], self.params[f"conv{i}_b"])
-            h, _ = nn.relu_forward(h)
-        return h.mean(axis=1)
-
-    head_param_names = ("dense_w", "dense_b", "out_w", "out_b")
-
     def head_forward(self, feats: np.ndarray):
+        """(M, B) outputs of each member's head on its own (M, B, d) features."""
         hid, c_dense = nn.dense_forward(feats, self.params["dense_w"], self.params["dense_b"])
         hid, c_hrelu = nn.relu_forward(hid)
         out, c_out = nn.dense_forward(hid, self.params["out_w"], self.params["out_b"])
-        return out[:, 0], (c_dense, c_hrelu, c_out)
+        return out[..., 0], (c_dense, c_hrelu, c_out)
 
-    def head_backward(self, cache, dpred: np.ndarray) -> dict[str, np.ndarray]:
+    def head_backward(self, cache, dpred: np.ndarray):
+        """(head gradients, gradient w.r.t. the features)."""
         c_dense, c_hrelu, c_out = cache
         grads: dict[str, np.ndarray] = {}
-        d = dpred[:, None]
-        d, grads["out_w"], grads["out_b"] = nn.dense_backward(c_out, d)
+        d, grads["out_w"], grads["out_b"] = nn.dense_backward(c_out, dpred[..., None])
         d = nn.relu_backward(c_hrelu, d)
-        _, grads["dense_w"], grads["dense_b"] = nn.dense_backward(c_dense, d)
+        d, grads["dense_w"], grads["dense_b"] = nn.dense_backward(c_dense, d)
+        return grads, d
+
+    def backward(self, cache, dpred: np.ndarray) -> dict[str, np.ndarray]:
+        (caches, c_pool), c_head = cache
+        grads, d = self.head_backward(c_head, dpred)
+        d = nn.mean_pool_backward(c_pool, d)
+        for i in reversed(range(len(self.cfg.channels))):
+            c_conv, c_relu = caches[i]
+            d = nn.relu_backward(c_relu, d)
+            # nothing reads the gradient w.r.t. the one-hot input
+            d, grads[f"conv{i}_w"], grads[f"conv{i}_b"] = nn.stacked_conv1d_backward(
+                c_conv, d, need_dx=i > 0)
         return grads
 
 
-class RecurrentRegressor:
-    """Plain tanh recurrence over positions; final hidden state -> scalar."""
+class RecurrentRegressor(_StackedNet):
+    """M plain tanh recurrences over positions, stacked; final hidden state -> scalar."""
 
     kind = "recurrent"
+    head_param_names = ("out_w", "out_b")
 
-    def __init__(self, cfg: RecurrentRegressorConfig, length: int, vocab: int, rng: np.random.Generator):
-        self.cfg = cfg
-        self.length = length
-        self.vocab = vocab
-        h = cfg.hidden_size
-        self.params = {
-            "wx": nn.he_uniform((vocab, h), vocab, rng),
+    def _init_member(self, rng: np.random.Generator) -> dict[str, np.ndarray]:
+        h, v = self.cfg.hidden_size, self.vocab
+        return {
+            "wx": nn.he_uniform((v, h), v, rng),
             "wh": nn.he_uniform((h, h), h, rng),
             "bh": np.zeros(h),
             "out_w": nn.he_uniform((h, 1), h, rng),
             "out_b": np.zeros(1),
         }
 
-    def forward(self, x: np.ndarray):
-        b, l, _ = x.shape
+    def _features(self, x: np.ndarray):
         wx, wh, bh = self.params["wx"], self.params["wh"], self.params["bh"]
-        hs = [np.zeros((b, self.cfg.hidden_size))]
-        for t in range(l):
-            hs.append(np.tanh(x[:, t, :] @ wx + hs[-1] @ wh + bh))
-        out, c_out = nn.dense_forward(hs[-1], self.params["out_w"], self.params["out_b"])
-        return out[:, 0], (x, hs, c_out)
-
-    def backward(self, cache, dpred: np.ndarray) -> dict[str, np.ndarray]:
-        x, hs, c_out = cache
-        wx, wh = self.params["wx"], self.params["wh"]
-        grads = {k: np.zeros_like(v) for k, v in self.params.items()}
-        dh, grads["out_w"], grads["out_b"] = nn.dense_backward(c_out, dpred[:, None])
-        for t in reversed(range(x.shape[1])):
-            da = dh * (1.0 - hs[t + 1] ** 2)  # through tanh
-            grads["wx"] += x[:, t, :].T @ da
-            grads["wh"] += hs[t].T @ da
-            grads["bh"] += da.sum(axis=0)
-            dh = da @ wh.T
-        return grads
-
-    def features(self, x: np.ndarray) -> np.ndarray:
-        b, l, _ = x.shape
-        wx, wh, bh = self.params["wx"], self.params["wh"], self.params["bh"]
-        h = np.zeros((b, self.cfg.hidden_size))
-        for t in range(l):
-            h = np.tanh(x[:, t, :] @ wx + h @ wh + bh)
-        return h
-
-    head_param_names = ("out_w", "out_b")
+        hs = [np.zeros((len(wx), x.shape[-3], self.cfg.hidden_size))]
+        for t in range(x.shape[-2]):
+            hs.append(np.tanh(x[..., t, :] @ wx + hs[-1] @ wh + bh[:, None, :]))
+        return hs[-1], (x, hs)
 
     def head_forward(self, feats: np.ndarray):
         out, c_out = nn.dense_forward(feats, self.params["out_w"], self.params["out_b"])
-        return out[:, 0], (c_out,)
+        return out[..., 0], (c_out,)
 
-    def head_backward(self, cache, dpred: np.ndarray) -> dict[str, np.ndarray]:
+    def head_backward(self, cache, dpred: np.ndarray):
         grads: dict[str, np.ndarray] = {}
-        _, grads["out_w"], grads["out_b"] = nn.dense_backward(cache[0], dpred[:, None])
+        d, grads["out_w"], grads["out_b"] = nn.dense_backward(cache[0], dpred[..., None])
+        return grads, d
+
+    def backward(self, cache, dpred: np.ndarray) -> dict[str, np.ndarray]:
+        (x, hs), c_head = cache
+        wh = self.params["wh"]
+        head, dh = self.head_backward(c_head, dpred)
+        grads = {k: np.zeros_like(v) for k, v in self.params.items()}
+        grads.update(head)
+        for t in reversed(range(x.shape[-2])):
+            da = dh * (1.0 - hs[t + 1] ** 2)  # through tanh
+            grads["wx"] += np.swapaxes(x[..., t, :], -1, -2) @ da
+            grads["wh"] += np.swapaxes(hs[t], -1, -2) @ da
+            grads["bh"] += da.sum(axis=-2)
+            if t:  # the initial state is a constant
+                dh = da @ np.swapaxes(wh, -1, -2)
         return grads
 
 
-def _make_member(kind: str, config, length: int, vocab: int, rng: np.random.Generator):
+def _make_net(kind: str, config, length: int, vocab: int, rngs: list[np.random.Generator]):
     if kind == "conv":
-        return ConvRegressor(config, length, vocab, rng)
+        return ConvRegressor(config, length, vocab, rngs)
     if kind == "recurrent":
-        return RecurrentRegressor(config, length, vocab, rng)
+        return RecurrentRegressor(config, length, vocab, rngs)
     raise ValueError(f"unknown regressor kind {kind!r}")
 
 
+class _MemberParams(MutableMapping):
+    """Row `m` of a stacked parameter dict; assigning an entry writes that row."""
+
+    def __init__(self, stacked: dict[str, np.ndarray], m: int):
+        self._stacked = stacked
+        self._m = m
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        return self._stacked[name][self._m]
+
+    def __setitem__(self, name: str, value) -> None:
+        self._stacked[name][self._m] = value
+
+    def __delitem__(self, name: str) -> None:
+        raise TypeError("member parameters cannot be deleted")
+
+    def __iter__(self):
+        return iter(self._stacked)
+
+    def __len__(self) -> int:
+        return len(self._stacked)
+
+
+class Member:
+    """One member of a stacked network; `params` reads and writes its rows."""
+
+    def __init__(self, stacked: dict[str, np.ndarray], m: int):
+        self.params = _MemberParams(stacked, m)
+
+
 class Ensemble:
-    """Independently seeded regressors; spread across members is the uncertainty."""
+    """Independently seeded regressors; spread across members is the uncertainty.
+
+    The members live in one stacked network (`net`) with a leading member
+    axis on every parameter; `members` gives per-member views of it.
+    """
 
     def __init__(self, kind: str = "conv", config=None, n_members: int = 5, seed: int = 0):
         if n_members < 1:
@@ -251,7 +295,7 @@ class Ensemble:
         self.n_members = n_members
         self.seed = seed
         self.member_seeds = [int(s) for s in np.random.SeedSequence(seed).generate_state(n_members)]
-        self.members: list = []
+        self.net: ConvRegressor | RecurrentRegressor | None = None
         self.y_mean = 0.0
         self.y_std = 1.0
         self.length: int | None = None
@@ -260,7 +304,17 @@ class Ensemble:
 
     @property
     def trained(self) -> bool:
-        return bool(self.members)
+        return self.net is not None
+
+    @property
+    def members(self) -> list[Member]:
+        if self.net is None:
+            return []
+        return [Member(self.net.params, m) for m in range(self.n_members)]
+
+    def _init_net(self):
+        rngs = [np.random.default_rng(s) for s in self.member_seeds]
+        return _make_net(self.kind, self.config, self.length, self.vocab, rngs)
 
     def fit(self, data: Dataset, cfg: TrainConfig | None = None,
             rng: np.random.Generator | None = None, warm_start: bool = False) -> list[float]:
@@ -272,6 +326,15 @@ class Ensemble:
         constants are kept and training continues on the new data (cheap
         round-to-round refits); otherwise members are re-initialized from
         their seeds. Deterministic for a fixed `rng` seed and ensemble seed.
+
+        The members train in lockstep: one forward/backward pass of the
+        stacked network and one Adam step per minibatch update every member.
+        Each member still sees its own bootstrap resample (of size n) in its
+        own order. Before training, `rng` draws member by member: the
+        bootstrap indices (when `cfg.bootstrap`), then one permutation per
+        epoch. That is the order in which training one member after another
+        would draw, so the parameters, the losses and the state `rng` is left
+        in are those of member-by-member training, bit for bit.
         """
         if len(data) == 0:
             raise ValueError("cannot fit on an empty dataset")
@@ -282,43 +345,37 @@ class Ensemble:
         self.vocab = seqs[0].alphabet.size
         x_all = encode_batch(seqs)
         y_raw = data.scores
-        warm = warm_start and self.trained
-        if not warm:
+        if not (warm_start and self.trained):
             self.y_mean = float(y_raw.mean())
             std = float(y_raw.std())
             self.y_std = std if std > 1e-12 else 1.0
-            self.members = []
+            self.net = self._init_net()
         y_all = (y_raw - self.y_mean) / self.y_std
         self._feature_cache.clear()
 
-        losses = []
         n = len(seqs)
+        # rows[m, e]: dataset rows member m visits in epoch e, in order
+        idx = np.empty((self.n_members, n), dtype=np.int64)
+        rows = np.empty((self.n_members, cfg.epochs, n), dtype=np.int64)
         for m in range(self.n_members):
-            if warm:
-                member = self.members[m]
-            else:
-                member = _make_member(self.kind, self.config, self.length, self.vocab,
-                                      np.random.default_rng(self.member_seeds[m]))
-                self.members.append(member)
-            if cfg.bootstrap:
-                idx = rng.integers(0, n, size=n)
-            else:
-                idx = np.arange(n)
-            x, y = x_all[idx], y_all[idx]
-            opt = nn.Adam(member.params, lr=cfg.learning_rate)
-            for _ in range(cfg.epochs):
-                order = rng.permutation(len(x))
-                for start in range(0, len(x), cfg.minibatch):
-                    sel = order[start:start + cfg.minibatch]
-                    pred, cache = member.forward(x[sel])
-                    loss, diff = nn.mse_forward(pred, y[sel])
-                    if not np.isfinite(loss):
-                        raise TrainingError(f"member {m} diverged (non-finite loss)")
-                    grads = member.backward(cache, nn.mse_backward(diff))
-                    opt.step(member.params, grads)
-            pred, _ = member.forward(x)
-            losses.append(nn.mse_forward(pred, y)[0])
-        return losses
+            idx[m] = rng.integers(0, n, size=n) if cfg.bootstrap else np.arange(n)
+            for e in range(cfg.epochs):
+                rows[m, e] = idx[m, rng.permutation(n)]
+
+        net = self.net
+        opt = nn.Adam(net.params, lr=cfg.learning_rate)
+        for e in range(cfg.epochs):
+            for start in range(0, n, cfg.minibatch):
+                sel = rows[:, e, start:start + cfg.minibatch]
+                pred, cache = net.forward(x_all[sel])
+                loss, diff = nn.mse_forward(pred, y_all[sel])
+                finite = np.isfinite(loss)
+                if not finite.all():
+                    raise TrainingError(
+                        f"member {int(np.argmin(finite))} diverged (non-finite loss)")
+                opt.step(net.params, net.backward(cache, nn.mse_backward(diff)))
+        pred, _ = net.forward(x_all[idx])
+        return nn.mse_forward(pred, y_all[idx])[0].tolist()
 
     def features_batch(self, batch: list[Sequence]) -> np.ndarray:
         """(n_members, B, d) feature-map outputs, cached per sequence."""
@@ -327,15 +384,17 @@ class Ensemble:
         missing = [s for s in batch if s not in self._feature_cache]
         if missing:
             x = encode_batch(missing)
-            feats = np.stack([m.features(x) for m in self.members])  # (M, B, d)
+            # member by member: a whole pool's activations for every member at
+            # once would multiply the peak memory by the member count
+            feats = np.concatenate([self.net.member(m).features(x)
+                                    for m in range(self.n_members)])  # (M, B, d)
             for i, s in enumerate(missing):
                 self._feature_cache[s] = feats[:, i, :]
         return np.stack([self._feature_cache[s] for s in batch], axis=1)
 
     def _member_preds(self, batch: list[Sequence]) -> np.ndarray:
         """(n_members, B) de-standardized member predictions."""
-        feats = self.features_batch(batch)
-        preds = np.stack([m.head_forward(feats[i])[0] for i, m in enumerate(self.members)])
+        preds = self.net.head_forward(self.features_batch(batch))[0]
         return preds * self.y_std + self.y_mean
 
     def predict_batch(self, batch: list[Sequence]) -> list[tuple[float, float]]:
@@ -362,22 +421,21 @@ class Ensemble:
         y_raw = np.concatenate([data.scores, np.asarray(ys, dtype=np.float64)])
         y = (y_raw - self.y_mean) / self.y_std
         feats = self.features_batch(seqs)
-        fantasy_members = []
-        for m, member in enumerate(self.members):
-            fm = copy.copy(member)
-            fm.params = dict(member.params)
-            for name in member.head_param_names:
-                fm.params[name] = member.params[name].copy()
-            head = {name: fm.params[name] for name in fm.head_param_names}
-            opt = nn.Adam(head, lr=lr)
-            for _ in range(steps):
-                pred, cache = fm.head_forward(feats[m])
-                loss, diff = nn.mse_forward(pred, y)
-                if not np.isfinite(loss):
-                    raise TrainingError(f"fantasy update diverged on member {m}")
-                opt.step(head, fm.head_backward(cache, nn.mse_backward(diff)))
-            fantasy_members.append(fm)
-        return _FantasyEnsemble(self, fantasy_members)
+        net = copy.copy(self.net)
+        net.params = dict(self.net.params)
+        for name in net.head_param_names:
+            net.params[name] = self.net.params[name].copy()
+        head = {name: net.params[name] for name in net.head_param_names}
+        opt = nn.Adam(head, lr=lr)
+        for _ in range(steps):
+            pred, cache = net.head_forward(feats)
+            loss, diff = nn.mse_forward(pred, y)
+            finite = np.isfinite(loss)
+            if not finite.all():
+                raise TrainingError(
+                    f"fantasy update diverged on member {int(np.argmin(finite))}")
+            opt.step(head, net.head_backward(cache, nn.mse_backward(diff))[0])
+        return _FantasyEnsemble(self, net)
 
     def fantasy_inner_means(self, batch: list[Sequence], ys: np.ndarray,
                             inner_pool: list[Sequence], data: Dataset,
@@ -428,10 +486,9 @@ class Ensemble:
             [np.tile(self.features_batch(data.sequences + list(batch)), (n_f, 1, 1))
              for batch in batches])
 
-        names = self.members[0].head_param_names
         params = {}
-        for name in names:
-            stacked = np.stack([mem.params[name] for mem in self.members])
+        for name in self.net.head_param_names:
+            stacked = self.net.params[name]
             params[name] = np.tile(stacked, (n_c * n_f,) + (1,) * (stacked.ndim - 1))
         has_hidden = "dense_w" in params
 
@@ -500,12 +557,10 @@ class Ensemble:
             ens.y_std = meta["y_std"]
             ens.length = meta["length"]
             ens.vocab = meta["vocab"]
-            for i in range(ens.n_members):
-                member = _make_member(ens.kind, ens.config, ens.length, ens.vocab,
-                                      np.random.default_rng(ens.member_seeds[i]))
-                for name in member.params:
-                    member.params[name] = archive[f"member{i}/{name}"].copy()
-                ens.members.append(member)
+            ens.net = ens._init_net()
+            for name in ens.net.params:
+                ens.net.params[name] = np.stack(
+                    [archive[f"member{i}/{name}"] for i in range(ens.n_members)])
         return ens
 
 
@@ -513,16 +568,15 @@ class _FantasyEnsemble:
     """Ensemble posterior after a head-only fantasy update.
 
     Shares the base ensemble's (frozen) feature maps and feature cache; only
-    the per-member head parameters differ.
+    the head parameters of `net` differ.
     """
 
-    def __init__(self, base: Ensemble, members: list):
+    def __init__(self, base: Ensemble, net):
         self._base = base
-        self._members = members
+        self._net = net
 
     def predict_batch(self, batch: list[Sequence]) -> list[tuple[float, float]]:
-        feats = self._base.features_batch(batch)
-        preds = np.stack([m.head_forward(feats[i])[0] for i, m in enumerate(self._members)])
+        preds = self._net.head_forward(self._base.features_batch(batch))[0]
         preds = preds * self._base.y_std + self._base.y_mean
         return list(zip(preds.mean(axis=0).tolist(), preds.var(axis=0).tolist()))
 
@@ -543,33 +597,39 @@ def gradient_check(kind: str = "conv", config=None, tolerance: float = 1e-4,
                    seed: int = 0) -> GradientCheckReport:
     """Compare analytic gradients against central finite differences.
 
-    Uses a small random network and random inputs; every parameter entry is
-    perturbed by +-1e-4 and the relative error of the analytic MSE gradient
-    is recorded. Failure is a report outcome, not an exception.
+    Uses a small random stacked network of two members, each with its own
+    random inputs, so the check covers the member axis the ensemble trains
+    through. The loss is the sum of the members' MSEs; every parameter entry
+    is perturbed by +-1e-4 and the relative error of the analytic gradient is
+    recorded. Failure is a report outcome, not an exception.
     """
     rng = np.random.default_rng(seed)
     if config is None:
         config = (ConvRegressorConfig(channels=(4, 4), kernel_size=3, hidden_dense=6)
                   if kind == "conv" else RecurrentRegressorConfig(hidden_size=6))
-    member = _make_member(kind, config, length, vocab, rng)
-    x = rng.standard_normal((batch, length, vocab))
-    y = rng.standard_normal(batch)
+    members = 2
+    net = _make_net(kind, config, length, vocab, [rng] * members)
+    x = rng.standard_normal((members, batch, length, vocab))
+    y = rng.standard_normal((members, batch))
 
-    pred, cache = member.forward(x)
+    def loss() -> float:
+        return float(nn.mse_forward(net.forward(x)[0], y)[0].sum())
+
+    pred, cache = net.forward(x)
     _, diff = nn.mse_forward(pred, y)
-    grads = member.backward(cache, nn.mse_backward(diff))
+    grads = net.backward(cache, nn.mse_backward(diff))
 
     step = 1e-4
     worst_err, worst_name = 0.0, ""
-    for name, arr in member.params.items():
+    for name, arr in net.params.items():
         flat = arr.ravel()
         gflat = grads[name].ravel()
         for j in range(flat.size):
             orig = flat[j]
             flat[j] = orig + step
-            lo_hi = nn.mse_forward(member.forward(x)[0], y)[0]
+            lo_hi = loss()
             flat[j] = orig - step
-            lo_lo = nn.mse_forward(member.forward(x)[0], y)[0]
+            lo_lo = loss()
             flat[j] = orig
             fd = (lo_hi - lo_lo) / (2.0 * step)
             rel = abs(gflat[j] - fd) / max(abs(gflat[j]), abs(fd), 1e-8)

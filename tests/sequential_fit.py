@@ -1,0 +1,189 @@
+"""Member-by-member ensemble training: the oracle for the lockstep `Ensemble.fit`.
+
+This is the training loop `Ensemble.fit` used before its members were
+stacked: each member is a separate network with its own single-network
+layers and its own Adam optimizer, trained to completion before the next one
+starts. The layers are kept here in their single-network form, so the
+lockstep code is checked against code it does not share.
+"""
+
+import numpy as np
+
+from proxbo.nn import he_uniform
+from proxbo.sequences import encode_batch
+
+
+def conv1d_forward(x, w, b):
+    k, cin, cout = w.shape
+    pad = (k - 1) // 2
+    bsz, l, _ = x.shape
+    xp = np.pad(x, ((0, 0), (pad, pad), (0, 0)))
+    win = np.lib.stride_tricks.sliding_window_view(xp, k, axis=1)  # (B, L, Cin, k)
+    col = win.transpose(0, 1, 3, 2).reshape(bsz * l, k * cin)
+    out = col @ w.reshape(k * cin, cout) + b
+    return out.reshape(bsz, l, cout), (col, w, (bsz, l))
+
+
+def conv1d_backward(cache, dout):
+    col, w, (bsz, l) = cache
+    k, cin, cout = w.shape
+    pad = (k - 1) // 2
+    dout2 = dout.reshape(bsz * l, cout)
+    dw = (col.T @ dout2).reshape(k, cin, cout)
+    db = dout2.sum(axis=0)
+    dcol = (dout2 @ w.reshape(k * cin, cout).T).reshape(bsz, l, k, cin)
+    dxp = np.zeros((bsz, l + 2 * pad, cin))
+    for j in range(k):
+        dxp[:, j:j + l, :] += dcol[:, :, j, :]
+    return dxp[:, pad:pad + l, :], dw, db
+
+
+def dense_forward(x, w, b):
+    return x @ w + b, (x, w)
+
+
+def dense_backward(cache, dout):
+    x, w = cache
+    return dout @ w.T, x.T @ dout, dout.sum(axis=0)
+
+
+def mse_forward(pred, target):
+    diff = pred - target
+    return float(np.mean(diff * diff)), diff
+
+
+def mse_backward(diff):
+    return 2.0 * diff / diff.size
+
+
+class Adam:
+    def __init__(self, params, lr):
+        self.lr, self.t = lr, 0
+        self.m = {k: np.zeros_like(v) for k, v in params.items()}
+        self.v = {k: np.zeros_like(v) for k, v in params.items()}
+
+    def step(self, params, grads):
+        self.t += 1
+        b1, b2, eps = 0.9, 0.999, 1e-8
+        bias1 = 1.0 - b1**self.t
+        bias2 = 1.0 - b2**self.t
+        for k, g in grads.items():
+            self.m[k] = b1 * self.m[k] + (1.0 - b1) * g
+            self.v[k] = b2 * self.v[k] + (1.0 - b2) * g * g
+            params[k] -= self.lr * (self.m[k] / bias1) / (np.sqrt(self.v[k] / bias2) + eps)
+
+
+class ConvMember:
+    def __init__(self, cfg, vocab, rng):
+        self.cfg = cfg
+        self.params = {}
+        cin, k = vocab, cfg.kernel_size
+        for i, cout in enumerate(cfg.channels):
+            self.params[f"conv{i}_w"] = he_uniform((k, cin, cout), k * cin, rng)
+            self.params[f"conv{i}_b"] = np.zeros(cout)
+            cin = cout
+        self.params["dense_w"] = he_uniform((cin, cfg.hidden_dense), cin, rng)
+        self.params["dense_b"] = np.zeros(cfg.hidden_dense)
+        self.params["out_w"] = he_uniform((cfg.hidden_dense, 1), cfg.hidden_dense, rng)
+        self.params["out_b"] = np.zeros(1)
+
+    def forward(self, x):
+        caches, h = [], x
+        for i in range(len(self.cfg.channels)):
+            h, c_conv = conv1d_forward(h, self.params[f"conv{i}_w"], self.params[f"conv{i}_b"])
+            caches.append((c_conv, h > 0.0))
+            h = np.maximum(h, 0.0)
+        pooled = h.mean(axis=1)
+        hid, c_dense = dense_forward(pooled, self.params["dense_w"], self.params["dense_b"])
+        mask = hid > 0.0
+        out, c_out = dense_forward(np.maximum(hid, 0.0), self.params["out_w"], self.params["out_b"])
+        return out[:, 0], (caches, h.shape, c_dense, mask, c_out)
+
+    def backward(self, cache, dpred):
+        caches, pool_shape, c_dense, mask, c_out = cache
+        grads = {}
+        d, grads["out_w"], grads["out_b"] = dense_backward(c_out, dpred[:, None])
+        d, grads["dense_w"], grads["dense_b"] = dense_backward(c_dense, d * mask)
+        b, l, c = pool_shape
+        d = np.broadcast_to(d[:, None, :] / l, (b, l, c)).copy()
+        for i in reversed(range(len(self.cfg.channels))):
+            c_conv, relu_mask = caches[i]
+            d, grads[f"conv{i}_w"], grads[f"conv{i}_b"] = conv1d_backward(c_conv, d * relu_mask)
+        return grads
+
+
+class RecurrentMember:
+    def __init__(self, cfg, vocab, rng):
+        h = cfg.hidden_size
+        self.cfg = cfg
+        self.params = {
+            "wx": he_uniform((vocab, h), vocab, rng),
+            "wh": he_uniform((h, h), h, rng),
+            "bh": np.zeros(h),
+            "out_w": he_uniform((h, 1), h, rng),
+            "out_b": np.zeros(1),
+        }
+
+    def forward(self, x):
+        b, l, _ = x.shape
+        wx, wh, bh = self.params["wx"], self.params["wh"], self.params["bh"]
+        hs = [np.zeros((b, self.cfg.hidden_size))]
+        for t in range(l):
+            hs.append(np.tanh(x[:, t, :] @ wx + hs[-1] @ wh + bh))
+        out, c_out = dense_forward(hs[-1], self.params["out_w"], self.params["out_b"])
+        return out[:, 0], (x, hs, c_out)
+
+    def backward(self, cache, dpred):
+        x, hs, c_out = cache
+        wh = self.params["wh"]
+        grads = {k: np.zeros_like(v) for k, v in self.params.items()}
+        dh, grads["out_w"], grads["out_b"] = dense_backward(c_out, dpred[:, None])
+        for t in reversed(range(x.shape[1])):
+            da = dh * (1.0 - hs[t + 1] ** 2)
+            grads["wx"] += x[:, t, :].T @ da
+            grads["wh"] += hs[t].T @ da
+            grads["bh"] += da.sum(axis=0)
+            dh = da @ wh.T
+        return grads
+
+
+class SequentialEnsemble:
+    """Same seeds, standardization and warm starts as `Ensemble`, trained member by member."""
+
+    def __init__(self, kind, config, n_members, seed):
+        self.kind, self.config = kind, config
+        self.member_seeds = [int(s) for s in
+                             np.random.SeedSequence(seed).generate_state(n_members)]
+        self.members = []
+        self.y_mean, self.y_std = 0.0, 1.0
+
+    def fit(self, data, cfg, rng, warm_start=False):
+        seqs = data.sequences
+        x_all = encode_batch(seqs)
+        y_raw = data.scores
+        warm = warm_start and self.members
+        if not warm:
+            self.y_mean = float(y_raw.mean())
+            std = float(y_raw.std())
+            self.y_std = std if std > 1e-12 else 1.0
+            member_cls = ConvMember if self.kind == "conv" else RecurrentMember
+            vocab = seqs[0].alphabet.size
+            self.members = [member_cls(self.config, vocab, np.random.default_rng(s))
+                            for s in self.member_seeds]
+        y_all = (y_raw - self.y_mean) / self.y_std
+        losses = []
+        n = len(seqs)
+        for member in self.members:
+            idx = rng.integers(0, n, size=n) if cfg.bootstrap else np.arange(n)
+            x, y = x_all[idx], y_all[idx]
+            opt = Adam(member.params, lr=cfg.learning_rate)
+            for _ in range(cfg.epochs):
+                order = rng.permutation(len(x))
+                for start in range(0, len(x), cfg.minibatch):
+                    sel = order[start:start + cfg.minibatch]
+                    pred, cache = member.forward(x[sel])
+                    _, diff = mse_forward(pred, y[sel])
+                    opt.step(member.params, member.backward(cache, mse_backward(diff)))
+            pred, _ = member.forward(x)
+            losses.append(mse_forward(pred, y)[0])
+        return losses

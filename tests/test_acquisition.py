@@ -160,6 +160,21 @@ class TestSelectBatch:
         with pytest.raises(ValueError):
             select_batch("ucb", model, pool[:2], Dataset(), 3)
 
+    def test_kg_rejects_non_finite_scores(self):
+        model, pool = self._model_and_pool()
+
+        class NaNFantasies:
+            predict_batch = staticmethod(model.predict_batch)
+
+            def fantasy_inner_means_multi(self, batches, ys, inner_pool, data,
+                                          steps=20, lr=1e-3):
+                return np.full((len(batches), ys.shape[1], len(inner_pool)), np.nan)
+
+        cfg = KGConfig(n_fantasies=4, inner_pool_size=4, inner_eval_size=4)
+        with pytest.raises(ValueError, match="non-finite"):
+            select_batch("kg", NaNFantasies(), pool, Dataset(), 2, kg_config=cfg,
+                         rng=np.random.default_rng(0))
+
     def test_unknown_strategy_rejected(self):
         model, pool = self._model_and_pool()
         with pytest.raises(ValueError):

@@ -1,11 +1,14 @@
 """Tests for the proximal explorer: frontier, pools, campaign rounds."""
 
 import itertools
+import time
 
 import numpy as np
 import pytest
 
+import proxbo.surrogate as surrogate
 from proxbo.acquisition import KGConfig
+from proxbo.errors import DomainExhausted
 from proxbo.explorer import (
     ExplorerState,
     FrontierPoint,
@@ -217,6 +220,35 @@ class TestRounds:
                             for s in rec.sequences])
         assert np.mean([mean_dist(0.5, s) for s in range(3)]) <= \
                np.mean([mean_dist(0.0, s) for s in range(3)])
+
+    @pytest.mark.parametrize("kind", ["batch_bo", "pex_greedy"])
+    def test_cold_start_wall_time_includes_the_fit(self, monkeypatch, kind):
+        original = surrogate.Ensemble.fit
+
+        def slow_fit(self, *args, **kwargs):
+            time.sleep(0.05)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(surrogate.Ensemble, "fit", slow_fit)
+        land, oracle, state, ens = self._setup()
+        rng = np.random.default_rng(1)
+        if kind == "batch_bo":
+            state, rec = run_round(state, ens, oracle, strategy="ucb",
+                                   train_cfg=FAST_TRAIN, rng=rng)
+        else:
+            state, rec = pex_greedy_round(state, ens, oracle, 8,
+                                          train_cfg=FAST_TRAIN, rng=rng)
+        assert rec.round_index == 1
+        assert rec.wall_time >= 0.05
+
+    def test_exhausted_domain_raises_domain_exhausted(self):
+        land = make_nk(3, 0, 2, 0)
+        oracle = BudgetedOracle(land, rounds_total=3, batch_size=8)
+        state = ExplorerState(wild_type=wt(3))
+        for s in land.iter_domain():
+            state.data.add(s, land.fitness(s))
+        with pytest.raises(DomainExhausted):
+            random_search_round(state, oracle, 4, np.random.default_rng(0))
 
     def test_random_search_proposals_are_single_mutations(self):
         land, oracle, state, ens = self._setup()

@@ -1,12 +1,15 @@
 """Tests for campaign configuration, CSV artifacts, aggregation, and the CLI."""
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from proxbo.errors import ConfigError
+import proxbo.surrogate as surrogate
+from proxbo.errors import ConfigError, TrainingError
 from proxbo.harness import (
     AggregateCurve,
     CampaignConfig,
@@ -19,6 +22,7 @@ from proxbo.harness import (
     parse_config_text,
     read_run_csv,
     run_campaign,
+    run_one_seed,
     write_aggregate,
 )
 
@@ -175,6 +179,36 @@ class TestAggregation:
         assert read_run_csv(p) == {0: 1.0, 1: 2.0}
 
 
+class TestSeedFailures:
+    def test_training_error_propagates_instead_of_flagging_exhaustion(self, monkeypatch):
+        calls = []
+        original = surrogate.Ensemble.fit
+
+        def failing_fit(self, *args, **kwargs):
+            calls.append(1)
+            if len(calls) == 3:
+                raise TrainingError("member 0 diverged (non-finite loss)")
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(surrogate.Ensemble, "fit", failing_fit)
+        cfg = parse_config_text(SMALL_BO_CONFIG.replace("rounds=2", "rounds=5"))
+        with pytest.raises(TrainingError, match="diverged"):
+            run_one_seed(cfg, 0)
+        assert len(calls) == 3
+
+    def test_exhausted_domain_is_flagged_in_the_csv(self, tmp_path):
+        # 8 states: the wild type and 7 single mutations use up the domain
+        cfg = parse_config_text(
+            "landscape.kind=nk\nlandscape.n=3\nlandscape.k=0\nlandscape.v=2\n"
+            f"method=random\nrounds=4\nbatch=4\nseeds=0\nout={tmp_path}\n")
+        records, _, _, exhausted = run_one_seed(cfg, 0)
+        assert exhausted
+        assert sum(len(r.sequences) for r in records) == 7
+        run_campaign(cfg)
+        lines = (tmp_path / "run_0.csv").read_text().splitlines()
+        assert lines[-1] == "# early_stop=domain_exhausted"
+
+
 class TestGenNK:
     def test_reproducible_and_optimum_header_matches_max(self, tmp_path):
         written = gen_nk(6, 1, 2, 9, tmp_path / "land")
@@ -208,9 +242,14 @@ class TestGenNK:
         assert len(records[0]) == 1
 
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
 def cli(*argv):
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", "proxbo.cli", *argv],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
 
 
 class TestCLI:

@@ -26,6 +26,19 @@ def write(tmp_path, text, name="table.tsv"):
 
 
 class TestLoadLookup:
+    def test_generated_nk_table_loads_exact_fitness(self, tmp_path):
+        from proxbo.harness import gen_nk
+
+        gen_nk(5, 2, 3, 4, tmp_path / "land")
+        land = load_lookup(tmp_path / "land.tsv")
+        nk = make_nk(5, 2, 3, 4)
+        states = list(land.iter_domain())
+        assert len(states) == len(set(states)) == nk.num_states() == 243
+        assert {s.residues for s in states} == {s.residues for s in nk.iter_domain()}
+        assert all(s.alphabet == land.alphabet for s in states)
+        assert land.evaluate_batch(states) == [nk.fitness(s) for s in states]
+        assert land.wild_type.residues == (0,) * 5
+
     def test_basic_parse_and_wild_type(self, tmp_path):
         p = write(tmp_path, "ACD\t1.5\nAAD\t0.25\n")
         land = load_lookup(p)

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import proxbo.nn as nn
+from proxbo.errors import DataError, TrainingError
 from proxbo.landscape import make_nk
-from proxbo.sequences import Sequence, small_alphabet
+from proxbo.sequences import Sequence, encode_batch, small_alphabet
 from proxbo.surrogate import (
     ConvRegressor,
     ConvRegressorConfig,
@@ -15,6 +16,7 @@ from proxbo.surrogate import (
     TrainConfig,
     gradient_check,
 )
+from sequential_fit import SequentialEnsemble
 
 AB2 = small_alphabet(2)
 AB4 = small_alphabet(4)
@@ -50,7 +52,7 @@ class TestDataset:
         data = Dataset()
         s = Sequence((0, 1), AB2)
         data.add(s, 1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(DataError):
             data.add(s, 2.0)
 
 
@@ -66,7 +68,8 @@ class TestGradients:
         assert report.max_rel_error <= 1e-4
 
     def test_corrupted_backward_is_caught(self, monkeypatch):
-        # negative control: a deliberately wrong gradient must fail the check
+        # negative control: a deliberately wrong gradient in the stacked
+        # backward that training uses must fail the check
         original = ConvRegressor.backward
 
         def corrupted(self, cache, dpred):
@@ -136,6 +139,57 @@ class TestTraining:
         ens = Ensemble("recurrent", SMALL_RNN, n_members=2, seed=1)
         losses = ens.fit(data, TrainConfig(epochs=30, minibatch=8), np.random.default_rng(2))
         assert len(losses) == 2 and all(np.isfinite(losses))
+
+
+class TestLockstepFit:
+    """The stacked fit against the member-by-member loop it replaced (tests/sequential_fit.py)."""
+
+    @pytest.mark.parametrize("kind,cfg", [("conv", SMALL_CONV), ("recurrent", SMALL_RNN)])
+    @pytest.mark.parametrize("bootstrap", [True, False])
+    @pytest.mark.parametrize("n_members", [1, 3])
+    def test_matches_sequential_fit_bit_for_bit(self, kind, cfg, bootstrap, n_members):
+        # 13 and then 16 rows in minibatches of 5: the last minibatch is ragged
+        data = random_dataset(13, seed=11)
+        extra = [s for s in random_dataset(24, seed=12).sequences if s not in data][:3]
+        train = TrainConfig(epochs=4, minibatch=5, learning_rate=1e-2, bootstrap=bootstrap)
+        ens = Ensemble(kind, cfg, n_members=n_members, seed=4)
+        ref = SequentialEnsemble(kind, cfg, n_members, seed=4)
+        rng, ref_rng = np.random.default_rng(8), np.random.default_rng(8)
+        for warm in (False, True):
+            if warm:
+                for i, s in enumerate(extra):
+                    data.add(s, 0.1 * i)
+            losses = ens.fit(data, train, rng, warm_start=warm)
+            assert losses == ref.fit(data, train, ref_rng, warm_start=warm)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+            assert (ens.y_mean, ens.y_std) == (ref.y_mean, ref.y_std)
+            for m, member in enumerate(ref.members):
+                for name, arr in member.params.items():
+                    assert np.array_equal(ens.net.params[name][m], arr), (warm, m, name)
+        # prediction runs the stacked network one member at a time
+        pool = data.sequences
+        x = encode_batch(pool)
+        preds = np.stack([member.forward(x)[0] for member in ref.members])
+        preds = preds * ref.y_std + ref.y_mean
+        assert ens.predict_batch(pool) == list(zip(preds.mean(axis=0).tolist(),
+                                                   preds.var(axis=0).tolist()))
+
+    def test_divergence_raises_training_error(self):
+        data = random_dataset(8, seed=2)
+        ens = Ensemble("conv", SMALL_CONV, n_members=2, seed=0)
+        with pytest.raises(TrainingError, match="diverged"), np.errstate(all="ignore"):
+            ens.fit(data, TrainConfig(epochs=5, minibatch=4, learning_rate=1e300),
+                    np.random.default_rng(0))
+
+    def test_member_views_read_and_write_the_stack(self):
+        data = random_dataset(8, seed=2)
+        ens = Ensemble("recurrent", SMALL_RNN, n_members=3, seed=0)
+        ens.fit(data, TrainConfig(epochs=1, minibatch=8), np.random.default_rng(0))
+        member = ens.members[1]
+        assert np.array_equal(member.params["wh"], ens.net.params["wh"][1])
+        member.params["out_b"] = np.array([2.5])
+        assert ens.net.params["out_b"][1, 0] == 2.5
+        assert ens.net.params["out_b"][0, 0] != 2.5
 
 
 class TestPrediction:
