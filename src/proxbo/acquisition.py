@@ -2,12 +2,18 @@
 
 `kg_oneshot` and `select_batch` only need a model exposing
 `predict_batch(seqs) -> [(mean, variance)]` and
-`fantasy_update(seqs, ys, data, steps, lr) -> model`, so exact conjugate
-models can stand in for the ensemble in tests.
+`fantasy_inner_means(batch, ys, inner_pool, data, steps, lr)`, the posterior
+means over `inner_pool` after conditioning on each row of fantasy outcomes
+`ys` (n_fantasies, len(batch)). A model may also expose
+`fantasy_inner_means_multi(batches, ys, inner_pool, data, steps, lr)`, the
+same for several same-size batches at once; KG selection then scores all
+candidates of a slot in one call. Exact conjugate models can therefore
+stand in for the ensemble in tests.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -105,21 +111,22 @@ def _kg_slot_scores(model, chosen: list[Sequence], subset: list[Sequence],
 
     Candidates share the random fantasy draws (common random numbers), so
     models exposing `fantasy_inner_means_multi` can train every candidate's
-    head copies in one stack; the fallback loop computes the same values.
+    head copies in one call, after one `predict_batch` of the chosen
+    sequences and the whole subset; the fallback loop computes the same values.
     """
     if hasattr(model, "fantasy_inner_means_multi"):
         z = np.random.default_rng(slot_seed).standard_normal(
             (cfg.n_fantasies, len(chosen) + 1))
-        batches, ys = [], []
-        for c in subset:
-            batch = chosen + [c]
-            stats = model.predict_batch(batch)
-            means = np.array([m for m, _ in stats])
-            stds = np.sqrt(np.maximum([v for _, v in stats], 0.0))
-            batches.append(batch)
-            ys.append(means[None, :] + stds[None, :] * z)
-        inner = model.fantasy_inner_means_multi(batches, np.stack(ys), inner_pool,
-                                                data, steps=cfg.update_steps,
+        stats = model.predict_batch(chosen + subset)
+        means = np.array([m for m, _ in stats])
+        stds = np.sqrt(np.maximum([v for _, v in stats], 0.0))
+        # row j: the chosen sequences, then candidate j
+        rows = np.empty((len(subset), len(chosen) + 1), dtype=np.intp)
+        rows[:, :-1] = np.arange(len(chosen))
+        rows[:, -1] = len(chosen) + np.arange(len(subset))
+        ys = means[rows][:, None, :] + stds[rows][:, None, :] * z
+        inner = model.fantasy_inner_means_multi([chosen + [c] for c in subset], ys,
+                                                inner_pool, data, steps=cfg.update_steps,
                                                 lr=cfg.update_lr)
         return inner.max(axis=2).mean(axis=1).tolist()
     return [_kg_expected_max(model, chosen + [c], inner_pool, data, cfg,
@@ -174,9 +181,10 @@ def select_batch(strategy: str, model, pool: list[Sequence], data: Dataset, m: i
         inner_pool = candidates[: cfg.inner_pool_size]
 
     chosen: list[Sequence] = []
+    taken: set[Sequence] = set()
     for _ in range(m):
-        remaining = [c for c in candidates if c not in chosen]
-        subset = remaining[: cfg.inner_eval_size]
+        subset = list(itertools.islice((c for c in candidates if c not in taken),
+                                       cfg.inner_eval_size))
         slot_seed = int(rng.integers(0, 2**63 - 1))
         # the incumbent term is constant per slot, so it is dropped
         scores = _kg_slot_scores(model, chosen, subset, inner_pool, data, cfg,
@@ -189,4 +197,5 @@ def select_batch(strategy: str, model, pool: list[Sequence], data: Dataset, m: i
             if score > best_score:
                 best_c, best_score = c, score
         chosen.append(best_c)
+        taken.add(best_c)
     return chosen

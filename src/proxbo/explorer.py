@@ -158,12 +158,6 @@ class _ShiftedModel:
         return [(mu - self._penalty(s), var)
                 for s, (mu, var) in zip(batch, self._model.predict_batch(batch))]
 
-    def fantasy_update(self, batch, ys, data, steps=20, lr=1e-3):
-        physical = [y + self._penalty(s) for s, y in zip(batch, ys)]
-        return _ShiftedModel(self._model.fantasy_update(batch, physical, data,
-                                                        steps=steps, lr=lr),
-                             self._penalty)
-
     def fantasy_inner_means(self, batch, ys, inner_pool, data, steps=20, lr=1e-3):
         physical = np.asarray(ys, dtype=np.float64) + np.array(
             [self._penalty(s) for s in batch])[None, :]

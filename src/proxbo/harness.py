@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import hashlib
 import os
-from concurrent.futures import ProcessPoolExecutor
+import sys
+import traceback
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -295,33 +297,61 @@ def write_run_csv(path: Path, records: list[RoundRecord],
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _seed_job(args):
-    cfg, seed = args
-    return seed, run_one_seed(cfg, seed)
+def _write_seed_csv(out: Path, seed: int, result) -> None:
+    """Write `run_<seed>.csv` whole or not at all: a temp file, then a rename."""
+    records, wt, wt_fitness, exhausted = result
+    tmp = out / f".run_{seed}.csv.tmp"
+    try:
+        write_run_csv(tmp, records, wt, wt_fitness, exhausted)
+        os.replace(tmp, out / f"run_{seed}.csv")
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def run_campaign(cfg: CampaignConfig) -> dict[int, list[RoundRecord]]:
-    """Run every configured seed, writing one run CSV per seed plus a manifest."""
+    """Run every configured seed, writing one run CSV per seed plus a manifest.
+
+    The manifest is written first, and each seed's CSV as soon as that seed
+    finishes. A seed that raises does not stop the others; once every seed
+    has run, the first error in seed order is raised again, and the
+    tracebacks of any later ones go to stderr.
+    """
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
-    threads = int(os.environ.get("PROXBO_THREADS", "1"))
-    jobs = [(cfg, seed) for seed in cfg.seeds]
-    if threads > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            results = dict(pool.map(_seed_job, jobs))
-    else:
-        results = dict(map(_seed_job, jobs))
-
-    all_records: dict[int, list[RoundRecord]] = {}
-    for seed in cfg.seeds:
-        records, wt, wt_fitness, exhausted = results[seed]
-        write_run_csv(out / f"run_{seed}.csv", records, wt, wt_fitness, exhausted)
-        all_records[seed] = records
-
     manifest = [f"artifact_version={ARTIFACT_VERSION}",
                 f"config_hash={config_hash(cfg)}"] + config_lines(cfg)
     (out / "manifest.txt").write_text("\n".join(manifest) + "\n", encoding="utf-8")
-    return all_records
+
+    threads = int(os.environ.get("PROXBO_THREADS", "1"))
+    all_records: dict[int, list[RoundRecord]] = {}
+    errors: dict[int, Exception] = {}
+
+    def finish(seed: int, result) -> None:
+        _write_seed_csv(out, seed, result)
+        all_records[seed] = result[0]
+
+    if threads > 1 and len(cfg.seeds) > 1:
+        with ProcessPoolExecutor(max_workers=threads) as pool:
+            futures = {pool.submit(run_one_seed, cfg, seed): seed for seed in cfg.seeds}
+            for future in as_completed(futures):
+                seed = futures[future]
+                try:
+                    finish(seed, future.result())
+                except Exception as exc:
+                    errors[seed] = exc
+    else:
+        for seed in cfg.seeds:
+            try:
+                finish(seed, run_one_seed(cfg, seed))
+            except Exception as exc:
+                errors[seed] = exc
+    if errors:
+        first, *others = sorted(errors, key=cfg.seeds.index)
+        for seed in others:
+            print(f"seed {seed} failed as well:", file=sys.stderr)
+            traceback.print_exception(errors[seed])
+        raise errors[first]
+    return {seed: all_records[seed] for seed in cfg.seeds}
 
 
 # ---------------------------------------------------------------------------

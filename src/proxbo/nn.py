@@ -118,6 +118,16 @@ class Adam:
 
     The update is elementwise, so one optimizer over stacked parameters steps
     every member exactly as separate per-member optimizers would.
+
+    `step` updates the moments and the parameters in place, through two work
+    arrays per parameter allocated once, in this order of operations:
+
+        m = b1*m + (1-b1)*g
+        v = b2*v + ((1-b2)*g)*g
+        p -= lr*(m/bias1) / (sqrt(v/bias2) + eps)
+
+    Every operation rounds as the same out-of-place expression does, so the
+    result equals the allocating textbook update bit for bit.
     """
 
     def __init__(self, params: dict[str, np.ndarray], lr: float = 1e-3,
@@ -129,6 +139,7 @@ class Adam:
         self.t = 0
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
+        self._work = {k: (np.empty_like(v), np.empty_like(v)) for k, v in params.items()}
 
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
         self.t += 1
@@ -136,6 +147,18 @@ class Adam:
         bias1 = 1.0 - b1**self.t
         bias2 = 1.0 - b2**self.t
         for k, g in grads.items():
-            self.m[k] = b1 * self.m[k] + (1.0 - b1) * g
-            self.v[k] = b2 * self.v[k] + (1.0 - b2) * g * g
-            params[k] -= self.lr * (self.m[k] / bias1) / (np.sqrt(self.v[k] / bias2) + self.eps)
+            m, v = self.m[k], self.v[k]
+            a, b = self._work[k]
+            m *= b1
+            m += np.multiply(1.0 - b1, g, out=a)
+            v *= b2
+            np.multiply(1.0 - b2, g, out=a)
+            a *= g
+            v += a
+            np.divide(v, bias2, out=a)
+            np.sqrt(a, out=a)
+            a += self.eps
+            np.divide(m, bias1, out=b)
+            b *= self.lr
+            b /= a
+            params[k] -= b

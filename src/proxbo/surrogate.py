@@ -407,36 +407,6 @@ class Ensemble:
     def predict_mean_var(self, s: Sequence) -> tuple[float, float]:
         return self.predict_batch([s])[0]
 
-    def fantasy_update(self, batch: list[Sequence], ys: list[float], data: Dataset,
-                       steps: int = 20, lr: float = 1e-3) -> "_FantasyEnsemble":
-        """Posterior after hypothetically measuring `ys` at `batch`.
-
-        Applies a few warm-started gradient steps per member to the dense
-        head only, on the augmented dataset, with feature maps frozen; the
-        returned lightweight model shares this ensemble's feature cache.
-        """
-        if not self.trained:
-            raise TrainingError("ensemble has not been fitted")
-        seqs = data.sequences + list(batch)
-        y_raw = np.concatenate([data.scores, np.asarray(ys, dtype=np.float64)])
-        y = (y_raw - self.y_mean) / self.y_std
-        feats = self.features_batch(seqs)
-        net = copy.copy(self.net)
-        net.params = dict(self.net.params)
-        for name in net.head_param_names:
-            net.params[name] = self.net.params[name].copy()
-        head = {name: net.params[name] for name in net.head_param_names}
-        opt = nn.Adam(head, lr=lr)
-        for _ in range(steps):
-            pred, cache = net.head_forward(feats)
-            loss, diff = nn.mse_forward(pred, y)
-            finite = np.isfinite(loss)
-            if not finite.all():
-                raise TrainingError(
-                    f"fantasy update diverged on member {int(np.argmin(finite))}")
-            opt.step(head, net.head_backward(cache, nn.mse_backward(diff))[0])
-        return _FantasyEnsemble(self, net)
-
     def fantasy_inner_means(self, batch: list[Sequence], ys: np.ndarray,
                             inner_pool: list[Sequence], data: Dataset,
                             steps: int = 20, lr: float = 1e-3) -> np.ndarray:
@@ -460,11 +430,20 @@ class Ensemble:
                                   steps: int = 20, lr: float = 1e-3) -> np.ndarray:
         """`fantasy_inner_means` for several same-size batches at once.
 
-        `ys` has shape (len(batches), n_fantasies, batch size). Every
-        (batch, fantasy, member) head copy is trained as one stack, so
-        scoring all candidate extensions of a partial batch costs a few
-        large matrix products instead of a Python loop over candidates.
-        Returns an array of shape (len(batches), n_fantasies, len(inner_pool)).
+        `ys` has shape (len(batches), n_fantasies, batch size). Returns an
+        array of shape (len(batches), n_fantasies, len(inner_pool)).
+
+        The candidate batches train one after another, each as one block of
+        (fantasy, member) head copies: the head parameters carry a leading
+        fantasy axis, (F, M, ...), and the candidate's (M, n, d) features
+        broadcast against them, so no features are tiled. The features of the
+        observed rows and of every batch come from one cache lookup per call;
+        the activation, mask and gradient arrays are allocated once per call
+        and rewritten in place at every step of every candidate. Each head
+        copy goes through the same matrix products and reductions as when all
+        (candidate, fantasy, member) copies were tiled into one stack, so the
+        result equals that stack's bit for bit; tests/fantasy_oracle.py keeps
+        the tiled version as the oracle.
         """
         if not self.trained:
             raise TrainingError("ensemble has not been fitted")
@@ -475,51 +454,76 @@ class Ensemble:
         width = len(batches[0])
         if ys.shape[2] != width or any(len(b) != width for b in batches):
             raise ValueError("all batches must share one size matching ys")
-        n_c, n_f, n_m = len(batches), ys.shape[1], self.n_members
+        n_f, n_m = ys.shape[1], self.n_members
         y_obs = (data.scores - self.y_mean) / self.y_std
         y_fan = (ys - self.y_mean) / self.y_std
-        targets = np.concatenate(
-            [np.broadcast_to(y_obs, (n_c, n_f, y_obs.size)), y_fan], axis=2)
-        # batch-major, then fantasy-major within each batch
-        y_p = np.repeat(targets.reshape(n_c * n_f, -1), n_m, axis=0)
-        feats_p = np.concatenate(
-            [np.tile(self.features_batch(data.sequences + list(batch)), (n_f, 1, 1))
-             for batch in batches])
+        n_obs = y_obs.size
+        n = n_obs + width
+        # (M, n_obs + n_c * width, d): the observed rows, then every batch's rows
+        rows = self.features_batch(data.sequences + [s for batch in batches for s in batch])
+        # one candidate's augmented dataset: the observed rows, then its batch
+        feats = rows[:, :n].copy()
+        targets = np.empty((n_f, 1, n))
+        targets[..., :n_obs] = y_obs
+        inner_feats = self.features_batch(inner_pool)
 
-        params = {}
-        for name in self.net.head_param_names:
-            stacked = self.net.params[name]
-            params[name] = np.tile(stacked, (n_c * n_f,) + (1,) * (stacked.ndim - 1))
+        base = {name: self.net.params[name] for name in self.net.head_param_names}
+        params = {name: np.empty((n_f,) + arr.shape) for name, arr in base.items()}
+        grads = {name: np.empty_like(arr) for name, arr in params.items()}
         has_hidden = "dense_w" in params
+        out = np.empty((n_f, n_m, n, 1))
+        inner_out = np.empty((n_f, n_m, len(inner_pool), 1))
+        act = mask = inner_act = None
+        if has_hidden:
+            hidden = params["dense_w"].shape[-1]
+            act = np.empty((n_f, n_m, n, hidden))
+            mask = np.empty(act.shape, dtype=bool)
+            inner_act = np.empty((n_f, n_m, len(inner_pool), hidden))
 
-        def head(x):
-            pre = None
+        def head(x, act, out, mask=None):
+            """(F, M, rows) outputs on x: (M, rows, d), written into `out`; and the output layer's input."""
             if has_hidden:
-                pre = x @ params["dense_w"] + params["dense_b"][:, None, :]
-                x = np.maximum(pre, 0.0)
-            out = (x @ params["out_w"])[:, :, 0] + params["out_b"][:, None, 0]
-            return out, x, pre
+                np.matmul(x, params["dense_w"], out=act)
+                act += params["dense_b"][..., None, :]
+                if mask is not None:
+                    np.greater(act, 0.0, out=mask)
+                x = np.maximum(act, 0.0, out=act)
+            np.matmul(x, params["out_w"], out=out)
+            pred = out[..., 0]
+            pred += params["out_b"]
+            return pred, x
 
-        n = y_p.shape[1]
-        opt = nn.Adam(params, lr=lr)
-        for _ in range(steps):
-            pred, hid, pre = head(feats_p)
-            diff = pred - y_p
-            if not np.all(np.isfinite(diff)):
-                raise TrainingError("fantasy update diverged")
-            dout = ((2.0 / n) * diff)[:, :, None]
-            grads = {"out_w": hid.transpose(0, 2, 1) @ dout,
-                     "out_b": dout.sum(axis=1)}
-            if has_hidden:
-                dhid = (dout @ params["out_w"].transpose(0, 2, 1)) * (pre > 0)
-                grads["dense_w"] = feats_p.transpose(0, 2, 1) @ dhid
-                grads["dense_b"] = dhid.sum(axis=1)
-            opt.step(params, grads)
-
-        inner_p = np.tile(self.features_batch(inner_pool), (n_c * n_f, 1, 1))
-        preds, _, _ = head(inner_p)
-        preds = preds * self.y_std + self.y_mean
-        return preds.reshape(n_c, n_f, n_m, -1).mean(axis=2)
+        result = np.empty((len(batches), n_f, len(inner_pool)))
+        for c in range(len(batches)):
+            feats[:, n_obs:] = rows[:, n_obs + c * width:n_obs + (c + 1) * width]
+            targets[..., n_obs:] = y_fan[c][:, None, :]
+            for name, arr in base.items():
+                params[name][...] = arr
+            opt = nn.Adam(params, lr=lr)
+            for _ in range(steps):
+                diff, hid = head(feats, act, out, mask)
+                diff -= targets
+                if not np.all(np.isfinite(diff)):
+                    raise TrainingError("fantasy update diverged")
+                diff *= 2.0 / n  # `out` now holds the output gradient
+                np.matmul(np.swapaxes(hid, -1, -2), out, out=grads["out_w"])
+                np.sum(out, axis=-2, out=grads["out_b"])
+                if has_hidden:
+                    # the hidden activations are spent, so `act` takes their
+                    # gradient. The K=1 matmul `out @ out_w^T` differs from this
+                    # product only by turning -0.0 into +0.0, which no update
+                    # can see; the mask multiplies, as np.where would also
+                    # change the signs of zeros
+                    dhid = np.multiply(out, np.swapaxes(params["out_w"], -1, -2), out=act)
+                    dhid *= mask
+                    np.matmul(np.swapaxes(feats, -1, -2), dhid, out=grads["dense_w"])
+                    np.sum(dhid, axis=-2, out=grads["dense_b"])
+                opt.step(params, grads)
+            preds, _ = head(inner_feats, inner_act, inner_out)
+            preds *= self.y_std
+            preds += self.y_mean
+            result[c] = preds.mean(axis=1)
+        return result
 
     # -- checkpointing ------------------------------------------------------
 
@@ -562,26 +566,6 @@ class Ensemble:
                 ens.net.params[name] = np.stack(
                     [archive[f"member{i}/{name}"] for i in range(ens.n_members)])
         return ens
-
-
-class _FantasyEnsemble:
-    """Ensemble posterior after a head-only fantasy update.
-
-    Shares the base ensemble's (frozen) feature maps and feature cache; only
-    the head parameters of `net` differ.
-    """
-
-    def __init__(self, base: Ensemble, net):
-        self._base = base
-        self._net = net
-
-    def predict_batch(self, batch: list[Sequence]) -> list[tuple[float, float]]:
-        preds = self._net.head_forward(self._base.features_batch(batch))[0]
-        preds = preds * self._base.y_std + self._base.y_mean
-        return list(zip(preds.mean(axis=0).tolist(), preds.var(axis=0).tolist()))
-
-    def predict_mean_var(self, s: Sequence) -> tuple[float, float]:
-        return self.predict_batch([s])[0]
 
 
 @dataclass

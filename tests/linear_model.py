@@ -1,7 +1,7 @@
 """Exact conjugate Bayesian linear regression used as an analytic test double.
 
 Implements the same duck-typed model interface as the ensemble
-(`predict_batch`, `fantasy_update`, `fantasy_inner_means`) but with exact
+(`predict_batch`, `fantasy_inner_means`) but with exact
 posterior conditioning, so acquisition values can be checked against
 closed forms and quadrature.
 """
@@ -26,8 +26,6 @@ class LinearGaussianModel:
             rhs = phi.T @ np.asarray(ys, dtype=np.float64) / noise_var
         self.cov = np.linalg.inv(precision)
         self.mean_w = self.cov @ rhs
-        self._xs = list(xs) if xs is not None else []
-        self._ys = list(ys) if ys is not None else []
 
     def _phi(self, batch):
         return np.stack([self.feature_fn(s) for s in batch])
@@ -37,11 +35,6 @@ class LinearGaussianModel:
         mean = phi @ self.mean_w
         var = np.einsum("bi,ij,bj->b", phi, self.cov, phi)
         return list(zip(mean.tolist(), var.tolist()))
-
-    def fantasy_update(self, batch, ys, data, steps=0, lr=0.0):
-        return LinearGaussianModel(self.feature_fn, self.dim, self.prior_var,
-                                   self.noise_var, self._xs + list(batch),
-                                   self._ys + list(ys))
 
     def fantasy_inner_means(self, batch, ys, inner_pool, data, steps=0, lr=0.0):
         ys = np.asarray(ys, dtype=np.float64)

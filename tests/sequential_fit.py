@@ -57,20 +57,22 @@ def mse_backward(diff):
 
 
 class Adam:
-    def __init__(self, params, lr):
-        self.lr, self.t = lr, 0
+    """The allocating textbook Adam: the oracle for the in-place `proxbo.nn.Adam`."""
+
+    def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.lr, self.beta1, self.beta2, self.eps, self.t = lr, beta1, beta2, eps, 0
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
 
     def step(self, params, grads):
         self.t += 1
-        b1, b2, eps = 0.9, 0.999, 1e-8
+        b1, b2 = self.beta1, self.beta2
         bias1 = 1.0 - b1**self.t
         bias2 = 1.0 - b2**self.t
         for k, g in grads.items():
             self.m[k] = b1 * self.m[k] + (1.0 - b1) * g
             self.v[k] = b2 * self.v[k] + (1.0 - b2) * g * g
-            params[k] -= self.lr * (self.m[k] / bias1) / (np.sqrt(self.v[k] / bias2) + eps)
+            params[k] -= self.lr * (self.m[k] / bias1) / (np.sqrt(self.v[k] / bias2) + self.eps)
 
 
 class ConvMember:

@@ -1,6 +1,7 @@
 """Tests for campaign configuration, CSV artifacts, aggregation, and the CLI."""
 
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import proxbo.harness as harness
 import proxbo.surrogate as surrogate
 from proxbo.errors import ConfigError, TrainingError
 from proxbo.harness import (
@@ -207,6 +209,64 @@ class TestSeedFailures:
         run_campaign(cfg)
         lines = (tmp_path / "run_0.csv").read_text().splitlines()
         assert lines[-1] == "# early_stop=domain_exhausted"
+
+
+def _run_one_seed_failing_on_seed_1(cfg, seed):
+    if seed == 1:
+        raise TrainingError("member 0 diverged (non-finite loss)")
+    return _RUN_ONE_SEED(cfg, seed)
+
+
+_RUN_ONE_SEED = harness.run_one_seed
+THREE_SEEDS = RANDOM_NK_CONFIG.replace("seeds=0,1", "seeds=0,1,2")
+
+
+def _artifacts(out):
+    """File name -> bytes of everything in `out`, which is then removed."""
+    blobs = {p.name: p.read_bytes() for p in out.iterdir()}
+    shutil.rmtree(out)
+    return blobs
+
+
+class TestCrashSafety:
+    def test_parallel_seeds_write_the_serial_artifacts(self, tmp_path, monkeypatch):
+        cfg = parse_config_text(THREE_SEEDS + f"out={tmp_path / 'runs'}\n")
+        outs = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("PROXBO_THREADS", threads)
+            assert list(run_campaign(cfg)) == [0, 1, 2]
+            outs.append(_artifacts(tmp_path / "runs"))
+        assert outs[0] == outs[1]
+        assert sorted(outs[0]) == ["manifest.txt", "run_0.csv", "run_1.csv", "run_2.csv"]
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_failing_seed_keeps_the_others_and_reraises(self, tmp_path, monkeypatch, threads):
+        cfg = parse_config_text(THREE_SEEDS + f"out={tmp_path / 'runs'}\n")
+        run_campaign(cfg)
+        clean = _artifacts(tmp_path / "runs")
+        monkeypatch.setenv("PROXBO_THREADS", threads)
+        monkeypatch.setattr(harness, "run_one_seed", _run_one_seed_failing_on_seed_1)
+        with pytest.raises(TrainingError, match="member 0 diverged"):
+            run_campaign(cfg)
+        crashed = _artifacts(tmp_path / "runs")  # no temp file is left over
+        assert sorted(crashed) == ["manifest.txt", "run_0.csv", "run_2.csv"]
+        assert all(crashed[name] == clean[name] for name in crashed)
+
+    def test_error_is_raised_unchanged(self, tmp_path, monkeypatch, capsys):
+        errors = {}
+
+        def failing(cfg, seed):
+            if seed > 0:
+                errors[seed] = TrainingError(f"seed {seed} diverged")
+                raise errors[seed]
+            return _RUN_ONE_SEED(cfg, seed)
+
+        monkeypatch.setattr(harness, "run_one_seed", failing)
+        with pytest.raises(TrainingError) as info:
+            run_campaign(parse_config_text(THREE_SEEDS + f"out={tmp_path}\n"))
+        assert info.value is errors[1]  # the first failure in seed order
+        assert sorted(errors) == [1, 2]  # seed 2 still ran
+        assert "seed 2 failed as well" in capsys.readouterr().err
 
 
 class TestGenNK:

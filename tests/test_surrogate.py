@@ -16,6 +16,7 @@ from proxbo.surrogate import (
     TrainConfig,
     gradient_check,
 )
+from fantasy_oracle import fantasy_update
 from sequential_fit import SequentialEnsemble
 
 AB2 = small_alphabet(2)
@@ -241,8 +242,7 @@ class TestFantasyUpdates:
         s = data.sequences[0]
         before, _ = ens.predict_mean_var(s)
         target = before + 1.0
-        updated = ens.fantasy_update([s], [target], data, steps=50, lr=5e-2)
-        after, _ = updated.predict_mean_var(s)
+        after = ens.fantasy_inner_means([s], [[target]], [s], data, steps=50, lr=5e-2)[0, 0]
         assert abs(after - target) < abs(before - target)
 
     def test_batched_fantasies_match_sequential_updates(self):
@@ -255,7 +255,7 @@ class TestFantasyUpdates:
             ys = np.random.default_rng(6).random((4, 3))
             batched = ens.fantasy_inner_means(batch, ys, pool, data, steps=6, lr=1e-2)
             for f in range(4):
-                one = ens.fantasy_update(batch, ys[f].tolist(), data, steps=6, lr=1e-2)
+                one = fantasy_update(ens, batch, ys[f].tolist(), data, steps=6, lr=1e-2)
                 ref = np.array([m for m, _ in one.predict_batch(pool)])
                 assert np.allclose(batched[f], ref, atol=1e-12)
 
@@ -288,7 +288,9 @@ class TestFantasyUpdates:
         ens.fit(data, TrainConfig(epochs=10, minibatch=8), np.random.default_rng(0))
         pool = list(data.sequences)
         before = [m for m, _ in ens.predict_batch(pool)]
-        ens.fantasy_update([pool[0]], [5.0], data, steps=10, lr=1e-1)
+        ens.fantasy_inner_means([pool[0]], [[5.0]], pool, data, steps=10, lr=1e-1)
+        ens.fantasy_inner_means_multi([[pool[0]], [pool[1]]], np.full((2, 3, 1), 5.0),
+                                      pool, data, steps=10, lr=1e-1)
         after = [m for m, _ in ens.predict_batch(pool)]
         assert before == after
 
