@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sequences import Sequence, hamming_distance
+from .sequences import Sequence, hamming_distances
 from .surrogate import Dataset
 
 
@@ -133,14 +133,29 @@ def _kg_slot_scores(model, chosen: list[Sequence], subset: list[Sequence],
                              np.random.default_rng(slot_seed)) for c in subset]
 
 
+def _mean_std(model, pool: list[Sequence]) -> tuple[np.ndarray, np.ndarray]:
+    """Posterior mean and std arrays over `pool`; a non-finite entry is an error."""
+    stats = model.predict_batch(pool)
+    mean = np.array([m for m, _ in stats], dtype=np.float64)
+    std = np.sqrt(np.maximum(np.array([v for _, v in stats], dtype=np.float64), 0.0))
+    bad = np.flatnonzero(~(np.isfinite(mean) & np.isfinite(std)))
+    if bad.size:
+        raise ValueError(f"non-finite posterior ({mean[bad[0]]}, {std[bad[0]]})")
+    return mean, std
+
+
+def _ucb_scores(model, pool: list[Sequence], beta: float) -> list[float]:
+    if beta < 0:
+        raise ValueError(f"beta must be >= 0, got {beta}")
+    mean, std = _mean_std(model, pool)
+    return (mean + beta * std).tolist()
+
+
 def _ranked(pool: list[Sequence], scores: list[float],
-            wild_type: Sequence | None) -> list[tuple]:
+            distances: np.ndarray | None) -> list[int]:
     """Sort keys: score desc, then distance to wild type asc, then ordinals."""
-    def key(i):
-        s = pool[i]
-        d = hamming_distance(s, wild_type) if wild_type is not None else 0
-        return (-scores[i], d, s.residues)
-    return sorted(range(len(pool)), key=key)
+    d = distances.tolist() if distances is not None else [0] * len(pool)
+    return sorted(range(len(pool)), key=lambda i: (-scores[i], d[i], pool[i].residues))
 
 
 def select_batch(strategy: str, model, pool: list[Sequence], data: Dataset, m: int,
@@ -148,24 +163,29 @@ def select_batch(strategy: str, model, pool: list[Sequence], data: Dataset, m: i
                  kg_config: KGConfig | None = None,
                  inner_pool: list[Sequence] | None = None,
                  wild_type: Sequence | None = None,
+                 distances: np.ndarray | None = None,
                  rng: np.random.Generator | None = None) -> list[Sequence]:
     """Pick M distinct pool sequences by the chosen acquisition strategy.
 
     UCB/EI score the whole pool and take the top M (ties broken by smaller
     Hamming distance to the wild type, then lexicographic order). KG fills
     the batch greedily, scoring each extension of the partial batch with
-    `kg_oneshot` over a UCB-preranked candidate subset.
+    `kg_oneshot` over a UCB-preranked candidate subset. `distances`, the
+    pool's Hamming distances to `wild_type`, is computed here when the
+    caller does not pass it.
     """
     if len(pool) < m:
         raise ValueError(f"pool of {len(pool)} smaller than batch size {m}")
-    if strategy in ("ucb", "ei"):
-        stats = [Posterior(mu, math.sqrt(max(var, 0.0))) for mu, var in model.predict_batch(pool)]
-        if strategy == "ucb":
-            scores = [ucb(p, beta) for p in stats]
-        else:
-            best = incumbent if incumbent is not None else data.max_score()
-            scores = [ei(p, best) for p in stats]
-        order = _ranked(pool, scores, wild_type)
+    if distances is None and wild_type is not None:
+        distances = hamming_distances(pool, wild_type)
+    if strategy == "ucb":
+        order = _ranked(pool, _ucb_scores(model, pool, beta), distances)
+        return [pool[i] for i in order[:m]]
+    if strategy == "ei":
+        best = incumbent if incumbent is not None else data.max_score()
+        mean, std = _mean_std(model, pool)
+        scores = [ei(Posterior(mu, sd), best) for mu, sd in zip(mean.tolist(), std.tolist())]
+        order = _ranked(pool, scores, distances)
         return [pool[i] for i in order[:m]]
     if strategy != "kg":
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -173,9 +193,7 @@ def select_batch(strategy: str, model, pool: list[Sequence], data: Dataset, m: i
     cfg = kg_config or KGConfig()
     rng = rng if rng is not None else np.random.default_rng(0)
     # prerank by UCB to bound the number of KG evaluations per slot
-    stats = [Posterior(mu, math.sqrt(max(var, 0.0))) for mu, var in model.predict_batch(pool)]
-    ucb_scores = [ucb(p, beta) for p in stats]
-    order = _ranked(pool, ucb_scores, wild_type)
+    order = _ranked(pool, _ucb_scores(model, pool, beta), distances)
     candidates = [pool[i] for i in order]
     if inner_pool is None:
         inner_pool = candidates[: cfg.inner_pool_size]

@@ -16,7 +16,8 @@ import numpy as np
 from .acquisition import KGConfig, select_batch
 from .errors import DomainExhausted
 from .landscape import BudgetedOracle
-from .sequences import Sequence, hamming_distance, sample_mutants
+from .sequences import (Sequence, hamming_distance, hamming_distances, mutant_block,
+                        sample_mutants)
 from .surrogate import Dataset, Ensemble, TrainConfig
 
 
@@ -76,13 +77,24 @@ class PoolProposal:
     short: bool  # True when the domain could not fill the requested size
 
 
+# The smallest block drawn at once: the old sampler's staleness budget, 30
+# chunks of at most 16 mutants that add nothing before a radius ends.
+_MIN_BLOCK = 30 * 16
+
+
 def propose_pool(state: ExplorerState, domain, pool_size: int, radius: int,
                  rng: np.random.Generator) -> PoolProposal:
     """Sample unmeasured candidates around the frontier and the wild type.
 
-    Anchors are drawn uniformly from frontier points plus the wild type; the
-    radius widens up to L if the pool underfills. On enumerable domains the
-    final fallback is the full unmeasured set (flagged short if it is still
+    Candidates come in blocks from `mutant_block`. Each draw has the law of
+    `random_mutant` on an anchor drawn uniformly from the frontier points
+    plus the wild type: 1..r substitutions at distinct uniform positions,
+    each uniform over the V-1 alternatives. A block holds max(480, twice the
+    pool deficit) draws, taken in draw order; a draw already pooled, measured
+    or found outside the domain is skipped, and only new ones become
+    `Sequence`s. A block that adds nothing ends the radius r. The radius
+    then widens up to L; on enumerable domains the fallback is instead the
+    full unmeasured set in random order (flagged short if it is still
     smaller than `pool_size`).
     """
     if pool_size < 1:
@@ -90,25 +102,31 @@ def propose_pool(state: ExplorerState, domain, pool_size: int, radius: int,
     anchors = [p.sequence for p in state.frontier] or [state.wild_type]
     if state.wild_type not in anchors:
         anchors.append(state.wild_type)
+    anchor_rows = np.array([a.residues for a in anchors])
+    alphabet = state.wild_type.alphabet
     length = len(state.wild_type)
     pool: list[Sequence] = []
-    seen: set[Sequence] = set()
+    # residue tuples pooled, measured or found outside the domain
+    seen = {s.residues for s in state.data.sequences}
 
     def draw_at(r: int) -> None:
-        stale = 0
-        while len(pool) < pool_size and stale < 30:
-            anchor = anchors[int(rng.integers(len(anchors)))]
-            chunk = sample_mutants(anchor, r, min(16, pool_size - len(pool)), rng)
+        while len(pool) < pool_size:
+            size = max(_MIN_BLOCK, 2 * (pool_size - len(pool)))
+            block = mutant_block(anchor_rows, r, size, alphabet.size, rng)
             grew = False
-            for c in chunk:
-                if c in seen or c in state.data:
+            for residues in map(tuple, block.tolist()):
+                if residues in seen:
                     continue
+                seen.add(residues)
+                c = Sequence(residues, alphabet)
                 if domain is not None and not domain.contains(c):
                     continue
-                seen.add(c)
                 pool.append(c)
                 grew = True
-            stale = 0 if grew else stale + 1
+                if len(pool) == pool_size:
+                    return
+            if not grew:
+                return
 
     draw_at(min(radius, length))
     if len(pool) >= pool_size:
@@ -123,7 +141,7 @@ def propose_pool(state: ExplorerState, domain, pool_size: int, radius: int,
                 return PoolProposal(pool, short=False)
         return PoolProposal(pool, short=True)
     # small enumerable domain: fill from the shuffled unmeasured remainder
-    rest = [c for c in domain.iter_domain() if c not in seen and c not in state.data]
+    rest = [c for c in domain.iter_domain() if c.residues not in seen]
     for i in rng.permutation(len(rest)):
         if len(pool) >= pool_size:
             return PoolProposal(pool, short=False)
@@ -236,14 +254,18 @@ def run_round(state: ExplorerState, ensemble: Ensemble, oracle: BudgetedOracle,
     if m == 0:
         raise DomainExhausted("candidate pool is empty; domain exhausted")
 
-    penalty = lambda s: lam * hamming_distance(s, state.wild_type)
-    model = _ShiftedModel(ensemble, penalty) if lam > 0 else ensemble
+    pool = proposal.sequences
+    distances = hamming_distances(pool, state.wild_type)
+    model = ensemble
+    if lam > 0:
+        distance_of = dict(zip(pool, distances.tolist()))  # selection scores only pool members
+        model = _ShiftedModel(ensemble, lambda s: lam * distance_of[s])
     incumbent = max(regularized_score(y, hamming_distance(s, state.wild_type), lam)
                     for s, y in zip(state.data.sequences, state.data.scores))
     kg_cfg = kg_config or KGConfig()
-    batch = select_batch(strategy, model, proposal.sequences, state.data, m,
+    batch = select_batch(strategy, model, pool, state.data, m,
                          beta=beta, incumbent=incumbent, kg_config=kg_cfg,
-                         wild_type=state.wild_type, rng=rng)
+                         wild_type=state.wild_type, distances=distances, rng=rng)
     scores = oracle.query_batch(batch)
     _ingest(state, batch, scores)
     if warm_cfg is not None:
@@ -302,9 +324,10 @@ def pex_greedy_round(state: ExplorerState, ensemble: Ensemble, oracle: BudgetedO
     if not proposal.sequences:
         raise DomainExhausted("candidate pool is empty; domain exhausted")
     stats = ensemble.predict_batch(proposal.sequences)
+    distances = hamming_distances(proposal.sequences, state.wild_type).tolist()
     by_class: dict[int, list[tuple[float, Sequence]]] = {}
-    for s, (mu, _) in zip(proposal.sequences, stats):
-        by_class.setdefault(hamming_distance(s, state.wild_type), []).append((mu, s))
+    for s, d, (mu, _) in zip(proposal.sequences, distances, stats):
+        by_class.setdefault(d, []).append((mu, s))
     for cands in by_class.values():
         cands.sort(key=lambda t: (-t[0], t[1].residues))
     batch: list[Sequence] = []

@@ -27,7 +27,7 @@ from .sequences import Sequence
 from .surrogate import (ConvRegressorConfig, Dataset, Ensemble,
                         RecurrentRegressorConfig, TrainConfig)
 
-ARTIFACT_VERSION = "0.1.0"
+ARTIFACT_VERSION = "0.2.0"
 
 _FLOAT = "{:.17g}".format
 
@@ -231,9 +231,15 @@ def _lambda_for(cfg: CampaignConfig, data: Dataset) -> float:
     return cfg.lambda_factor * float(q75 - q25)
 
 
-def run_one_seed(cfg: CampaignConfig, seed: int) -> tuple[list[RoundRecord], Sequence, float, bool]:
-    """Execute one campaign; returns (records, wild type, its fitness, exhausted flag)."""
-    landscape = _build_landscape(cfg)
+def run_one_seed(cfg: CampaignConfig, seed: int,
+                 landscape=None) -> tuple[list[RoundRecord], Sequence, float, bool]:
+    """Execute one campaign; returns (records, wild type, its fitness, exhausted flag).
+
+    `landscape` is the one `cfg` describes, built here when not given; a
+    campaign only reads it, so seeds may share one.
+    """
+    if landscape is None:
+        landscape = _build_landscape(cfg)
     wt = _wild_type_of(cfg, landscape)
     wt_fitness = landscape.evaluate_batch([wt])[0]  # seed measurement, outside the budget
     oracle = BudgetedOracle(landscape, rounds_total=cfg.rounds, batch_size=cfg.batch)
@@ -314,7 +320,8 @@ def run_campaign(cfg: CampaignConfig) -> dict[int, list[RoundRecord]]:
     The manifest is written first, and each seed's CSV as soon as that seed
     finishes. A seed that raises does not stop the others; once every seed
     has run, the first error in seed order is raised again, and the
-    tracebacks of any later ones go to stderr.
+    tracebacks of any later ones go to stderr. Serial seeds share one
+    landscape, built once; each worker process builds its own.
     """
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -340,9 +347,10 @@ def run_campaign(cfg: CampaignConfig) -> dict[int, list[RoundRecord]]:
                 except Exception as exc:
                     errors[seed] = exc
     else:
+        landscape = _build_landscape(cfg)
         for seed in cfg.seeds:
             try:
-                finish(seed, run_one_seed(cfg, seed))
+                finish(seed, run_one_seed(cfg, seed, landscape))
             except Exception as exc:
                 errors[seed] = exc
     if errors:

@@ -107,6 +107,16 @@ def hamming_distance(a: Sequence, b: Sequence) -> int:
     return sum(x != y for x, y in zip(a.residues, b.residues))
 
 
+def hamming_distances(seqs: list[Sequence], ref: Sequence) -> np.ndarray:
+    """Distance of every sequence in `seqs` to `ref`, as one (P, L) != ref comparison."""
+    if not seqs:
+        return np.zeros(0, dtype=np.intp)
+    rows = np.array([s.residues for s in seqs])
+    if rows.ndim != 2 or rows.shape[1] != len(ref):
+        raise ValueError(f"every sequence must have the reference length {len(ref)}")
+    return (rows != np.array(ref.residues)).sum(axis=1)
+
+
 def encode_onehot(s: Sequence) -> np.ndarray:
     """One-hot encode to an L x V float matrix (row i hot at column s[i])."""
     mat = np.zeros((len(s), s.alphabet.size), dtype=np.float64)
@@ -149,6 +159,32 @@ def random_mutant(s: Sequence, radius: int, rng: np.random.Generator) -> Sequenc
         offset = int(rng.integers(1, s.alphabet.size))
         residues[pos] = (residues[pos] + offset) % s.alphabet.size
     return Sequence(tuple(residues), s.alphabet)
+
+
+def mutant_block(anchors: np.ndarray, radius: int, count: int, alphabet_size: int,
+                 rng: np.random.Generator) -> np.ndarray:
+    """`count` mutants of the rows of an (A, L) ordinal array, as a (count, L) array.
+
+    Each row has the law of `random_mutant` applied to an anchor row drawn
+    uniformly: the number of substitutions n is uniform on [1, radius], the
+    positions are the n smallest of L uniform keys (uniform without
+    replacement), and each substitution is uniform over the V-1 alternatives.
+    Four vectorised draws, in this order: anchors, counts, keys, offsets.
+    Rows are independent, so they may repeat.
+    """
+    anchors = np.asarray(anchors)
+    if anchors.ndim != 2 or len(anchors) == 0:
+        raise ValueError(f"anchors must be a non-empty (A, L) array, got shape {anchors.shape}")
+    length = anchors.shape[1]
+    if not 1 <= radius <= length:
+        raise ValueError(f"radius must be in [1, {length}], got {radius}")
+    if count < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
+    base = anchors[rng.integers(len(anchors), size=count)]
+    n_mut = rng.integers(1, radius + 1, size=count)
+    ranks = rng.random((count, length)).argsort(axis=1).argsort(axis=1)
+    offsets = rng.integers(1, alphabet_size, size=(count, length))
+    return np.where(ranks < n_mut[:, None], (base + offsets) % alphabet_size, base)
 
 
 def sample_mutants(

@@ -1,0 +1,85 @@
+"""Test oracle: the scalar selection path that `acquisition.select_batch` replaced.
+
+Posteriors are scored one `Posterior` at a time and the tie-break recomputes
+`hamming_distance` to the wild type inside the sort key. For a fixed pool,
+`select_batch` must choose the same batch, in the same order.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+
+import numpy as np
+
+from proxbo.acquisition import KGConfig, Posterior, _kg_slot_scores, ei, ucb
+from proxbo.sequences import Sequence, hamming_distance
+from proxbo.surrogate import Dataset
+
+
+def _ranked(pool: list[Sequence], scores: list[float],
+            wild_type: Sequence | None) -> list[tuple]:
+    """Sort keys: score desc, then distance to wild type asc, then ordinals."""
+    def key(i):
+        s = pool[i]
+        d = hamming_distance(s, wild_type) if wild_type is not None else 0
+        return (-scores[i], d, s.residues)
+    return sorted(range(len(pool)), key=key)
+
+
+def scalar_select_batch(strategy: str, model, pool: list[Sequence], data: Dataset, m: int,
+                        *, beta: float = 2.0, incumbent: float | None = None,
+                        kg_config: KGConfig | None = None,
+                        inner_pool: list[Sequence] | None = None,
+                        wild_type: Sequence | None = None,
+                        rng: np.random.Generator | None = None) -> list[Sequence]:
+    """Pick M distinct pool sequences by the chosen acquisition strategy.
+
+    UCB/EI score the whole pool and take the top M (ties broken by smaller
+    Hamming distance to the wild type, then lexicographic order). KG fills
+    the batch greedily, scoring each extension of the partial batch with
+    `kg_oneshot` over a UCB-preranked candidate subset.
+    """
+    if len(pool) < m:
+        raise ValueError(f"pool of {len(pool)} smaller than batch size {m}")
+    if strategy in ("ucb", "ei"):
+        stats = [Posterior(mu, math.sqrt(max(var, 0.0))) for mu, var in model.predict_batch(pool)]
+        if strategy == "ucb":
+            scores = [ucb(p, beta) for p in stats]
+        else:
+            best = incumbent if incumbent is not None else data.max_score()
+            scores = [ei(p, best) for p in stats]
+        order = _ranked(pool, scores, wild_type)
+        return [pool[i] for i in order[:m]]
+    if strategy != "kg":
+        raise ValueError(f"unknown strategy {strategy!r}")
+
+    cfg = kg_config or KGConfig()
+    rng = rng if rng is not None else np.random.default_rng(0)
+    # prerank by UCB to bound the number of KG evaluations per slot
+    stats = [Posterior(mu, math.sqrt(max(var, 0.0))) for mu, var in model.predict_batch(pool)]
+    ucb_scores = [ucb(p, beta) for p in stats]
+    order = _ranked(pool, ucb_scores, wild_type)
+    candidates = [pool[i] for i in order]
+    if inner_pool is None:
+        inner_pool = candidates[: cfg.inner_pool_size]
+
+    chosen: list[Sequence] = []
+    taken: set[Sequence] = set()
+    for _ in range(m):
+        subset = list(itertools.islice((c for c in candidates if c not in taken),
+                                       cfg.inner_eval_size))
+        slot_seed = int(rng.integers(0, 2**63 - 1))
+        # the incumbent term is constant per slot, so it is dropped
+        scores = _kg_slot_scores(model, chosen, subset, inner_pool, data, cfg,
+                                 slot_seed)
+        bad = sum(not math.isfinite(score) for score in scores)
+        if bad:
+            raise ValueError(f"non-finite KG slot score for {bad} of {len(scores)} candidates")
+        best_c, best_score = None, -math.inf
+        for c, score in zip(subset, scores):
+            if score > best_score:
+                best_c, best_score = c, score
+        chosen.append(best_c)
+        taken.add(best_c)
+    return chosen

@@ -26,7 +26,11 @@ from proxbo.harness import (
     run_campaign,
     run_one_seed,
     write_aggregate,
+    write_run_csv,
 )
+from proxbo.landscape import load_lookup
+
+import test_acceptance
 
 RANDOM_NK_CONFIG = """
 landscape.kind=nk
@@ -39,6 +43,8 @@ rounds=2
 batch=4
 seeds=0,1
 """
+
+DATA = Path(__file__).resolve().parent / "data"
 
 SMALL_BO_CONFIG = """
 landscape.kind=nk
@@ -127,8 +133,19 @@ class TestRunArtifacts:
         cfg = parse_config_text(SMALL_BO_CONFIG + f"out={tmp_path}\n")
         run_campaign(cfg)
         manifest = (tmp_path / "manifest.txt").read_text().splitlines()
-        assert manifest[0] == "artifact_version=0.1.0"
+        assert manifest[0] == "artifact_version=0.2.0"
         assert manifest[1] == f"config_hash={config_hash(cfg)}"
+
+    def test_cold_start_rows_equal_the_0_1_0_artifact(self, tmp_path):
+        # round 0 (the wild type) and round 1 (the model-free cold start) do not
+        # draw candidate pools, so they equal the rows artifact version 0.1.0 wrote
+        cfg = CampaignConfig(**{**test_acceptance.TestReproducibility.CONFIG.__dict__,
+                                "seeds": (0,), "out": str(tmp_path)})
+        run_campaign(cfg)
+        lines = (tmp_path / "run_0.csv").read_text().splitlines()
+        assert any(line.startswith("2,") for line in lines)
+        early = [line for line in lines if line.split(",")[0] in ("round", "0", "1")]
+        assert early == (DATA / "kg_cold_start_seed0.csv").read_text().splitlines()
 
     def test_cumulative_max_column_is_running_maximum(self, tmp_path):
         cfg = parse_config_text(RANDOM_NK_CONFIG + f"out={tmp_path}\n")
@@ -211,10 +228,10 @@ class TestSeedFailures:
         assert lines[-1] == "# early_stop=domain_exhausted"
 
 
-def _run_one_seed_failing_on_seed_1(cfg, seed):
+def _run_one_seed_failing_on_seed_1(cfg, seed, landscape=None):
     if seed == 1:
         raise TrainingError("member 0 diverged (non-finite loss)")
-    return _RUN_ONE_SEED(cfg, seed)
+    return _RUN_ONE_SEED(cfg, seed, landscape)
 
 
 _RUN_ONE_SEED = harness.run_one_seed
@@ -255,11 +272,11 @@ class TestCrashSafety:
     def test_error_is_raised_unchanged(self, tmp_path, monkeypatch, capsys):
         errors = {}
 
-        def failing(cfg, seed):
+        def failing(cfg, seed, landscape=None):
             if seed > 0:
                 errors[seed] = TrainingError(f"seed {seed} diverged")
                 raise errors[seed]
-            return _RUN_ONE_SEED(cfg, seed)
+            return _RUN_ONE_SEED(cfg, seed, landscape)
 
         monkeypatch.setattr(harness, "run_one_seed", failing)
         with pytest.raises(TrainingError) as info:
@@ -267,6 +284,31 @@ class TestCrashSafety:
         assert info.value is errors[1]  # the first failure in seed order
         assert sorted(errors) == [1, 2]  # seed 2 still ran
         assert "seed 2 failed as well" in capsys.readouterr().err
+
+
+class TestSharedLandscape:
+    def test_serial_lookup_campaign_loads_the_table_once(self, tmp_path, monkeypatch):
+        gen_nk(6, 1, 2, 9, tmp_path / "land")
+        cfg = parse_config_text(
+            SMALL_BO_CONFIG.replace("landscape.kind=nk", "landscape.kind=lookup")
+            .replace("seeds=0", "seeds=0,1,2")
+            + f"landscape.path={tmp_path / 'land.tsv'}\nout={tmp_path / 'runs'}\n")
+        per_seed = {}
+        for seed in cfg.seeds:
+            write_run_csv(tmp_path / f"alone_{seed}.csv", *run_one_seed(cfg, seed))
+            per_seed[seed] = (tmp_path / f"alone_{seed}.csv").read_bytes()
+        calls = []
+
+        def counting_load_lookup(*args, **kwargs):
+            calls.append(args)
+            return load_lookup(*args, **kwargs)
+
+        monkeypatch.delenv("PROXBO_THREADS", raising=False)
+        monkeypatch.setattr(harness, "load_lookup", counting_load_lookup)
+        run_campaign(cfg)
+        assert len(calls) == 1
+        for seed in cfg.seeds:
+            assert (tmp_path / "runs" / f"run_{seed}.csv").read_bytes() == per_seed[seed]
 
 
 class TestGenNK:
