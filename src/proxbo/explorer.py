@@ -93,9 +93,11 @@ def propose_pool(state: ExplorerState, domain, pool_size: int, radius: int,
     pool deficit) draws, taken in draw order; a draw already pooled, measured
     or found outside the domain is skipped, and only new ones become
     `Sequence`s. A block that adds nothing ends the radius r. The radius
-    then widens up to L; on enumerable domains the fallback is instead the
-    full unmeasured set in random order (flagged short if it is still
-    smaller than `pool_size`).
+    then widens up to L; on enumerable domains (with `iter_residues` and
+    `num_states`) the fallback is instead the full unmeasured set in random
+    order (flagged short if it is still smaller than `pool_size`). It is
+    filtered as residue tuples, and only the states it adds become
+    `Sequence`s.
     """
     if pool_size < 1:
         raise ValueError(f"pool_size must be >= 1, got {pool_size}")
@@ -131,7 +133,7 @@ def propose_pool(state: ExplorerState, domain, pool_size: int, radius: int,
     draw_at(min(radius, length))
     if len(pool) >= pool_size:
         return PoolProposal(pool, short=False)
-    enumerable = (domain is not None and hasattr(domain, "iter_domain")
+    enumerable = (domain is not None and hasattr(domain, "iter_residues")
                   and hasattr(domain, "num_states") and domain.num_states() <= 2**20)
     if not enumerable:
         # widen the mutation radius until the pool fills or radius reaches L
@@ -141,11 +143,11 @@ def propose_pool(state: ExplorerState, domain, pool_size: int, radius: int,
                 return PoolProposal(pool, short=False)
         return PoolProposal(pool, short=True)
     # small enumerable domain: fill from the shuffled unmeasured remainder
-    rest = [c for c in domain.iter_domain() if c.residues not in seen]
+    rest = [r for r in domain.iter_residues() if r not in seen]
     for i in rng.permutation(len(rest)):
         if len(pool) >= pool_size:
             return PoolProposal(pool, short=False)
-        pool.append(rest[int(i)])
+        pool.append(Sequence(rest[int(i)], alphabet))
     return PoolProposal(pool, short=len(pool) < pool_size)
 
 

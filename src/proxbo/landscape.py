@@ -63,9 +63,13 @@ class LookupLandscape:
                 raise DomainError(f"sequence {s.text} is not in the lookup table") from None
         return scores
 
+    def iter_residues(self) -> Iterator[tuple[int, ...]]:
+        """Residue tuples of every state, in table order."""
+        return iter(self.table)
+
     def iter_domain(self) -> Iterator[Sequence]:
         alphabet = self.alphabet
-        return (Sequence(residues, alphabet) for residues in self.table)
+        return (Sequence(residues, alphabet) for residues in self.iter_residues())
 
     def num_states(self) -> int:
         return len(self.table)
@@ -189,8 +193,12 @@ class NKLandscape:
     def evaluate_batch(self, batch: list[Sequence]) -> list[float]:
         return [self.fitness(s) for s in batch]
 
+    def iter_residues(self) -> Iterator[tuple[int, ...]]:
+        """Residue tuples of every state, in lexicographic order."""
+        return itertools.product(range(self.alphabet.size), repeat=self.n)
+
     def iter_domain(self) -> Iterator[Sequence]:
-        for residues in itertools.product(range(self.alphabet.size), repeat=self.n):
+        for residues in self.iter_residues():
             yield Sequence(residues, self.alphabet)
 
     def num_states(self) -> int:

@@ -8,6 +8,9 @@ regressor. Everything is float64.
 
 from __future__ import annotations
 
+import math
+from collections.abc import Mapping, MutableMapping
+
 import numpy as np
 
 
@@ -34,31 +37,47 @@ def stacked_conv1d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
     k, cin, cout = w.shape[-3:]
     pad = (k - 1) // 2
     *lead, bsz, l, _ = x.shape
-    xp = np.pad(x, [(0, 0)] * len(lead) + [(0, 0), (pad, pad), (0, 0)])
-    # (..., B, L, k, Cin) windows flattened to an im2col matrix
-    win = np.lib.stride_tricks.sliding_window_view(xp, k, axis=-2)  # (..., B, L, Cin, k)
-    col = np.swapaxes(win, -1, -2).reshape(*lead, bsz * l, k * cin)
+    xp = np.zeros((*lead, bsz, l + 2 * pad, cin))
+    xp[..., pad:pad + l, :] = x
+    # (..., B, L, k, Cin) windows over the padded positions, copied once into
+    # the im2col matrix
+    *lead_strides, s_b, s_l, s_c = xp.strides
+    win = np.lib.stride_tricks.as_strided(
+        xp, (*lead, bsz, l, k, cin), (*lead_strides, s_b, s_l, s_l, s_c), writeable=False)
+    col = win.reshape(*lead, bsz * l, k * cin)
     out = col @ w.reshape(*w.shape[:-3], k * cin, cout) + b[..., None, :]
     return out.reshape(*out.shape[:-2], bsz, l, cout), (col, w, (bsz, l))
 
 
-def stacked_conv1d_backward(cache, dout: np.ndarray, need_dx: bool = True):
-    """Gradients (dx, dw, db) of `stacked_conv1d_forward`; dx is None unless `need_dx`."""
+def stacked_conv1d_backward(cache, dout: np.ndarray, need_dx: bool = True,
+                            dw: np.ndarray | None = None, db: np.ndarray | None = None):
+    """Gradients (dx, dw, db) of `stacked_conv1d_forward`; dx is None unless `need_dx`.
+
+    `dw` and `db`, when given, are C-contiguous arrays the gradients are
+    written into (an arena's views); otherwise they are allocated.
+    """
     col, w, (bsz, l) = cache
     k, cin, cout = w.shape[-3:]
     pad = (k - 1) // 2
-    dout2 = dout.reshape(*dout.shape[:-3], bsz * l, cout)
-    dw = (np.swapaxes(col, -1, -2) @ dout2).reshape(*dout.shape[:-3], k, cin, cout)
-    db = dout2.sum(axis=-2)
+    lead = dout.shape[:-3]
+    dout2 = dout.reshape(*lead, bsz * l, cout)
+    dw2 = None if dw is None else dw.reshape(*lead, k * cin, cout)
+    dw = np.matmul(np.swapaxes(col, -1, -2), dout2, out=dw2).reshape(*lead, k, cin, cout)
+    db = np.sum(dout2, axis=-2, out=db)
     if not need_dx:
         return None, dw, db
-    w2 = w.reshape(*w.shape[:-3], k * cin, cout)
-    dcol = (dout2 @ np.swapaxes(w2, -1, -2)).reshape(*dout.shape[:-3], bsz, l, k, cin)
-    # scatter the window gradients back onto the padded input
-    dxp = np.zeros((*dout.shape[:-3], bsz, l + 2 * pad, cin))
+    # tap-major window gradients (..., k, B, L, Cin): tap j's block is
+    # contiguous, and it adds onto the input positions its outputs read
+    # (the padding is never built). Every input position sums its taps in
+    # ascending order from zero, as a scatter onto the padded input would.
+    wt = np.ascontiguousarray(np.swapaxes(w, -1, -2))  # (..., k, Cout, Cin)
+    dcol = (dout2[..., None, :, :] @ wt).reshape(*lead, k, bsz, l, cin)
+    dx = np.zeros((*lead, bsz, l, cin))
     for j in range(k):
-        dxp[..., j:j + l, :] += dcol[..., j, :]
-    return dxp[..., pad:pad + l, :], dw, db
+        lo, hi = max(0, j - pad), min(l, l + j - pad)
+        if lo < hi:
+            dx[..., lo:hi, :] += dcol[..., j, :, lo + pad - j:hi + pad - j, :]
+    return dx, dw, db
 
 
 def conv1d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
@@ -76,10 +95,12 @@ def dense_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
     return x @ w + b[..., None, :], (x, w)
 
 
-def dense_backward(cache, dout: np.ndarray):
+def dense_backward(cache, dout: np.ndarray, dw: np.ndarray | None = None,
+                   db: np.ndarray | None = None):
+    """(dx, dw, db); `dw` and `db`, when given, are the arrays written into."""
     x, w = cache
-    dw = np.swapaxes(x, -1, -2) @ dout
-    db = dout.sum(axis=-2)
+    dw = np.matmul(np.swapaxes(x, -1, -2), dout, out=dw)
+    db = np.sum(dout, axis=-2, out=db)
     return dout @ np.swapaxes(w, -1, -2), dw, db
 
 
@@ -113,14 +134,73 @@ def mse_backward(cache: np.ndarray):
     return 2.0 * diff / diff.shape[-1]
 
 
+class Arena(MutableMapping):
+    """Named float64 arrays laid out back to back in one flat buffer.
+
+    `flat` is the buffer and each entry is a C-contiguous view of its slice,
+    in `layout` order, so one ufunc call over `flat` acts on every entry.
+    Entries are never rebound: assigning one copies the value into its view
+    (the shapes must match), and deleting one is an error.
+    """
+
+    def __init__(self, shapes: Mapping[str, tuple[int, ...]]):
+        self.layout = tuple((name, tuple(shape)) for name, shape in shapes.items())
+        self.flat = np.zeros(sum(math.prod(shape) for _, shape in self.layout))
+        self._bind()
+
+    @classmethod
+    def like(cls, arrays: Mapping[str, np.ndarray]) -> "Arena":
+        """A zero-filled arena with the names and shapes of `arrays`."""
+        return cls({name: arr.shape for name, arr in arrays.items()})
+
+    def _bind(self) -> None:
+        self._views = {}
+        start = 0
+        for name, shape in self.layout:
+            size = math.prod(shape)
+            self._views[name] = self.flat[start:start + size].reshape(shape)
+            start += size
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        return self._views[name]
+
+    def __setitem__(self, name: str, value) -> None:
+        view = self._views[name]
+        if np.shape(value) != view.shape:
+            raise ValueError(f"{name}: shape {np.shape(value)} does not match {view.shape}")
+        view[...] = value
+
+    def __delitem__(self, name: str) -> None:
+        raise TypeError("arena entries cannot be deleted")
+
+    def __iter__(self):
+        return iter(self._views)
+
+    def __len__(self) -> int:
+        return len(self._views)
+
+    # copies and pickles carry the buffer; the views are rebuilt over it
+    def __getstate__(self):
+        return {"layout": self.layout, "flat": self.flat}
+
+    def __setstate__(self, state) -> None:
+        self.layout, self.flat = state["layout"], state["flat"]
+        self._bind()
+
+
 class Adam:
     """Adaptive moment estimation over a dict of parameter arrays.
 
     The update is elementwise, so one optimizer over stacked parameters steps
     every member exactly as separate per-member optimizers would.
 
-    `step` updates the moments and the parameters in place, through two work
-    arrays per parameter allocated once, in this order of operations:
+    The moments `m` and `v` are arenas with the parameters' layout, and the
+    two work arrays are flat buffers of the same size. When `step` gets its
+    parameters and gradients as two arenas of that layout, it runs its
+    operations once over the flat buffers, whatever the number of entries;
+    given plain dicts, it runs them once per gradient entry, on views of the
+    work buffers. Either way `step` updates the moments and the parameters
+    in place, in this order of operations:
 
         m = b1*m + (1-b1)*g
         v = b2*v + ((1-b2)*g)*g
@@ -130,35 +210,42 @@ class Adam:
     result equals the allocating textbook update bit for bit.
     """
 
-    def __init__(self, params: dict[str, np.ndarray], lr: float = 1e-3,
+    def __init__(self, params: Mapping[str, np.ndarray], lr: float = 1e-3,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = {k: np.zeros_like(v) for k, v in params.items()}
-        self.v = {k: np.zeros_like(v) for k, v in params.items()}
-        self._work = {k: (np.empty_like(v), np.empty_like(v)) for k, v in params.items()}
+        self.m = Arena.like(params)
+        self.v = Arena.like(params)
+        self._work = (np.empty_like(self.m.flat), np.empty_like(self.m.flat))
 
-    def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
+    def step(self, params: Mapping[str, np.ndarray], grads: Mapping[str, np.ndarray]) -> None:
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
-        bias1 = 1.0 - b1**self.t
-        bias2 = 1.0 - b2**self.t
+        bias1 = 1.0 - self.beta1**self.t
+        bias2 = 1.0 - self.beta2**self.t
+        a, b = self._work
+        if (isinstance(params, Arena) and isinstance(grads, Arena)
+                and params.layout == grads.layout == self.m.layout):
+            self._update(params.flat, grads.flat, self.m.flat, self.v.flat, a, b, bias1, bias2)
+            return
         for k, g in grads.items():
-            m, v = self.m[k], self.v[k]
-            a, b = self._work[k]
-            m *= b1
-            m += np.multiply(1.0 - b1, g, out=a)
-            v *= b2
-            np.multiply(1.0 - b2, g, out=a)
-            a *= g
-            v += a
-            np.divide(v, bias2, out=a)
-            np.sqrt(a, out=a)
-            a += self.eps
-            np.divide(m, bias1, out=b)
-            b *= self.lr
-            b /= a
-            params[k] -= b
+            self._update(params[k], g, self.m[k], self.v[k], a[:g.size].reshape(g.shape),
+                         b[:g.size].reshape(g.shape), bias1, bias2)
+
+    def _update(self, p, g, m, v, a, b, bias1: float, bias2: float) -> None:
+        b1, b2 = self.beta1, self.beta2
+        m *= b1
+        m += np.multiply(1.0 - b1, g, out=a)
+        v *= b2
+        np.multiply(1.0 - b2, g, out=a)
+        a *= g
+        v += a
+        np.divide(v, bias2, out=a)
+        np.sqrt(a, out=a)
+        a += self.eps
+        np.divide(m, bias1, out=b)
+        b *= self.lr
+        b /= a
+        p -= b

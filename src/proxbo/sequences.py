@@ -130,10 +130,18 @@ def decode_onehot(mat: np.ndarray, alphabet: Alphabet) -> Sequence:
 
 
 def encode_batch(seqs: list[Sequence]) -> np.ndarray:
-    """Stack one-hot encodings into a (B, L, V) array."""
+    """One-hot encodings of equal-length sequences as a (B, L, V) array.
+
+    One gather of identity rows by the (B, L) residue ordinals; it equals
+    stacking `encode_onehot` of each sequence.
+    """
     if not seqs:
         raise ValueError("empty sequence batch")
-    return np.stack([encode_onehot(s) for s in seqs])
+    size = seqs[0].alphabet.size
+    if any(s.alphabet.size != size for s in seqs):
+        raise ValueError("every sequence in a batch must share one alphabet size")
+    # a ragged batch makes np.array raise ValueError
+    return np.eye(size)[np.array([s.residues for s in seqs])]
 
 
 def point_mutate(s: Sequence, position: int, symbol: int) -> Sequence:

@@ -99,6 +99,8 @@ class _StackedNet:
 
     `rngs` holds one generator per member; each draws its member's weights
     layer by layer, and the members' parameters are stacked on a leading axis.
+    `params` is an `nn.Arena`: every stacked parameter is a view into one
+    flat buffer, so one Adam step updates them all with a single pass.
     """
 
     def __init__(self, cfg, length: int, vocab: int, rngs: list[np.random.Generator]):
@@ -106,7 +108,10 @@ class _StackedNet:
         self.length = length
         self.vocab = vocab
         members = [self._init_member(rng) for rng in rngs]
-        self.params = {name: np.stack([p[name] for p in members]) for name in members[0]}
+        self.params = nn.Arena({name: (len(members),) + arr.shape
+                                for name, arr in members[0].items()})
+        for name in self.params:
+            self.params[name] = np.stack([p[name] for p in members])
 
     def features(self, x: np.ndarray) -> np.ndarray:
         """(M, B, d) features of x: (M, B, L, V), or (B, L, V) shared by all members."""
@@ -170,25 +175,26 @@ class ConvRegressor(_StackedNet):
         out, c_out = nn.dense_forward(hid, self.params["out_w"], self.params["out_b"])
         return out[..., 0], (c_dense, c_hrelu, c_out)
 
-    def head_backward(self, cache, dpred: np.ndarray):
-        """(head gradients, gradient w.r.t. the features)."""
+    def head_backward(self, cache, dpred: np.ndarray, grads) -> np.ndarray:
+        """Write the head's gradients into `grads`; return the gradient w.r.t. the features."""
         c_dense, c_hrelu, c_out = cache
-        grads: dict[str, np.ndarray] = {}
-        d, grads["out_w"], grads["out_b"] = nn.dense_backward(c_out, dpred[..., None])
+        d, _, _ = nn.dense_backward(c_out, dpred[..., None], grads["out_w"], grads["out_b"])
         d = nn.relu_backward(c_hrelu, d)
-        d, grads["dense_w"], grads["dense_b"] = nn.dense_backward(c_dense, d)
-        return grads, d
+        d, _, _ = nn.dense_backward(c_dense, d, grads["dense_w"], grads["dense_b"])
+        return d
 
-    def backward(self, cache, dpred: np.ndarray) -> dict[str, np.ndarray]:
+    def backward(self, cache, dpred: np.ndarray, grads: nn.Arena | None = None) -> nn.Arena:
+        """Gradients of every parameter, written into `grads` (a new arena when None)."""
+        grads = nn.Arena.like(self.params) if grads is None else grads
         (caches, c_pool), c_head = cache
-        grads, d = self.head_backward(c_head, dpred)
+        d = self.head_backward(c_head, dpred, grads)
         d = nn.mean_pool_backward(c_pool, d)
         for i in reversed(range(len(self.cfg.channels))):
             c_conv, c_relu = caches[i]
             d = nn.relu_backward(c_relu, d)
             # nothing reads the gradient w.r.t. the one-hot input
-            d, grads[f"conv{i}_w"], grads[f"conv{i}_b"] = nn.stacked_conv1d_backward(
-                c_conv, d, need_dx=i > 0)
+            d, _, _ = nn.stacked_conv1d_backward(c_conv, d, need_dx=i > 0,
+                                                 dw=grads[f"conv{i}_w"], db=grads[f"conv{i}_b"])
         return grads
 
 
@@ -219,22 +225,23 @@ class RecurrentRegressor(_StackedNet):
         out, c_out = nn.dense_forward(feats, self.params["out_w"], self.params["out_b"])
         return out[..., 0], (c_out,)
 
-    def head_backward(self, cache, dpred: np.ndarray):
-        grads: dict[str, np.ndarray] = {}
-        d, grads["out_w"], grads["out_b"] = nn.dense_backward(cache[0], dpred[..., None])
-        return grads, d
+    def head_backward(self, cache, dpred: np.ndarray, grads) -> np.ndarray:
+        d, _, _ = nn.dense_backward(cache[0], dpred[..., None], grads["out_w"], grads["out_b"])
+        return d
 
-    def backward(self, cache, dpred: np.ndarray) -> dict[str, np.ndarray]:
+    def backward(self, cache, dpred: np.ndarray, grads: nn.Arena | None = None) -> nn.Arena:
+        """Gradients of every parameter, written into `grads` (a new arena when None)."""
+        grads = nn.Arena.like(self.params) if grads is None else grads
         (x, hs), c_head = cache
         wh = self.params["wh"]
-        head, dh = self.head_backward(c_head, dpred)
-        grads = {k: np.zeros_like(v) for k, v in self.params.items()}
-        grads.update(head)
+        grads.flat.fill(0.0)  # the recurrent gradients accumulate over positions
+        dh = self.head_backward(c_head, dpred, grads)
+        gwx, gwh, gbh = grads["wx"], grads["wh"], grads["bh"]
         for t in reversed(range(x.shape[-2])):
             da = dh * (1.0 - hs[t + 1] ** 2)  # through tanh
-            grads["wx"] += np.swapaxes(x[..., t, :], -1, -2) @ da
-            grads["wh"] += np.swapaxes(hs[t], -1, -2) @ da
-            grads["bh"] += da.sum(axis=-2)
+            gwx += np.swapaxes(x[..., t, :], -1, -2) @ da
+            gwh += np.swapaxes(hs[t], -1, -2) @ da
+            gbh += da.sum(axis=-2)
             if t:  # the initial state is a constant
                 dh = da @ np.swapaxes(wh, -1, -2)
         return grads
@@ -363,6 +370,7 @@ class Ensemble:
                 rows[m, e] = idx[m, rng.permutation(n)]
 
         net = self.net
+        grads = nn.Arena.like(net.params)
         opt = nn.Adam(net.params, lr=cfg.learning_rate)
         for e in range(cfg.epochs):
             for start in range(0, n, cfg.minibatch):
@@ -373,7 +381,7 @@ class Ensemble:
                 if not finite.all():
                     raise TrainingError(
                         f"member {int(np.argmin(finite))} diverged (non-finite loss)")
-                opt.step(net.params, net.backward(cache, nn.mse_backward(diff)))
+                opt.step(net.params, net.backward(cache, nn.mse_backward(diff), grads))
         pred, _ = net.forward(x_all[idx])
         return nn.mse_forward(pred, y_all[idx])[0].tolist()
 
@@ -439,7 +447,10 @@ class Ensemble:
         broadcast against them, so no features are tiled. The features of the
         observed rows and of every batch come from one cache lookup per call;
         the activation, mask and gradient arrays are allocated once per call
-        and rewritten in place at every step of every candidate. Each head
+        and rewritten in place at every step of every candidate. The head
+        copies and their gradients are two `nn.Arena`s, so each Adam step is
+        one pass over a flat buffer, and each candidate starts from one copy
+        of the base head broadcast over the fantasies. Each head
         copy goes through the same matrix products and reductions as when all
         (candidate, fantasy, member) copies were tiled into one stack, so the
         result equals that stack's bit for bit; tests/fantasy_oracle.py keeps
@@ -467,38 +478,46 @@ class Ensemble:
         targets[..., :n_obs] = y_obs
         inner_feats = self.features_batch(inner_pool)
 
-        base = {name: self.net.params[name] for name in self.net.head_param_names}
-        params = {name: np.empty((n_f,) + arr.shape) for name, arr in base.items()}
-        grads = {name: np.empty_like(arr) for name, arr in params.items()}
+        # the (F, M, ...) head copies, their gradients and their starting
+        # values (the base head broadcast over the fantasies), each one arena
+        shapes = {name: (n_f,) + self.net.params[name].shape
+                  for name in self.net.head_param_names}
+        params, grads, start = nn.Arena(shapes), nn.Arena(shapes), nn.Arena(shapes)
+        for name in start:
+            start[name][...] = self.net.params[name]
+        out_w, out_b = params["out_w"], params["out_b"]
+        g_out_w, g_out_b = grads["out_w"], grads["out_b"]
         has_hidden = "dense_w" in params
         out = np.empty((n_f, n_m, n, 1))
         inner_out = np.empty((n_f, n_m, len(inner_pool), 1))
         act = mask = inner_act = None
         if has_hidden:
-            hidden = params["dense_w"].shape[-1]
-            act = np.empty((n_f, n_m, n, hidden))
+            dense_w, dense_b = params["dense_w"], params["dense_b"]
+            g_dense_w, g_dense_b = grads["dense_w"], grads["dense_b"]
+            out_w_t = np.swapaxes(out_w, -1, -2)
+            act = np.empty((n_f, n_m, n, dense_w.shape[-1]))
             mask = np.empty(act.shape, dtype=bool)
-            inner_act = np.empty((n_f, n_m, len(inner_pool), hidden))
+            inner_act = np.empty((n_f, n_m, len(inner_pool), dense_w.shape[-1]))
+        feats_t = np.swapaxes(feats, -1, -2)
 
         def head(x, act, out, mask=None):
             """(F, M, rows) outputs on x: (M, rows, d), written into `out`; and the output layer's input."""
             if has_hidden:
-                np.matmul(x, params["dense_w"], out=act)
-                act += params["dense_b"][..., None, :]
+                np.matmul(x, dense_w, out=act)
+                act += dense_b[..., None, :]
                 if mask is not None:
                     np.greater(act, 0.0, out=mask)
                 x = np.maximum(act, 0.0, out=act)
-            np.matmul(x, params["out_w"], out=out)
+            np.matmul(x, out_w, out=out)
             pred = out[..., 0]
-            pred += params["out_b"]
+            pred += out_b
             return pred, x
 
         result = np.empty((len(batches), n_f, len(inner_pool)))
         for c in range(len(batches)):
             feats[:, n_obs:] = rows[:, n_obs + c * width:n_obs + (c + 1) * width]
             targets[..., n_obs:] = y_fan[c][:, None, :]
-            for name, arr in base.items():
-                params[name][...] = arr
+            np.copyto(params.flat, start.flat)
             opt = nn.Adam(params, lr=lr)
             for _ in range(steps):
                 diff, hid = head(feats, act, out, mask)
@@ -506,18 +525,18 @@ class Ensemble:
                 if not np.all(np.isfinite(diff)):
                     raise TrainingError("fantasy update diverged")
                 diff *= 2.0 / n  # `out` now holds the output gradient
-                np.matmul(np.swapaxes(hid, -1, -2), out, out=grads["out_w"])
-                np.sum(out, axis=-2, out=grads["out_b"])
+                np.matmul(np.swapaxes(hid, -1, -2), out, out=g_out_w)
+                np.sum(out, axis=-2, out=g_out_b)
                 if has_hidden:
                     # the hidden activations are spent, so `act` takes their
                     # gradient. The K=1 matmul `out @ out_w^T` differs from this
                     # product only by turning -0.0 into +0.0, which no update
                     # can see; the mask multiplies, as np.where would also
                     # change the signs of zeros
-                    dhid = np.multiply(out, np.swapaxes(params["out_w"], -1, -2), out=act)
+                    dhid = np.multiply(out, out_w_t, out=act)
                     dhid *= mask
-                    np.matmul(np.swapaxes(feats, -1, -2), dhid, out=grads["dense_w"])
-                    np.sum(dhid, axis=-2, out=grads["dense_b"])
+                    np.matmul(feats_t, dhid, out=g_dense_w)
+                    np.sum(dhid, axis=-2, out=g_dense_b)
                 opt.step(params, grads)
             preds, _ = head(inner_feats, inner_act, inner_out)
             preds *= self.y_std
@@ -562,6 +581,8 @@ class Ensemble:
             ens.length = meta["length"]
             ens.vocab = meta["vocab"]
             ens.net = ens._init_net()
+            # assigning an arena entry copies into its view, so the stacked
+            # parameters stay views into one buffer
             for name in ens.net.params:
                 ens.net.params[name] = np.stack(
                     [archive[f"member{i}/{name}"] for i in range(ens.n_members)])

@@ -132,5 +132,7 @@ def fantasy_update(ens, batch, ys, data, steps=20, lr=1e-3):
         if not finite.all():
             raise TrainingError(
                 f"fantasy update diverged on member {int(np.argmin(finite))}")
-        opt.step(head, net.head_backward(cache, nn.mse_backward(diff))[0])
+        grads = {name: np.empty_like(arr) for name, arr in head.items()}
+        net.head_backward(cache, nn.mse_backward(diff), grads)
+        opt.step(head, grads)
     return FantasyEnsemble(ens, net)

@@ -6,6 +6,7 @@ import time
 import numpy as np
 import pytest
 
+import proxbo.explorer as explorer
 import proxbo.surrogate as surrogate
 from proxbo.acquisition import KGConfig
 from proxbo.errors import DomainExhausted
@@ -145,6 +146,25 @@ class TestProposePool:
         assert pool.short
         assert sorted(s.residues for s in pool.sequences) == \
                sorted(s.residues for s in every[252:])
+
+    def test_enumeration_fallback_builds_only_picked_states(self, monkeypatch):
+        land = make_nk(8, 1, 2, 0)  # 256 states
+        # every state within one substitution of the wild type is measured,
+        # so radius-1 draws add nothing and the pool comes from the fallback
+        near = [Sequence(r, AB2) for r in itertools.product((0, 1), repeat=8)
+                if sum(r) <= 1]
+        state = self._state(land, measured=near)
+
+        def no_sequences(self):
+            raise AssertionError("the fallback enumerates residue tuples")
+
+        monkeypatch.setattr(type(land), "iter_domain", no_sequences)
+        built = []
+        monkeypatch.setattr(explorer, "Sequence",
+                            lambda *args: built.append(args) or Sequence(*args))
+        pool = propose_pool(state, land, 20, 1, np.random.default_rng(3))
+        assert not pool.short and len(built) == len(set(pool.sequences)) == 20
+        assert all(s not in state.data and s.alphabet == land.alphabet for s in pool.sequences)
 
     def test_deterministic_under_seed(self):
         land = make_nk(8, 1, 2, 0)

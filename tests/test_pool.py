@@ -157,7 +157,7 @@ class TestHammingDistances:
 
 
 class _Domain:
-    """A subset of V**L states; `iter_domain` makes it enumerable."""
+    """A subset of V**L states; `iter_residues` makes it enumerable."""
 
     def __init__(self, states: set, alphabet):
         self.states = states
@@ -169,9 +169,12 @@ class _Domain:
 
 
 class _EnumerableDomain(_Domain):
-    def iter_domain(self):
+    def iter_residues(self):
         self.enumerated = True
-        return (Sequence(r, self.alphabet) for r in sorted(self.states))
+        return iter(sorted(self.states))
+
+    def iter_domain(self):
+        return (Sequence(r, self.alphabet) for r in self.iter_residues())
 
     def num_states(self) -> int:
         return len(self.states)

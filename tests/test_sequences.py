@@ -123,6 +123,21 @@ class TestEncoding:
         assert x.shape == (2, 4, 4)
         assert np.array_equal(x[0], encode_onehot(batch[0]))
 
+    @given(st.integers(2, 20), st.integers(1, 12), st.integers(1, 30), st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_batch_equals_stacked_onehots_byte_for_byte(self, v, length, n, seed):
+        ab = small_alphabet(v)
+        rng = np.random.default_rng(seed)
+        batch = [Sequence(tuple(int(r) for r in rng.integers(0, v, length)), ab)
+                 for _ in range(n)]
+        x, ref = encode_batch(batch), np.stack([encode_onehot(s) for s in batch])
+        assert x.shape == ref.shape and x.dtype == ref.dtype
+        assert x.tobytes() == ref.tobytes()
+
+    def test_batch_rejects_mixed_alphabet_sizes(self):
+        with pytest.raises(ValueError):
+            encode_batch([seq("AC"), seq("AC", small_alphabet(2))])
+
     def test_batch_rejects_mixed_lengths(self):
         with pytest.raises(ValueError):
             encode_batch([seq("AC"), seq("ACD")])
