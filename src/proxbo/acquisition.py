@@ -1,14 +1,12 @@
 """Acquisition functions over ensemble posterior statistics and batch selection.
 
-`kg_oneshot` and `select_batch` only need a model exposing
-`predict_batch(seqs) -> [(mean, variance)]` and
-`fantasy_inner_means(batch, ys, inner_pool, data, steps, lr)`, the posterior
-means over `inner_pool` after conditioning on each row of fantasy outcomes
-`ys` (n_fantasies, len(batch)). A model may also expose
-`fantasy_inner_means_multi(batches, ys, inner_pool, data, steps, lr)`, the
-same for several same-size batches at once; KG selection then scores all
-candidates of a slot in one call. Exact conjugate models can therefore
-stand in for the ensemble in tests.
+`kg_oneshot` and `select_batch` only need a model with two array methods:
+`predict_batch(seqs)`, a (len(seqs), 2) array of posterior mean and
+variance, and `fantasy_inner_means_multi(batches, ys, inner_pool, data,
+steps, lr)`, the (len(batches), n_fantasies, len(inner_pool)) posterior
+means over `inner_pool` after conditioning each same-size batch on each row
+of its fantasy outcomes `ys[c]` (n_fantasies, batch size). Exact conjugate
+models can therefore stand in for the ensemble in tests.
 """
 
 from __future__ import annotations
@@ -74,10 +72,6 @@ def ei(p: Posterior, best: float) -> float:
     return (p.mean - best) * _norm_cdf(z) + p.std * _norm_pdf(z)
 
 
-def _pool_max_mean(model, pool: list[Sequence]) -> float:
-    return max(m for m, _ in model.predict_batch(pool))
-
-
 def kg_oneshot(model, batch: list[Sequence], inner_pool: list[Sequence],
                data: Dataset, cfg: KGConfig, rng: np.random.Generator) -> float:
     """One-shot knowledge gradient of measuring `batch`.
@@ -88,56 +82,38 @@ def kg_oneshot(model, batch: list[Sequence], inner_pool: list[Sequence],
     """
     if not batch or not inner_pool:
         raise ValueError("batch and inner_pool must be non-empty")
-    incumbent = _pool_max_mean(model, inner_pool)
-    return _kg_expected_max(model, batch, inner_pool, data, cfg, rng) - incumbent
-
-
-def _kg_expected_max(model, batch: list[Sequence], inner_pool: list[Sequence],
-                     data: Dataset, cfg: KGConfig, rng: np.random.Generator) -> float:
-    """E over fantasies of the post-update max posterior mean (no incumbent)."""
-    stats = model.predict_batch(batch)
-    means = np.array([m for m, _ in stats])
-    stds = np.sqrt(np.maximum([v for _, v in stats], 0.0))
-    ys = means[None, :] + stds[None, :] * rng.standard_normal((cfg.n_fantasies, len(batch)))
-    inner = model.fantasy_inner_means(batch, ys, inner_pool, data,
-                                      steps=cfg.update_steps, lr=cfg.update_lr)
-    return float(inner.max(axis=1).mean())
+    incumbent = model.predict_batch(inner_pool)[:, 0].max()
+    return float(_kg_slot_scores(model, batch[:-1], batch[-1:], inner_pool, data, cfg,
+                                 rng)[0] - incumbent)
 
 
 def _kg_slot_scores(model, chosen: list[Sequence], subset: list[Sequence],
                     inner_pool: list[Sequence], data: Dataset, cfg: KGConfig,
-                    slot_seed: int) -> list[float]:
+                    rng: np.random.Generator) -> np.ndarray:
     """Incumbent-free KG score of `chosen + [c]` for every candidate `c`.
 
     Candidates share the random fantasy draws (common random numbers), so
-    models exposing `fantasy_inner_means_multi` can train every candidate's
-    head copies in one call, after one `predict_batch` of the chosen
-    sequences and the whole subset; the fallback loop computes the same values.
+    every candidate's fantasies are conditioned in one
+    `fantasy_inner_means_multi` call, after one `predict_batch` of the
+    chosen sequences and the whole subset.
     """
-    if hasattr(model, "fantasy_inner_means_multi"):
-        z = np.random.default_rng(slot_seed).standard_normal(
-            (cfg.n_fantasies, len(chosen) + 1))
-        stats = model.predict_batch(chosen + subset)
-        means = np.array([m for m, _ in stats])
-        stds = np.sqrt(np.maximum([v for _, v in stats], 0.0))
-        # row j: the chosen sequences, then candidate j
-        rows = np.empty((len(subset), len(chosen) + 1), dtype=np.intp)
-        rows[:, :-1] = np.arange(len(chosen))
-        rows[:, -1] = len(chosen) + np.arange(len(subset))
-        ys = means[rows][:, None, :] + stds[rows][:, None, :] * z
-        inner = model.fantasy_inner_means_multi([chosen + [c] for c in subset], ys,
-                                                inner_pool, data, steps=cfg.update_steps,
-                                                lr=cfg.update_lr)
-        return inner.max(axis=2).mean(axis=1).tolist()
-    return [_kg_expected_max(model, chosen + [c], inner_pool, data, cfg,
-                             np.random.default_rng(slot_seed)) for c in subset]
+    z = rng.standard_normal((cfg.n_fantasies, len(chosen) + 1))
+    mean, std = _mean_std(model, chosen + subset)
+    # row j: the chosen sequences, then candidate j
+    rows = np.empty((len(subset), len(chosen) + 1), dtype=np.intp)
+    rows[:, :-1] = np.arange(len(chosen))
+    rows[:, -1] = len(chosen) + np.arange(len(subset))
+    ys = mean[rows][:, None, :] + std[rows][:, None, :] * z
+    inner = model.fantasy_inner_means_multi([chosen + [c] for c in subset], ys,
+                                            inner_pool, data, steps=cfg.update_steps,
+                                            lr=cfg.update_lr)
+    return inner.max(axis=2).mean(axis=1)
 
 
 def _mean_std(model, pool: list[Sequence]) -> tuple[np.ndarray, np.ndarray]:
     """Posterior mean and std arrays over `pool`; a non-finite entry is an error."""
-    stats = model.predict_batch(pool)
-    mean = np.array([m for m, _ in stats], dtype=np.float64)
-    std = np.sqrt(np.maximum(np.array([v for _, v in stats], dtype=np.float64), 0.0))
+    mean, var = model.predict_batch(pool).T
+    std = np.sqrt(np.maximum(var, 0.0))
     bad = np.flatnonzero(~(np.isfinite(mean) & np.isfinite(std)))
     if bad.size:
         raise ValueError(f"non-finite posterior ({mean[bad[0]]}, {std[bad[0]]})")
@@ -161,23 +137,18 @@ def _ranked(pool: list[Sequence], scores: list[float],
 def select_batch(strategy: str, model, pool: list[Sequence], data: Dataset, m: int,
                  *, beta: float = 2.0, incumbent: float | None = None,
                  kg_config: KGConfig | None = None,
-                 inner_pool: list[Sequence] | None = None,
                  wild_type: Sequence | None = None,
-                 distances: np.ndarray | None = None,
                  rng: np.random.Generator | None = None) -> list[Sequence]:
     """Pick M distinct pool sequences by the chosen acquisition strategy.
 
     UCB/EI score the whole pool and take the top M (ties broken by smaller
     Hamming distance to the wild type, then lexicographic order). KG fills
     the batch greedily, scoring each extension of the partial batch with
-    `kg_oneshot` over a UCB-preranked candidate subset. `distances`, the
-    pool's Hamming distances to `wild_type`, is computed here when the
-    caller does not pass it.
+    `kg_oneshot` over a UCB-preranked candidate subset.
     """
     if len(pool) < m:
         raise ValueError(f"pool of {len(pool)} smaller than batch size {m}")
-    if distances is None and wild_type is not None:
-        distances = hamming_distances(pool, wild_type)
+    distances = hamming_distances(pool, wild_type) if wild_type is not None else None
     if strategy == "ucb":
         order = _ranked(pool, _ucb_scores(model, pool, beta), distances)
         return [pool[i] for i in order[:m]]
@@ -195,25 +166,20 @@ def select_batch(strategy: str, model, pool: list[Sequence], data: Dataset, m: i
     # prerank by UCB to bound the number of KG evaluations per slot
     order = _ranked(pool, _ucb_scores(model, pool, beta), distances)
     candidates = [pool[i] for i in order]
-    if inner_pool is None:
-        inner_pool = candidates[: cfg.inner_pool_size]
+    inner_pool = candidates[: cfg.inner_pool_size]
 
     chosen: list[Sequence] = []
     taken: set[Sequence] = set()
     for _ in range(m):
         subset = list(itertools.islice((c for c in candidates if c not in taken),
                                        cfg.inner_eval_size))
-        slot_seed = int(rng.integers(0, 2**63 - 1))
+        slot_rng = np.random.default_rng(int(rng.integers(0, 2**63 - 1)))
         # the incumbent term is constant per slot, so it is dropped
-        scores = _kg_slot_scores(model, chosen, subset, inner_pool, data, cfg,
-                                 slot_seed)
-        bad = sum(not math.isfinite(score) for score in scores)
+        scores = _kg_slot_scores(model, chosen, subset, inner_pool, data, cfg, slot_rng)
+        bad = int(np.sum(~np.isfinite(scores)))
         if bad:
             raise ValueError(f"non-finite KG slot score for {bad} of {len(scores)} candidates")
-        best_c, best_score = None, -math.inf
-        for c, score in zip(subset, scores):
-            if score > best_score:
-                best_c, best_score = c, score
+        best_c = subset[int(np.argmax(scores))]  # the first of equal maxima
         chosen.append(best_c)
         taken.add(best_c)
     return chosen

@@ -164,34 +164,32 @@ class RoundRecord:
 
 
 class _ShiftedModel:
-    """Posterior with mean shifted by a per-sequence penalty, std unchanged.
+    """Posterior with mean shifted by -lam * d(s, wild_type), variance unchanged.
 
     Fantasy updates train the underlying model on physical values, so the
     penalty is added back onto fantasy outcomes before delegation.
     """
 
-    def __init__(self, model, penalty):
+    def __init__(self, model, wild_type: Sequence, lam: float):
         self._model = model
-        self._penalty = penalty
+        self._wild_type = wild_type
+        self._lam = lam
+
+    def _penalty(self, seqs: list[Sequence]) -> np.ndarray:
+        return self._lam * hamming_distances(seqs, self._wild_type)
 
     def predict_batch(self, batch):
-        return [(mu - self._penalty(s), var)
-                for s, (mu, var) in zip(batch, self._model.predict_batch(batch))]
-
-    def fantasy_inner_means(self, batch, ys, inner_pool, data, steps=20, lr=1e-3):
-        physical = np.asarray(ys, dtype=np.float64) + np.array(
-            [self._penalty(s) for s in batch])[None, :]
-        inner = self._model.fantasy_inner_means(batch, physical, inner_pool, data,
-                                                steps=steps, lr=lr)
-        return inner - np.array([self._penalty(s) for s in inner_pool])[None, :]
+        stats = self._model.predict_batch(batch)
+        stats[:, 0] -= self._penalty(batch)
+        return stats
 
     def fantasy_inner_means_multi(self, batches, ys, inner_pool, data,
                                   steps=20, lr=1e-3):
-        physical = np.asarray(ys, dtype=np.float64) + np.stack(
-            [[self._penalty(s) for s in batch] for batch in batches])[:, None, :]
+        penalty = self._penalty([s for batch in batches for s in batch])
+        physical = ys + penalty.reshape(len(batches), 1, -1)
         inner = self._model.fantasy_inner_means_multi(batches, physical, inner_pool,
                                                       data, steps=steps, lr=lr)
-        return inner - np.array([self._penalty(s) for s in inner_pool])[None, None, :]
+        return inner - self._penalty(inner_pool)
 
 
 def _ingest(state: ExplorerState, batch: list[Sequence], scores: list[float]) -> None:
@@ -205,6 +203,15 @@ def _finish_round(state: ExplorerState, batch, scores, t0, **extra) -> RoundReco
     return RoundRecord(round_index=state.round_index, sequences=batch, scores=scores,
                        cumulative_max=state.data.max_score(),
                        wall_time=time.perf_counter() - t0, **extra)
+
+
+def _refit(ensemble: Ensemble, data: Dataset, train_cfg: TrainConfig | None,
+           warm_cfg: TrainConfig | None, rng: np.random.Generator) -> None:
+    """Warm-start refit with `warm_cfg` when given, else retrain from scratch."""
+    if warm_cfg is not None:
+        ensemble.fit(data, warm_cfg, rng, warm_start=True)
+    else:
+        ensemble.fit(data, train_cfg, rng)
 
 
 def _cold_start(state: ExplorerState, oracle: BudgetedOracle, m: int,
@@ -256,24 +263,16 @@ def run_round(state: ExplorerState, ensemble: Ensemble, oracle: BudgetedOracle,
     if m == 0:
         raise DomainExhausted("candidate pool is empty; domain exhausted")
 
-    pool = proposal.sequences
-    distances = hamming_distances(pool, state.wild_type)
-    model = ensemble
-    if lam > 0:
-        distance_of = dict(zip(pool, distances.tolist()))  # selection scores only pool members
-        model = _ShiftedModel(ensemble, lambda s: lam * distance_of[s])
+    model = _ShiftedModel(ensemble, state.wild_type, lam) if lam > 0 else ensemble
     incumbent = max(regularized_score(y, hamming_distance(s, state.wild_type), lam)
                     for s, y in zip(state.data.sequences, state.data.scores))
     kg_cfg = kg_config or KGConfig()
-    batch = select_batch(strategy, model, pool, state.data, m,
+    batch = select_batch(strategy, model, proposal.sequences, state.data, m,
                          beta=beta, incumbent=incumbent, kg_config=kg_cfg,
-                         wild_type=state.wild_type, distances=distances, rng=rng)
+                         wild_type=state.wild_type, rng=rng)
     scores = oracle.query_batch(batch)
     _ingest(state, batch, scores)
-    if warm_cfg is not None:
-        ensemble.fit(state.data, warm_cfg, rng, warm_start=True)
-    else:
-        ensemble.fit(state.data, train_cfg, rng)
+    _refit(ensemble, state.data, train_cfg, warm_cfg, rng)
     return state, _finish_round(state, batch, scores, t0, lambda_used=lam,
                                 pool_size=len(proposal.sequences),
                                 short_pool=proposal.short)
@@ -325,10 +324,10 @@ def pex_greedy_round(state: ExplorerState, ensemble: Ensemble, oracle: BudgetedO
     proposal = propose_pool(state, oracle.inner, pool_size, radius, rng)
     if not proposal.sequences:
         raise DomainExhausted("candidate pool is empty; domain exhausted")
-    stats = ensemble.predict_batch(proposal.sequences)
+    means = ensemble.predict_batch(proposal.sequences)[:, 0].tolist()
     distances = hamming_distances(proposal.sequences, state.wild_type).tolist()
     by_class: dict[int, list[tuple[float, Sequence]]] = {}
-    for s, d, (mu, _) in zip(proposal.sequences, distances, stats):
+    for s, d, mu in zip(proposal.sequences, distances, means):
         by_class.setdefault(d, []).append((mu, s))
     for cands in by_class.values():
         cands.sort(key=lambda t: (-t[0], t[1].residues))
@@ -345,10 +344,7 @@ def pex_greedy_round(state: ExplorerState, ensemble: Ensemble, oracle: BudgetedO
             break
     scores = oracle.query_batch(batch)
     _ingest(state, batch, scores)
-    if warm_cfg is not None:
-        ensemble.fit(state.data, warm_cfg, rng, warm_start=True)
-    else:
-        ensemble.fit(state.data, train_cfg, rng)
+    _refit(ensemble, state.data, train_cfg, warm_cfg, rng)
     return state, _finish_round(state, batch, scores, t0,
                                 pool_size=len(proposal.sequences),
                                 short_pool=proposal.short)

@@ -24,7 +24,7 @@ from .explorer import (ExplorerState, RoundRecord, pex_greedy_round,
                        random_search_round, run_round)
 from .landscape import BudgetedOracle, LookupLandscape, load_lookup, make_nk
 from .sequences import Sequence
-from .surrogate import (ConvRegressorConfig, Dataset, Ensemble,
+from .surrogate import (REGRESSORS, ConvRegressorConfig, Dataset, Ensemble,
                         RecurrentRegressorConfig, TrainConfig)
 
 ARTIFACT_VERSION = "0.2.0"
@@ -92,7 +92,7 @@ class CampaignConfig:
             raise ConfigError(f"method: unknown value {self.method!r}")
         if self.method == "batch_bo" and self.acquisition not in ("ucb", "ei", "kg"):
             raise ConfigError(f"acquisition.kind: unknown value {self.acquisition!r}")
-        if self.surrogate_kind not in ("conv", "recurrent"):
+        if self.surrogate_kind not in REGRESSORS:
             raise ConfigError(f"surrogate.kind: unknown value {self.surrogate_kind!r}")
         if self.lambda_kind not in ("fixed", "iqr"):
             raise ConfigError(f"lambda.kind: unknown value {self.lambda_kind!r}")
@@ -323,13 +323,17 @@ def run_campaign(cfg: CampaignConfig) -> dict[int, list[RoundRecord]]:
     tracebacks of any later ones go to stderr. Serial seeds share one
     landscape, built once; each worker process builds its own.
     """
+    raw_threads = os.environ.get("PROXBO_THREADS", "1")
+    try:
+        threads = int(raw_threads)
+    except ValueError:
+        raise ConfigError(f"PROXBO_THREADS: expected an integer, got {raw_threads!r}") from None
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     manifest = [f"artifact_version={ARTIFACT_VERSION}",
                 f"config_hash={config_hash(cfg)}"] + config_lines(cfg)
     (out / "manifest.txt").write_text("\n".join(manifest) + "\n", encoding="utf-8")
 
-    threads = int(os.environ.get("PROXBO_THREADS", "1"))
     all_records: dict[int, list[RoundRecord]] = {}
     errors: dict[int, Exception] = {}
 

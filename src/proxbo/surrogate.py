@@ -9,7 +9,7 @@ from __future__ import annotations
 import copy
 import json
 from collections.abc import MutableMapping
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -247,12 +247,9 @@ class RecurrentRegressor(_StackedNet):
         return grads
 
 
-def _make_net(kind: str, config, length: int, vocab: int, rngs: list[np.random.Generator]):
-    if kind == "conv":
-        return ConvRegressor(config, length, vocab, rngs)
-    if kind == "recurrent":
-        return RecurrentRegressor(config, length, vocab, rngs)
-    raise ValueError(f"unknown regressor kind {kind!r}")
+# regressor kind -> (config class, stacked network class)
+REGRESSORS = {"conv": (ConvRegressorConfig, ConvRegressor),
+              "recurrent": (RecurrentRegressorConfig, RecurrentRegressor)}
 
 
 class _MemberParams(MutableMapping):
@@ -293,10 +290,12 @@ class Ensemble:
     """
 
     def __init__(self, kind: str = "conv", config=None, n_members: int = 5, seed: int = 0):
+        if kind not in REGRESSORS:
+            raise ValueError(f"unknown regressor kind {kind!r}")
         if n_members < 1:
             raise ValueError(f"need at least one member, got {n_members}")
         if config is None:
-            config = ConvRegressorConfig() if kind == "conv" else RecurrentRegressorConfig()
+            config = REGRESSORS[kind][0]()
         self.kind = kind
         self.config = config
         self.n_members = n_members
@@ -321,7 +320,7 @@ class Ensemble:
 
     def _init_net(self):
         rngs = [np.random.default_rng(s) for s in self.member_seeds]
-        return _make_net(self.kind, self.config, self.length, self.vocab, rngs)
+        return REGRESSORS[self.kind][1](self.config, self.length, self.vocab, rngs)
 
     def fit(self, data: Dataset, cfg: TrainConfig | None = None,
             rng: np.random.Generator | None = None, warm_start: bool = False) -> list[float]:
@@ -400,46 +399,21 @@ class Ensemble:
                 self._feature_cache[s] = feats[:, i, :]
         return np.stack([self._feature_cache[s] for s in batch], axis=1)
 
-    def _member_preds(self, batch: list[Sequence]) -> np.ndarray:
-        """(n_members, B) de-standardized member predictions."""
-        preds = self.net.head_forward(self.features_batch(batch))[0]
-        return preds * self.y_std + self.y_mean
-
-    def predict_batch(self, batch: list[Sequence]) -> list[tuple[float, float]]:
-        """Per-sequence (mean, population variance) of member predictions."""
-        preds = self._member_preds(batch)
-        means = preds.mean(axis=0)
-        variances = preds.var(axis=0)  # population variance; 0 when members agree
-        return list(zip(means.tolist(), variances.tolist()))
-
-    def predict_mean_var(self, s: Sequence) -> tuple[float, float]:
-        return self.predict_batch([s])[0]
-
-    def fantasy_inner_means(self, batch: list[Sequence], ys: np.ndarray,
-                            inner_pool: list[Sequence], data: Dataset,
-                            steps: int = 20, lr: float = 1e-3) -> np.ndarray:
-        """Posterior means over `inner_pool` under each fantasy outcome.
-
-        `ys` has shape (n_fantasies, len(batch)): one hypothetical outcome
-        vector per fantasy. Every (fantasy, member) head copy is trained
-        jointly as one stack of small dense problems on the frozen cached
-        features, so the cost of many fantasies is a handful of batched
-        matrix products rather than a Python loop. Returns an array of shape
-        (n_fantasies, len(inner_pool)) of de-standardized ensemble means.
-        """
-        ys = np.asarray(ys, dtype=np.float64)
-        if ys.ndim != 2 or ys.shape[1] != len(batch):
-            raise ValueError(f"ys must have shape (n_fantasies, {len(batch)}), got {ys.shape}")
-        return self.fantasy_inner_means_multi([list(batch)], ys[None], inner_pool,
-                                              data, steps=steps, lr=lr)[0]
+    def predict_batch(self, batch: list[Sequence]) -> np.ndarray:
+        """(B, 2) array: per-sequence mean and population variance of the member predictions."""
+        preds = self.net.head_forward(self.features_batch(batch))[0] * self.y_std + self.y_mean
+        return np.stack([preds.mean(axis=0), preds.var(axis=0)], axis=1)
 
     def fantasy_inner_means_multi(self, batches: list[list[Sequence]], ys: np.ndarray,
                                   inner_pool: list[Sequence], data: Dataset,
                                   steps: int = 20, lr: float = 1e-3) -> np.ndarray:
-        """`fantasy_inner_means` for several same-size batches at once.
+        """Posterior means over `inner_pool` under each fantasy outcome of each batch.
 
-        `ys` has shape (len(batches), n_fantasies, batch size). Returns an
-        array of shape (len(batches), n_fantasies, len(inner_pool)).
+        `ys` has shape (len(batches), n_fantasies, batch size): one
+        hypothetical outcome vector per (batch, fantasy). Returns an array of
+        shape (len(batches), n_fantasies, len(inner_pool)) of de-standardized
+        ensemble means, each from a few Adam steps of every member's head on
+        the frozen cached features of the observed rows plus that batch.
 
         The candidate batches train one after another, each as one block of
         (fantasy, member) head copies: the head parameters carry a leading
@@ -550,7 +524,7 @@ class Ensemble:
         """Write a single self-describing .npz checkpoint."""
         meta = {
             "kind": self.kind,
-            "config": self.config.__dict__ if not hasattr(self.config, "_asdict") else dict(self.config),
+            "config": asdict(self.config),
             "n_members": self.n_members,
             "seed": self.seed,
             "member_seeds": self.member_seeds,
@@ -569,11 +543,10 @@ class Ensemble:
     def load(cls, path: str | Path) -> "Ensemble":
         with np.load(path) as archive:
             meta = json.loads(bytes(archive["__meta__"]).decode())
-            cfg_cls = ConvRegressorConfig if meta["kind"] == "conv" else RecurrentRegressorConfig
             cfg_kwargs = dict(meta["config"])
             if "channels" in cfg_kwargs:
                 cfg_kwargs["channels"] = tuple(cfg_kwargs["channels"])
-            ens = cls(kind=meta["kind"], config=cfg_cls(**cfg_kwargs),
+            ens = cls(kind=meta["kind"], config=REGRESSORS[meta["kind"]][0](**cfg_kwargs),
                       n_members=meta["n_members"], seed=meta["seed"])
             ens.member_seeds = [int(s) for s in meta["member_seeds"]]
             ens.y_mean = meta["y_mean"]
@@ -608,12 +581,14 @@ def gradient_check(kind: str = "conv", config=None, tolerance: float = 1e-4,
     is perturbed by +-1e-4 and the relative error of the analytic gradient is
     recorded. Failure is a report outcome, not an exception.
     """
+    if kind not in REGRESSORS:
+        raise ValueError(f"unknown regressor kind {kind!r}")
     rng = np.random.default_rng(seed)
     if config is None:
         config = (ConvRegressorConfig(channels=(4, 4), kernel_size=3, hidden_dense=6)
                   if kind == "conv" else RecurrentRegressorConfig(hidden_size=6))
     members = 2
-    net = _make_net(kind, config, length, vocab, [rng] * members)
+    net = REGRESSORS[kind][1](config, length, vocab, [rng] * members)
     x = rng.standard_normal((members, batch, length, vocab))
     y = rng.standard_normal((members, batch))
 

@@ -24,20 +24,19 @@ from proxbo.errors import TrainingError
 from sequential_fit import Adam
 
 
-def per_candidate_slot_scores(model, chosen, subset, inner_pool, data, cfg, slot_seed):
-    """`acquisition._kg_slot_scores` for models with `fantasy_inner_means_multi`."""
-    z = np.random.default_rng(slot_seed).standard_normal((cfg.n_fantasies, len(chosen) + 1))
+def per_candidate_slot_scores(model, chosen, subset, inner_pool, data, cfg, rng):
+    """`acquisition._kg_slot_scores`, predicting each candidate's batch on its own."""
+    z = rng.standard_normal((cfg.n_fantasies, len(chosen) + 1))
     batches, ys = [], []
     for c in subset:
         batch = chosen + [c]
-        stats = model.predict_batch(batch)
-        means = np.array([m for m, _ in stats])
-        stds = np.sqrt(np.maximum([v for _, v in stats], 0.0))
+        means, variances = model.predict_batch(batch).T
+        stds = np.sqrt(np.maximum(variances, 0.0))
         batches.append(batch)
         ys.append(means[None, :] + stds[None, :] * z)
     inner = model.fantasy_inner_means_multi(batches, np.stack(ys), inner_pool, data,
                                             steps=cfg.update_steps, lr=cfg.update_lr)
-    return inner.max(axis=2).mean(axis=1).tolist()
+    return inner.max(axis=2).mean(axis=1)
 
 
 def tiled_fantasy_inner_means_multi(ens, batches, ys, inner_pool, data, steps=20, lr=1e-3):
@@ -108,7 +107,7 @@ class FantasyEnsemble:
     def predict_batch(self, batch):
         preds = self._net.head_forward(self._base.features_batch(batch))[0]
         preds = preds * self._base.y_std + self._base.y_mean
-        return list(zip(preds.mean(axis=0).tolist(), preds.var(axis=0).tolist()))
+        return np.stack([preds.mean(axis=0), preds.var(axis=0)], axis=1)
 
 
 def fantasy_update(ens, batch, ys, data, steps=20, lr=1e-3):

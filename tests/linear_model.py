@@ -1,7 +1,7 @@
 """Exact conjugate Bayesian linear regression used as an analytic test double.
 
 Implements the same duck-typed model interface as the ensemble
-(`predict_batch`, `fantasy_inner_means`) but with exact
+(`predict_batch`, `fantasy_inner_means_multi`) but with exact
 posterior conditioning, so acquisition values can be checked against
 closed forms and quadrature.
 """
@@ -34,17 +34,19 @@ class LinearGaussianModel:
         phi = self._phi(batch)
         mean = phi @ self.mean_w
         var = np.einsum("bi,ij,bj->b", phi, self.cov, phi)
-        return list(zip(mean.tolist(), var.tolist()))
+        return np.stack([mean, var], axis=1)
 
-    def fantasy_inner_means(self, batch, ys, inner_pool, data, steps=0, lr=0.0):
-        ys = np.asarray(ys, dtype=np.float64)
-        phi_b = self._phi(batch)                       # (B, d)
+    def fantasy_inner_means_multi(self, batches, ys, inner_pool, data, steps=0, lr=0.0):
+        ys = np.asarray(ys, dtype=np.float64)          # (C, F, B)
         phi_p = self._phi(inner_pool)                  # (P, d)
-        gram = phi_b @ self.cov @ phi_b.T + self.noise_var * np.eye(len(batch))
-        gain = phi_p @ self.cov @ phi_b.T @ np.linalg.inv(gram)   # (P, B)
         prior_p = phi_p @ self.mean_w
-        prior_b = phi_b @ self.mean_w
-        return prior_p[None, :] + (ys - prior_b[None, :]) @ gain.T
+        out = np.empty((len(batches), ys.shape[1], len(inner_pool)))
+        for c, batch in enumerate(batches):
+            phi_b = self._phi(batch)                   # (B, d)
+            gram = phi_b @ self.cov @ phi_b.T + self.noise_var * np.eye(len(batch))
+            gain = phi_p @ self.cov @ phi_b.T @ np.linalg.inv(gram)   # (P, B)
+            out[c] = prior_p[None, :] + (ys[c] - (phi_b @ self.mean_w)[None, :]) @ gain.T
+        return out
 
 
 def two_feature_problem():

@@ -1,8 +1,12 @@
-"""Test oracle: the scalar selection path that `acquisition.select_batch` replaced.
+"""Test oracles: the scalar selection path that `acquisition.select_batch` replaced.
 
 Posteriors are scored one `Posterior` at a time and the tie-break recomputes
 `hamming_distance` to the wild type inside the sort key. For a fixed pool,
 `select_batch` must choose the same batch, in the same order.
+
+`ScalarShiftedModel` is the λ-shifted posterior that `explorer._ShiftedModel`
+replaced: it looks up one penalty per sequence and unzips (mean, variance)
+tuples one at a time.
 """
 
 from __future__ import annotations
@@ -15,6 +19,25 @@ import numpy as np
 from proxbo.acquisition import KGConfig, Posterior, _kg_slot_scores, ei, ucb
 from proxbo.sequences import Sequence, hamming_distance
 from proxbo.surrogate import Dataset
+
+
+class ScalarShiftedModel:
+    """Posterior with mean shifted by a per-sequence `penalty(s)`, variance unchanged."""
+
+    def __init__(self, model, penalty):
+        self._model = model
+        self._penalty = penalty
+
+    def predict_batch(self, batch):
+        return np.array([(mu - self._penalty(s), var)
+                         for s, (mu, var) in zip(batch, self._model.predict_batch(batch))])
+
+    def fantasy_inner_means_multi(self, batches, ys, inner_pool, data, steps=20, lr=1e-3):
+        physical = np.asarray(ys, dtype=np.float64) + np.stack(
+            [[self._penalty(s) for s in batch] for batch in batches])[:, None, :]
+        inner = self._model.fantasy_inner_means_multi(batches, physical, inner_pool,
+                                                      data, steps=steps, lr=lr)
+        return inner - np.array([self._penalty(s) for s in inner_pool])[None, None, :]
 
 
 def _ranked(pool: list[Sequence], scores: list[float],
@@ -69,10 +92,10 @@ def scalar_select_batch(strategy: str, model, pool: list[Sequence], data: Datase
     for _ in range(m):
         subset = list(itertools.islice((c for c in candidates if c not in taken),
                                        cfg.inner_eval_size))
-        slot_seed = int(rng.integers(0, 2**63 - 1))
+        slot_rng = np.random.default_rng(int(rng.integers(0, 2**63 - 1)))
         # the incumbent term is constant per slot, so it is dropped
         scores = _kg_slot_scores(model, chosen, subset, inner_pool, data, cfg,
-                                 slot_seed)
+                                 slot_rng).tolist()
         bad = sum(not math.isfinite(score) for score in scores)
         if bad:
             raise ValueError(f"non-finite KG slot score for {bad} of {len(scores)} candidates")

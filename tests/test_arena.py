@@ -137,20 +137,20 @@ class TestNetArena:
         assert_same_bits(loaded.net.params.flat, ens.net.params.flat)
         assert_arena_views(loaded.net.params)
         pool = random_dataset(40, seed=4).sequences
-        assert loaded.predict_batch(pool) == ens.predict_batch(pool)
+        assert np.array_equal(loaded.predict_batch(pool), ens.predict_batch(pool))
 
     @pytest.mark.parametrize("kind", ["conv", "recurrent"])
     def test_gradient_check_perturbs_through_the_views(self, kind, monkeypatch):
         """The entries the check perturbs are the arena's, and the network reads them."""
         nets = []
-        original = surrogate._make_net
+        config_cls, net_cls = surrogate.REGRESSORS[kind]
 
         def recording(*args):
-            net = original(*args)
+            net = net_cls(*args)
             nets.append((net, net.params.flat.copy()))
             return net
 
-        monkeypatch.setattr(surrogate, "_make_net", recording)
+        monkeypatch.setitem(surrogate.REGRESSORS, kind, (config_cls, recording))
         reads = []
         forward = nn.mse_forward
 

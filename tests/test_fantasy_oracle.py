@@ -11,7 +11,6 @@ import proxbo.acquisition as acquisition
 import proxbo.nn as nn
 from proxbo.explorer import _ShiftedModel
 from proxbo.harness import CampaignConfig, run_campaign
-from proxbo.sequences import hamming_distance
 from proxbo.surrogate import (ConvRegressorConfig, Ensemble, RecurrentRegressorConfig,
                               TrainConfig)
 
@@ -73,7 +72,7 @@ class TestFantasyHead:
     def test_matches_through_shifted_model(self, fitted, kind, monkeypatch):
         ens, data, unmeasured = fitted(kind, 3)
         wild_type = data.sequences[0]
-        shifted = _ShiftedModel(ens, lambda s: 0.05 * hamming_distance(s, wild_type))
+        shifted = _ShiftedModel(ens, wild_type, 0.05)
         batches, ys, inner_pool = _problem(unmeasured, 3, 2, 4, seed=5)
         fast = shifted.fantasy_inner_means_multi(batches, ys, inner_pool, data, steps=6, lr=8e-2)
         monkeypatch.setattr(Ensemble, "fantasy_inner_means_multi",

@@ -347,11 +347,11 @@ class TestGenNK:
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def cli(*argv):
+def cli(*argv, **env):
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", "proxbo.cli", *argv],
                           capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": path})
+                          env={**os.environ, "PYTHONPATH": path, **env})
 
 
 class TestCLI:
@@ -393,3 +393,14 @@ class TestCLI:
         assert (tmp_path / "runs" / "run_5.csv").exists()
         assert (tmp_path / "runs" / "run_6.csv").exists()
         assert not (tmp_path / "runs" / "run_0.csv").exists()
+
+    def test_bad_thread_count_exits_one_before_the_manifest(self, tmp_path):
+        cfg_path = tmp_path / "campaign.cfg"
+        cfg_path.write_text(
+            "landscape.kind=nk\nlandscape.n=6\nlandscape.k=0\nlandscape.v=2\n"
+            f"method=random\nrounds=1\nbatch=2\nseeds=0\nout={tmp_path / 'runs'}\n")
+        result = cli("run", str(cfg_path), PROXBO_THREADS="two")
+        assert result.returncode == 1
+        assert result.stderr.startswith("error: PROXBO_THREADS"), result.stderr
+        assert "Traceback" not in result.stderr
+        assert not (tmp_path / "runs" / "manifest.txt").exists()

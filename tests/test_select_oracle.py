@@ -1,9 +1,10 @@
 """Batch selection on arrays against the scalar path it replaced (tests/select_oracle.py).
 
 For a fixed pool, `select_batch` with the pool's distances computed once
-must choose the same sequences in the same order as the scalar path, which
-builds one `Posterior` per candidate and recomputes the Hamming distance to
-the wild type in every sort key and every λ penalty.
+and the array-shifted `_ShiftedModel` must choose the same sequences in the
+same order as the scalar path, which builds one `Posterior` per candidate
+and recomputes the Hamming distance to the wild type in every sort key and
+every λ penalty.
 """
 
 import numpy as np
@@ -14,11 +15,11 @@ from proxbo.acquisition import KGConfig, select_batch
 from proxbo.explorer import ExplorerState, _ShiftedModel, propose_pool, update_frontier
 from proxbo.harness import CampaignConfig, run_campaign
 from proxbo.landscape import make_nk
-from proxbo.sequences import Sequence, hamming_distance, hamming_distances
+from proxbo.sequences import Sequence, hamming_distance
 from proxbo.surrogate import ConvRegressorConfig, Ensemble, TrainConfig
 
 import test_acceptance
-from select_oracle import scalar_select_batch
+from select_oracle import ScalarShiftedModel, scalar_select_batch
 
 KG = KGConfig(n_fantasies=3, inner_pool_size=24, update_steps=3, update_lr=8e-2,
               inner_eval_size=5)
@@ -48,25 +49,22 @@ def problem():
 def test_same_batch_as_the_scalar_path(problem, strategy, lam):
     state, ens, pool = problem
     wt = state.wild_type
-    distances = hamming_distances(pool, wt)
-    distance_of = dict(zip(pool, distances.tolist()))
-    fast_model = _ShiftedModel(ens, lambda s: lam * distance_of[s]) if lam else ens
-    slow_model = _ShiftedModel(ens, lambda s: lam * hamming_distance(s, wt)) if lam else ens
+    fast_model = _ShiftedModel(ens, wt, lam) if lam else ens
+    slow_model = ScalarShiftedModel(ens, lambda s: lam * hamming_distance(s, wt)) if lam else ens
     common = dict(beta=2.5, incumbent=float(state.data.max_score()) - 0.05, kg_config=KG)
     slow = scalar_select_batch(strategy, slow_model, pool, state.data, 6, wild_type=wt,
                                rng=np.random.default_rng(9), **common)
-    for kwargs in (dict(distances=distances), {}):
-        fast = select_batch(strategy, fast_model, pool, state.data, 6, wild_type=wt,
-                            rng=np.random.default_rng(9), **common, **kwargs)
-        assert [s.residues for s in fast] == [s.residues for s in slow]
+    fast = select_batch(strategy, fast_model, pool, state.data, 6, wild_type=wt,
+                        rng=np.random.default_rng(9), **common)
+    assert [s.residues for s in fast] == [s.residues for s in slow]
 
 
 class CoarseModel:
     """Posterior read from the first two residues only, so most scores tie."""
 
     def predict_batch(self, batch):
-        return [(float(s.residues[0] + s.residues[1]), 0.25 * (1 + s.residues[2]))
-                for s in batch]
+        return np.array([(float(s.residues[0] + s.residues[1]), 0.25 * (1 + s.residues[2]))
+                         for s in batch])
 
 
 @pytest.mark.parametrize("lam", [0.0, 0.04])
@@ -74,14 +72,12 @@ class CoarseModel:
 def test_same_tie_breaks_as_the_scalar_path(problem, strategy, lam):
     state, _, pool = problem
     wt = state.wild_type
-    distances = hamming_distances(pool, wt)
-    distance_of = dict(zip(pool, distances.tolist()))
-    fast_model = _ShiftedModel(CoarseModel(), lambda s: lam * distance_of[s])
-    slow_model = _ShiftedModel(CoarseModel(), lambda s: lam * hamming_distance(s, wt))
+    fast_model = _ShiftedModel(CoarseModel(), wt, lam)
+    slow_model = ScalarShiftedModel(CoarseModel(), lambda s: lam * hamming_distance(s, wt))
     slow = scalar_select_batch(strategy, slow_model, pool, state.data, 40, wild_type=wt,
                                incumbent=1.0)
     fast = select_batch(strategy, fast_model, pool, state.data, 40, wild_type=wt,
-                        distances=distances, incumbent=1.0)
+                        incumbent=1.0)
     assert [s.residues for s in fast] == [s.residues for s in slow]
 
 
@@ -90,7 +86,7 @@ def test_non_finite_posterior_rejected(problem):
 
     class NaNVariance:
         def predict_batch(self, batch):
-            return [(0.0, float("nan"))] + [(0.0, 1.0)] * (len(batch) - 1)
+            return np.array([(0.0, float("nan"))] + [(0.0, 1.0)] * (len(batch) - 1))
 
     for strategy in ("ucb", "ei", "kg"):
         with pytest.raises(ValueError, match="non-finite posterior"):
@@ -107,9 +103,9 @@ def test_campaign_with_the_scalar_path_gives_identical_csvs(tmp_path, monkeypatc
     blobs = []
     for name in ("arrays", "scalar"):
         if name == "scalar":
-            monkeypatch.setattr(
-                explorer, "select_batch",
-                lambda *args, distances=None, **kwargs: scalar_select_batch(*args, **kwargs))
+            monkeypatch.setattr(explorer, "select_batch", scalar_select_batch)
+            monkeypatch.setattr(explorer, "_ShiftedModel", lambda model, wt, lam: (
+                ScalarShiftedModel(model, lambda s: lam * hamming_distance(s, wt))))
         run_campaign(CampaignConfig(**{**base, "out": str(tmp_path / name)}))
         blobs.append((tmp_path / name / "run_0.csv").read_bytes())
     assert blobs[0] == blobs[1]

@@ -135,6 +135,12 @@ class TestTraining:
         with pytest.raises(ValueError):
             Ensemble("conv", SMALL_CONV, seed=0).fit(Dataset(), TrainConfig(epochs=1))
 
+    def test_unknown_kind_raises_at_construction(self):
+        with pytest.raises(ValueError, match="unknown regressor kind 'cnn'"):
+            Ensemble("cnn")
+        with pytest.raises(ValueError, match="unknown regressor kind 'cnn'"):
+            gradient_check("cnn")
+
     def test_recurrent_kind_trains(self):
         data = random_dataset(16, seed=6)
         ens = Ensemble("recurrent", SMALL_RNN, n_members=2, seed=1)
@@ -172,8 +178,8 @@ class TestLockstepFit:
         x = encode_batch(pool)
         preds = np.stack([member.forward(x)[0] for member in ref.members])
         preds = preds * ref.y_std + ref.y_mean
-        assert ens.predict_batch(pool) == list(zip(preds.mean(axis=0).tolist(),
-                                                   preds.var(axis=0).tolist()))
+        assert np.array_equal(ens.predict_batch(pool),
+                              np.stack([preds.mean(axis=0), preds.var(axis=0)], axis=1))
 
     def test_divergence_raises_training_error(self):
         data = random_dataset(8, seed=2)
@@ -213,7 +219,7 @@ class TestPrediction:
             member.params["out_w"] = np.zeros_like(member.params["out_w"])
             target_std = (targets[i] - ens.y_mean) / ens.y_std
             member.params["out_b"] = np.array([target_std])
-        mean, var = ens.predict_mean_var(s)
+        mean, var = ens.predict_batch([s])[0]
         assert mean == pytest.approx(3.0, abs=1e-9)
         assert var == pytest.approx(2.0, abs=1e-9)
 
@@ -240,9 +246,10 @@ class TestFantasyUpdates:
         ens = Ensemble("conv", SMALL_CONV, n_members=2, seed=2)
         ens.fit(data, TrainConfig(epochs=30, minibatch=8), np.random.default_rng(3))
         s = data.sequences[0]
-        before, _ = ens.predict_mean_var(s)
+        before, _ = ens.predict_batch([s])[0]
         target = before + 1.0
-        after = ens.fantasy_inner_means([s], [[target]], [s], data, steps=50, lr=5e-2)[0, 0]
+        after = ens.fantasy_inner_means_multi([[s]], np.array([[target]])[None], [s], data,
+                                              steps=50, lr=5e-2)[0][0, 0]
         assert abs(after - target) < abs(before - target)
 
     def test_batched_fantasies_match_sequential_updates(self):
@@ -253,7 +260,8 @@ class TestFantasyUpdates:
             batch = list(data.sequences[:3])
             pool = list(data.sequences[5:13])
             ys = np.random.default_rng(6).random((4, 3))
-            batched = ens.fantasy_inner_means(batch, ys, pool, data, steps=6, lr=1e-2)
+            batched = ens.fantasy_inner_means_multi([batch], ys[None], pool, data,
+                                                    steps=6, lr=1e-2)[0]
             for f in range(4):
                 one = fantasy_update(ens, batch, ys[f].tolist(), data, steps=6, lr=1e-2)
                 ref = np.array([m for m, _ in one.predict_batch(pool)])
@@ -268,7 +276,8 @@ class TestFantasyUpdates:
         ys = np.random.default_rng(7).random((3, 4, 2))
         multi = ens.fantasy_inner_means_multi(batches, ys, pool, data, steps=6, lr=1e-2)
         for c, batch in enumerate(batches):
-            single = ens.fantasy_inner_means(batch, ys[c], pool, data, steps=6, lr=1e-2)
+            single = ens.fantasy_inner_means_multi([batch], ys[c][None], pool, data,
+                                                   steps=6, lr=1e-2)[0]
             assert np.array_equal(multi[c], single)
 
     def test_multi_batch_fantasies_reject_bad_shapes(self):
@@ -288,7 +297,8 @@ class TestFantasyUpdates:
         ens.fit(data, TrainConfig(epochs=10, minibatch=8), np.random.default_rng(0))
         pool = list(data.sequences)
         before = [m for m, _ in ens.predict_batch(pool)]
-        ens.fantasy_inner_means([pool[0]], [[5.0]], pool, data, steps=10, lr=1e-1)
+        ens.fantasy_inner_means_multi([[pool[0]]], np.array([[5.0]])[None], pool, data,
+                                      steps=10, lr=1e-1)
         ens.fantasy_inner_means_multi([[pool[0]], [pool[1]]], np.full((2, 3, 1), 5.0),
                                       pool, data, steps=10, lr=1e-1)
         after = [m for m, _ in ens.predict_batch(pool)]
@@ -305,4 +315,4 @@ class TestCheckpoint:
             ens.save(path)
             loaded = Ensemble.load(path)
             pool = list(data.sequences)
-            assert ens.predict_batch(pool) == loaded.predict_batch(pool)
+            assert np.array_equal(ens.predict_batch(pool), loaded.predict_batch(pool))
