@@ -7,6 +7,8 @@ steps, lr)`, the (len(batches), n_fantasies, len(inner_pool)) posterior
 means over `inner_pool` after conditioning each same-size batch on each row
 of its fantasy outcomes `ys[c]` (n_fantasies, batch size). Exact conjugate
 models can therefore stand in for the ensemble in tests.
+`select_batch` strategies are the acquisitions `ucb`, `ei` and `kg`, and
+`greedy`, the frontier-greedy (PEX-style) baseline.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import check_positive
 from .sequences import Sequence, hamming_distances
 from .surrogate import Dataset
 
@@ -42,9 +45,8 @@ class KGConfig:
     inner_eval_size: int = 64  # candidates scored per greedy slot
 
     def __post_init__(self):
-        if min(self.n_fantasies, self.inner_pool_size, self.update_steps,
-               self.inner_eval_size) < 1 or self.update_lr <= 0:
-            raise ValueError("all KG parameters must be positive")
+        check_positive(self, "n_fantasies", "inner_pool_size", "update_steps", "update_lr",
+                       "inner_eval_size")
 
 
 def _norm_pdf(z: float) -> float:
@@ -142,13 +144,27 @@ def select_batch(strategy: str, model, pool: list[Sequence], data: Dataset, m: i
     """Pick M distinct pool sequences by the chosen acquisition strategy.
 
     UCB/EI score the whole pool and take the top M (ties broken by smaller
-    Hamming distance to the wild type, then lexicographic order). KG fills
-    the batch greedily, scoring each extension of the partial batch with
-    `kg_oneshot` over a UCB-preranked candidate subset.
+    Hamming distance to the wild type, then lexicographic order). Greedy
+    ranks by posterior mean and takes the best of each distance class,
+    nearest first, round-robin. KG fills the batch greedily, scoring each
+    extension of the partial batch with `kg_oneshot` over a UCB-preranked
+    candidate subset.
     """
     if len(pool) < m:
         raise ValueError(f"pool of {len(pool)} smaller than batch size {m}")
     distances = hamming_distances(pool, wild_type) if wild_type is not None else None
+    if strategy == "greedy":
+        if distances is None:
+            raise ValueError("the greedy strategy needs the wild type")
+        order = _ranked(pool, _mean_std(model, pool)[0].tolist(), distances)
+        # the k-th best of every class comes before the (k+1)-th best of any
+        d = distances.tolist()
+        depth = dict.fromkeys(d, 0)
+        sweep = []
+        for i in order:
+            sweep.append((depth[d[i]], d[i], i))
+            depth[d[i]] += 1
+        return [pool[i] for _, _, i in sorted(sweep)[:m]]
     if strategy == "ucb":
         order = _ranked(pool, _ucb_scores(model, pool, beta), distances)
         return [pool[i] for i in order[:m]]

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the field check of its config classes."""
 
 
 class ProxboError(Exception):
@@ -34,3 +34,15 @@ class TrainingError(ProxboError, RuntimeError):
 
 class ConfigError(ProxboError, ValueError):
     """Invalid campaign configuration (carries the offending key path)."""
+
+
+def check_positive(obj, *names: str) -> None:
+    """Raise ValueError, naming the field first, unless every field in `names` is > 0.
+
+    The message starts with the field name, so the campaign config can name
+    the key it came from (see `harness._checked`).
+    """
+    for name in names:
+        value = getattr(obj, name)
+        if not value > 0:
+            raise ValueError(f"{name}: must be > 0, got {value!r}")

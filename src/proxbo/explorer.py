@@ -205,34 +205,22 @@ def _finish_round(state: ExplorerState, batch, scores, t0, **extra) -> RoundReco
                        wall_time=time.perf_counter() - t0, **extra)
 
 
-def _refit(ensemble: Ensemble, data: Dataset, train_cfg: TrainConfig | None,
-           warm_cfg: TrainConfig | None, rng: np.random.Generator) -> None:
-    """Warm-start refit with `warm_cfg` when given, else retrain from scratch."""
-    if warm_cfg is not None:
-        ensemble.fit(data, warm_cfg, rng, warm_start=True)
-    else:
-        ensemble.fit(data, train_cfg, rng)
+def _query_draws(state: ExplorerState, oracle: BudgetedOracle, m: int, tries: int,
+                 draw, what: str) -> tuple[list[Sequence], list[float]]:
+    """Query and ingest up to `m` distinct unmeasured in-domain sequences from `draw()`.
 
-
-def _cold_start(state: ExplorerState, oracle: BudgetedOracle, m: int,
-                rng: np.random.Generator) -> tuple[list[Sequence], list[float]]:
-    """Query and ingest random low-order mutants of the wild type."""
-    domain = oracle.inner
-    batch: list[Sequence] = []
-    attempts = 0
-    while len(batch) < m and attempts < m * 200:
-        attempts += 1
-        cand = sample_mutants(state.wild_type, min(2, len(state.wild_type)), 1, rng)
-        if not cand:
-            continue
-        c = cand[0]
-        if c in state.data or c in batch:
-            continue
-        if not domain.contains(c):
-            continue
-        batch.append(c)
-    if not batch:
-        raise DomainExhausted("cold start could not find any unmeasured in-domain mutants")
+    `draw()` is called at most `m * tries` times; rejected draws are dropped.
+    """
+    chosen: dict[Sequence, None] = {}  # insertion-ordered set
+    for _ in range(m * tries):
+        if len(chosen) == m:
+            break
+        c = draw()
+        if c not in state.data and c not in chosen and oracle.inner.contains(c):
+            chosen[c] = None
+    if not chosen:
+        raise DomainExhausted(f"{what} found no unmeasured in-domain mutants")
+    batch = list(chosen)
     scores = oracle.query_batch(batch)
     _ingest(state, batch, scores)
     return batch, scores
@@ -244,17 +232,22 @@ def run_round(state: ExplorerState, ensemble: Ensemble, oracle: BudgetedOracle,
               radius: int = 2, train_cfg: TrainConfig | None = None,
               warm_cfg: TrainConfig | None = None,
               rng: np.random.Generator | None = None) -> tuple[ExplorerState, RoundRecord]:
-    """One model-guided campaign round (Batch BO).
+    """One model-guided campaign round: Batch BO, or the frontier-greedy baseline.
 
     With no prior measurements beyond the wild type, the first round queries
     random low-order mutants with no model guidance. Otherwise: propose a
     pool, select a batch with the acquisition applied to the regularized
-    posterior, query the oracle, refit the ensemble.
+    posterior (`strategy="greedy"`: the frontier-greedy batch), query the
+    oracle, refit the ensemble (a warm start with `warm_cfg` when given,
+    else from scratch with `train_cfg`).
     """
     rng = rng if rng is not None else np.random.default_rng(0)
     t0 = time.perf_counter()
     if len(state.data) <= 1:
-        batch, scores = _cold_start(state, oracle, oracle.batch_size, rng)
+        wt = state.wild_type
+        batch, scores = _query_draws(state, oracle, oracle.batch_size, 200,
+                                     lambda: sample_mutants(wt, min(2, len(wt)), 1, rng)[0],
+                                     "cold start")
         ensemble.fit(state.data, train_cfg, rng)
         return state, _finish_round(state, batch, scores, t0)
 
@@ -272,7 +265,10 @@ def run_round(state: ExplorerState, ensemble: Ensemble, oracle: BudgetedOracle,
                          wild_type=state.wild_type, rng=rng)
     scores = oracle.query_batch(batch)
     _ingest(state, batch, scores)
-    _refit(ensemble, state.data, train_cfg, warm_cfg, rng)
+    if warm_cfg is not None:
+        ensemble.fit(state.data, warm_cfg, rng, warm_start=True)
+    else:
+        ensemble.fit(state.data, train_cfg, rng)
     return state, _finish_round(state, batch, scores, t0, lambda_used=lam,
                                 pool_size=len(proposal.sequences),
                                 short_pool=proposal.short)
@@ -285,66 +281,8 @@ def random_search_round(state: ExplorerState, oracle: BudgetedOracle, m: int,
         raise ValueError("random search needs at least one measured sequence")
     t0 = time.perf_counter()
     parents = state.data.sequences
-    batch: list[Sequence] = []
-    chosen: set[Sequence] = set()
-    attempts = 0
-    while len(batch) < m and attempts < m * 500:
-        attempts += 1
-        parent = parents[int(rng.integers(len(parents)))]
-        c = sample_mutants(parent, 1, 1, rng)[0]
-        if c in state.data or c in chosen or not oracle.inner.contains(c):
-            continue
-        chosen.add(c)
-        batch.append(c)
-    if not batch:
-        raise DomainExhausted("random search found no unmeasured in-domain mutants")
-    scores = oracle.query_batch(batch)
-    _ingest(state, batch, scores)
+    batch, scores = _query_draws(
+        state, oracle, m, 500,
+        lambda: sample_mutants(parents[int(rng.integers(len(parents)))], 1, 1, rng)[0],
+        "random search")
     return state, _finish_round(state, batch, scores, t0)
-
-
-def pex_greedy_round(state: ExplorerState, ensemble: Ensemble, oracle: BudgetedOracle,
-                     m: int, *, pool_size: int = 512, radius: int = 2,
-                     train_cfg: TrainConfig | None = None,
-                     warm_cfg: TrainConfig | None = None,
-                     rng: np.random.Generator | None = None) -> tuple[ExplorerState, RoundRecord]:
-    """Proximal-frontier greedy baseline.
-
-    Mutants of frontier points are scored by posterior mean only and the
-    batch is filled by sweeping distance-to-wild-type classes in increasing
-    order, taking the best remaining candidate per class round-robin.
-    """
-    rng = rng if rng is not None else np.random.default_rng(0)
-    t0 = time.perf_counter()
-    if len(state.data) <= 1:
-        batch, scores = _cold_start(state, oracle, m, rng)
-        ensemble.fit(state.data, train_cfg, rng)
-        return state, _finish_round(state, batch, scores, t0)
-
-    proposal = propose_pool(state, oracle.inner, pool_size, radius, rng)
-    if not proposal.sequences:
-        raise DomainExhausted("candidate pool is empty; domain exhausted")
-    means = ensemble.predict_batch(proposal.sequences)[:, 0].tolist()
-    distances = hamming_distances(proposal.sequences, state.wild_type).tolist()
-    by_class: dict[int, list[tuple[float, Sequence]]] = {}
-    for s, d, mu in zip(proposal.sequences, distances, means):
-        by_class.setdefault(d, []).append((mu, s))
-    for cands in by_class.values():
-        cands.sort(key=lambda t: (-t[0], t[1].residues))
-    batch: list[Sequence] = []
-    while len(batch) < min(m, len(proposal.sequences)):
-        progressed = False
-        for d in sorted(by_class):
-            if by_class[d]:
-                batch.append(by_class[d].pop(0)[1])
-                progressed = True
-                if len(batch) == m:
-                    break
-        if not progressed:
-            break
-    scores = oracle.query_batch(batch)
-    _ingest(state, batch, scores)
-    _refit(ensemble, state.data, train_cfg, warm_cfg, rng)
-    return state, _finish_round(state, batch, scores, t0,
-                                pool_size=len(proposal.sequences),
-                                short_pool=proposal.short)

@@ -13,17 +13,16 @@ import os
 import sys
 import traceback
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .acquisition import KGConfig
 from .errors import ConfigError, DomainExhausted
-from .explorer import (ExplorerState, RoundRecord, pex_greedy_round,
-                       random_search_round, run_round)
-from .landscape import BudgetedOracle, LookupLandscape, load_lookup, make_nk
-from .sequences import Sequence
+from .explorer import ExplorerState, RoundRecord, random_search_round, run_round
+from .landscape import BudgetedOracle, LookupLandscape, NKLandscape, load_lookup
+from .sequences import Sequence, small_alphabet
 from .surrogate import (REGRESSORS, ConvRegressorConfig, Dataset, Ensemble,
                         RecurrentRegressorConfig, TrainConfig)
 
@@ -76,10 +75,15 @@ class CampaignConfig:
     out: str = "runs"
 
     def __post_init__(self):
-        if self.rounds < 1:
-            raise ConfigError("rounds: must be >= 1")
-        if self.batch < 1:
-            raise ConfigError("batch: must be >= 1")
+        for key, value in (("rounds", self.rounds), ("batch", self.batch),
+                           ("surrogate.members", self.members),
+                           ("pool.size", self.pool_size), ("pool.radius", self.pool_radius)):
+            if value < 1:
+                raise ConfigError(f"{key}: must be >= 1, got {value}")
+        for key, value in (("acquisition.beta", self.beta), ("lambda.value", self.lambda_value),
+                           ("lambda.factor", self.lambda_factor)):
+            if not value >= 0:
+                raise ConfigError(f"{key}: must be >= 0, got {value}")
         if not self.seeds:
             raise ConfigError("seeds: must be non-empty")
         if len(set(self.seeds)) != len(self.seeds):
@@ -96,6 +100,11 @@ class CampaignConfig:
             raise ConfigError(f"surrogate.kind: unknown value {self.surrogate_kind!r}")
         if self.lambda_kind not in ("fixed", "iqr"):
             raise ConfigError(f"lambda.kind: unknown value {self.lambda_kind!r}")
+        _train_configs(self)
+        _kg_config(self)
+        _surrogate_config(self)
+        if self.landscape_kind == "nk":
+            _wild_type_of(self, _build_landscape(self))
 
 
 _KEY_MAP = {
@@ -202,26 +211,63 @@ def config_hash(cfg: CampaignConfig) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _checked(prefix: str, build):
+    """`build()`, with a ValueError raised again as a ConfigError prefixed by `prefix`.
+
+    The config classes start their messages with the failing field, which is
+    also the last part of its key, so `prefix` is the key's section.
+    """
+    try:
+        return build()
+    except ValueError as e:
+        raise ConfigError(f"{prefix}{e}") from None
+
+
+def _nk(n: int, k: int, v: int, seed: int) -> NKLandscape:
+    """`make_nk`, with a bad parameter raised as a ConfigError naming its `landscape.*` key."""
+    alphabet = _checked("landscape.v: ", lambda: small_alphabet(v))
+    return _checked("landscape.", lambda: NKLandscape(n, k, alphabet, seed))
+
+
 def _build_landscape(cfg: CampaignConfig):
     if cfg.landscape_kind == "lookup":
         return load_lookup(cfg.lookup_path, wild_type=cfg.wild_type or None,
                            negate=cfg.negate)
-    return make_nk(cfg.nk_n, cfg.nk_k, cfg.nk_v, cfg.nk_seed)
+    return _nk(cfg.nk_n, cfg.nk_k, cfg.nk_v, cfg.nk_seed)
 
 
 def _wild_type_of(cfg: CampaignConfig, landscape) -> Sequence:
     if isinstance(landscape, LookupLandscape):
         return landscape.wild_type
-    if cfg.wild_type:
-        return landscape.alphabet.encode(cfg.wild_type)
-    return Sequence((0,) * landscape.length, landscape.alphabet)
+    if not cfg.wild_type:
+        return Sequence((0,) * landscape.length, landscape.alphabet)
+    wt = _checked("landscape.wild_type: ", lambda: landscape.alphabet.encode(cfg.wild_type))
+    if len(wt) != landscape.length:
+        raise ConfigError(f"landscape.wild_type: length {len(wt)} differs from the "
+                          f"landscape's {landscape.length}")
+    return wt
+
+
+def _train_configs(cfg: CampaignConfig) -> tuple[TrainConfig, TrainConfig | None]:
+    """The training config and, when `train.warm_epochs` > 0, the warm-start one."""
+    train = _checked("train.", lambda: TrainConfig(
+        epochs=cfg.epochs, minibatch=cfg.minibatch, learning_rate=cfg.learning_rate,
+        bootstrap=cfg.bootstrap))
+    return train, replace(train, epochs=cfg.warm_epochs) if cfg.warm_epochs > 0 else None
+
+
+def _kg_config(cfg: CampaignConfig) -> KGConfig:
+    return _checked("acquisition.kg.", lambda: KGConfig(
+        n_fantasies=cfg.kg_fantasies, inner_pool_size=cfg.kg_inner_pool,
+        update_steps=cfg.kg_update_steps, update_lr=cfg.kg_update_lr,
+        inner_eval_size=cfg.kg_inner_eval))
 
 
 def _surrogate_config(cfg: CampaignConfig):
     if cfg.surrogate_kind == "conv":
-        return ConvRegressorConfig(channels=cfg.channels, kernel_size=cfg.kernel_size,
-                                   hidden_dense=cfg.hidden_dense)
-    return RecurrentRegressorConfig(hidden_size=cfg.hidden_size)
+        return _checked("surrogate.", lambda: ConvRegressorConfig(
+            channels=cfg.channels, kernel_size=cfg.kernel_size, hidden_dense=cfg.hidden_dense))
+    return _checked("surrogate.", lambda: RecurrentRegressorConfig(hidden_size=cfg.hidden_size))
 
 
 def _lambda_for(cfg: CampaignConfig, data: Dataset) -> float:
@@ -248,35 +294,26 @@ def run_one_seed(cfg: CampaignConfig, seed: int,
     state.frontier = [state.make_point(wt, wt_fitness)]
 
     rng = np.random.default_rng([seed, 0xB0])
-    train_cfg = TrainConfig(epochs=cfg.epochs, minibatch=cfg.minibatch,
-                            learning_rate=cfg.learning_rate, bootstrap=cfg.bootstrap)
-    warm_cfg = (TrainConfig(epochs=cfg.warm_epochs, minibatch=cfg.minibatch,
-                            learning_rate=cfg.learning_rate, bootstrap=cfg.bootstrap)
-                if cfg.warm_epochs > 0 else None)
-    kg_cfg = KGConfig(n_fantasies=cfg.kg_fantasies, inner_pool_size=cfg.kg_inner_pool,
-                      update_steps=cfg.kg_update_steps, update_lr=cfg.kg_update_lr,
-                      inner_eval_size=cfg.kg_inner_eval)
+    train_cfg, warm_cfg = _train_configs(cfg)
+    kg_cfg = _kg_config(cfg)
+    strategy = "greedy" if cfg.method == "pex_greedy" else cfg.acquisition
     ensemble = None
-    if cfg.method in ("batch_bo", "pex_greedy"):
+    if cfg.method != "random":
         ensemble = Ensemble(cfg.surrogate_kind, _surrogate_config(cfg),
                             n_members=cfg.members, seed=seed)
 
     records: list[RoundRecord] = []
-    lam: float | None = None
+    lam: float | None = None if cfg.method == "batch_bo" else 0.0  # greedy: unregularized
     exhausted = False
     for _ in range(cfg.rounds):
         try:
             if cfg.method == "random":
                 state, rec = random_search_round(state, oracle, cfg.batch, rng)
-            elif cfg.method == "pex_greedy":
-                state, rec = pex_greedy_round(state, ensemble, oracle, cfg.batch,
-                                              pool_size=cfg.pool_size, radius=cfg.pool_radius,
-                                              train_cfg=train_cfg, warm_cfg=warm_cfg, rng=rng)
             else:
                 if lam is None and len(state.data) > 1:
                     lam = _lambda_for(cfg, state.data)  # set once after the cold-start round
                 state, rec = run_round(state, ensemble, oracle,
-                                       strategy=cfg.acquisition, lam=lam or 0.0,
+                                       strategy=strategy, lam=lam or 0.0,
                                        beta=cfg.beta, kg_config=kg_cfg,
                                        pool_size=cfg.pool_size, radius=cfg.pool_radius,
                                        train_cfg=train_cfg, warm_cfg=warm_cfg, rng=rng)
@@ -458,12 +495,12 @@ def gen_nk(n: int, k: int, alphabet_size: int, seed: int, out_prefix: str | Path
     optimum in a header comment; its first data row (all-first-symbol) is
     the wild type by the lookup file convention.
     """
-    landscape = make_nk(n, k, alphabet_size, seed)
+    landscape = _nk(n, k, alphabet_size, seed)
     states = landscape.num_states()
     if enumerate_table is None:
         enumerate_table = states <= 2**20
     elif enumerate_table and states > 2**20:
-        raise ValueError(f"{states} states exceed the 2**20 enumeration limit")
+        raise ConfigError(f"{states} states exceed the 2**20 enumeration limit")
     out_prefix = Path(out_prefix)
     out_prefix.parent.mkdir(parents=True, exist_ok=True)
     spec_path = out_prefix.with_suffix(".nk.txt")

@@ -9,7 +9,7 @@ from typing import Iterator, Protocol
 
 import numpy as np
 
-from .errors import BudgetError, DataError, DomainError, ParseError
+from .errors import BudgetError, DataError, DomainError, ParseError, check_positive
 from .sequences import Alphabet, Sequence, protein_alphabet, small_alphabet
 
 
@@ -158,10 +158,9 @@ class NKLandscape:
     tables: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"N must be >= 1, got {self.n}")
+        check_positive(self, "n")
         if not 0 <= self.k <= self.n - 1:
-            raise ValueError(f"K must be in [0, N-1], got {self.k}")
+            raise ValueError(f"k: must be in [0, n-1] = [0, {self.n - 1}], got {self.k}")
         rng = np.random.default_rng(self.seed)
         neighbors = np.empty((self.n, self.k), dtype=np.int64)
         for i in range(self.n):

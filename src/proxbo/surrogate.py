@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import nn
-from .errors import DataError, TrainingError
+from .errors import DataError, TrainingError, check_positive
 from .sequences import Sequence, encode_batch
 
 
@@ -27,9 +27,11 @@ class ConvRegressorConfig:
 
     def __post_init__(self):
         if self.kernel_size % 2 != 1:
-            raise ValueError(f"kernel_size must be odd, got {self.kernel_size}")
-        if any(c < 1 for c in self.channels) or self.hidden_dense < 1:
-            raise ValueError("all layer widths must be >= 1")
+            raise ValueError(f"kernel_size: must be odd, got {self.kernel_size}")
+        if not self.channels or min(self.channels) < 1:
+            raise ValueError(f"channels: needs widths >= 1 for one layer or more, "
+                             f"got {self.channels}")
+        check_positive(self, "hidden_dense")
 
 
 @dataclass(frozen=True)
@@ -37,8 +39,7 @@ class RecurrentRegressorConfig:
     hidden_size: int = 64
 
     def __post_init__(self):
-        if self.hidden_size < 1:
-            raise ValueError(f"hidden_size must be >= 1, got {self.hidden_size}")
+        check_positive(self, "hidden_size")
 
 
 @dataclass(frozen=True)
@@ -49,49 +50,44 @@ class TrainConfig:
     bootstrap: bool = True
 
     def __post_init__(self):
-        if self.epochs < 1 or self.minibatch < 1 or self.learning_rate <= 0:
-            raise ValueError("epochs, minibatch and learning_rate must be positive")
+        check_positive(self, "epochs", "minibatch", "learning_rate")
 
 
 class Dataset:
-    """Append-only collection of (sequence, measured fitness) pairs."""
+    """Append-only collection of (sequence, measured fitness) pairs, in insertion order."""
 
     def __init__(self):
-        self._seqs: list[Sequence] = []
-        self._ys: list[float] = []
-        self._index: dict[Sequence, float] = {}
+        self._scores: dict[Sequence, float] = {}
 
     def __len__(self) -> int:
-        return len(self._seqs)
+        return len(self._scores)
 
     def __contains__(self, s: Sequence) -> bool:
-        return s in self._index
+        return s in self._scores
 
     @property
     def sequences(self) -> list[Sequence]:
-        return list(self._seqs)
+        return list(self._scores)
 
     @property
     def scores(self) -> np.ndarray:
-        return np.asarray(self._ys, dtype=np.float64)
+        return np.fromiter(self._scores.values(), dtype=np.float64, count=len(self._scores))
 
     def add(self, s: Sequence, y: float) -> None:
-        if s in self._index:
-            if self._index[s] != y:
-                raise DataError(f"conflicting scores for {s.text}: {self._index[s]} vs {y}")
+        if s in self._scores:
+            if self._scores[s] != y:
+                raise DataError(f"conflicting scores for {s.text}: {self._scores[s]} vs {y}")
             return
-        self._seqs.append(s)
-        self._ys.append(float(y))
-        self._index[s] = float(y)
+        self._scores[s] = float(y)
 
     def extend(self, pairs) -> None:
         for s, y in pairs:
             self.add(s, y)
 
     def max_score(self) -> float:
-        if not self._ys:
+        if not self._scores:
             raise ValueError("dataset is empty")
-        return max(self._ys)
+        return max(self._scores.values())
 
 
 class _StackedNet:

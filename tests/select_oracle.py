@@ -4,6 +4,10 @@ Posteriors are scored one `Posterior` at a time and the tie-break recomputes
 `hamming_distance` to the wild type inside the sort key. For a fixed pool,
 `select_batch` must choose the same batch, in the same order.
 
+The `greedy` strategy of the oracle is the per-class round-robin of the
+frontier-greedy baseline round that `select_batch("greedy", ...)` replaced:
+one candidate list per distance class, each sorted by mean, popped in turn.
+
 `ScalarShiftedModel` is the λ-shifted posterior that `explorer._ShiftedModel`
 replaced: it looks up one penalty per sequence and unzips (mean, variance)
 tuples one at a time.
@@ -65,6 +69,24 @@ def scalar_select_batch(strategy: str, model, pool: list[Sequence], data: Datase
     """
     if len(pool) < m:
         raise ValueError(f"pool of {len(pool)} smaller than batch size {m}")
+    if strategy == "greedy":
+        by_class: dict[int, list[tuple[float, Sequence]]] = {}
+        for s, (mu, _) in zip(pool, model.predict_batch(pool)):
+            by_class.setdefault(hamming_distance(s, wild_type), []).append((mu, s))
+        for cands in by_class.values():
+            cands.sort(key=lambda t: (-t[0], t[1].residues))
+        batch: list[Sequence] = []
+        while len(batch) < m:
+            progressed = False
+            for d in sorted(by_class):
+                if by_class[d]:
+                    batch.append(by_class[d].pop(0)[1])
+                    progressed = True
+                    if len(batch) == m:
+                        break
+            if not progressed:
+                break
+        return batch
     if strategy in ("ucb", "ei"):
         stats = [Posterior(mu, math.sqrt(max(var, 0.0))) for mu, var in model.predict_batch(pool)]
         if strategy == "ucb":

@@ -175,6 +175,11 @@ class TestSelectBatch:
             select_batch("kg", NaNFantasies(), pool, Dataset(), 2, kg_config=cfg,
                          rng=np.random.default_rng(0))
 
+    def test_greedy_needs_the_wild_type(self):
+        model, pool = self._model_and_pool()
+        with pytest.raises(ValueError, match="wild type"):
+            select_batch("greedy", model, pool, Dataset(), 1)
+
     def test_unknown_strategy_rejected(self):
         model, pool = self._model_and_pool()
         with pytest.raises(ValueError):

@@ -13,7 +13,6 @@ from proxbo.errors import DomainExhausted
 from proxbo.explorer import (
     ExplorerState,
     FrontierPoint,
-    pex_greedy_round,
     propose_pool,
     random_search_round,
     regularized_score,
@@ -252,12 +251,9 @@ class TestRounds:
         monkeypatch.setattr(surrogate.Ensemble, "fit", slow_fit)
         land, oracle, state, ens = self._setup()
         rng = np.random.default_rng(1)
-        if kind == "batch_bo":
-            state, rec = run_round(state, ens, oracle, strategy="ucb",
-                                   train_cfg=FAST_TRAIN, rng=rng)
-        else:
-            state, rec = pex_greedy_round(state, ens, oracle, 8,
-                                          train_cfg=FAST_TRAIN, rng=rng)
+        strategy = "ucb" if kind == "batch_bo" else "greedy"
+        state, rec = run_round(state, ens, oracle, strategy=strategy,
+                               train_cfg=FAST_TRAIN, rng=rng)
         assert rec.round_index == 1
         assert rec.wall_time >= 0.05
 
@@ -281,10 +277,10 @@ class TestRounds:
     def test_pex_greedy_sweeps_distance_classes(self):
         land, oracle, state, ens = self._setup(rounds=2)
         rng = np.random.default_rng(7)
-        state, _ = pex_greedy_round(state, ens, oracle, 8, pool_size=64,
-                                    train_cfg=FAST_TRAIN, rng=rng)
-        state, rec = pex_greedy_round(state, ens, oracle, 8, pool_size=64,
-                                      radius=3, train_cfg=FAST_TRAIN, rng=rng)
+        state, _ = run_round(state, ens, oracle, strategy="greedy", pool_size=64,
+                             train_cfg=FAST_TRAIN, rng=rng)
+        state, rec = run_round(state, ens, oracle, strategy="greedy", pool_size=64,
+                               radius=3, train_cfg=FAST_TRAIN, rng=rng)
         dists = sorted({hamming_distance(s, state.wild_type) for s in rec.sequences})
         # round-robin over distance classes covers more than one class
         assert len(dists) > 1

@@ -101,6 +101,23 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="seeds"):
             parse_config_text("seeds=1,1\n")
 
+    @pytest.mark.parametrize("text, key", [
+        ("train.epochs=0", "train.epochs"),
+        ("lambda.kind=fixed\nlambda.value=-0.5", "lambda.value"),
+        ("lambda.factor=-1", "lambda.factor"),
+        ("pool.radius=0", "pool.radius"),
+        ("landscape.n=6\nlandscape.k=12", "landscape.k"),
+        ("landscape.v=1", "landscape.v"),
+        ("surrogate.members=0", "surrogate.members"),
+        ("surrogate.channels=", "surrogate.channels"),
+        ("acquisition.kg.n_fantasies=0", "acquisition.kg.n_fantasies"),
+        ("landscape.wild_type=XYZ", "landscape.wild_type"),
+        ("landscape.n=6\nlandscape.k=1\nlandscape.wild_type=AAA", "landscape.wild_type"),
+    ])
+    def test_out_of_range_values_name_their_key(self, text, key):
+        with pytest.raises(ConfigError, match=f"^{key.replace('.', '[.]')}: "):
+            parse_config_text(text + "\n")
+
     def test_config_hash_ignores_seeds_and_out(self):
         a = parse_config_text("rounds=3\nseeds=0,1\nout=x\n")
         b = parse_config_text("rounds=3\nseeds=7\nout=y\n")
@@ -146,6 +163,15 @@ class TestRunArtifacts:
         assert any(line.startswith("2,") for line in lines)
         early = [line for line in lines if line.split(",")[0] in ("round", "0", "1")]
         assert early == (DATA / "kg_cold_start_seed0.csv").read_text().splitlines()
+
+    @pytest.mark.parametrize("method", ["pex_greedy", "random"])
+    def test_baseline_rows_equal_the_0_2_0_artifact(self, tmp_path, method):
+        cfg = CampaignConfig(**{**test_acceptance.TestReproducibility.CONFIG.__dict__,
+                                "method": method, "rounds": 3, "seeds": (0,),
+                                "out": str(tmp_path)})
+        run_campaign(cfg)
+        assert (tmp_path / "run_0.csv").read_bytes() == \
+               (DATA / f"{method}_seed0.csv").read_bytes()
 
     def test_cumulative_max_column_is_running_maximum(self, tmp_path):
         cfg = parse_config_text(RANDOM_NK_CONFIG + f"out={tmp_path}\n")
@@ -404,3 +430,26 @@ class TestCLI:
         assert result.stderr.startswith("error: PROXBO_THREADS"), result.stderr
         assert "Traceback" not in result.stderr
         assert not (tmp_path / "runs" / "manifest.txt").exists()
+
+    @pytest.mark.parametrize("line, argv, key", [
+        ("train.epochs=0", (), "train.epochs"),
+        ("", ("--wild-type", "XYZ"), "landscape.wild_type"),
+    ])
+    def test_bad_config_value_exits_one_before_the_manifest(self, tmp_path, line, argv, key):
+        cfg_path = tmp_path / "campaign.cfg"
+        cfg_path.write_text(
+            "landscape.kind=nk\nlandscape.n=6\nlandscape.k=0\nlandscape.v=2\n"
+            f"{line}\nrounds=1\nbatch=2\nseeds=0\nout={tmp_path / 'runs'}\n")
+        result = cli("run", str(cfg_path), *argv)
+        assert result.returncode == 1
+        assert result.stderr.startswith(f"error: {key}: "), result.stderr
+        assert "Traceback" not in result.stderr
+        assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("argv, key", [(("--k", "5"), "landscape.k"),
+                                           (("--k", "1", "--v", "1"), "landscape.v")])
+    def test_bad_gen_nk_parameter_exits_one(self, tmp_path, argv, key):
+        result = cli("gen-nk", "--n", "3", *argv, "--out", str(tmp_path / "land"))
+        assert result.returncode == 1
+        assert result.stderr.startswith(f"error: {key}: "), result.stderr
+        assert not list(tmp_path.iterdir())

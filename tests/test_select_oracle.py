@@ -45,7 +45,7 @@ def problem():
 
 
 @pytest.mark.parametrize("lam", [0.0, 0.04])
-@pytest.mark.parametrize("strategy", ["ucb", "ei", "kg"])
+@pytest.mark.parametrize("strategy", ["ucb", "ei", "kg", "greedy"])
 def test_same_batch_as_the_scalar_path(problem, strategy, lam):
     state, ens, pool = problem
     wt = state.wild_type
@@ -68,7 +68,7 @@ class CoarseModel:
 
 
 @pytest.mark.parametrize("lam", [0.0, 0.04])
-@pytest.mark.parametrize("strategy", ["ucb", "ei"])
+@pytest.mark.parametrize("strategy", ["ucb", "ei", "greedy"])
 def test_same_tie_breaks_as_the_scalar_path(problem, strategy, lam):
     state, _, pool = problem
     wt = state.wild_type
@@ -88,9 +88,10 @@ def test_non_finite_posterior_rejected(problem):
         def predict_batch(self, batch):
             return np.array([(0.0, float("nan"))] + [(0.0, 1.0)] * (len(batch) - 1))
 
-    for strategy in ("ucb", "ei", "kg"):
+    for strategy in ("ucb", "ei", "kg", "greedy"):
         with pytest.raises(ValueError, match="non-finite posterior"):
-            select_batch(strategy, NaNVariance(), pool, state.data, 2, kg_config=KG)
+            select_batch(strategy, NaNVariance(), pool, state.data, 2, kg_config=KG,
+                         wild_type=state.wild_type)
     with pytest.raises(ValueError, match="beta"):
         select_batch("ucb", ens, pool, state.data, 2, beta=-1.0)
 
