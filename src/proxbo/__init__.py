@@ -7,8 +7,7 @@ experiment harness over lookup and NK fitness landscapes.
 
 from .acquisition import KGConfig, Posterior, ei, kg_oneshot, select_batch, ucb
 from .explorer import (ExplorerState, FrontierPoint, PoolProposal, RoundRecord,
-                       propose_pool, random_search_round, regularized_score, run_round,
-                       update_frontier)
+                       propose_pool, random_search_round, run_round, update_frontier)
 from .harness import (AggregateCurve, CampaignConfig, aggregate_dir, aggregate_runs,
                       gen_nk, load_config, parse_config_text, run_campaign)
 from .landscape import (BudgetedOracle, LookupLandscape, NKLandscape, load_lookup,

@@ -6,7 +6,9 @@ variance, and `fantasy_inner_means_multi(batches, ys, inner_pool, data,
 steps, lr)`, the (len(batches), n_fantasies, len(inner_pool)) posterior
 means over `inner_pool` after conditioning each same-size batch on each row
 of its fantasy outcomes `ys[c]` (n_fantasies, batch size). Exact conjugate
-models can therefore stand in for the ensemble in tests.
+models can therefore stand in for the ensemble in tests. The model knows
+nothing of the proximal penalty: `select_batch` subtracts λ·d(s, wild type)
+from its means itself.
 `select_batch` strategies are the acquisitions `ucb`, `ei` and `kg`, and
 `greedy`, the frontier-greedy (PEX-style) baseline.
 """
@@ -85,36 +87,48 @@ def kg_oneshot(model, batch: list[Sequence], inner_pool: list[Sequence],
     if not batch or not inner_pool:
         raise ValueError("batch and inner_pool must be non-empty")
     incumbent = model.predict_batch(inner_pool)[:, 0].max()
-    return float(_kg_slot_scores(model, batch[:-1], batch[-1:], inner_pool, data, cfg,
-                                 rng)[0] - incumbent)
+    n = len(batch)
+    seqs = batch + inner_pool
+    return float(_kg_slot_scores(model, seqs, list(range(n - 1)), [n - 1],
+                                 list(range(n, len(seqs))), data, cfg, rng,
+                                 np.zeros(len(seqs)))[0] - incumbent)
 
 
-def _kg_slot_scores(model, chosen: list[Sequence], subset: list[Sequence],
-                    inner_pool: list[Sequence], data: Dataset, cfg: KGConfig,
-                    rng: np.random.Generator) -> np.ndarray:
-    """Incumbent-free KG score of `chosen + [c]` for every candidate `c`.
+def _kg_slot_scores(model, pool: list[Sequence], chosen: list[int], subset: list[int],
+                    inner: list[int], data: Dataset, cfg: KGConfig,
+                    rng: np.random.Generator, penalty: np.ndarray) -> np.ndarray:
+    """Incumbent-free KG score of `chosen + [c]` for every candidate `c` in `subset`.
 
+    `chosen`, `subset` and `inner` (the inner pool) index `pool`, and
+    `penalty[i]` is subtracted from the posterior mean of `pool[i]`. The
+    fantasy update trains on physical outcomes, so each fantasy outcome gets
+    its penalty back before the update and the inner means lose theirs after.
     Candidates share the random fantasy draws (common random numbers), so
     every candidate's fantasies are conditioned in one
     `fantasy_inner_means_multi` call, after one `predict_batch` of the
     chosen sequences and the whole subset.
     """
     z = rng.standard_normal((cfg.n_fantasies, len(chosen) + 1))
-    mean, std = _mean_std(model, chosen + subset)
+    predicted = chosen + subset
+    mean, std = _mean_std(model, [pool[i] for i in predicted], penalty[predicted])
     # row j: the chosen sequences, then candidate j
     rows = np.empty((len(subset), len(chosen) + 1), dtype=np.intp)
     rows[:, :-1] = np.arange(len(chosen))
     rows[:, -1] = len(chosen) + np.arange(len(subset))
-    ys = mean[rows][:, None, :] + std[rows][:, None, :] * z
-    inner = model.fantasy_inner_means_multi([chosen + [c] for c in subset], ys,
-                                            inner_pool, data, steps=cfg.update_steps,
-                                            lr=cfg.update_lr)
-    return inner.max(axis=2).mean(axis=1)
+    ys = (mean[rows][:, None, :] + std[rows][:, None, :] * z
+          + penalty[predicted][rows][:, None, :])
+    chosen_seqs = [pool[i] for i in chosen]
+    inner_means = model.fantasy_inner_means_multi(
+        [chosen_seqs + [pool[c]] for c in subset], ys, [pool[i] for i in inner], data,
+        steps=cfg.update_steps, lr=cfg.update_lr)
+    return (inner_means - penalty[inner]).max(axis=2).mean(axis=1)
 
 
-def _mean_std(model, pool: list[Sequence]) -> tuple[np.ndarray, np.ndarray]:
-    """Posterior mean and std arrays over `pool`; a non-finite entry is an error."""
-    mean, var = model.predict_batch(pool).T
+def _mean_std(model, seqs: list[Sequence],
+              penalty: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Penalised posterior mean and std arrays over `seqs`; a non-finite entry is an error."""
+    mean, var = model.predict_batch(seqs).T
+    mean = mean - penalty
     std = np.sqrt(np.maximum(var, 0.0))
     bad = np.flatnonzero(~(np.isfinite(mean) & np.isfinite(std)))
     if bad.size:
@@ -122,41 +136,49 @@ def _mean_std(model, pool: list[Sequence]) -> tuple[np.ndarray, np.ndarray]:
     return mean, std
 
 
-def _ucb_scores(model, pool: list[Sequence], beta: float) -> list[float]:
-    if beta < 0:
-        raise ValueError(f"beta must be >= 0, got {beta}")
-    mean, std = _mean_std(model, pool)
-    return (mean + beta * std).tolist()
-
-
-def _ranked(pool: list[Sequence], scores: list[float],
-            distances: np.ndarray | None) -> list[int]:
+def _ranked(pool: list[Sequence], scores: list[float], distances: np.ndarray) -> list[int]:
     """Sort keys: score desc, then distance to wild type asc, then ordinals."""
-    d = distances.tolist() if distances is not None else [0] * len(pool)
+    d = distances.tolist()
     return sorted(range(len(pool)), key=lambda i: (-scores[i], d[i], pool[i].residues))
 
 
 def select_batch(strategy: str, model, pool: list[Sequence], data: Dataset, m: int,
-                 *, beta: float = 2.0, incumbent: float | None = None,
+                 *, lam: float = 0.0, beta: float = 2.0,
                  kg_config: KGConfig | None = None,
                  wild_type: Sequence | None = None,
                  rng: np.random.Generator | None = None) -> list[Sequence]:
     """Pick M distinct pool sequences by the chosen acquisition strategy.
 
-    UCB/EI score the whole pool and take the top M (ties broken by smaller
-    Hamming distance to the wild type, then lexicographic order). Greedy
-    ranks by posterior mean and takes the best of each distance class,
-    nearest first, round-robin. KG fills the batch greedily, scoring each
-    extension of the partial batch with `kg_oneshot` over a UCB-preranked
-    candidate subset.
+    Every strategy scores the proximally regularised posterior: the model's
+    mean minus `lam` times the Hamming distance to `wild_type`, with the
+    variance unchanged. The pool's distances are computed once per call and
+    also break ties. UCB/EI score the whole pool and take the top M (ties
+    broken by smaller distance, then lexicographic order); EI's incumbent is
+    the best measured score minus its own `lam` times distance. Greedy ranks
+    by mean and takes the best of each distance class, nearest first,
+    round-robin. KG fills the batch greedily: each slot scores every
+    extension of the partial batch over a UCB-preranked candidate subset
+    with `_kg_slot_scores`, whose fantasy outcomes get the penalty back
+    before the model's update.
     """
+    if strategy not in ("ucb", "ei", "kg", "greedy"):
+        raise ValueError(f"unknown strategy {strategy!r}")
     if len(pool) < m:
         raise ValueError(f"pool of {len(pool)} smaller than batch size {m}")
-    distances = hamming_distances(pool, wild_type) if wild_type is not None else None
+    if not lam >= 0:
+        raise ValueError(f"lambda must be >= 0, got {lam}")
+    if beta < 0:
+        raise ValueError(f"beta must be >= 0, got {beta}")
+    if wild_type is not None:
+        distances = hamming_distances(pool, wild_type)
+    elif strategy == "greedy" or lam > 0:
+        raise ValueError(f"the {strategy} strategy with lambda {lam} needs the wild type")
+    else:
+        distances = np.zeros(len(pool), dtype=np.intp)
+    penalty = lam * distances
+    mean, std = _mean_std(model, pool, penalty)
     if strategy == "greedy":
-        if distances is None:
-            raise ValueError("the greedy strategy needs the wild type")
-        order = _ranked(pool, _mean_std(model, pool)[0].tolist(), distances)
+        order = _ranked(pool, mean.tolist(), distances)
         # the k-th best of every class comes before the (k+1)-th best of any
         d = distances.tolist()
         depth = dict.fromkeys(d, 0)
@@ -165,37 +187,33 @@ def select_batch(strategy: str, model, pool: list[Sequence], data: Dataset, m: i
             sweep.append((depth[d[i]], d[i], i))
             depth[d[i]] += 1
         return [pool[i] for _, _, i in sorted(sweep)[:m]]
-    if strategy == "ucb":
-        order = _ranked(pool, _ucb_scores(model, pool, beta), distances)
-        return [pool[i] for i in order[:m]]
     if strategy == "ei":
-        best = incumbent if incumbent is not None else data.max_score()
-        mean, std = _mean_std(model, pool)
+        best = data.max_score() if lam == 0 else float(
+            np.max(data.scores - lam * hamming_distances(data.sequences, wild_type)))
         scores = [ei(Posterior(mu, sd), best) for mu, sd in zip(mean.tolist(), std.tolist())]
         order = _ranked(pool, scores, distances)
         return [pool[i] for i in order[:m]]
-    if strategy != "kg":
-        raise ValueError(f"unknown strategy {strategy!r}")
+    order = _ranked(pool, (mean + beta * std).tolist(), distances)
+    if strategy == "ucb":
+        return [pool[i] for i in order[:m]]
 
     cfg = kg_config or KGConfig()
     rng = rng if rng is not None else np.random.default_rng(0)
     # prerank by UCB to bound the number of KG evaluations per slot
-    order = _ranked(pool, _ucb_scores(model, pool, beta), distances)
-    candidates = [pool[i] for i in order]
-    inner_pool = candidates[: cfg.inner_pool_size]
-
-    chosen: list[Sequence] = []
-    taken: set[Sequence] = set()
+    inner = order[: cfg.inner_pool_size]
+    chosen: list[int] = []
+    taken: set[int] = set()
     for _ in range(m):
-        subset = list(itertools.islice((c for c in candidates if c not in taken),
+        subset = list(itertools.islice((i for i in order if i not in taken),
                                        cfg.inner_eval_size))
         slot_rng = np.random.default_rng(int(rng.integers(0, 2**63 - 1)))
         # the incumbent term is constant per slot, so it is dropped
-        scores = _kg_slot_scores(model, chosen, subset, inner_pool, data, cfg, slot_rng)
+        scores = _kg_slot_scores(model, pool, chosen, subset, inner, data, cfg, slot_rng,
+                                 penalty)
         bad = int(np.sum(~np.isfinite(scores)))
         if bad:
             raise ValueError(f"non-finite KG slot score for {bad} of {len(scores)} candidates")
         best_c = subset[int(np.argmax(scores))]  # the first of equal maxima
         chosen.append(best_c)
         taken.add(best_c)
-    return chosen
+    return [pool[i] for i in chosen]

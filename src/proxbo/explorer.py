@@ -2,8 +2,9 @@
 
 The campaign keeps a non-dominated frontier of measured sequences trading
 low mutation count against high fitness, proposes mutant pools around it,
-and selects query batches with an acquisition applied to the distance-
-regularized posterior (mean shifted by -lambda * d(s, wild_type)).
+and selects query batches with `acquisition.select_batch`, which applies the
+acquisition to the distance-regularized posterior (mean shifted by
+-lambda * d(s, wild_type)).
 """
 
 from __future__ import annotations
@@ -16,18 +17,8 @@ import numpy as np
 from .acquisition import KGConfig, select_batch
 from .errors import DomainExhausted
 from .landscape import BudgetedOracle
-from .sequences import (Sequence, hamming_distance, hamming_distances, mutant_block,
-                        sample_mutants)
+from .sequences import Sequence, hamming_distance, mutant_block, sample_mutants
 from .surrogate import Dataset, Ensemble, TrainConfig
-
-
-def regularized_score(fitness: float, distance: int, lam: float) -> float:
-    """Distance-regularized objective: fitness - lambda * distance."""
-    if lam < 0:
-        raise ValueError(f"lambda must be >= 0, got {lam}")
-    if distance < 0:
-        raise ValueError(f"distance must be >= 0, got {distance}")
-    return fitness - lam * distance
 
 
 @dataclass(frozen=True)
@@ -163,35 +154,6 @@ class RoundRecord:
     short_pool: bool = False
 
 
-class _ShiftedModel:
-    """Posterior with mean shifted by -lam * d(s, wild_type), variance unchanged.
-
-    Fantasy updates train the underlying model on physical values, so the
-    penalty is added back onto fantasy outcomes before delegation.
-    """
-
-    def __init__(self, model, wild_type: Sequence, lam: float):
-        self._model = model
-        self._wild_type = wild_type
-        self._lam = lam
-
-    def _penalty(self, seqs: list[Sequence]) -> np.ndarray:
-        return self._lam * hamming_distances(seqs, self._wild_type)
-
-    def predict_batch(self, batch):
-        stats = self._model.predict_batch(batch)
-        stats[:, 0] -= self._penalty(batch)
-        return stats
-
-    def fantasy_inner_means_multi(self, batches, ys, inner_pool, data,
-                                  steps=20, lr=1e-3):
-        penalty = self._penalty([s for batch in batches for s in batch])
-        physical = ys + penalty.reshape(len(batches), 1, -1)
-        inner = self._model.fantasy_inner_means_multi(batches, physical, inner_pool,
-                                                      data, steps=steps, lr=lr)
-        return inner - self._penalty(inner_pool)
-
-
 def _ingest(state: ExplorerState, batch: list[Sequence], scores: list[float]) -> None:
     state.data.extend(zip(batch, scores))
     state.frontier = update_frontier(state.frontier,
@@ -236,8 +198,8 @@ def run_round(state: ExplorerState, ensemble: Ensemble, oracle: BudgetedOracle,
 
     With no prior measurements beyond the wild type, the first round queries
     random low-order mutants with no model guidance. Otherwise: propose a
-    pool, select a batch with the acquisition applied to the regularized
-    posterior (`strategy="greedy"`: the frontier-greedy batch), query the
+    pool, select a batch with `select_batch` on the posterior regularized by
+    `lam` (`strategy="greedy"`: the frontier-greedy batch), query the
     oracle, refit the ensemble (a warm start with `warm_cfg` when given,
     else from scratch with `train_cfg`).
     """
@@ -256,13 +218,8 @@ def run_round(state: ExplorerState, ensemble: Ensemble, oracle: BudgetedOracle,
     if m == 0:
         raise DomainExhausted("candidate pool is empty; domain exhausted")
 
-    model = _ShiftedModel(ensemble, state.wild_type, lam) if lam > 0 else ensemble
-    incumbent = max(regularized_score(y, hamming_distance(s, state.wild_type), lam)
-                    for s, y in zip(state.data.sequences, state.data.scores))
-    kg_cfg = kg_config or KGConfig()
-    batch = select_batch(strategy, model, proposal.sequences, state.data, m,
-                         beta=beta, incumbent=incumbent, kg_config=kg_cfg,
-                         wild_type=state.wild_type, rng=rng)
+    batch = select_batch(strategy, ensemble, proposal.sequences, state.data, m, lam=lam,
+                         beta=beta, kg_config=kg_config, wild_type=state.wild_type, rng=rng)
     scores = oracle.query_batch(batch)
     _ingest(state, batch, scores)
     if warm_cfg is not None:

@@ -354,17 +354,19 @@ def _write_seed_csv(out: Path, seed: int, result) -> None:
 def run_campaign(cfg: CampaignConfig) -> dict[int, list[RoundRecord]]:
     """Run every configured seed, writing one run CSV per seed plus a manifest.
 
-    The manifest is written first, and each seed's CSV as soon as that seed
-    finishes. A seed that raises does not stop the others; once every seed
-    has run, the first error in seed order is raised again, and the
-    tracebacks of any later ones go to stderr. Serial seeds share one
-    landscape, built once; each worker process builds its own.
+    The landscape is built first, once, so a bad table or wild type fails
+    before the output directory exists; every seed, serial or in a worker
+    process, runs on it. The manifest comes next, and each seed's CSV as soon
+    as that seed finishes. A seed that raises does not stop the others; once
+    every seed has run, the first error in seed order is raised again, and
+    the tracebacks of any later ones go to stderr.
     """
     raw_threads = os.environ.get("PROXBO_THREADS", "1")
     try:
         threads = int(raw_threads)
     except ValueError:
         raise ConfigError(f"PROXBO_THREADS: expected an integer, got {raw_threads!r}") from None
+    landscape = _build_landscape(cfg)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     manifest = [f"artifact_version={ARTIFACT_VERSION}",
@@ -380,7 +382,8 @@ def run_campaign(cfg: CampaignConfig) -> dict[int, list[RoundRecord]]:
 
     if threads > 1 and len(cfg.seeds) > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            futures = {pool.submit(run_one_seed, cfg, seed): seed for seed in cfg.seeds}
+            futures = {pool.submit(run_one_seed, cfg, seed, landscape): seed
+                       for seed in cfg.seeds}
             for future in as_completed(futures):
                 seed = futures[future]
                 try:
@@ -388,7 +391,6 @@ def run_campaign(cfg: CampaignConfig) -> dict[int, list[RoundRecord]]:
                 except Exception as exc:
                     errors[seed] = exc
     else:
-        landscape = _build_landscape(cfg)
         for seed in cfg.seeds:
             try:
                 finish(seed, run_one_seed(cfg, seed, landscape))

@@ -132,9 +132,12 @@ def load_lookup(
     if not table:
         raise ParseError(f"{path}: no data rows")
     if wild_type is not None:
-        wt = alphabet.encode(wild_type)
+        try:
+            wt = alphabet.encode(wild_type)
+        except ValueError as e:
+            raise DataError(f"wild-type override {wild_type}: {e}") from None
         if wt.residues not in table:
-            raise DataError(f"wild-type override {wild_type} is not in the table")
+            raise DataError(f"wild-type override {wild_type}: not in the table")
     else:
         wt = Sequence(first, alphabet)
     return LookupLandscape(table=table, wild_type=wt)

@@ -24,19 +24,22 @@ from proxbo.errors import TrainingError
 from sequential_fit import Adam
 
 
-def per_candidate_slot_scores(model, chosen, subset, inner_pool, data, cfg, rng):
+def per_candidate_slot_scores(model, pool, chosen, subset, inner, data, cfg, rng, penalty):
     """`acquisition._kg_slot_scores`, predicting each candidate's batch on its own."""
     z = rng.standard_normal((cfg.n_fantasies, len(chosen) + 1))
     batches, ys = [], []
     for c in subset:
-        batch = chosen + [c]
+        rows = chosen + [c]
+        batch = [pool[i] for i in rows]
         means, variances = model.predict_batch(batch).T
+        means = means - penalty[rows]
         stds = np.sqrt(np.maximum(variances, 0.0))
         batches.append(batch)
-        ys.append(means[None, :] + stds[None, :] * z)
-    inner = model.fantasy_inner_means_multi(batches, np.stack(ys), inner_pool, data,
-                                            steps=cfg.update_steps, lr=cfg.update_lr)
-    return inner.max(axis=2).mean(axis=1)
+        ys.append(means[None, :] + stds[None, :] * z + penalty[rows][None, :])
+    inner_means = model.fantasy_inner_means_multi(batches, np.stack(ys),
+                                                  [pool[i] for i in inner], data,
+                                                  steps=cfg.update_steps, lr=cfg.update_lr)
+    return (inner_means - penalty[inner]).max(axis=2).mean(axis=1)
 
 
 def tiled_fantasy_inner_means_multi(ens, batches, ys, inner_pool, data, steps=20, lr=1e-3):

@@ -8,9 +8,11 @@ The `greedy` strategy of the oracle is the per-class round-robin of the
 frontier-greedy baseline round that `select_batch("greedy", ...)` replaced:
 one candidate list per distance class, each sorted by mean, popped in turn.
 
-`ScalarShiftedModel` is the λ-shifted posterior that `explorer._ShiftedModel`
-replaced: it looks up one penalty per sequence and unzips (mean, variance)
-tuples one at a time.
+`ScalarShiftedModel` is the λ-shifted posterior that `select_batch`'s
+penalty array replaced: a model wrapper that looks up one penalty per
+sequence and unzips (mean, variance) tuples one at a time.
+`scalar_penalised_select_batch` is the campaign round's old use of it: the
+wrapped model, and EI's incumbent recomputed row by row.
 """
 
 from __future__ import annotations
@@ -44,6 +46,14 @@ class ScalarShiftedModel:
         return inner - np.array([self._penalty(s) for s in inner_pool])[None, None, :]
 
 
+def _slot_scores(model, chosen, subset, inner_pool, data, cfg, rng):
+    """`_kg_slot_scores` on sequences, with the penalty left to `model`."""
+    seqs = chosen + subset + inner_pool
+    k, n = len(chosen), len(chosen) + len(subset)
+    return _kg_slot_scores(model, seqs, list(range(k)), list(range(k, n)),
+                           list(range(n, len(seqs))), data, cfg, rng, np.zeros(len(seqs)))
+
+
 def _ranked(pool: list[Sequence], scores: list[float],
             wild_type: Sequence | None) -> list[tuple]:
     """Sort keys: score desc, then distance to wild type asc, then ordinals."""
@@ -65,7 +75,7 @@ def scalar_select_batch(strategy: str, model, pool: list[Sequence], data: Datase
     UCB/EI score the whole pool and take the top M (ties broken by smaller
     Hamming distance to the wild type, then lexicographic order). KG fills
     the batch greedily, scoring each extension of the partial batch with
-    `kg_oneshot` over a UCB-preranked candidate subset.
+    the KG slot scores over a UCB-preranked candidate subset.
     """
     if len(pool) < m:
         raise ValueError(f"pool of {len(pool)} smaller than batch size {m}")
@@ -116,8 +126,7 @@ def scalar_select_batch(strategy: str, model, pool: list[Sequence], data: Datase
                                        cfg.inner_eval_size))
         slot_rng = np.random.default_rng(int(rng.integers(0, 2**63 - 1)))
         # the incumbent term is constant per slot, so it is dropped
-        scores = _kg_slot_scores(model, chosen, subset, inner_pool, data, cfg,
-                                 slot_rng).tolist()
+        scores = _slot_scores(model, chosen, subset, inner_pool, data, cfg, slot_rng).tolist()
         bad = sum(not math.isfinite(score) for score in scores)
         if bad:
             raise ValueError(f"non-finite KG slot score for {bad} of {len(scores)} candidates")
@@ -128,3 +137,20 @@ def scalar_select_batch(strategy: str, model, pool: list[Sequence], data: Datase
         chosen.append(best_c)
         taken.add(best_c)
     return chosen
+
+
+def scalar_penalised_select_batch(strategy: str, model, pool: list[Sequence], data: Dataset,
+                                  m: int, *, lam: float = 0.0,
+                                  wild_type: Sequence | None = None, **kwargs):
+    """`scalar_select_batch` on the λ-shifted posterior, with EI's incumbent max(y − λ·d)."""
+    if lam > 0:
+        model = ScalarShiftedModel(model, lambda s: lam * hamming_distance(s, wild_type))
+    return scalar_select_batch(strategy, model, pool, data, m,
+                               incumbent=regularized_incumbent(data, wild_type, lam),
+                               wild_type=wild_type, **kwargs)
+
+
+def regularized_incumbent(data: Dataset, wild_type: Sequence, lam: float) -> float:
+    """max(y − λ·d(s, wild_type)) over the measured rows, one row at a time."""
+    return max(y - lam * hamming_distance(s, wild_type)
+               for s, y in zip(data.sequences, data.scores.tolist()))

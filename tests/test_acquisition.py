@@ -138,7 +138,8 @@ class TestSelectBatch:
         model, pool = self._model_and_pool()
         data = Dataset()
         best = 0.5
-        chosen = select_batch("ei", model, pool, data, 1, incumbent=best)
+        data.add(pool[0], best)
+        chosen = select_batch("ei", model, pool, data, 1)
         scores = [ei(Posterior(m, math.sqrt(max(v, 0.0))), best)
                   for m, v in model.predict_batch(pool)]
         assert chosen[0] == pool[int(np.argmax(scores))]
@@ -179,6 +180,13 @@ class TestSelectBatch:
         model, pool = self._model_and_pool()
         with pytest.raises(ValueError, match="wild type"):
             select_batch("greedy", model, pool, Dataset(), 1)
+        with pytest.raises(ValueError, match="wild type"):
+            select_batch("ucb", model, pool, Dataset(), 1, lam=0.1)
+
+    def test_negative_lambda_rejected(self):
+        model, pool = self._model_and_pool()
+        with pytest.raises(ValueError, match="lambda"):
+            select_batch("ucb", model, pool, Dataset(), 1, lam=-0.1, wild_type=pool[0])
 
     def test_unknown_strategy_rejected(self):
         model, pool = self._model_and_pool()

@@ -15,7 +15,6 @@ from proxbo.explorer import (
     FrontierPoint,
     propose_pool,
     random_search_round,
-    regularized_score,
     run_round,
     update_frontier,
 )
@@ -56,16 +55,6 @@ def random_points(rng, n, length=8):
 
 
 class TestRegularizedScore:
-    def test_known_values(self):
-        assert regularized_score(2.0, 3, 0.5) == 0.5
-        assert regularized_score(2.0, 3, 0.0) == 2.0
-
-    def test_negative_arguments_rejected(self):
-        with pytest.raises(ValueError):
-            regularized_score(1.0, 1, -0.1)
-        with pytest.raises(ValueError):
-            regularized_score(1.0, -1, 0.1)
-
     def test_lambda_argmax_monotone_toward_wild_type(self):
         # as lambda grows, the best candidate's distance never increases
         rng = np.random.default_rng(0)

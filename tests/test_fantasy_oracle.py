@@ -9,8 +9,8 @@ import pytest
 
 import proxbo.acquisition as acquisition
 import proxbo.nn as nn
-from proxbo.explorer import _ShiftedModel
 from proxbo.harness import CampaignConfig, run_campaign
+from proxbo.sequences import hamming_distances
 from proxbo.surrogate import (ConvRegressorConfig, Ensemble, RecurrentRegressorConfig,
                               TrainConfig)
 
@@ -70,14 +70,16 @@ class TestFantasyHead:
 
     @pytest.mark.parametrize("kind", sorted(KINDS))
     def test_matches_through_shifted_model(self, fitted, kind, monkeypatch):
+        """KG slot scores on the posterior shifted by a λ = 0.05 distance penalty."""
         ens, data, unmeasured = fitted(kind, 3)
-        wild_type = data.sequences[0]
-        shifted = _ShiftedModel(ens, wild_type, 0.05)
-        batches, ys, inner_pool = _problem(unmeasured, 3, 2, 4, seed=5)
-        fast = shifted.fantasy_inner_means_multi(batches, ys, inner_pool, data, steps=6, lr=8e-2)
+        penalty = 0.05 * hamming_distances(unmeasured, data.sequences[0])
+        cfg = acquisition.KGConfig(n_fantasies=4, update_steps=6, update_lr=8e-2)
+        n = len(unmeasured)
+        args = (ens, unmeasured, [0, 1], [2, 3, 4], list(range(n - 9, n)), data, cfg)
+        fast = acquisition._kg_slot_scores(*args, np.random.default_rng(5), penalty)
         monkeypatch.setattr(Ensemble, "fantasy_inner_means_multi",
                             tiled_fantasy_inner_means_multi)
-        slow = shifted.fantasy_inner_means_multi(batches, ys, inner_pool, data, steps=6, lr=8e-2)
+        slow = acquisition._kg_slot_scores(*args, np.random.default_rng(5), penalty)
         assert_same_bits(fast, slow)
 
     @pytest.mark.parametrize("kind", sorted(KINDS))

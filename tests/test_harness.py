@@ -373,6 +373,10 @@ class TestGenNK:
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
+# the lookup landscape that `gen_nk(6, 1, 2, 9, <tmp>/land)` writes
+LOOKUP = "landscape.kind=lookup\nlandscape.path={tmp}/land.tsv"
+
+
 def cli(*argv, **env):
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", "proxbo.cli", *argv],
@@ -434,12 +438,21 @@ class TestCLI:
     @pytest.mark.parametrize("line, argv, key", [
         ("train.epochs=0", (), "train.epochs"),
         ("", ("--wild-type", "XYZ"), "landscape.wild_type"),
+        # a lookup table's wild type is checked when the table is loaded
+        pytest.param(f"{LOOKUP}\nlandscape.wild_type=XYZ", (), "wild-type override XYZ",
+                     id="lookup-XYZ"),
+        pytest.param(f"{LOOKUP}\nlandscape.wild_type=AAA", (), "wild-type override AAA",
+                     id="lookup-AAA"),
+        pytest.param("landscape.kind=lookup\nlandscape.path={tmp}/missing.tsv", (),
+                     "[Errno 2] No such file or directory", id="lookup-missing"),
     ])
     def test_bad_config_value_exits_one_before_the_manifest(self, tmp_path, line, argv, key):
+        gen_nk(6, 1, 2, 9, tmp_path / "land")
         cfg_path = tmp_path / "campaign.cfg"
         cfg_path.write_text(
             "landscape.kind=nk\nlandscape.n=6\nlandscape.k=0\nlandscape.v=2\n"
-            f"{line}\nrounds=1\nbatch=2\nseeds=0\nout={tmp_path / 'runs'}\n")
+            f"{line.format(tmp=tmp_path)}\nrounds=1\nbatch=2\nseeds=0\n"
+            f"out={tmp_path / 'runs'}\n")
         result = cli("run", str(cfg_path), *argv)
         assert result.returncode == 1
         assert result.stderr.startswith(f"error: {key}: "), result.stderr

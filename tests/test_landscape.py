@@ -66,6 +66,8 @@ class TestLoadLookup:
         p = write(tmp_path, "AC\t1.0\n")
         with pytest.raises(DataError):
             load_lookup(p, wild_type="DD")
+        with pytest.raises(DataError, match="symbol 'Z'"):
+            load_lookup(p, wild_type="ZZ")
 
     def test_negate_flips_scores(self, tmp_path):
         p = write(tmp_path, "AC\t1.5\n")

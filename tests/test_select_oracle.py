@@ -1,25 +1,28 @@
 """Batch selection on arrays against the scalar path it replaced (tests/select_oracle.py).
 
-For a fixed pool, `select_batch` with the pool's distances computed once
-and the array-shifted `_ShiftedModel` must choose the same sequences in the
-same order as the scalar path, which builds one `Posterior` per candidate
-and recomputes the Hamming distance to the wild type in every sort key and
-every λ penalty.
+For a fixed pool, `select_batch`, which computes the pool's distances and
+its λ penalty once, must choose the same sequences in the same order as the
+scalar path, which builds one `Posterior` per candidate and recomputes the
+Hamming distance to the wild type in every sort key and every λ penalty.
 """
+
+import copy
 
 import numpy as np
 import pytest
 
+import proxbo.acquisition as acquisition
 import proxbo.explorer as explorer
 from proxbo.acquisition import KGConfig, select_batch
-from proxbo.explorer import ExplorerState, _ShiftedModel, propose_pool, update_frontier
+from proxbo.explorer import ExplorerState, propose_pool, update_frontier
 from proxbo.harness import CampaignConfig, run_campaign
 from proxbo.landscape import make_nk
-from proxbo.sequences import Sequence, hamming_distance
+from proxbo.sequences import Sequence, hamming_distance, hamming_distances
 from proxbo.surrogate import ConvRegressorConfig, Ensemble, TrainConfig
 
 import test_acceptance
-from select_oracle import ScalarShiftedModel, scalar_select_batch
+from select_oracle import (ScalarShiftedModel, regularized_incumbent,
+                           scalar_penalised_select_batch, scalar_select_batch)
 
 KG = KGConfig(n_fantasies=3, inner_pool_size=24, update_steps=3, update_lr=8e-2,
               inner_eval_size=5)
@@ -49,14 +52,46 @@ def problem():
 def test_same_batch_as_the_scalar_path(problem, strategy, lam):
     state, ens, pool = problem
     wt = state.wild_type
-    fast_model = _ShiftedModel(ens, wt, lam) if lam else ens
     slow_model = ScalarShiftedModel(ens, lambda s: lam * hamming_distance(s, wt)) if lam else ens
-    common = dict(beta=2.5, incumbent=float(state.data.max_score()) - 0.05, kg_config=KG)
     slow = scalar_select_batch(strategy, slow_model, pool, state.data, 6, wild_type=wt,
-                               rng=np.random.default_rng(9), **common)
-    fast = select_batch(strategy, fast_model, pool, state.data, 6, wild_type=wt,
-                        rng=np.random.default_rng(9), **common)
+                               beta=2.5, incumbent=regularized_incumbent(state.data, wt, lam),
+                               kg_config=KG, rng=np.random.default_rng(9))
+    fast = select_batch(strategy, ens, pool, state.data, 6, lam=lam, wild_type=wt,
+                        beta=2.5, kg_config=KG, rng=np.random.default_rng(9))
     assert [s.residues for s in fast] == [s.residues for s in slow]
+
+
+def test_ei_incumbent_is_the_best_regularized_measurement(problem):
+    """A high score far from the wild type is the best measurement, not the incumbent."""
+    state, ens, pool = problem
+    wt, lam = state.wild_type, 0.04
+    data = copy.deepcopy(state.data)
+    far = Sequence((1,) * len(wt), wt.alphabet)
+    assert far not in data and far not in pool
+    data.add(far, data.max_score() + 0.2)
+    incumbent = regularized_incumbent(data, wt, lam)
+    assert incumbent < data.max_score() - 0.1
+    shifted = ScalarShiftedModel(ens, lambda s: lam * hamming_distance(s, wt))
+    slow = scalar_select_batch("ei", shifted, pool, data, 6, wild_type=wt, incumbent=incumbent)
+    fast = select_batch("ei", ens, pool, data, 6, lam=lam, wild_type=wt)
+    assert [s.residues for s in fast] == [s.residues for s in slow]
+    unregularized = scalar_select_batch("ei", shifted, pool, data, 6, wild_type=wt)
+    assert [s.residues for s in fast] != [s.residues for s in unregularized]
+
+
+@pytest.mark.parametrize("strategy, calls", [("kg", ["pool"]), ("ei", ["pool", "data"])])
+def test_distances_computed_once_per_call(problem, monkeypatch, strategy, calls):
+    state, ens, pool = problem
+    seen = []
+
+    def counting_hamming_distances(seqs, ref):
+        seen.append({len(pool): "pool", len(state.data): "data"}[len(seqs)])
+        return hamming_distances(seqs, ref)
+
+    monkeypatch.setattr(acquisition, "hamming_distances", counting_hamming_distances)
+    select_batch(strategy, ens, pool, state.data, 6, lam=0.04, wild_type=state.wild_type,
+                 kg_config=KG, rng=np.random.default_rng(9))
+    assert seen == calls
 
 
 class CoarseModel:
@@ -72,12 +107,10 @@ class CoarseModel:
 def test_same_tie_breaks_as_the_scalar_path(problem, strategy, lam):
     state, _, pool = problem
     wt = state.wild_type
-    fast_model = _ShiftedModel(CoarseModel(), wt, lam)
     slow_model = ScalarShiftedModel(CoarseModel(), lambda s: lam * hamming_distance(s, wt))
     slow = scalar_select_batch(strategy, slow_model, pool, state.data, 40, wild_type=wt,
-                               incumbent=1.0)
-    fast = select_batch(strategy, fast_model, pool, state.data, 40, wild_type=wt,
-                        incumbent=1.0)
+                               incumbent=regularized_incumbent(state.data, wt, lam))
+    fast = select_batch(strategy, CoarseModel(), pool, state.data, 40, lam=lam, wild_type=wt)
     assert [s.residues for s in fast] == [s.residues for s in slow]
 
 
@@ -98,15 +131,13 @@ def test_non_finite_posterior_rejected(problem):
 
 @pytest.mark.parametrize("acquisition", ["ucb", "ei", "kg"])
 def test_campaign_with_the_scalar_path_gives_identical_csvs(tmp_path, monkeypatch, acquisition):
-    """λ from the IQR rule, so the shifted model and the tie-break both read distances."""
+    """λ from the IQR rule, so the penalty, the incumbent and the tie-break all read distances."""
     base = {**test_acceptance.TestReproducibility.CONFIG.__dict__,
             "acquisition": acquisition, "rounds": 3, "seeds": (0,)}
     blobs = []
     for name in ("arrays", "scalar"):
         if name == "scalar":
-            monkeypatch.setattr(explorer, "select_batch", scalar_select_batch)
-            monkeypatch.setattr(explorer, "_ShiftedModel", lambda model, wt, lam: (
-                ScalarShiftedModel(model, lambda s: lam * hamming_distance(s, wt))))
+            monkeypatch.setattr(explorer, "select_batch", scalar_penalised_select_batch)
         run_campaign(CampaignConfig(**{**base, "out": str(tmp_path / name)}))
         blobs.append((tmp_path / name / "run_0.csv").read_bytes())
     assert blobs[0] == blobs[1]
