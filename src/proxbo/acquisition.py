@@ -2,8 +2,8 @@
 
 `kg_oneshot` and `select_batch` only need a model with two array methods:
 `predict_batch(seqs)`, a (len(seqs), 2) array of posterior mean and
-variance, and `fantasy_inner_means_multi(batches, ys, inner_pool, data,
-steps, lr)`, the (len(batches), n_fantasies, len(inner_pool)) posterior
+variance, and `fantasy_inner_means_multi(batches, ys, inner_pool, data)`,
+the (len(batches), n_fantasies, len(inner_pool)) posterior
 means over `inner_pool` after conditioning each same-size batch on each row
 of its fantasy outcomes `ys[c]` (n_fantasies, batch size). Exact conjugate
 models can therefore stand in for the ensemble in tests. The model knows
@@ -40,15 +40,21 @@ class Posterior:
 
 @dataclass(frozen=True)
 class KGConfig:
+    """One-shot KG settings; `update_steps` and `update_lr` are ignored since 0.3.0.
+
+    Each of `n_fantasies` outcome draws per candidate batch is scored over the
+    UCB-best `inner_pool_size` pool sequences, and a greedy slot scores the
+    UCB-best `inner_eval_size` candidates. The ignored fields set the SGD head.
+    """
+
     n_fantasies: int = 16
     inner_pool_size: int = 256
     update_steps: int = 20
     update_lr: float = 1e-3
-    inner_eval_size: int = 64  # candidates scored per greedy slot
+    inner_eval_size: int = 64
 
     def __post_init__(self):
-        check_positive(self, "n_fantasies", "inner_pool_size", "update_steps", "update_lr",
-                       "inner_eval_size")
+        check_positive(self, "n_fantasies", "inner_pool_size", "inner_eval_size")
 
 
 def _norm_pdf(z: float) -> float:
@@ -101,7 +107,7 @@ def _kg_slot_scores(model, pool: list[Sequence], chosen: list[int], subset: list
 
     `chosen`, `subset` and `inner` (the inner pool) index `pool`, and
     `penalty[i]` is subtracted from the posterior mean of `pool[i]`. The
-    fantasy update trains on physical outcomes, so each fantasy outcome gets
+    fantasy update conditions on physical outcomes, so each fantasy outcome gets
     its penalty back before the update and the inner means lose theirs after.
     Candidates share the random fantasy draws (common random numbers), so
     every candidate's fantasies are conditioned in one
@@ -119,8 +125,7 @@ def _kg_slot_scores(model, pool: list[Sequence], chosen: list[int], subset: list
           + penalty[predicted][rows][:, None, :])
     chosen_seqs = [pool[i] for i in chosen]
     inner_means = model.fantasy_inner_means_multi(
-        [chosen_seqs + [pool[c]] for c in subset], ys, [pool[i] for i in inner], data,
-        steps=cfg.update_steps, lr=cfg.update_lr)
+        [chosen_seqs + [pool[c]] for c in subset], ys, [pool[i] for i in inner], data)
     return (inner_means - penalty[inner]).max(axis=2).mean(axis=1)
 
 

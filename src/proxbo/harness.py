@@ -26,7 +26,7 @@ from .sequences import Sequence, small_alphabet
 from .surrogate import (REGRESSORS, ConvRegressorConfig, Dataset, Ensemble,
                         RecurrentRegressorConfig, TrainConfig)
 
-ARTIFACT_VERSION = "0.2.0"
+ARTIFACT_VERSION = "0.3.0"
 
 _FLOAT = "{:.17g}".format
 
@@ -60,8 +60,8 @@ class CampaignConfig:
     beta: float = 3.0
     kg_fantasies: int = 4
     kg_inner_pool: int = 128
-    kg_update_steps: int = 6
-    kg_update_lr: float = 8e-2
+    kg_update_steps: int = 6              # ignored: set the SGD fantasy head of 0.2.0
+    kg_update_lr: float = 8e-2            # ignored, as kg_update_steps
     kg_inner_eval: int = 8
     # campaign
     rounds: int = 10
@@ -82,10 +82,14 @@ class CampaignConfig:
                 raise ConfigError(f"{key}: must be >= 1, got {value}")
         for key, value in (("acquisition.beta", self.beta), ("lambda.value", self.lambda_value),
                            ("lambda.factor", self.lambda_factor)):
-            if not value >= 0:
-                raise ConfigError(f"{key}: must be >= 0, got {value}")
+            if not (value >= 0 and np.isfinite(value)):
+                raise ConfigError(f"{key}: must be finite and >= 0, got {value}")
+        if self.warm_epochs < 0:
+            raise ConfigError(f"train.warm_epochs: must be >= 0, got {self.warm_epochs}")
         if not self.seeds:
             raise ConfigError("seeds: must be non-empty")
+        if min(self.seeds) < 0:
+            raise ConfigError(f"seeds: must be >= 0, got {min(self.seeds)}")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError("seeds: must be distinct")
         if self.landscape_kind not in ("nk", "lookup"):
@@ -132,8 +136,6 @@ _KEY_MAP = {
     "acquisition.beta": ("beta", float),
     "acquisition.kg.n_fantasies": ("kg_fantasies", int),
     "acquisition.kg.inner_pool_size": ("kg_inner_pool", int),
-    "acquisition.kg.update_steps": ("kg_update_steps", int),
-    "acquisition.kg.update_lr": ("kg_update_lr", float),
     "acquisition.kg.inner_eval_size": ("kg_inner_eval", int),
     "rounds": ("rounds", int),
     "batch": ("batch", int),
@@ -166,6 +168,9 @@ def parse_config_text(text: str) -> CampaignConfig:
             raise ConfigError(f"line {lineno}: expected key=value, got {line!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
+        if key in ("acquisition.kg.update_steps", "acquisition.kg.update_lr"):
+            raise ConfigError(f"{key}: removed; KG fantasies are closed-form since 0.3.0 "
+                              "and take no update steps or learning rate")
         if key not in _KEY_MAP:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         attr, conv = _KEY_MAP[key]
@@ -259,7 +264,6 @@ def _train_configs(cfg: CampaignConfig) -> tuple[TrainConfig, TrainConfig | None
 def _kg_config(cfg: CampaignConfig) -> KGConfig:
     return _checked("acquisition.kg.", lambda: KGConfig(
         n_fantasies=cfg.kg_fantasies, inner_pool_size=cfg.kg_inner_pool,
-        update_steps=cfg.kg_update_steps, update_lr=cfg.kg_update_lr,
         inner_eval_size=cfg.kg_inner_eval))
 
 

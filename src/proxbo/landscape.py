@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from math import isfinite
 from pathlib import Path
 from typing import Iterator, Protocol
 
@@ -116,6 +117,8 @@ def load_lookup(
                 score = float(cols[1])
             except ValueError:
                 raise ParseError(f"{path}:{lineno}: non-numeric score {cols[1]!r}") from None
+            if not isfinite(score):
+                raise ParseError(f"{path}:{lineno}: non-finite score {cols[1]!r}")
             if negate:
                 score = -score
             if first is not None and len(residues) != len(first):
@@ -162,6 +165,8 @@ class NKLandscape:
 
     def __post_init__(self):
         check_positive(self, "n")
+        if self.seed < 0:
+            raise ValueError(f"seed: must be >= 0, got {self.seed}")
         if not 0 <= self.k <= self.n - 1:
             raise ValueError(f"k: must be in [0, n-1] = [0, {self.n - 1}], got {self.k}")
         rng = np.random.default_rng(self.seed)

@@ -26,6 +26,7 @@ class ConvRegressorConfig:
     hidden_dense: int = 64
 
     def __post_init__(self):
+        check_positive(self, "kernel_size")
         if self.kernel_size % 2 != 1:
             raise ValueError(f"kernel_size: must be odd, got {self.kernel_size}")
         if not self.channels or min(self.channels) < 1:
@@ -51,6 +52,8 @@ class TrainConfig:
 
     def __post_init__(self):
         check_positive(self, "epochs", "minibatch", "learning_rate")
+        if not np.isfinite(self.learning_rate):
+            raise ValueError(f"learning_rate: must be finite, got {self.learning_rate!r}")
 
 
 class Dataset:
@@ -88,6 +91,41 @@ class Dataset:
         if not self._scores:
             raise ValueError("dataset is empty")
         return max(self._scores.values())
+
+
+NOISE_VAR_FLOOR = 1e-4  # the least noise variance the evidence may fit, in standardized units
+_PRECISION_RANGE = (1e-8, 1e8)  # keeps α, β finite on constant targets or an exact fit
+
+
+def evidence_posterior(phi: np.ndarray, t: np.ndarray) -> tuple[float, float, np.ndarray]:
+    """(α, β, S) of Bayesian linear regression t ~ N(Φw, β⁻¹I), w ~ N(0, α⁻¹I).
+
+    α and β maximise the evidence p(t | α, β) by MacKay's fixed point
+    α = γ / mᵀm, β = (n − γ) / |t − Φm|² (γ: effective number of parameters,
+    m: posterior mean), iterated from α = β = 1 until both move by less than
+    a relative 1e-10. β is capped at 1 / NOISE_VAR_FLOOR, and both stay in
+    `_PRECISION_RANGE`. S = (αI + βΦᵀΦ)⁻¹ is the posterior covariance.
+    """
+    lo, hi = _PRECISION_RANGE
+    eig, vec = np.linalg.eigh(phi.T @ phi)
+    eig = np.maximum(eig, 0.0)
+    proj = vec.T @ (phi.T @ t)  # Φᵀt in the eigenbasis
+    phi_vec = phi @ vec
+    alpha, beta = 1.0, 1.0
+    for _ in range(200):
+        mean = beta * proj / (alpha + beta * eig)  # m in the eigenbasis
+        gamma = np.sum(beta * eig / (alpha + beta * eig))
+        resid = t - phi_vec @ mean
+        with np.errstate(divide="ignore"):  # an exact fit or no signal: clipped below
+            new_alpha = float(np.clip(gamma / (mean @ mean), lo, hi))
+            new_beta = float(np.clip((t.size - gamma) / (resid @ resid), lo,
+                                     1.0 / NOISE_VAR_FLOOR))
+        done = (abs(new_alpha - alpha) <= 1e-10 * alpha
+                and abs(new_beta - beta) <= 1e-10 * beta)
+        alpha, beta = new_alpha, new_beta
+        if done:
+            break
+    return alpha, beta, (vec / (alpha + beta * eig)) @ vec.T
 
 
 class _StackedNet:
@@ -133,7 +171,6 @@ class ConvRegressor(_StackedNet):
     """
 
     kind = "conv"
-    head_param_names = ("dense_w", "dense_b", "out_w", "out_b")
 
     def _init_member(self, rng: np.random.Generator) -> dict[str, np.ndarray]:
         cfg = self.cfg
@@ -162,7 +199,11 @@ class ConvRegressor(_StackedNet):
         return feats, (caches, c_pool)
 
     # feature map (conv stack + pooling) vs head (dense layers): the split
-    # lets fantasy updates retrain the head only, on cached features
+    # lets predictions and KG fantasies reuse cached features
+
+    def last_hidden(self, feats: np.ndarray) -> np.ndarray:
+        """(M, B, h) input of each member's output layer on its own (M, B, d) features."""
+        return np.maximum(feats @ self.params["dense_w"] + self.params["dense_b"][:, None, :], 0.0)
 
     def head_forward(self, feats: np.ndarray):
         """(M, B) outputs of each member's head on its own (M, B, d) features."""
@@ -171,19 +212,13 @@ class ConvRegressor(_StackedNet):
         out, c_out = nn.dense_forward(hid, self.params["out_w"], self.params["out_b"])
         return out[..., 0], (c_dense, c_hrelu, c_out)
 
-    def head_backward(self, cache, dpred: np.ndarray, grads) -> np.ndarray:
-        """Write the head's gradients into `grads`; return the gradient w.r.t. the features."""
-        c_dense, c_hrelu, c_out = cache
-        d, _, _ = nn.dense_backward(c_out, dpred[..., None], grads["out_w"], grads["out_b"])
-        d = nn.relu_backward(c_hrelu, d)
-        d, _, _ = nn.dense_backward(c_dense, d, grads["dense_w"], grads["dense_b"])
-        return d
-
     def backward(self, cache, dpred: np.ndarray, grads: nn.Arena | None = None) -> nn.Arena:
         """Gradients of every parameter, written into `grads` (a new arena when None)."""
         grads = nn.Arena.like(self.params) if grads is None else grads
-        (caches, c_pool), c_head = cache
-        d = self.head_backward(c_head, dpred, grads)
+        (caches, c_pool), (c_dense, c_hrelu, c_out) = cache
+        d, _, _ = nn.dense_backward(c_out, dpred[..., None], grads["out_w"], grads["out_b"])
+        d = nn.relu_backward(c_hrelu, d)
+        d, _, _ = nn.dense_backward(c_dense, d, grads["dense_w"], grads["dense_b"])
         d = nn.mean_pool_backward(c_pool, d)
         for i in reversed(range(len(self.cfg.channels))):
             c_conv, c_relu = caches[i]
@@ -198,7 +233,6 @@ class RecurrentRegressor(_StackedNet):
     """M plain tanh recurrences over positions, stacked; final hidden state -> scalar."""
 
     kind = "recurrent"
-    head_param_names = ("out_w", "out_b")
 
     def _init_member(self, rng: np.random.Generator) -> dict[str, np.ndarray]:
         h, v = self.cfg.hidden_size, self.vocab
@@ -217,21 +251,21 @@ class RecurrentRegressor(_StackedNet):
             hs.append(np.tanh(x[..., t, :] @ wx + hs[-1] @ wh + bh[:, None, :]))
         return hs[-1], (x, hs)
 
+    def last_hidden(self, feats: np.ndarray) -> np.ndarray:
+        """The output layer's input: the final hidden states themselves."""
+        return feats
+
     def head_forward(self, feats: np.ndarray):
         out, c_out = nn.dense_forward(feats, self.params["out_w"], self.params["out_b"])
         return out[..., 0], (c_out,)
 
-    def head_backward(self, cache, dpred: np.ndarray, grads) -> np.ndarray:
-        d, _, _ = nn.dense_backward(cache[0], dpred[..., None], grads["out_w"], grads["out_b"])
-        return d
-
     def backward(self, cache, dpred: np.ndarray, grads: nn.Arena | None = None) -> nn.Arena:
         """Gradients of every parameter, written into `grads` (a new arena when None)."""
         grads = nn.Arena.like(self.params) if grads is None else grads
-        (x, hs), c_head = cache
+        (x, hs), (c_out,) = cache
         wh = self.params["wh"]
         grads.flat.fill(0.0)  # the recurrent gradients accumulate over positions
-        dh = self.head_backward(c_head, dpred, grads)
+        dh, _, _ = nn.dense_backward(c_out, dpred[..., None], grads["out_w"], grads["out_b"])
         gwx, gwh, gbh = grads["wx"], grads["wh"], grads["bh"]
         for t in reversed(range(x.shape[-2])):
             da = dh * (1.0 - hs[t + 1] ** 2)  # through tanh
@@ -303,6 +337,7 @@ class Ensemble:
         self.length: int | None = None
         self.vocab: int | None = None
         self._feature_cache: dict[Sequence, np.ndarray] = {}
+        self._head_post: tuple | None = None  # see _head_posterior
 
     @property
     def trained(self) -> bool:
@@ -354,6 +389,7 @@ class Ensemble:
             self.net = self._init_net()
         y_all = (y_raw - self.y_mean) / self.y_std
         self._feature_cache.clear()
+        self._head_post = None
 
         n = len(seqs)
         # rows[m, e]: dataset rows member m visits in epoch e, in order
@@ -400,31 +436,39 @@ class Ensemble:
         preds = self.net.head_forward(self.features_batch(batch))[0] * self.y_std + self.y_mean
         return np.stack([preds.mean(axis=0), preds.var(axis=0)], axis=1)
 
+    def _design(self, seqs: list[Sequence]) -> np.ndarray:
+        """(M, B, h + 1) design matrices: each member's output-layer input, then a ones column."""
+        hid = self.net.last_hidden(self.features_batch(seqs))
+        return np.concatenate([hid, np.ones(hid.shape[:-1] + (1,))], axis=-1)
+
+    def _head_posterior(self, data: Dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per member: w0 (trained output layer, bias last), S and 1/β of `evidence_posterior`."""
+        post = self._head_post
+        if post is None or post[0] is not data or post[1] != len(data):
+            phi = self._design(data.sequences)
+            t = (data.scores - self.y_mean) / self.y_std
+            _, beta, cov = zip(*(evidence_posterior(phi[m], t) for m in range(self.n_members)))
+            w0 = np.concatenate([self.net.params["out_w"][..., 0], self.net.params["out_b"]], -1)
+            self._head_post = post = (data, len(data), (w0, np.stack(cov), 1.0 / np.array(beta)))
+        return post[2]
+
     def fantasy_inner_means_multi(self, batches: list[list[Sequence]], ys: np.ndarray,
                                   inner_pool: list[Sequence], data: Dataset,
-                                  steps: int = 20, lr: float = 1e-3) -> np.ndarray:
+                                  steps: int | None = None, lr: float | None = None) -> np.ndarray:
         """Posterior means over `inner_pool` under each fantasy outcome of each batch.
 
         `ys` has shape (len(batches), n_fantasies, batch size): one
         hypothetical outcome vector per (batch, fantasy). Returns an array of
         shape (len(batches), n_fantasies, len(inner_pool)) of de-standardized
-        ensemble means, each from a few Adam steps of every member's head on
-        the frozen cached features of the observed rows plus that batch.
+        ensemble means.
 
-        The candidate batches train one after another, each as one block of
-        (fantasy, member) head copies: the head parameters carry a leading
-        fantasy axis, (F, M, ...), and the candidate's (M, n, d) features
-        broadcast against them, so no features are tiled. The features of the
-        observed rows and of every batch come from one cache lookup per call;
-        the activation, mask and gradient arrays are allocated once per call
-        and rewritten in place at every step of every candidate. The head
-        copies and their gradients are two `nn.Arena`s, so each Adam step is
-        one pass over a flat buffer, and each candidate starts from one copy
-        of the base head broadcast over the fantasies. Each head
-        copy goes through the same matrix products and reductions as when all
-        (candidate, fantasy, member) copies were tiled into one stack, so the
-        result equals that stack's bit for bit; tests/fantasy_oracle.py keeps
-        the tiled version as the oracle.
+        Each member's output layer is a Bayesian linear regression on its
+        last hidden layer Φ (neural-linear, as in DNGO), with weights
+        N(w0, S) from `_head_posterior`. Conditioning on a batch's
+        standardized outcomes y moves the inner means to
+        Φ_p w0 + Φ_p S Φ_bᵀ (Φ_b S Φ_bᵀ + β⁻¹I)⁻¹ (y − Φ_b w0), computed for every
+        (member, candidate, fantasy) at once and averaged over the members.
+        `steps` and `lr` are ignored; they set the SGD head this replaced.
         """
         if not self.trained:
             raise TrainingError("ensemble has not been fitted")
@@ -435,83 +479,22 @@ class Ensemble:
         width = len(batches[0])
         if ys.shape[2] != width or any(len(b) != width for b in batches):
             raise ValueError("all batches must share one size matching ys")
-        n_f, n_m = ys.shape[1], self.n_members
-        y_obs = (data.scores - self.y_mean) / self.y_std
-        y_fan = (ys - self.y_mean) / self.y_std
-        n_obs = y_obs.size
-        n = n_obs + width
-        # (M, n_obs + n_c * width, d): the observed rows, then every batch's rows
-        rows = self.features_batch(data.sequences + [s for batch in batches for s in batch])
-        # one candidate's augmented dataset: the observed rows, then its batch
-        feats = rows[:, :n].copy()
-        targets = np.empty((n_f, 1, n))
-        targets[..., :n_obs] = y_obs
-        inner_feats = self.features_batch(inner_pool)
-
-        # the (F, M, ...) head copies, their gradients and their starting
-        # values (the base head broadcast over the fantasies), each one arena
-        shapes = {name: (n_f,) + self.net.params[name].shape
-                  for name in self.net.head_param_names}
-        params, grads, start = nn.Arena(shapes), nn.Arena(shapes), nn.Arena(shapes)
-        for name in start:
-            start[name][...] = self.net.params[name]
-        out_w, out_b = params["out_w"], params["out_b"]
-        g_out_w, g_out_b = grads["out_w"], grads["out_b"]
-        has_hidden = "dense_w" in params
-        out = np.empty((n_f, n_m, n, 1))
-        inner_out = np.empty((n_f, n_m, len(inner_pool), 1))
-        act = mask = inner_act = None
-        if has_hidden:
-            dense_w, dense_b = params["dense_w"], params["dense_b"]
-            g_dense_w, g_dense_b = grads["dense_w"], grads["dense_b"]
-            out_w_t = np.swapaxes(out_w, -1, -2)
-            act = np.empty((n_f, n_m, n, dense_w.shape[-1]))
-            mask = np.empty(act.shape, dtype=bool)
-            inner_act = np.empty((n_f, n_m, len(inner_pool), dense_w.shape[-1]))
-        feats_t = np.swapaxes(feats, -1, -2)
-
-        def head(x, act, out, mask=None):
-            """(F, M, rows) outputs on x: (M, rows, d), written into `out`; and the output layer's input."""
-            if has_hidden:
-                np.matmul(x, dense_w, out=act)
-                act += dense_b[..., None, :]
-                if mask is not None:
-                    np.greater(act, 0.0, out=mask)
-                x = np.maximum(act, 0.0, out=act)
-            np.matmul(x, out_w, out=out)
-            pred = out[..., 0]
-            pred += out_b
-            return pred, x
-
-        result = np.empty((len(batches), n_f, len(inner_pool)))
-        for c in range(len(batches)):
-            feats[:, n_obs:] = rows[:, n_obs + c * width:n_obs + (c + 1) * width]
-            targets[..., n_obs:] = y_fan[c][:, None, :]
-            np.copyto(params.flat, start.flat)
-            opt = nn.Adam(params, lr=lr)
-            for _ in range(steps):
-                diff, hid = head(feats, act, out, mask)
-                diff -= targets
-                if not np.all(np.isfinite(diff)):
-                    raise TrainingError("fantasy update diverged")
-                diff *= 2.0 / n  # `out` now holds the output gradient
-                np.matmul(np.swapaxes(hid, -1, -2), out, out=g_out_w)
-                np.sum(out, axis=-2, out=g_out_b)
-                if has_hidden:
-                    # the hidden activations are spent, so `act` takes their
-                    # gradient. The K=1 matmul `out @ out_w^T` differs from this
-                    # product only by turning -0.0 into +0.0, which no update
-                    # can see; the mask multiplies, as np.where would also
-                    # change the signs of zeros
-                    dhid = np.multiply(out, out_w_t, out=act)
-                    dhid *= mask
-                    np.matmul(feats_t, dhid, out=g_dense_w)
-                    np.sum(dhid, axis=-2, out=g_dense_b)
-                opt.step(params, grads)
-            preds, _ = head(inner_feats, inner_act, inner_out)
-            preds *= self.y_std
-            preds += self.y_mean
-            result[c] = preds.mean(axis=1)
+        w0, cov, noise = self._head_posterior(data)
+        n_m, n_c = self.n_members, len(batches)
+        phi_b = self._design([s for batch in batches for s in batch]).reshape(
+            n_m, n_c, width, -1)
+        phi_p = self._design(inner_pool)[:, None]                  # (M, 1, P, D)
+        y = (ys - self.y_mean) / self.y_std                        # (C, F, w)
+        g = phi_b @ cov[:, None]                                   # Φ_b S: (M, C, w, D)
+        gram = g @ np.swapaxes(phi_b, -1, -2)                      # (M, C, w, w)
+        gram += noise[:, None, None, None] * np.eye(width)
+        resid = y - np.swapaxes(phi_b @ w0[:, None, :, None], -1, -2)  # y − Φ_b w0: (M, C, F, w)
+        gain = np.linalg.solve(gram, np.swapaxes(resid, -1, -2))   # (M, C, w, F)
+        w_post = w0[:, None, :, None] + np.swapaxes(g, -1, -2) @ gain  # (M, C, D, F)
+        means = (phi_p @ w_post).mean(axis=0)                      # (C, P, F)
+        result = np.swapaxes(means, -1, -2) * self.y_std + self.y_mean
+        if not np.isfinite(result).all():
+            raise TrainingError("non-finite fantasy posterior means")
         return result
 
     # -- checkpointing ------------------------------------------------------

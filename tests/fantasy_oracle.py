@@ -1,27 +1,22 @@
-"""Slow reference paths for the KG fantasy head: the oracles its fast path is tested against.
+"""Slow reference paths for the KG fantasies: the oracles their fast paths are tested against.
 
-- `tiled_fantasy_inner_means_multi` is the body `Ensemble.fantasy_inner_means_multi`
-  had before it trained one candidate block at a time: it tiles the features
-  and the head parameters into one (candidate x fantasy x member) stack and
-  allocates a fresh array for every operation of every step.
-- `fantasy_update` is the per-fantasy update the ensemble once exposed: a
-  few Adam steps on a copy of the stacked head, returning a model whose
-  `predict_batch` reads the updated head.
+- `looped_fantasy_inner_means_multi` computes the closed-form fantasy means
+  of `Ensemble.fantasy_inner_means_multi` one (candidate, fantasy, member)
+  at a time, with explicit inverses, rebuilding each member's design matrix
+  and posterior covariance from the network's parameters.
+- `sequential_fantasy_inner_means` conditions each member's output layer on
+  the batch one row at a time (rank-one Kalman updates), which must agree
+  with conditioning on the whole batch at once.
+- `log_evidence` is the log marginal likelihood that
+  `surrogate.evidence_posterior` maximises, for brute-force grid searches.
 - `per_candidate_slot_scores` is the KG slot scoring that predicted
   `chosen + [c]` once per candidate `c`.
-
-The two fantasy paths step their heads with the allocating textbook Adam of
-`sequential_fit.Adam`, not with the in-place `proxbo.nn.Adam`.
 """
-
-import copy
 
 import numpy as np
 
-from proxbo import nn
 from proxbo.errors import TrainingError
-
-from sequential_fit import Adam
+from proxbo.surrogate import evidence_posterior
 
 
 def per_candidate_slot_scores(model, pool, chosen, subset, inner, data, cfg, rng, penalty):
@@ -37,13 +32,31 @@ def per_candidate_slot_scores(model, pool, chosen, subset, inner, data, cfg, rng
         batches.append(batch)
         ys.append(means[None, :] + stds[None, :] * z + penalty[rows][None, :])
     inner_means = model.fantasy_inner_means_multi(batches, np.stack(ys),
-                                                  [pool[i] for i in inner], data,
-                                                  steps=cfg.update_steps, lr=cfg.update_lr)
+                                                  [pool[i] for i in inner], data)
     return (inner_means - penalty[inner]).max(axis=2).mean(axis=1)
 
 
-def tiled_fantasy_inner_means_multi(ens, batches, ys, inner_pool, data, steps=20, lr=1e-3):
-    """(len(batches), n_fantasies, len(inner_pool)) fantasy means, all head copies tiled."""
+def member_design(ens, m, seqs):
+    """Member m's (len(seqs), h + 1) design matrix: its output layer's input, then ones."""
+    params = {name: arr[m] for name, arr in ens.net.params.items()}
+    hid = ens.features_batch(seqs)[m]
+    if ens.kind == "conv":
+        hid = np.maximum(hid @ params["dense_w"] + params["dense_b"], 0.0)
+    return np.hstack([hid, np.ones((len(seqs), 1))])
+
+
+def member_posterior(ens, m, data):
+    """(w0, S, noise variance) of member m's output layer, with S from an explicit inverse."""
+    phi = member_design(ens, m, data.sequences)
+    t = (data.scores - ens.y_mean) / ens.y_std
+    alpha, beta, _ = evidence_posterior(phi, t)
+    cov = np.linalg.inv(alpha * np.eye(phi.shape[1]) + beta * phi.T @ phi)
+    w0 = np.append(ens.net.params["out_w"][m, :, 0], ens.net.params["out_b"][m])
+    return w0, cov, 1.0 / beta
+
+
+def looped_fantasy_inner_means_multi(ens, batches, ys, inner_pool, data):
+    """(len(batches), n_fantasies, len(inner_pool)) closed-form fantasy means, one copy at a time."""
     if not ens.trained:
         raise TrainingError("ensemble has not been fitted")
     ys = np.asarray(ys, dtype=np.float64)
@@ -53,88 +66,44 @@ def tiled_fantasy_inner_means_multi(ens, batches, ys, inner_pool, data, steps=20
     width = len(batches[0])
     if ys.shape[2] != width or any(len(b) != width for b in batches):
         raise ValueError("all batches must share one size matching ys")
-    n_c, n_f, n_m = len(batches), ys.shape[1], ens.n_members
-    y_obs = (data.scores - ens.y_mean) / ens.y_std
-    y_fan = (ys - ens.y_mean) / ens.y_std
-    targets = np.concatenate(
-        [np.broadcast_to(y_obs, (n_c, n_f, y_obs.size)), y_fan], axis=2)
-    # batch-major, then fantasy-major within each batch
-    y_p = np.repeat(targets.reshape(n_c * n_f, -1), n_m, axis=0)
-    feats_p = np.concatenate(
-        [np.tile(ens.features_batch(data.sequences + list(batch)), (n_f, 1, 1))
-         for batch in batches])
-
-    params = {}
-    for name in ens.net.head_param_names:
-        stacked = ens.net.params[name]
-        params[name] = np.tile(stacked, (n_c * n_f,) + (1,) * (stacked.ndim - 1))
-    has_hidden = "dense_w" in params
-
-    def head(x):
-        pre = None
-        if has_hidden:
-            pre = x @ params["dense_w"] + params["dense_b"][:, None, :]
-            x = np.maximum(pre, 0.0)
-        out = (x @ params["out_w"])[:, :, 0] + params["out_b"][:, None, 0]
-        return out, x, pre
-
-    n = y_p.shape[1]
-    opt = Adam(params, lr=lr)
-    for _ in range(steps):
-        pred, hid, pre = head(feats_p)
-        diff = pred - y_p
-        if not np.all(np.isfinite(diff)):
-            raise TrainingError("fantasy update diverged")
-        dout = ((2.0 / n) * diff)[:, :, None]
-        grads = {"out_w": hid.transpose(0, 2, 1) @ dout,
-                 "out_b": dout.sum(axis=1)}
-        if has_hidden:
-            dhid = (dout @ params["out_w"].transpose(0, 2, 1)) * (pre > 0)
-            grads["dense_w"] = feats_p.transpose(0, 2, 1) @ dhid
-            grads["dense_b"] = dhid.sum(axis=1)
-        opt.step(params, grads)
-
-    inner_p = np.tile(ens.features_batch(inner_pool), (n_c * n_f, 1, 1))
-    preds, _, _ = head(inner_p)
-    preds = preds * ens.y_std + ens.y_mean
-    return preds.reshape(n_c, n_f, n_m, -1).mean(axis=2)
+    n_m = ens.n_members
+    posts = [member_posterior(ens, m, data) for m in range(n_m)]
+    phi_p = [member_design(ens, m, inner_pool) for m in range(n_m)]
+    out = np.empty((len(batches), ys.shape[1], len(inner_pool)))
+    for c, batch in enumerate(batches):
+        phi_b = [member_design(ens, m, batch) for m in range(n_m)]
+        for f in range(ys.shape[1]):
+            y = (ys[c, f] - ens.y_mean) / ens.y_std
+            total = np.zeros(len(inner_pool))
+            for m in range(n_m):
+                w0, cov, noise = posts[m]
+                gram_inv = np.linalg.inv(phi_b[m] @ cov @ phi_b[m].T + noise * np.eye(width))
+                total += (phi_p[m] @ w0
+                          + phi_p[m] @ cov @ phi_b[m].T @ gram_inv @ (y - phi_b[m] @ w0))
+            out[c, f] = total / n_m * ens.y_std + ens.y_mean
+    return out
 
 
-class FantasyEnsemble:
-    """Ensemble posterior after a head-only fantasy update; features stay the base's."""
+def sequential_fantasy_inner_means(ens, batch, ys, inner_pool, data):
+    """(n_fantasies, len(inner_pool)) means after conditioning on `batch` row by row."""
+    out = np.zeros((len(ys), len(inner_pool)))
+    for m in range(ens.n_members):
+        w0, cov0, noise = member_posterior(ens, m, data)
+        phi_b = member_design(ens, m, batch)
+        phi_p = member_design(ens, m, inner_pool)
+        for f, y_raw in enumerate(ys):
+            w, cov = w0.copy(), cov0.copy()
+            for phi, y in zip(phi_b, (np.asarray(y_raw) - ens.y_mean) / ens.y_std):
+                gain = cov @ phi / (phi @ cov @ phi + noise)
+                w = w + gain * (y - phi @ w)
+                cov = cov - np.outer(gain, phi @ cov)
+            out[f] += phi_p @ w
+    return out / ens.n_members * ens.y_std + ens.y_mean
 
-    def __init__(self, base, net):
-        self._base = base
-        self._net = net
 
-    def predict_batch(self, batch):
-        preds = self._net.head_forward(self._base.features_batch(batch))[0]
-        preds = preds * self._base.y_std + self._base.y_mean
-        return np.stack([preds.mean(axis=0), preds.var(axis=0)], axis=1)
-
-
-def fantasy_update(ens, batch, ys, data, steps=20, lr=1e-3):
-    """Posterior after hypothetically measuring `ys` at `batch`: a few head-only steps per member."""
-    if not ens.trained:
-        raise TrainingError("ensemble has not been fitted")
-    seqs = data.sequences + list(batch)
-    y_raw = np.concatenate([data.scores, np.asarray(ys, dtype=np.float64)])
-    y = (y_raw - ens.y_mean) / ens.y_std
-    feats = ens.features_batch(seqs)
-    net = copy.copy(ens.net)
-    net.params = dict(ens.net.params)
-    for name in net.head_param_names:
-        net.params[name] = ens.net.params[name].copy()
-    head = {name: net.params[name] for name in net.head_param_names}
-    opt = Adam(head, lr=lr)
-    for _ in range(steps):
-        pred, cache = net.head_forward(feats)
-        loss, diff = nn.mse_forward(pred, y)
-        finite = np.isfinite(loss)
-        if not finite.all():
-            raise TrainingError(
-                f"fantasy update diverged on member {int(np.argmin(finite))}")
-        grads = {name: np.empty_like(arr) for name, arr in head.items()}
-        net.head_backward(cache, nn.mse_backward(diff), grads)
-        opt.step(head, grads)
-    return FantasyEnsemble(ens, net)
+def log_evidence(phi, t, alpha, beta):
+    """log p(t | α, β) of Bayesian linear regression t ~ N(Φw, β⁻¹I), w ~ N(0, α⁻¹I)."""
+    n, d = phi.shape
+    cov = np.eye(n) / beta + phi @ phi.T / alpha
+    _, logdet = np.linalg.slogdet(cov)
+    return -0.5 * (n * np.log(2.0 * np.pi) + logdet + t @ np.linalg.solve(cov, t))

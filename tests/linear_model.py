@@ -36,7 +36,7 @@ class LinearGaussianModel:
         var = np.einsum("bi,ij,bj->b", phi, self.cov, phi)
         return np.stack([mean, var], axis=1)
 
-    def fantasy_inner_means_multi(self, batches, ys, inner_pool, data, steps=0, lr=0.0):
+    def fantasy_inner_means_multi(self, batches, ys, inner_pool, data):
         ys = np.asarray(ys, dtype=np.float64)          # (C, F, B)
         phi_p = self._phi(inner_pool)                  # (P, d)
         prior_p = phi_p @ self.mean_w

@@ -38,11 +38,10 @@ class ScalarShiftedModel:
         return np.array([(mu - self._penalty(s), var)
                          for s, (mu, var) in zip(batch, self._model.predict_batch(batch))])
 
-    def fantasy_inner_means_multi(self, batches, ys, inner_pool, data, steps=20, lr=1e-3):
+    def fantasy_inner_means_multi(self, batches, ys, inner_pool, data):
         physical = np.asarray(ys, dtype=np.float64) + np.stack(
             [[self._penalty(s) for s in batch] for batch in batches])[:, None, :]
-        inner = self._model.fantasy_inner_means_multi(batches, physical, inner_pool,
-                                                      data, steps=steps, lr=lr)
+        inner = self._model.fantasy_inner_means_multi(batches, physical, inner_pool, data)
         return inner - np.array([self._penalty(s) for s in inner_pool])[None, None, :]
 
 

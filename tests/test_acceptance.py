@@ -48,8 +48,7 @@ BO_COMMON = dict(
 
 KG_CONFIG = CampaignConfig(
     **BO_COMMON, acquisition="kg",
-    kg_fantasies=4, kg_inner_pool=128, kg_update_steps=6,
-    kg_update_lr=8e-2, kg_inner_eval=8,
+    kg_fantasies=4, kg_inner_pool=128, kg_inner_eval=8,
 )
 
 
@@ -251,7 +250,7 @@ class TestReproducibility:
         method="batch_bo", acquisition="kg", surrogate_kind="conv",
         members=2, channels=(4, 4), kernel_size=3, hidden_dense=8,
         epochs=15, rounds=2, batch=4, pool_size=48,
-        kg_fantasies=2, kg_inner_pool=16, kg_update_steps=2, kg_inner_eval=3,
+        kg_fantasies=2, kg_inner_pool=16, kg_inner_eval=3,
         lambda_kind="iqr", seeds=(0, 1),
     )
 

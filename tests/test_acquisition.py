@@ -167,8 +167,7 @@ class TestSelectBatch:
         class NaNFantasies:
             predict_batch = staticmethod(model.predict_batch)
 
-            def fantasy_inner_means_multi(self, batches, ys, inner_pool, data,
-                                          steps=20, lr=1e-3):
+            def fantasy_inner_means_multi(self, batches, ys, inner_pool, data):
                 return np.full((len(batches), ys.shape[1], len(inner_pool)), np.nan)
 
         cfg = KGConfig(n_fantasies=4, inner_pool_size=4, inner_eval_size=4)

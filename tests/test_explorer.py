@@ -201,8 +201,7 @@ class TestRounds:
     def test_kg_round_runs_and_consumes_budget(self):
         land, oracle, state, ens = self._setup(rounds=2, batch=4)
         rng = np.random.default_rng(3)
-        kg = KGConfig(n_fantasies=2, inner_pool_size=16, update_steps=2,
-                      inner_eval_size=3)
+        kg = KGConfig(n_fantasies=2, inner_pool_size=16, inner_eval_size=3)
         state, _ = run_round(state, ens, oracle, strategy="kg", kg_config=kg,
                              pool_size=32, train_cfg=FAST_TRAIN, rng=rng)
         state, rec = run_round(state, ens, oracle, strategy="kg", kg_config=kg,

@@ -1,8 +1,13 @@
-"""The KG fantasy head's fast paths against the slow paths they replaced (tests/fantasy_oracle.py).
+"""The KG fantasies' fast paths against the slow paths they replaced (tests/fantasy_oracle.py).
 
-Every comparison is bit for bit: the arrays must have the same bytes, which
-also catches a flipped sign of zero.
+The closed-form fantasy means are compared with a looped oracle to a
+relative 1e-9, because the fast path orders its floating-point work
+differently. The KG slot scoring and the in-place Adam are compared bit for
+bit: the arrays must have the same bytes, which also catches a flipped sign
+of zero.
 """
+
+import itertools
 
 import numpy as np
 import pytest
@@ -11,11 +16,12 @@ import proxbo.acquisition as acquisition
 import proxbo.nn as nn
 from proxbo.harness import CampaignConfig, run_campaign
 from proxbo.sequences import hamming_distances
-from proxbo.surrogate import (ConvRegressorConfig, Ensemble, RecurrentRegressorConfig,
-                              TrainConfig)
+from proxbo.surrogate import (NOISE_VAR_FLOOR, ConvRegressorConfig, Ensemble,
+                              RecurrentRegressorConfig, TrainConfig, evidence_posterior)
 
 import test_acceptance
-from fantasy_oracle import per_candidate_slot_scores, tiled_fantasy_inner_means_multi
+from fantasy_oracle import (log_evidence, looped_fantasy_inner_means_multi,
+                            per_candidate_slot_scores)
 from sequential_fit import Adam as AllocatingAdam
 from test_surrogate import random_dataset
 
@@ -29,17 +35,27 @@ def assert_same_bits(a, b):
     assert a.tobytes() == b.tobytes()
 
 
+def _linear(s):
+    return float(np.dot(s.residues, [0.3, -0.2, 0.5, 0.1, -0.4, 0.25, 0.15, -0.1]))
+
+
 @pytest.fixture(scope="module")
 def fitted():
-    """(ensemble, data, unmeasured sequences) per (kind, members), fitted once."""
-    data = random_dataset(14, seed=21)
+    """(ensemble, data, unmeasured sequences) per (kind, members), fitted once.
+
+    The targets have a signal the small networks learn, so that the evidence
+    gives the first member's output layer a finite prior precision and the
+    fantasies move the means; on targets that are pure noise it finds none
+    and caps α, and every fantasy mean is then the prediction.
+    """
+    data = random_dataset(20, seed=21, fn=_linear)
     unmeasured = [s for s in random_dataset(40, seed=22).sequences if s not in data]
     cache = {}
 
     def get(kind, n_members):
         if (kind, n_members) not in cache:
             ens = Ensemble(kind, KINDS[kind], n_members=n_members, seed=3)
-            ens.fit(data, TrainConfig(epochs=8, minibatch=8, learning_rate=1e-2),
+            ens.fit(data, TrainConfig(epochs=100, minibatch=8, learning_rate=1e-2),
                     np.random.default_rng(4))
             cache[kind, n_members] = ens
         return cache[kind, n_members], data, unmeasured
@@ -60,37 +76,100 @@ class TestFantasyHead:
     @pytest.mark.parametrize("width", [1, 3])
     @pytest.mark.parametrize("n_f", [1, 4])
     @pytest.mark.parametrize("n_members", [1, 3])
-    def test_matches_tiled_stack_bit_for_bit(self, fitted, kind, n_c, width, n_f, n_members):
+    def test_matches_looped_oracle(self, fitted, kind, n_c, width, n_f, n_members):
         ens, data, unmeasured = fitted(kind, n_members)
         batches, ys, inner_pool = _problem(unmeasured, n_c, width, n_f, seed=n_c + width + n_f)
-        fast = ens.fantasy_inner_means_multi(batches, ys, inner_pool, data, steps=5, lr=5e-2)
-        slow = tiled_fantasy_inner_means_multi(ens, batches, ys, inner_pool, data,
-                                               steps=5, lr=5e-2)
-        assert_same_bits(fast, slow)
+        fast = ens.fantasy_inner_means_multi(batches, ys, inner_pool, data)
+        slow = looped_fantasy_inner_means_multi(ens, batches, ys, inner_pool, data)
+        np.testing.assert_allclose(fast, slow, rtol=1e-9, atol=0)
+        moved = np.abs(fast - ens.predict_batch(inner_pool)[:, 0]).max()
+        assert moved > 1e-3  # the comparison covers the update term, not just Φ_p w0
 
     @pytest.mark.parametrize("kind", sorted(KINDS))
     def test_matches_through_shifted_model(self, fitted, kind, monkeypatch):
         """KG slot scores on the posterior shifted by a λ = 0.05 distance penalty."""
         ens, data, unmeasured = fitted(kind, 3)
         penalty = 0.05 * hamming_distances(unmeasured, data.sequences[0])
-        cfg = acquisition.KGConfig(n_fantasies=4, update_steps=6, update_lr=8e-2)
+        cfg = acquisition.KGConfig(n_fantasies=4)
         n = len(unmeasured)
         args = (ens, unmeasured, [0, 1], [2, 3, 4], list(range(n - 9, n)), data, cfg)
         fast = acquisition._kg_slot_scores(*args, np.random.default_rng(5), penalty)
         monkeypatch.setattr(Ensemble, "fantasy_inner_means_multi",
-                            tiled_fantasy_inner_means_multi)
+                            looped_fantasy_inner_means_multi)
         slow = acquisition._kg_slot_scores(*args, np.random.default_rng(5), penalty)
-        assert_same_bits(fast, slow)
+        np.testing.assert_allclose(fast, slow, rtol=1e-9, atol=0)
 
     @pytest.mark.parametrize("kind", sorted(KINDS))
     def test_leaves_base_parameters_untouched(self, fitted, kind):
         ens, data, unmeasured = fitted(kind, 3)
         before = {name: arr.copy() for name, arr in ens.net.params.items()}
         batches, ys, inner_pool = _problem(unmeasured, 3, 2, 4, seed=6)
-        ens.fantasy_inner_means_multi(batches, ys, inner_pool, data, steps=10, lr=1e-1)
+        ens.fantasy_inner_means_multi(batches, ys, inner_pool, data)
         assert ens.net.params.keys() == before.keys()
         for name, arr in before.items():
             assert_same_bits(ens.net.params[name], arr)
+
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_outcomes_on_the_mean_leave_the_means_unchanged(self, fitted, kind):
+        """With one member, y = Φ_b w0 is the model's own prediction: nothing moves."""
+        ens, data, unmeasured = fitted(kind, 1)
+        batch, inner_pool = unmeasured[:3], unmeasured[-9:]
+        ys = ens.predict_batch(batch)[:, 0]
+        means = ens.fantasy_inner_means_multi([batch], np.tile(ys, (1, 2, 1)), inner_pool, data)
+        expected = ens.predict_batch(inner_pool)[:, 0]
+        np.testing.assert_allclose(means[0], np.tile(expected, (2, 1)), rtol=1e-12, atol=1e-12)
+
+    def test_posterior_follows_the_data_it_is_given(self, fitted):
+        """The head posterior is refitted when the observed data change without a refit."""
+        ens, data, unmeasured = fitted("conv", 3)
+        batches, ys, inner_pool = _problem(unmeasured, 2, 2, 3, seed=8)
+        first = ens.fantasy_inner_means_multi(batches, ys, inner_pool, data)
+        smaller = random_dataset(12, seed=21, fn=_linear)
+        fast = ens.fantasy_inner_means_multi(batches, ys, inner_pool, smaller)
+        slow = looped_fantasy_inner_means_multi(ens, batches, ys, inner_pool, smaller)
+        np.testing.assert_allclose(fast, slow, rtol=1e-9, atol=0)
+        assert not np.allclose(fast, first, rtol=1e-6, atol=0)
+        assert_same_bits(ens.fantasy_inner_means_multi(batches, ys, inner_pool, data), first)
+
+
+class TestEvidence:
+    """`evidence_posterior` against a brute-force search of the log evidence."""
+
+    @staticmethod
+    def _problem(noise):
+        rng = np.random.default_rng(11)
+        phi = np.hstack([rng.standard_normal((12, 3)), np.ones((12, 1))])
+        t = phi @ rng.normal(0.0, 0.7, 4) + noise * rng.standard_normal(12)
+        return phi, (t - t.mean()) / t.std()
+
+    def test_fixed_point_maximises_the_evidence_over_a_grid(self):
+        phi, t = self._problem(noise=0.4)
+        alpha, beta, cov = evidence_posterior(phi, t)
+        grid = np.linspace(-7.0, 7.0, 141)  # log α and log β, steps of 0.1
+        values = np.array([[log_evidence(phi, t, np.exp(a), np.exp(b)) for b in grid]
+                           for a in grid])
+        i, j = np.unravel_index(np.argmax(values), values.shape)
+        assert 0 < i < len(grid) - 1 and 0 < j < len(grid) - 1  # an interior maximum
+        assert abs(np.log(alpha) - grid[i]) <= 0.1 and abs(np.log(beta) - grid[j]) <= 0.1
+        assert log_evidence(phi, t, alpha, beta) >= values.max() - 1e-12
+        for da, db in itertools.product((-1e-3, 0.0, 1e-3), repeat=2):
+            assert (log_evidence(phi, t, alpha * np.exp(da), beta * np.exp(db))
+                    <= log_evidence(phi, t, alpha, beta) + 1e-12)
+        np.testing.assert_allclose(
+            cov, np.linalg.inv(alpha * np.eye(4) + beta * phi.T @ phi), rtol=1e-10, atol=1e-14)
+
+    def test_noise_floor_caps_beta_on_noise_free_targets(self):
+        phi, t = self._problem(noise=0.0)
+        alpha, beta, _ = evidence_posterior(phi, t)
+        assert beta == 1.0 / NOISE_VAR_FLOOR
+        grid = alpha * np.exp(np.linspace(-3.0, 3.0, 61))
+        assert log_evidence(phi, t, alpha, beta) >= max(
+            log_evidence(phi, t, a, beta) for a in grid) - 1e-12
+
+    def test_constant_targets_give_finite_precisions(self):
+        phi, _ = self._problem(noise=0.4)
+        alpha, beta, cov = evidence_posterior(phi, np.zeros(len(phi)))
+        assert np.isfinite([alpha, beta]).all() and np.isfinite(cov).all()
 
 
 class TestInPlaceAdam:
@@ -119,16 +198,28 @@ class TestInPlaceAdam:
 
 
 def test_campaign_with_oracles_gives_identical_csvs(tmp_path, monkeypatch):
-    """The reproducibility campaign, run on the fast paths and then on every oracle."""
+    """The reproducibility campaign, run on the fast paths and then on the bit-exact oracles."""
     base = test_acceptance.TestReproducibility.CONFIG.__dict__
     blobs = []
     for name in ("fast", "oracle"):
         if name == "oracle":
-            monkeypatch.setattr(Ensemble, "fantasy_inner_means_multi",
-                                tiled_fantasy_inner_means_multi)
             monkeypatch.setattr(nn, "Adam", AllocatingAdam)
             monkeypatch.setattr(acquisition, "_kg_slot_scores", per_candidate_slot_scores)
         cfg = CampaignConfig(**{**base, "out": str(tmp_path / name)})
         run_campaign(cfg)
+        blobs.append([(tmp_path / name / f"run_{s}.csv").read_bytes() for s in cfg.seeds])
+    assert blobs[0] == blobs[1]
+
+
+def test_kg_campaign_with_penalty_runs_on_the_recurrent_surrogate(tmp_path):
+    """KG at λ > 0 with the recurrent surrogate: a full budget, byte-identical on a rerun."""
+    base = {**test_acceptance.TestReproducibility.CONFIG.__dict__,
+            "surrogate_kind": "recurrent", "hidden_size": 6,
+            "lambda_kind": "fixed", "lambda_value": 0.05}
+    blobs = []
+    for name in ("first", "second"):
+        cfg = CampaignConfig(**{**base, "out": str(tmp_path / name)})
+        records = run_campaign(cfg)
+        assert all(len(records[s]) == cfg.rounds for s in cfg.seeds)
         blobs.append([(tmp_path / name / f"run_{s}.csv").read_bytes() for s in cfg.seeds])
     assert blobs[0] == blobs[1]

@@ -150,7 +150,7 @@ class TestRunArtifacts:
         cfg = parse_config_text(SMALL_BO_CONFIG + f"out={tmp_path}\n")
         run_campaign(cfg)
         manifest = (tmp_path / "manifest.txt").read_text().splitlines()
-        assert manifest[0] == "artifact_version=0.2.0"
+        assert manifest[0] == "artifact_version=0.3.0"
         assert manifest[1] == f"config_hash={config_hash(cfg)}"
 
     def test_cold_start_rows_equal_the_0_1_0_artifact(self, tmp_path):
@@ -445,14 +445,27 @@ class TestCLI:
                      id="lookup-AAA"),
         pytest.param("landscape.kind=lookup\nlandscape.path={tmp}/missing.tsv", (),
                      "[Errno 2] No such file or directory", id="lookup-missing"),
+        ("seeds=-1", (), "seeds"),
+        ("", ("--seed", "-1"), "seeds"),
+        ("surrogate.kernel_size=-1", (), "surrogate.kernel_size"),
+        ("acquisition.beta=inf", (), "acquisition.beta"),
+        ("lambda.kind=iqr\nlambda.factor=inf", (), "lambda.factor"),
+        ("lambda.kind=fixed\nlambda.value=inf", (), "lambda.value"),
+        ("train.learning_rate=inf", (), "train.learning_rate"),
+        ("train.learning_rate=nan", (), "train.learning_rate"),
+        ("train.warm_epochs=-3", (), "train.warm_epochs"),
+        ("landscape.seed=-1", (), "landscape.seed"),
+        # the SGD fantasy head's keys fail loudly rather than being ignored
+        ("acquisition.kg.update_steps=6", (), "acquisition.kg.update_steps"),
+        ("acquisition.kg.update_lr=0.08", (), "acquisition.kg.update_lr"),
     ])
     def test_bad_config_value_exits_one_before_the_manifest(self, tmp_path, line, argv, key):
         gen_nk(6, 1, 2, 9, tmp_path / "land")
         cfg_path = tmp_path / "campaign.cfg"
         cfg_path.write_text(
             "landscape.kind=nk\nlandscape.n=6\nlandscape.k=0\nlandscape.v=2\n"
-            f"{line.format(tmp=tmp_path)}\nrounds=1\nbatch=2\nseeds=0\n"
-            f"out={tmp_path / 'runs'}\n")
+            f"rounds=1\nbatch=2\nseeds=0\nout={tmp_path / 'runs'}\n"
+            f"{line.format(tmp=tmp_path)}\n")
         result = cli("run", str(cfg_path), *argv)
         assert result.returncode == 1
         assert result.stderr.startswith(f"error: {key}: "), result.stderr

@@ -79,6 +79,12 @@ class TestLoadLookup:
         with pytest.raises(ParseError, match=r"table\.tsv:2"):
             load_lookup(p)
 
+    @pytest.mark.parametrize("score", ["nan", "inf", "-inf"])
+    def test_non_finite_score_raises_with_location(self, tmp_path, score):
+        p = write(tmp_path, f"AC\t1.0\nAD\t{score}\nAE\t2.0\n")
+        with pytest.raises(ParseError, match=rf"table\.tsv:2: non-finite score '{score}'"):
+            load_lookup(p)
+
     def test_wrong_column_count_raises(self, tmp_path):
         p = write(tmp_path, "AC 1.0\n")
         with pytest.raises(ParseError, match="2 tab-separated columns"):

@@ -24,8 +24,7 @@ import test_acceptance
 from select_oracle import (ScalarShiftedModel, regularized_incumbent,
                            scalar_penalised_select_batch, scalar_select_batch)
 
-KG = KGConfig(n_fantasies=3, inner_pool_size=24, update_steps=3, update_lr=8e-2,
-              inner_eval_size=5)
+KG = KGConfig(n_fantasies=3, inner_pool_size=24, inner_eval_size=5)
 
 
 @pytest.fixture(scope="module")

@@ -16,7 +16,7 @@ from proxbo.surrogate import (
     TrainConfig,
     gradient_check,
 )
-from fantasy_oracle import fantasy_update
+from fantasy_oracle import sequential_fantasy_inner_means
 from sequential_fit import SequentialEnsemble
 
 AB2 = small_alphabet(2)
@@ -248,11 +248,12 @@ class TestFantasyUpdates:
         s = data.sequences[0]
         before, _ = ens.predict_batch([s])[0]
         target = before + 1.0
-        after = ens.fantasy_inner_means_multi([[s]], np.array([[target]])[None], [s], data,
-                                              steps=50, lr=5e-2)[0][0, 0]
+        after = ens.fantasy_inner_means_multi([[s]], np.array([[target]])[None], [s],
+                                              data)[0][0, 0]
         assert abs(after - target) < abs(before - target)
 
     def test_batched_fantasies_match_sequential_updates(self):
+        """Conditioning on a whole batch equals conditioning on its rows one after another."""
         data = random_dataset(16, seed=4)
         for kind, cfg in [("conv", SMALL_CONV), ("recurrent", SMALL_RNN)]:
             ens = Ensemble(kind, cfg, n_members=3, seed=1)
@@ -260,12 +261,9 @@ class TestFantasyUpdates:
             batch = list(data.sequences[:3])
             pool = list(data.sequences[5:13])
             ys = np.random.default_rng(6).random((4, 3))
-            batched = ens.fantasy_inner_means_multi([batch], ys[None], pool, data,
-                                                    steps=6, lr=1e-2)[0]
-            for f in range(4):
-                one = fantasy_update(ens, batch, ys[f].tolist(), data, steps=6, lr=1e-2)
-                ref = np.array([m for m, _ in one.predict_batch(pool)])
-                assert np.allclose(batched[f], ref, atol=1e-12)
+            batched = ens.fantasy_inner_means_multi([batch], ys[None], pool, data)[0]
+            ref = sequential_fantasy_inner_means(ens, batch, ys, pool, data)
+            np.testing.assert_allclose(batched, ref, rtol=1e-9, atol=1e-12)
 
     def test_multi_batch_fantasies_match_single_batch_calls(self):
         data = random_dataset(16, seed=4)
@@ -274,10 +272,9 @@ class TestFantasyUpdates:
         pool = list(data.sequences[5:13])
         batches = [[data.sequences[i], data.sequences[i + 1]] for i in range(3)]
         ys = np.random.default_rng(7).random((3, 4, 2))
-        multi = ens.fantasy_inner_means_multi(batches, ys, pool, data, steps=6, lr=1e-2)
+        multi = ens.fantasy_inner_means_multi(batches, ys, pool, data)
         for c, batch in enumerate(batches):
-            single = ens.fantasy_inner_means_multi([batch], ys[c][None], pool, data,
-                                                   steps=6, lr=1e-2)[0]
+            single = ens.fantasy_inner_means_multi([batch], ys[c][None], pool, data)[0]
             assert np.array_equal(multi[c], single)
 
     def test_multi_batch_fantasies_reject_bad_shapes(self):
@@ -297,10 +294,9 @@ class TestFantasyUpdates:
         ens.fit(data, TrainConfig(epochs=10, minibatch=8), np.random.default_rng(0))
         pool = list(data.sequences)
         before = [m for m, _ in ens.predict_batch(pool)]
-        ens.fantasy_inner_means_multi([[pool[0]]], np.array([[5.0]])[None], pool, data,
-                                      steps=10, lr=1e-1)
+        ens.fantasy_inner_means_multi([[pool[0]]], np.array([[5.0]])[None], pool, data)
         ens.fantasy_inner_means_multi([[pool[0]], [pool[1]]], np.full((2, 3, 1), 5.0),
-                                      pool, data, steps=10, lr=1e-1)
+                                      pool, data)
         after = [m for m, _ in ens.predict_batch(pool)]
         assert before == after
 
