@@ -4,6 +4,12 @@
   of `Ensemble.fantasy_inner_means_multi` one (candidate, fantasy, member)
   at a time, with explicit inverses, rebuilding each member's design matrix
   and posterior covariance from the network's parameters.
+- `tiled_fantasy_inner_means_multi` computes the same closed form on a
+  tiled stack: the member posteriors are copied once per candidate into one
+  (candidate x member) stack, with each candidate's design rows cut out of
+  one design call. Every matrix operation then runs on a 2-D slice of the
+  same shape as in the fast path, so the two agree bit for bit. It checks
+  the fast path's broadcasting and reshapes, not the posterior they share.
 - `sequential_fantasy_inner_means` conditions each member's output layer on
   the batch one row at a time (rank-one Kalman updates), which must agree
   with conditioning on the whole batch at once.
@@ -82,6 +88,38 @@ def looped_fantasy_inner_means_multi(ens, batches, ys, inner_pool, data):
                           + phi_p[m] @ cov @ phi_b[m].T @ gram_inv @ (y - phi_b[m] @ w0))
             out[c, f] = total / n_m * ens.y_std + ens.y_mean
     return out
+
+
+def tiled_fantasy_inner_means_multi(ens, batches, ys, inner_pool, data):
+    """(len(batches), n_fantasies, len(inner_pool)) closed-form fantasy means, posteriors tiled."""
+    if not ens.trained:
+        raise TrainingError("ensemble has not been fitted")
+    ys = np.asarray(ys, dtype=np.float64)
+    if not batches or ys.ndim != 3 or ys.shape[0] != len(batches):
+        raise ValueError(
+            f"ys must have shape ({len(batches) or 1}, n_fantasies, batch size), got {ys.shape}")
+    width = len(batches[0])
+    if ys.shape[2] != width or any(len(b) != width for b in batches):
+        raise ValueError("all batches must share one size matching ys")
+    n_c, n_m = len(batches), ens.n_members
+    w0, cov, noise = ens._head_posterior(data)
+    # candidate-major, then member-major within each candidate; one design call
+    # over every batch's rows, since a (1, d) row times a matrix is a
+    # matrix-vector product whose last bits differ from the matrix-matrix one
+    phi_all = ens._design([s for batch in batches for s in batch])        # (M, C*w, D)
+    phi_b = np.concatenate([phi_all[:, c * width:(c + 1) * width] for c in range(n_c)])
+    w0_t = np.tile(w0, (n_c, 1))
+    cov_t = np.tile(cov, (n_c, 1, 1))
+    noise_t = np.tile(noise, n_c)
+    phi_p = np.tile(ens._design(inner_pool), (n_c, 1, 1))
+    y = np.repeat((ys - ens.y_mean) / ens.y_std, n_m, axis=0)               # (C*M, F, w)
+    g = phi_b @ cov_t
+    gram = g @ phi_b.transpose(0, 2, 1) + noise_t[:, None, None] * np.eye(width)
+    resid = y - (phi_b @ w0_t[:, :, None]).transpose(0, 2, 1)
+    gain = np.linalg.solve(gram, resid.transpose(0, 2, 1))                  # (C*M, w, F)
+    w_post = w0_t[:, :, None] + g.transpose(0, 2, 1) @ gain                 # (C*M, D, F)
+    means = (phi_p @ w_post).reshape(n_c, n_m, len(inner_pool), -1).mean(axis=1)
+    return means.transpose(0, 2, 1) * ens.y_std + ens.y_mean
 
 
 def sequential_fantasy_inner_means(ens, batch, ys, inner_pool, data):

@@ -1,10 +1,11 @@
 """The KG fantasies' fast paths against the slow paths they replaced (tests/fantasy_oracle.py).
 
 The closed-form fantasy means are compared with a looped oracle to a
-relative 1e-9, because the fast path orders its floating-point work
-differently. The KG slot scoring and the in-place Adam are compared bit for
-bit: the arrays must have the same bytes, which also catches a flipped sign
-of zero.
+relative 1e-9, because the looped oracle orders its floating-point work
+differently, and bit for bit with a tiled-stack oracle that does the same
+work in another layout. The KG slot scoring and the in-place Adam are
+compared bit for bit too: the arrays must have the same bytes, which also
+catches a flipped sign of zero.
 """
 
 import itertools
@@ -21,7 +22,7 @@ from proxbo.surrogate import (NOISE_VAR_FLOOR, ConvRegressorConfig, Ensemble,
 
 import test_acceptance
 from fantasy_oracle import (log_evidence, looped_fantasy_inner_means_multi,
-                            per_candidate_slot_scores)
+                            per_candidate_slot_scores, tiled_fantasy_inner_means_multi)
 from sequential_fit import Adam as AllocatingAdam
 from test_surrogate import random_dataset
 
@@ -84,6 +85,19 @@ class TestFantasyHead:
         np.testing.assert_allclose(fast, slow, rtol=1e-9, atol=0)
         moved = np.abs(fast - ens.predict_batch(inner_pool)[:, 0]).max()
         assert moved > 1e-3  # the comparison covers the update term, not just Φ_p w0
+
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    @pytest.mark.parametrize("n_c", [1, 3])
+    @pytest.mark.parametrize("width", [1, 3])
+    @pytest.mark.parametrize("n_f", [1, 4])
+    @pytest.mark.parametrize("n_members", [1, 3])
+    def test_matches_tiled_stack_bit_for_bit(self, fitted, kind, n_c, width, n_f, n_members):
+        """The broadcast (member, candidate) layout against the tiled stack; steps/lr are no-ops."""
+        ens, data, unmeasured = fitted(kind, n_members)
+        batches, ys, inner_pool = _problem(unmeasured, n_c, width, n_f, seed=n_c + width + n_f)
+        fast = ens.fantasy_inner_means_multi(batches, ys, inner_pool, data, steps=5, lr=5e-2)
+        slow = tiled_fantasy_inner_means_multi(ens, batches, ys, inner_pool, data)
+        assert_same_bits(fast, slow)
 
     @pytest.mark.parametrize("kind", sorted(KINDS))
     def test_matches_through_shifted_model(self, fitted, kind, monkeypatch):
@@ -205,6 +219,8 @@ def test_campaign_with_oracles_gives_identical_csvs(tmp_path, monkeypatch):
         if name == "oracle":
             monkeypatch.setattr(nn, "Adam", AllocatingAdam)
             monkeypatch.setattr(acquisition, "_kg_slot_scores", per_candidate_slot_scores)
+            monkeypatch.setattr(Ensemble, "fantasy_inner_means_multi",
+                                tiled_fantasy_inner_means_multi)
         cfg = CampaignConfig(**{**base, "out": str(tmp_path / name)})
         run_campaign(cfg)
         blobs.append([(tmp_path / name / f"run_{s}.csv").read_bytes() for s in cfg.seeds])
