@@ -201,7 +201,8 @@ def run_round(state: ExplorerState, ensemble: Ensemble, oracle: BudgetedOracle,
     pool, select a batch with `select_batch` on the posterior regularized by
     `lam` (`strategy="greedy"`: the frontier-greedy batch), query the
     oracle, refit the ensemble (a warm start with `warm_cfg` when given,
-    else from scratch with `train_cfg`).
+    else from scratch with `train_cfg`). No selection follows the round
+    that spends the budget, so it does not refit.
     """
     rng = rng if rng is not None else np.random.default_rng(0)
     t0 = time.perf_counter()
@@ -210,7 +211,8 @@ def run_round(state: ExplorerState, ensemble: Ensemble, oracle: BudgetedOracle,
         batch, scores = _query_draws(state, oracle, oracle.batch_size, 200,
                                      lambda: sample_mutants(wt, min(2, len(wt)), 1, rng)[0],
                                      "cold start")
-        ensemble.fit(state.data, train_cfg, rng)
+        if oracle.rounds_remaining > 0:
+            ensemble.fit(state.data, train_cfg, rng)
         return state, _finish_round(state, batch, scores, t0)
 
     proposal = propose_pool(state, oracle.inner, pool_size, radius, rng)
@@ -222,10 +224,8 @@ def run_round(state: ExplorerState, ensemble: Ensemble, oracle: BudgetedOracle,
                          beta=beta, kg_config=kg_config, wild_type=state.wild_type, rng=rng)
     scores = oracle.query_batch(batch)
     _ingest(state, batch, scores)
-    if warm_cfg is not None:
-        ensemble.fit(state.data, warm_cfg, rng, warm_start=True)
-    else:
-        ensemble.fit(state.data, train_cfg, rng)
+    if oracle.rounds_remaining > 0:
+        ensemble.fit(state.data, warm_cfg or train_cfg, rng, warm_start=warm_cfg is not None)
     return state, _finish_round(state, batch, scores, t0, lambda_used=lam,
                                 pool_size=len(proposal.sequences),
                                 short_pool=proposal.short)

@@ -10,7 +10,7 @@ from typing import Iterator, Protocol
 
 import numpy as np
 
-from .errors import BudgetError, DataError, DomainError, ParseError, check_positive
+from .errors import BudgetError, DataError, DomainError, ParseError
 from .sequences import Alphabet, Sequence, protein_alphabet, small_alphabet
 
 
@@ -164,7 +164,8 @@ class NKLandscape:
     tables: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        check_positive(self, "n")
+        if not 1 <= self.n <= 10_000:  # the neighbour draw below takes O(n**2) time
+            raise ValueError(f"n: must be in [1, 10000], got {self.n}")
         if self.seed < 0:
             raise ValueError(f"seed: must be >= 0, got {self.seed}")
         if not 0 <= self.k <= self.n - 1:

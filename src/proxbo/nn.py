@@ -45,7 +45,8 @@ def stacked_conv1d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
     win = np.lib.stride_tricks.as_strided(
         xp, (*lead, bsz, l, k, cin), (*lead_strides, s_b, s_l, s_l, s_c), writeable=False)
     col = win.reshape(*lead, bsz * l, k * cin)
-    out = col @ w.reshape(*w.shape[:-3], k * cin, cout) + b[..., None, :]
+    out = col @ w.reshape(*w.shape[:-3], k * cin, cout)
+    out += b[..., None, :]
     return out.reshape(*out.shape[:-2], bsz, l, cout), (col, w, (bsz, l))
 
 
@@ -92,7 +93,9 @@ def conv1d_backward(cache, dout: np.ndarray):
 
 def dense_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
     """x: (..., B, Din); w: (..., Din, Dout); b: (..., Dout) -> (..., B, Dout)."""
-    return x @ w + b[..., None, :], (x, w)
+    out = x @ w
+    out += b[..., None, :]
+    return out, (x, w)
 
 
 def dense_backward(cache, dout: np.ndarray, dw: np.ndarray | None = None,
@@ -105,8 +108,9 @@ def dense_backward(cache, dout: np.ndarray, dw: np.ndarray | None = None,
 
 
 def relu_forward(x: np.ndarray):
-    out = np.maximum(x, 0.0)
-    return out, (x > 0.0)
+    """(max(x, 0), mask x > 0); overwrites x with the output, so pass a fresh array."""
+    mask = x > 0.0
+    return np.maximum(x, 0.0, out=x), mask
 
 
 def relu_backward(cache, dout: np.ndarray):
@@ -116,11 +120,6 @@ def relu_backward(cache, dout: np.ndarray):
 def mean_pool_forward(x: np.ndarray):
     """Mean over the position axis: (..., B, L, C) -> (..., B, C)."""
     return x.mean(axis=-2), x.shape
-
-
-def mean_pool_backward(cache, dout: np.ndarray):
-    shape = cache
-    return np.broadcast_to(dout[..., None, :] / shape[-2], shape).copy()
 
 
 def mse_forward(pred: np.ndarray, target: np.ndarray):

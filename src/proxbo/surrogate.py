@@ -219,7 +219,7 @@ class ConvRegressor(_StackedNet):
         d, _, _ = nn.dense_backward(c_out, dpred[..., None], grads["out_w"], grads["out_b"])
         d = nn.relu_backward(c_hrelu, d)
         d, _, _ = nn.dense_backward(c_dense, d, grads["dense_w"], grads["dense_b"])
-        d = nn.mean_pool_backward(c_pool, d)
+        d = d[..., None, :] / c_pool[-2]  # mean pool; the mask below broadcasts it over L
         for i in reversed(range(len(self.cfg.channels))):
             c_conv, c_relu = caches[i]
             d = nn.relu_backward(c_relu, d)

@@ -90,3 +90,13 @@ def test_single_network_wrappers_match_oracle():
     for got, want in itertools.zip_longest(nn.conv1d_backward(cache, dout),
                                            conv_oracle.stacked_conv1d_backward(ref_cache, dout)):
         assert_same_bits(got, want)
+
+
+def test_relu_forward_in_place_matches_the_allocating_maximum():
+    """The output overwrites x, with the bits of `np.maximum` on a copy, and the mask is x > 0."""
+    x = np.array([[1.5, -2.0, 0.0, -0.0], [3e-300, -3e-300, np.inf, -np.inf]])
+    ref = x.copy()
+    out, mask = nn.relu_forward(x)
+    assert out is x
+    assert_same_bits(out, np.maximum(ref, 0.0))
+    assert_same_bits(mask, ref > 0.0)

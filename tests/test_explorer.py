@@ -245,6 +245,33 @@ class TestRounds:
         assert rec.round_index == 1
         assert rec.wall_time >= 0.05
 
+    @pytest.mark.parametrize("strategy,warm_cfg", [("ucb", None), ("greedy", FAST_TRAIN)])
+    def test_round_that_spends_the_budget_leaves_the_ensemble(self, monkeypatch, strategy,
+                                                              warm_cfg):
+        fits = []
+        original = surrogate.Ensemble.fit
+
+        def counting_fit(self, *args, **kwargs):
+            fits.append(oracle.rounds_remaining)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(surrogate.Ensemble, "fit", counting_fit)
+        land, oracle, state, ens = self._setup(rounds=3, batch=4)
+        rng = np.random.default_rng(9)
+        for _ in range(2):
+            state, _ = run_round(state, ens, oracle, strategy=strategy, pool_size=32,
+                                 train_cfg=FAST_TRAIN, warm_cfg=warm_cfg, rng=rng)
+        assert fits == [2, 1]  # the cold start and the round before the last refit
+        before = (ens.net.params.flat.tobytes(), ens.y_mean, ens.y_std)
+        state, rec = run_round(state, ens, oracle, strategy=strategy, pool_size=32,
+                               train_cfg=FAST_TRAIN, warm_cfg=warm_cfg, rng=rng)
+        assert oracle.rounds_remaining == 0 and fits == [2, 1]
+        assert (ens.net.params.flat.tobytes(), ens.y_mean, ens.y_std) == before
+        assert rec.round_index == 3 and len(rec.sequences) == 4
+        assert rec.scores == land.evaluate_batch(rec.sequences)
+        assert rec.cumulative_max == state.data.max_score()
+        assert rec.pool_size == 32 and not rec.short_pool and rec.wall_time > 0
+
     def test_exhausted_domain_raises_domain_exhausted(self):
         land = make_nk(3, 0, 2, 0)
         oracle = BudgetedOracle(land, rounds_total=3, batch_size=8)

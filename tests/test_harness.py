@@ -11,7 +11,8 @@ import pytest
 
 import proxbo.harness as harness
 import proxbo.surrogate as surrogate
-from proxbo.errors import ConfigError, TrainingError
+from proxbo.cli import main as cli_main
+from proxbo.errors import ConfigError, DataError, TrainingError
 from proxbo.harness import (
     AggregateCurve,
     CampaignConfig,
@@ -172,6 +173,26 @@ class TestRunArtifacts:
         run_campaign(cfg)
         assert (tmp_path / "run_0.csv").read_bytes() == \
                (DATA / f"{method}_seed0.csv").read_bytes()
+
+    @pytest.mark.parametrize("method,fits", [("batch_bo", 2), ("pex_greedy", 2), ("random", 0)])
+    def test_the_round_that_spends_the_budget_does_not_refit(self, tmp_path, monkeypatch,
+                                                             method, fits):
+        calls = []
+        original = surrogate.Ensemble.fit
+
+        def counting_fit(self, *args, **kwargs):
+            calls.append(1)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setenv("PROXBO_THREADS", "1")  # the counter lives in this process
+        monkeypatch.setattr(surrogate.Ensemble, "fit", counting_fit)
+        cfg = parse_config_text(SMALL_BO_CONFIG.replace("rounds=2", "rounds=3")
+                                .replace("seeds=0", "seeds=0,1")
+                                .replace("method=batch_bo", f"method={method}")
+                                + f"out={tmp_path}\n")
+        records = run_campaign(cfg)
+        assert [len(records[s]) for s in (0, 1)] == [3, 3]
+        assert len(calls) == 2 * fits  # rounds - 1 fits per model-guided seed
 
     def test_cumulative_max_column_is_running_maximum(self, tmp_path):
         cfg = parse_config_text(RANDOM_NK_CONFIG + f"out={tmp_path}\n")
@@ -479,3 +500,69 @@ class TestCLI:
         assert result.returncode == 1
         assert result.stderr.startswith(f"error: {key}: "), result.stderr
         assert not list(tmp_path.iterdir())
+
+
+# the fuzz tests add one key=value line to this 2-round NK6 campaign, small enough to run
+FUZZ_CONFIG = """
+landscape.kind=nk
+landscape.n=6
+landscape.k=1
+landscape.v=2
+method=batch_bo
+acquisition.kind=ucb
+surrogate.members=2
+train.epochs=2
+rounds=2
+batch=4
+pool.size=8
+seeds=0
+out=runs
+"""
+HUGE_INT = "12345678901234567890"
+EDGE_VALUES = ("0", "-1", "nan", "inf", "-inf", "1e400", HUGE_INT, "")
+
+
+def _parse_fuzzed(key, value):
+    """The config FUZZ_CONFIG gives with `key=value` added, or None when that is rejected.
+
+    A rejection must be a ConfigError or DataError whose message starts with
+    `key`; any other exception escapes to the calling test.
+    """
+    try:
+        cfg = parse_config_text(FUZZ_CONFIG + f"{key}={value}\n")
+        harness._train_configs(cfg)
+        harness._kg_config(cfg)
+        harness._surrogate_config(cfg)
+    except (ConfigError, DataError) as e:
+        assert str(e).startswith(f"{key}: "), (key, value, str(e))
+        return None
+    return cfg
+
+
+class TestConfigFuzz:
+    @pytest.mark.parametrize("key", list(harness._KEY_MAP))
+    def test_every_edge_value_parses_or_is_rejected_naming_its_key(self, key):
+        for value in EDGE_VALUES:
+            _parse_fuzzed(key, value)
+
+    @pytest.mark.parametrize("key", list(harness._KEY_MAP))
+    def test_every_accepted_value_runs_or_exits_one_leaving_no_output(self, tmp_path, monkeypatch,
+                                                                      capsys, key):
+        monkeypatch.setenv("PROXBO_THREADS", "1")
+        sized = harness._KEY_MAP[key][1] in (int, "int_tuple")
+        for i, value in enumerate(EDGE_VALUES):
+            # a huge size is for the parse layer only: a campaign on it would not end
+            if value == HUGE_INT and sized and key not in ("landscape.seed", "seeds"):
+                continue
+            if _parse_fuzzed(key, value) is None:
+                continue
+            work = tmp_path / str(i)
+            work.mkdir()
+            (work / "campaign.cfg").write_text(FUZZ_CONFIG + f"{key}={value}\n")
+            monkeypatch.chdir(work)
+            code = cli_main(["run", "campaign.cfg"])
+            err = capsys.readouterr().err
+            assert code in (0, 1), (key, value, code, err)
+            if code == 1:
+                assert err.startswith("error: "), (key, value, err)
+                assert [p.name for p in work.iterdir()] == ["campaign.cfg"], (key, value)
