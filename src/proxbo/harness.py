@@ -92,6 +92,8 @@ class CampaignConfig:
             raise ConfigError(f"seeds: must be >= 0, got {min(self.seeds)}")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError("seeds: must be distinct")
+        if not self.out:  # Path("") is the working directory
+            raise ConfigError("out: must be a non-empty path")
         if self.landscape_kind not in ("nk", "lookup"):
             raise ConfigError(f"landscape.kind: unknown value {self.landscape_kind!r}")
         if self.landscape_kind == "lookup" and not self.lookup_path:
@@ -268,10 +270,11 @@ def _kg_config(cfg: CampaignConfig) -> KGConfig:
 
 
 def _surrogate_config(cfg: CampaignConfig):
-    if cfg.surrogate_kind == "conv":
-        return _checked("surrogate.", lambda: ConvRegressorConfig(
-            channels=cfg.channels, kernel_size=cfg.kernel_size, hidden_dense=cfg.hidden_dense))
-    return _checked("surrogate.", lambda: RecurrentRegressorConfig(hidden_size=cfg.hidden_size))
+    """The chosen kind's regressor config. Both kinds' fields are checked: all enter `config_hash`."""
+    conv = _checked("surrogate.", lambda: ConvRegressorConfig(
+        channels=cfg.channels, kernel_size=cfg.kernel_size, hidden_dense=cfg.hidden_dense))
+    recurrent = _checked("surrogate.", lambda: RecurrentRegressorConfig(hidden_size=cfg.hidden_size))
+    return conv if cfg.surrogate_kind == "conv" else recurrent
 
 
 def _lambda_for(cfg: CampaignConfig, data: Dataset) -> float:

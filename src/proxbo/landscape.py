@@ -146,6 +146,10 @@ def load_lookup(
     return LookupLandscape(table=table, wild_type=wt)
 
 
+# the most contribution-table entries an NK landscape may have (800 MB of float64)
+MAX_NK_TABLE_ENTRIES = 10**8
+
+
 @dataclass
 class NKLandscape:
     """NK model: N sites, each interacting with K others through a random table.
@@ -170,13 +174,16 @@ class NKLandscape:
             raise ValueError(f"seed: must be >= 0, got {self.seed}")
         if not 0 <= self.k <= self.n - 1:
             raise ValueError(f"k: must be in [0, n-1] = [0, {self.n - 1}], got {self.k}")
+        v = self.alphabet.size
+        if self.n * v ** (self.k + 1) > MAX_NK_TABLE_ENTRIES:
+            raise ValueError(f"k: the tables would hold n*v^(k+1) = {self.n}*{v}^{self.k + 1} "
+                             f"entries, more than {MAX_NK_TABLE_ENTRIES:,}; lower k, n or v")
         rng = np.random.default_rng(self.seed)
         neighbors = np.empty((self.n, self.k), dtype=np.int64)
         for i in range(self.n):
             others = np.delete(np.arange(self.n), i)
             neighbors[i] = np.sort(rng.choice(others, size=self.k, replace=False))
         self.neighbor_map = neighbors
-        v = self.alphabet.size
         self.tables = rng.uniform(size=(self.n, v ** (self.k + 1)))
 
     @property

@@ -26,9 +26,27 @@ def he_uniform(shape: tuple[int, ...], fan_in: int, rng: np.random.Generator) ->
 # Each member's slice goes through the same matrix product as a lone
 # network's, so stacking does not change a single bit of the result.
 
+# Two shortcuts in the conv kernels, each giving the bits of the one product
+# it replaces. With one thread on its SkylakeX core, OpenBLAS's dgemm runs a
+# small-matrix kernel while M·N·K <= 100³ and packs its operands above that.
+# For an output width that is not a multiple of 8 (the doubles in an AVX-512
+# register), the bits of a row can depend on the kernel and on the row's place
+# in the product, so both shortcuts are taken only for multiples of 8; every
+# such width measured rounds the same either way.
+# - Forward row blocks: the layer-1 product of a 64-row minibatch (640 rows,
+#   K = 144, N = 16) lies just above the small-matrix limit, and the time per
+#   row doubles between 400 and 480 rows. Larger products run in row blocks
+#   under the limit. No block has a single row: numpy hands a 1-row product
+#   to gemv, which rounds differently.
+# - The input gradient tap by tap (see `stacked_conv1d_backward`), from
+#   `_DX_PER_TAP_ROWS` rows: below that, k calls cost more than the padding
+#   products they save (measured at 5 members, 16 -> 16 channels, k = 9).
+_SMALL_GEMM_MAX = 100**3
+_DX_PER_TAP_ROWS = 128
+
 
 def stacked_conv1d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
-    """Same-padded 1D convolution via im2col and a single (batched) matmul.
+    """Same-padded 1D convolution via im2col and a (batched) matmul in row blocks.
 
     x: (..., B, L, Cin); w: (..., k, Cin, Cout) with k odd; b: (..., Cout)
     -> (..., B, L, Cout). An x without the leading axes is shared by every
@@ -44,8 +62,20 @@ def stacked_conv1d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
     *lead_strides, s_b, s_l, s_c = xp.strides
     win = np.lib.stride_tricks.as_strided(
         xp, (*lead, bsz, l, k, cin), (*lead_strides, s_b, s_l, s_l, s_c), writeable=False)
-    col = win.reshape(*lead, bsz * l, k * cin)
-    out = col @ w.reshape(*w.shape[:-3], k * cin, cout)
+    rows = bsz * l
+    col = win.reshape(*lead, rows, k * cin)
+    w2 = w.reshape(*w.shape[:-3], k * cin, cout)
+    # row blocks of at most `_SMALL_GEMM_MAX` multiply-adds, near-equal in
+    # size and of 2 rows or more
+    per_block = max(1, _SMALL_GEMM_MAX // (k * cin * cout))
+    blocks = 1 if cout % 8 else min(-(-rows // per_block), rows // 2)
+    if blocks <= 1:
+        out = col @ w2
+    else:
+        out = np.empty(np.broadcast_shapes(col.shape[:-2], w2.shape[:-2]) + (rows, cout))
+        for i in range(blocks):
+            r0, r1 = i * rows // blocks, (i + 1) * rows // blocks
+            np.matmul(col[..., r0:r1, :], w2, out=out[..., r0:r1, :])
     out += b[..., None, :]
     return out.reshape(*out.shape[:-2], bsz, l, cout), (col, w, (bsz, l))
 
@@ -67,18 +97,36 @@ def stacked_conv1d_backward(cache, dout: np.ndarray, need_dx: bool = True,
     db = np.sum(dout2, axis=-2, out=db)
     if not need_dx:
         return None, dw, db
-    # tap-major window gradients (..., k, B, L, Cin): tap j's block is
-    # contiguous, and it adds onto the input positions its outputs read
-    # (the padding is never built). Every input position sums its taps in
-    # ascending order from zero, as a scatter onto the padded input would.
     wt = np.ascontiguousarray(np.swapaxes(w, -1, -2))  # (..., k, Cout, Cin)
-    dcol = (dout2[..., None, :, :] @ wt).reshape(*lead, k, bsz, l, cin)
-    dx = np.zeros((*lead, bsz, l, cin))
+    # Both ways below sum each input position's taps in ascending order from
+    # zero, as a scatter onto the padded input would, and each tap's product
+    # is the same K = Cout dot product: at the widths the shortcuts take (see
+    # the note above) they give the same bits.
+    if cin % 8 or bsz == 1 or bsz * l < _DX_PER_TAP_ROWS:
+        # one product for every tap, padding included: tap-major window
+        # gradients (..., k, B, L, Cin), each tap's block added onto the input
+        # positions its outputs read. A lone sequence never goes tap by tap:
+        # a one-position block would be a 1-row product.
+        dcol = (dout2[..., None, :, :] @ wt).reshape(*lead, k, bsz, l, cin)
+        dx = np.zeros((*lead, bsz, l, cin))
+        for j in range(k):
+            lo, hi = max(0, j - pad), min(l, l + j - pad)
+            if lo < hi:
+                dx[..., lo:hi, :] += dcol[..., j, :, lo + pad - j:hi + pad - j, :]
+        return dx, dw, db
+    # tap by tap in position-major (..., L*B, C) layouts, where the B rows of a
+    # run of positions are contiguous: tap j multiplies only the outputs that
+    # read real input
+    rows = bsz * l
+    dpos = np.swapaxes(dout, -3, -2).reshape(*lead, rows, cout)
+    dx = np.zeros((*lead, rows, cin))
     for j in range(k):
-        lo, hi = max(0, j - pad), min(l, l + j - pad)
+        # output rows [lo, hi) read input rows [lo + s, hi + s)
+        lo, hi = max(0, pad - j) * bsz, min(l, l + pad - j) * bsz
         if lo < hi:
-            dx[..., lo:hi, :] += dcol[..., j, :, lo + pad - j:hi + pad - j, :]
-    return dx, dw, db
+            s = (j - pad) * bsz
+            dx[..., lo + s:hi + s, :] += dpos[..., lo:hi, :] @ wt[..., j, :, :]
+    return np.swapaxes(dx.reshape(*lead, l, bsz, cin), -3, -2), dw, db
 
 
 def conv1d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):

@@ -6,6 +6,12 @@ computes the input gradient tap by tap and adds each tap's block straight
 onto the input positions. This is the code they replaced: `np.pad`, a
 `sliding_window_view` im2col, and a strided scatter of the window
 gradients onto the padded input, cropped at the end.
+
+`tap_major_input_gradient` is the input gradient of release 0.3.0: one
+product of the output gradient and the contiguous transposed filters for
+every tap, scattered tap by tap. At widths where the oracle's single product
+rounds differently from both (see `test_input_gradient_keeps_0_3_0_bits`),
+it is the reference.
 """
 
 import numpy as np
@@ -37,3 +43,18 @@ def stacked_conv1d_backward(cache, dout, need_dx=True):
     for j in range(k):
         dxp[..., j:j + l, :] += dcol[..., j, :]
     return dxp[..., pad:pad + l, :], dw, db
+
+
+def tap_major_input_gradient(cache, dout):
+    col, w, (bsz, l) = cache
+    k, cin, cout = w.shape[-3:]
+    pad = (k - 1) // 2
+    lead = dout.shape[:-3]
+    wt = np.ascontiguousarray(np.swapaxes(w, -1, -2))
+    dcol = (dout.reshape(*lead, 1, bsz * l, cout) @ wt).reshape(*lead, k, bsz, l, cin)
+    dx = np.zeros((*lead, bsz, l, cin))
+    for j in range(k):
+        lo, hi = max(0, j - pad), min(l, l + j - pad)
+        if lo < hi:
+            dx[..., lo:hi, :] += dcol[..., j, :, lo + pad - j:hi + pad - j, :]
+    return dx

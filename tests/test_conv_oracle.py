@@ -24,13 +24,13 @@ def assert_same_bits(a, b):
     assert a.tobytes() == b.tobytes()
 
 
-def _problem(k, length, cin, lead, shared_x, seed):
+def _problem(k, length, cin, lead, shared_x, seed, bsz=5, cout=6):
     rng = np.random.default_rng(seed)
-    x = rng.standard_normal((() if shared_x else lead) + (5, length, cin))
+    x = rng.standard_normal((() if shared_x else lead) + (bsz, length, cin))
     x[x < -0.8] = 0.0  # exact zeros, as after a ReLU
-    w = rng.standard_normal(lead + (k, cin, 6))
-    b = rng.standard_normal(lead + (6,))
-    dout = rng.standard_normal(lead + (5, length, 6))
+    w = rng.standard_normal(lead + (k, cin, cout))
+    b = rng.standard_normal(lead + (cout,))
+    dout = rng.standard_normal(lead + (bsz, length, cout))
     dout[dout < -0.5] = -0.0  # signed zeros, as a ReLU mask leaves them
     dout[dout > 1.2] = 0.0
     return x, w, b, dout
@@ -66,6 +66,61 @@ def test_shared_input_matches_oracle(k, length, lead):
     for got, want in zip(nn.stacked_conv1d_backward(cache, dout),
                          conv_oracle.stacked_conv1d_backward(ref_cache, dout)):
         assert_same_bits(got, want)
+
+
+# The shapes of a `kg-nk10` campaign (k = 9, L = 10, 16 -> 16 channels): the
+# 5 members' minibatches of 1, 17, 33, 49 and 64 sequences, and a 900-sequence pool
+# predicted one member at a time, whose first layer reads the one-hot input
+# shared by the members (2 -> 16) and needs no input gradient. The 64-row
+# minibatch and the pool go over BLAS's small-matrix limit, so the forward
+# runs in row blocks; from 17 sequences on, the input gradient goes tap by tap.
+# 29 sequences of 15 positions make 435 rows, one more than a block may hold
+# at these widths: blocks of the largest size would leave a 1-row block.
+CAMPAIGN_SHAPES = {
+    "minibatch-1": ((5,), 1, 10, 16, False),
+    "minibatch-17": ((5,), 17, 10, 16, False),
+    "minibatch-33": ((5,), 33, 10, 16, False),
+    "minibatch-49": ((5,), 49, 10, 16, False),
+    "minibatch-64": ((5,), 64, 10, 16, False),
+    "pool-900": ((1,), 900, 10, 16, False),
+    "pool-900-first-layer": ((1,), 900, 10, 2, True),
+    "435-rows": ((5,), 29, 15, 16, False),
+}
+
+
+@pytest.mark.parametrize("lead,bsz,length,cin,shared_x", CAMPAIGN_SHAPES.values(),
+                         ids=CAMPAIGN_SHAPES.keys())
+def test_matches_oracle_at_campaign_shapes(lead, bsz, length, cin, shared_x):
+    x, w, b, dout = _problem(9, length, cin, lead, shared_x, seed=bsz + cin, bsz=bsz, cout=16)
+    out, cache = nn.stacked_conv1d_forward(x, w, b)
+    ref_out, ref_cache = conv_oracle.stacked_conv1d_forward(x, w, b)
+    assert_same_bits(out, ref_out)
+    grads = nn.stacked_conv1d_backward(cache, dout, need_dx=not shared_x)
+    ref = conv_oracle.stacked_conv1d_backward(ref_cache, dout, need_dx=not shared_x)
+    for got, want in zip(grads, ref):
+        if want is None:
+            assert got is None
+        else:
+            assert_same_bits(got, want)
+
+
+# On OpenBLAS's SkylakeX core, products whose output width is not a multiple
+# of 8 round some rows differently in row blocks, or with the rows in another
+# order; the kernels keep one product, and the 0.3.0 tap order, there.
+@pytest.mark.parametrize("cout", [4, 12, 20])
+def test_forward_off_multiples_of_8_stays_one_product(cout):
+    x, w, b, _ = _problem(9, 10, 16, (1,), False, seed=cout, bsz=900, cout=cout)
+    assert_same_bits(nn.stacked_conv1d_forward(x, w, b)[0],
+                     conv_oracle.stacked_conv1d_forward(x, w, b)[0])
+
+
+@pytest.mark.parametrize("cin", [1, 2, 3, 10])
+def test_input_gradient_keeps_0_3_0_bits(cin):
+    """33-sequence minibatch, Cout = 16: here the oracle rounds differently from both kernels."""
+    x, w, b, dout = _problem(9, 10, cin, (5,), False, seed=cin, bsz=33, cout=16)
+    _, cache = nn.stacked_conv1d_forward(x, w, b)
+    assert_same_bits(nn.stacked_conv1d_backward(cache, dout)[0],
+                     conv_oracle.tap_major_input_gradient(cache, dout))
 
 
 @pytest.mark.parametrize("lead", LEADS)

@@ -114,6 +114,14 @@ class TestConfigParsing:
         ("acquisition.kg.n_fantasies=0", "acquisition.kg.n_fantasies"),
         ("landscape.wild_type=XYZ", "landscape.wild_type"),
         ("landscape.n=6\nlandscape.k=1\nlandscape.wild_type=AAA", "landscape.wild_type"),
+        # the NK tables would hold 30 * 2^30 entries: rejected before any allocation
+        ("landscape.kind=nk\nlandscape.n=30\nlandscape.k=29\nlandscape.v=2", "landscape.k"),
+        ("out=", "out"),
+        # the fields of the kind that is not chosen are checked as well
+        ("surrogate.kind=conv\nsurrogate.hidden_size=-1", "surrogate.hidden_size"),
+        ("surrogate.kind=recurrent\nsurrogate.kernel_size=4", "surrogate.kernel_size"),
+        ("surrogate.kind=recurrent\nsurrogate.channels=0", "surrogate.channels"),
+        ("surrogate.kind=recurrent\nsurrogate.hidden_dense=0", "surrogate.hidden_dense"),
     ])
     def test_out_of_range_values_name_their_key(self, text, key):
         with pytest.raises(ConfigError, match=f"^{key.replace('.', '[.]')}: "):
@@ -520,6 +528,10 @@ out=runs
 """
 HUGE_INT = "12345678901234567890"
 EDGE_VALUES = ("0", "-1", "nan", "inf", "-inf", "1e400", HUGE_INT, "")
+# edge values the parse layer must reject: an empty output path would put the
+# run files in the working directory, and FUZZ_CONFIG's conv surrogate must not
+# let a bad field of the recurrent kind through
+MUST_REJECT = {("out", ""), ("surrogate.hidden_size", "0"), ("surrogate.hidden_size", "-1")}
 
 
 def _parse_fuzzed(key, value):
@@ -543,7 +555,9 @@ class TestConfigFuzz:
     @pytest.mark.parametrize("key", list(harness._KEY_MAP))
     def test_every_edge_value_parses_or_is_rejected_naming_its_key(self, key):
         for value in EDGE_VALUES:
-            _parse_fuzzed(key, value)
+            cfg = _parse_fuzzed(key, value)
+            if (key, value) in MUST_REJECT:
+                assert cfg is None, (key, value)
 
     @pytest.mark.parametrize("key", list(harness._KEY_MAP))
     def test_every_accepted_value_runs_or_exits_one_leaving_no_output(self, tmp_path, monkeypatch,

@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+import proxbo.landscape as landscape
 from proxbo.errors import BudgetError, DataError, DomainError, ParseError
 from proxbo.landscape import (
     BudgetedOracle,
@@ -183,6 +184,14 @@ class TestNKLandscape:
             make_nk(0, 0, 2, 0)
         with pytest.raises(ValueError):
             make_nk(5, 5, 2, 0)
+
+    def test_table_size_is_checked_before_allocating(self, monkeypatch):
+        with pytest.raises(ValueError, match=r"^k: the tables would hold n\*v\^\(k\+1\) = 30\*2\^30 "):
+            make_nk(30, 29, 2, 0)
+        monkeypatch.setattr(landscape, "MAX_NK_TABLE_ENTRIES", 6 * 2**2)
+        assert make_nk(6, 1, 2, 0).tables.size == 24  # at the limit
+        with pytest.raises(ValueError, match="more than 24"):
+            make_nk(6, 2, 2, 0)
 
     def test_incompatible_sequence_raises(self):
         land = make_nk(4, 1, 2, 0)

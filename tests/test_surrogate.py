@@ -181,6 +181,29 @@ class TestLockstepFit:
         assert np.array_equal(ens.predict_batch(pool),
                               np.stack([preds.mean(axis=0), preds.var(axis=0)], axis=1))
 
+    def test_matches_sequential_fit_at_campaign_shapes(self):
+        """The kg-nk10 network (16 -> 16 channels, k = 9) on minibatches of 64 sequences.
+
+        Their products go over BLAS's small-matrix limit, where the lockstep
+        forward runs in row blocks and the sequential one in one product; 65
+        rows leave a 1-row minibatch.
+        """
+        cfg = ConvRegressorConfig(channels=(16, 16), kernel_size=9, hidden_dense=32)
+        data = random_dataset(65, length=10, seed=21)
+        train = TrainConfig(epochs=2, minibatch=64, learning_rate=5e-3)
+        ens = Ensemble("conv", cfg, n_members=5, seed=4)
+        ref = SequentialEnsemble("conv", cfg, 5, seed=4)
+        rng, ref_rng = np.random.default_rng(8), np.random.default_rng(8)
+        assert ens.fit(data, train, rng) == ref.fit(data, train, ref_rng)
+        for m, member in enumerate(ref.members):
+            for name, arr in member.params.items():
+                assert np.array_equal(ens.net.params[name][m], arr), (m, name)
+        x = encode_batch(data.sequences)
+        preds = np.stack([member.forward(x)[0] for member in ref.members])
+        preds = preds * ref.y_std + ref.y_mean
+        assert np.array_equal(ens.predict_batch(data.sequences),
+                              np.stack([preds.mean(axis=0), preds.var(axis=0)], axis=1))
+
     def test_divergence_raises_training_error(self):
         data = random_dataset(8, seed=2)
         ens = Ensemble("conv", SMALL_CONV, n_members=2, seed=0)
