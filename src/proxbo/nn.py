@@ -29,20 +29,34 @@ def he_uniform(shape: tuple[int, ...], fan_in: int, rng: np.random.Generator) ->
 # Two shortcuts in the conv kernels, each giving the bits of the one product
 # it replaces. With one thread on its SkylakeX core, OpenBLAS's dgemm runs a
 # small-matrix kernel while M·N·K <= 100³ and packs its operands above that.
-# For an output width that is not a multiple of 8 (the doubles in an AVX-512
-# register), the bits of a row can depend on the kernel and on the row's place
-# in the product, so both shortcuts are taken only for multiples of 8; every
-# such width measured rounds the same either way.
-# - Forward row blocks: the layer-1 product of a 64-row minibatch (640 rows,
-#   K = 144, N = 16) lies just above the small-matrix limit, and the time per
-#   row doubles between 400 and 480 rows. Larger products run in row blocks
-#   under the limit. No block has a single row: numpy hands a 1-row product
-#   to gemv, which rounds differently.
-# - The input gradient tap by tap (see `stacked_conv1d_backward`), from
-#   `_DX_PER_TAP_ROWS` rows: below that, k calls cost more than the padding
-#   products they save (measured at 5 members, 16 -> 16 channels, k = 9).
+# A row gets the same bits from both kernels, wherever it sits in the
+# product, only if the output width N is a multiple of 8 (the doubles in an
+# AVX-512 register) and the depth K is at most `_PANEL_K` (the packed kernel
+# sums deeper products in K panels of that depth, the small-matrix kernel in
+# one pass). Both shortcuts are taken only there.
+# - Forward row blocks (`_row_blocks`): the layer-1 product of a 64-row
+#   minibatch (640 rows, K = 144, N = 16) lies just above the small-matrix
+#   limit, and the time per row doubles between 400 and 480 rows. Larger
+#   products run in row blocks under the limit, up to `_BLOCKED_WIDTH_MAX`
+#   output columns: 640- and 9000-row products at K = 144 and 384 ran up to
+#   2x faster in blocks at 16-64 columns, and up to 1.5x slower at 128-256.
+# - The input gradient tap by tap (see `stacked_conv1d_backward`).
 _SMALL_GEMM_MAX = 100**3
-_DX_PER_TAP_ROWS = 128
+_PANEL_K = 384
+_BLOCKED_WIDTH_MAX = 64
+
+
+def _row_blocks(rows: int, depth: int, width: int) -> int:
+    """How many near-equal row blocks a (rows, depth) @ (depth, width) product runs in.
+
+    Each block stays within `_SMALL_GEMM_MAX` multiply-adds. Where a product
+    is blocked, that allows 40 rows or more, so every block of a near-equal
+    split holds 20 or more: none is a 1-row product, which numpy hands to
+    gemv, and gemv rounds differently.
+    """
+    if width % 8 or width > _BLOCKED_WIDTH_MAX or depth > _PANEL_K:
+        return 1
+    return -(-rows // (_SMALL_GEMM_MAX // (depth * width)))
 
 
 def stacked_conv1d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
@@ -65,10 +79,7 @@ def stacked_conv1d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
     rows = bsz * l
     col = win.reshape(*lead, rows, k * cin)
     w2 = w.reshape(*w.shape[:-3], k * cin, cout)
-    # row blocks of at most `_SMALL_GEMM_MAX` multiply-adds, near-equal in
-    # size and of 2 rows or more
-    per_block = max(1, _SMALL_GEMM_MAX // (k * cin * cout))
-    blocks = 1 if cout % 8 else min(-(-rows // per_block), rows // 2)
+    blocks = _row_blocks(rows, k * cin, cout)
     if blocks <= 1:
         out = col @ w2
     else:
@@ -100,9 +111,9 @@ def stacked_conv1d_backward(cache, dout: np.ndarray, need_dx: bool = True,
     wt = np.ascontiguousarray(np.swapaxes(w, -1, -2))  # (..., k, Cout, Cin)
     # Both ways below sum each input position's taps in ascending order from
     # zero, as a scatter onto the padded input would, and each tap's product
-    # is the same K = Cout dot product: at the widths the shortcuts take (see
+    # is the same K = Cout dot product: where the shortcut is taken (see
     # the note above) they give the same bits.
-    if cin % 8 or bsz == 1 or bsz * l < _DX_PER_TAP_ROWS:
+    if cin % 8 or cout > _PANEL_K or bsz == 1:
         # one product for every tap, padding included: tap-major window
         # gradients (..., k, B, L, Cin), each tap's block added onto the input
         # positions its outputs read. A lone sequence never goes tap by tap:

@@ -73,7 +73,7 @@ def test_shared_input_matches_oracle(k, length, lead):
 # predicted one member at a time, whose first layer reads the one-hot input
 # shared by the members (2 -> 16) and needs no input gradient. The 64-row
 # minibatch and the pool go over BLAS's small-matrix limit, so the forward
-# runs in row blocks; from 17 sequences on, the input gradient goes tap by tap.
+# runs in row blocks; from 2 sequences on, the input gradient goes tap by tap.
 # 29 sequences of 15 positions make 435 rows, one more than a block may hold
 # at these widths: blocks of the largest size would leave a 1-row block.
 CAMPAIGN_SHAPES = {
@@ -106,21 +106,36 @@ def test_matches_oracle_at_campaign_shapes(lead, bsz, length, cin, shared_x):
 
 # On OpenBLAS's SkylakeX core, products whose output width is not a multiple
 # of 8 round some rows differently in row blocks, or with the rows in another
-# order; the kernels keep one product, and the 0.3.0 tap order, there.
-@pytest.mark.parametrize("cout", [4, 12, 20])
-def test_forward_off_multiples_of_8_stays_one_product(cout):
-    x, w, b, _ = _problem(9, 10, 16, (1,), False, seed=cout, bsz=900, cout=cout)
+# order, and so do products deeper than the 384-long K panels of its packed
+# kernel (forward K = 9 * 48, input-gradient K = Cout = 400); the kernels keep
+# one product, and the 0.3.0 tap order, there.
+@pytest.mark.parametrize("cin,cout", [(16, 4), (16, 12), (16, 20), (48, 16)])
+def test_forward_stays_one_product(cin, cout):
+    x, w, b, _ = _problem(9, 10, cin, (1,), False, seed=cout, bsz=900, cout=cout)
     assert_same_bits(nn.stacked_conv1d_forward(x, w, b)[0],
                      conv_oracle.stacked_conv1d_forward(x, w, b)[0])
 
 
-@pytest.mark.parametrize("cin", [1, 2, 3, 10])
-def test_input_gradient_keeps_0_3_0_bits(cin):
-    """33-sequence minibatch, Cout = 16: here the oracle rounds differently from both kernels."""
-    x, w, b, dout = _problem(9, 10, cin, (5,), False, seed=cin, bsz=33, cout=16)
+@pytest.mark.parametrize("cin,cout", [(1, 16), (2, 16), (3, 16), (10, 16), (8, 400)])
+def test_input_gradient_keeps_0_3_0_bits(cin, cout):
+    """33-sequence minibatch: at Cin mod 8 in 1-3 the oracle rounds differently from both kernels."""
+    x, w, b, dout = _problem(9, 10, cin, (5,), False, seed=cin, bsz=33, cout=cout)
     _, cache = nn.stacked_conv1d_forward(x, w, b)
     assert_same_bits(nn.stacked_conv1d_backward(cache, dout)[0],
                      conv_oracle.tap_major_input_gradient(cache, dout))
+
+
+def test_row_blocks():
+    """Blocks only where they were measured faster, and never a 1-row block."""
+    assert nn._row_blocks(640, 144, 16) == 2  # a 64-sequence kg-nk10 minibatch
+    assert nn._row_blocks(434, 144, 16) == 1
+    assert nn._row_blocks(435, 144, 16) == 2
+    for depth, width in [(9 * 16, 128), (9 * 256, 256), (9 * 48, 16), (144, 12)]:
+        assert nn._row_blocks(9000, depth, width) == 1
+    for depth, width in [(144, 16), (160, 32), (384, 64)]:
+        for rows in range(1, 3000):
+            blocks = nn._row_blocks(rows, depth, width)
+            assert blocks == 1 or rows // blocks >= 2
 
 
 @pytest.mark.parametrize("lead", LEADS)
