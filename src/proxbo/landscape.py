@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import itertools
 from dataclasses import dataclass, field
 from math import isfinite
@@ -28,21 +29,31 @@ class FitnessLandscape(Protocol):
     def contains(self, s: Sequence) -> bool: ...
 
 
-@dataclass
+@dataclass(eq=False)
 class LookupLandscape:
-    """Fitness defined by an explicit table of scores.
+    """Fitness defined by an explicit table of scores, held as arrays.
 
-    `table` is keyed by residue tuples (`Sequence.residues`, ordinals into
-    the wild type's alphabet), not by `Sequence` objects, so lookups hash and
-    compare plain tuples.
+    Row i of `codes` (n, L) holds one state's residue ordinals, in the
+    smallest unsigned dtype that holds them, and `scores[i]` its fitness. The
+    rows are distinct and keep table order. `index` maps each row's bytes to
+    its row number; it is built when not given, and rebuilt, not pickled.
     """
 
-    table: dict[tuple[int, ...], float]
+    codes: np.ndarray
+    scores: np.ndarray
     wild_type: Sequence
+    index: dict[bytes, int] | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        if self.wild_type.residues not in self.table:
+        if self.index is None:
+            self.index = _row_index(self.codes)
+        if len(self.index) != len(self.codes):
+            raise DataError("the lookup table's rows are not distinct")
+        if not self.contains(self.wild_type):
             raise DataError("wild type is not a key of the lookup table")
+
+    def __reduce__(self):
+        return LookupLandscape, (self.codes, self.scores, self.wild_type)
 
     @property
     def length(self) -> int:
@@ -52,28 +63,97 @@ class LookupLandscape:
     def alphabet(self) -> Alphabet:
         return self.wild_type.alphabet
 
+    def _row(self, residues: tuple[int, ...]) -> int | None:
+        try:
+            key = (bytes(residues) if self.codes.itemsize == 1
+                   else np.array(residues, dtype=self.codes.dtype).tobytes())
+        except (ValueError, OverflowError):  # an ordinal the dtype cannot hold
+            return None
+        return self.index.get(key)
+
     def contains(self, s: Sequence) -> bool:
-        return s.residues in self.table
+        return self._row(s.residues) is not None
 
     def evaluate_batch(self, batch: list[Sequence]) -> list[float]:
-        scores = []
+        rows = []
         for s in batch:
-            try:
-                scores.append(self.table[s.residues])
-            except KeyError:
-                raise DomainError(f"sequence {s.text} is not in the lookup table") from None
-        return scores
+            row = self._row(s.residues)
+            if row is None:
+                raise DomainError(f"sequence {s.text} is not in the lookup table")
+            rows.append(row)
+        return self.scores[rows].tolist()
 
     def iter_residues(self) -> Iterator[tuple[int, ...]]:
         """Residue tuples of every state, in table order."""
-        return iter(self.table)
+        return map(tuple, self.codes.tolist())
 
     def iter_domain(self) -> Iterator[Sequence]:
         alphabet = self.alphabet
         return (Sequence(residues, alphabet) for residues in self.iter_residues())
 
     def num_states(self) -> int:
-        return len(self.table)
+        return len(self.codes)
+
+
+# rows per block where a table is indexed or read a block at a time, to keep buffers small
+_BLOCK = 1 << 14
+
+
+def _row_keys(codes: np.ndarray) -> np.ndarray:
+    """Each row of an (n, L) array as one fixed-width void item."""
+    codes = np.ascontiguousarray(codes)
+    return codes.view(np.dtype((np.void, codes.shape[1] * codes.itemsize))).ravel()
+
+
+def _row_index(codes: np.ndarray) -> dict[bytes, int]:
+    """Each row's bytes -> its row number (the last such row, where rows repeat).
+
+    Keys are listed a block at a time, so no list of every key is made.
+    """
+    keys, index = _row_keys(codes), {}
+    for a in range(0, len(keys), _BLOCK):
+        index.update(zip(keys[a:a + _BLOCK].tolist(), range(a, a + _BLOCK)))
+    return index
+
+
+def _first(bad: np.ndarray, default: int) -> int:
+    """Index of the first True in `bad`, or `default` when there is none."""
+    hits = np.flatnonzero(bad)
+    return int(hits[0]) if len(hits) else default
+
+
+def _floats(fields: Iterator[str | bytes]) -> Iterator[float]:
+    """float() of each field, stopping at the first one that is not a number."""
+    try:
+        for f in fields:
+            yield float(f)
+    except ValueError:
+        return
+
+
+def _scores(units: np.ndarray, codec: str, starts: np.ndarray, stops: np.ndarray,
+            skip: int) -> np.ndarray:
+    """Python's own float() of each row's score field, up to the first that is not a number.
+
+    A field starts `skip` code units into its row and keeps its newline,
+    which float() ignores. The fields of a block of rows are cut out as the
+    lines of one buffer; float() reads ASCII bytes as it reads the same str.
+    """
+    blocks = []
+    for a in range(0, len(starts), _BLOCK):
+        block_starts, block_stops = starts[a:a + _BLOCK], stops[a:a + _BLOCK]
+        origin = block_starts[0]
+        span = units[origin:block_stops[-1] + 1]
+        inside = np.zeros(len(span) + 2, dtype=np.int8)
+        inside[block_starts + (skip - origin)] = 1
+        inside[block_stops + (1 - origin)] = -1
+        np.cumsum(inside, out=inside)
+        fields = span[inside[:len(span)].view(bool)].tobytes()
+        lines = io.BytesIO(fields) if codec == "ascii" else io.StringIO(fields.decode(codec))
+        blocks.append(np.fromiter(_floats(lines), dtype=np.float64))
+        if len(blocks[-1]) < len(block_starts):
+            break
+    return np.concatenate(blocks) if blocks else np.empty(0)
 
 
 def load_lookup(
@@ -88,62 +168,136 @@ def load_lookup(
     (as written by gen_nk) sets the alphabet when the caller does not. The
     first data row is the wild type unless `wild_type` overrides it. With
     `negate`, scores are sign-flipped on load (for lower-is-better energies).
+    A sequence may repeat with its score; its first row is kept.
+
+    The file is parsed with NumPy over one array of its code units: its
+    bytes when it is ASCII, with newlines translated as text mode translates
+    them, else its text as UTF-32, so positions are character positions.
+    `end` is the first data row found bad so far; each check looks only at
+    the rows before it. The row it ends on is the first bad line, and
+    `_raise_line_error` checks that line alone for its error. Scores are
+    read a block of rows at a time (`_scores`), and the text is freed before
+    the index is built, so the parse's buffers stay small next to the table.
     """
     path = Path(path)
-    table: dict[tuple[int, ...], float] = {}
-    first: tuple[int, ...] | None = None
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            if line.startswith("#"):
-                parts = line[1:].split()
-                if len(parts) == 2 and parts[0] == "alphabet" and alphabet is None:
-                    alphabet = Alphabet(parts[1])
-                continue
-            cols = line.split("\t")
-            if len(cols) != 2:
-                raise ParseError(f"{path}:{lineno}: expected 2 tab-separated columns, got {len(cols)}")
-            if alphabet is None:
-                alphabet = protein_alphabet()
-            try:
-                residues = alphabet.ordinals(cols[0])
-            except ValueError as e:
-                raise ParseError(f"{path}:{lineno}: {e}") from None
-            if not residues:
-                raise ParseError(f"{path}:{lineno}: sequence must have at least one residue")
-            try:
-                score = float(cols[1])
-            except ValueError:
-                raise ParseError(f"{path}:{lineno}: non-numeric score {cols[1]!r}") from None
-            if not isfinite(score):
-                raise ParseError(f"{path}:{lineno}: non-finite score {cols[1]!r}")
-            if negate:
-                score = -score
-            if first is not None and len(residues) != len(first):
-                raise ParseError(f"{path}:{lineno}: sequence length {len(residues)} != {len(first)}")
-            if residues in table:
-                if table[residues] != score:
-                    raise DataError(
-                        f"{path}:{lineno}: conflicting scores for {cols[0]}: {table[residues]} vs {score}"
-                    )
-                continue
-            table[residues] = score
-            if first is None:
-                first = residues
-    if not table:
+    raw = path.read_bytes()
+    if raw.isascii():  # CRLF and a lone CR end a line, as in text mode
+        codec = "ascii"
+        units = np.frombuffer(raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n"), np.uint8)
+    else:
+        codec = "utf-32-le"
+        units = np.frombuffer(path.read_text(encoding="utf-8").encode(codec), np.uint32)
+    del raw
+
+    def decode(a: int, b: int) -> str:
+        return units[a:b].tobytes().decode(codec)
+
+    offset = np.int32 if len(units) < 2**30 else np.intp
+    breaks = np.flatnonzero(units == ord("\n")).astype(offset)
+    starts = np.concatenate((np.zeros(1, offset), breaks + 1))
+    stops = np.append(breaks, offset(len(units)))
+    del breaks
+    lines = np.flatnonzero(starts < stops).astype(offset)  # the non-empty ones
+    comment = units[starts[lines]] == ord("#")
+    data = lines[~comment]
+    if alphabet is None:
+        # the first directive before the first data row sets the alphabet
+        for line in lines[comment].tolist():
+            if len(data) and line > data[0]:
+                break
+            parts = decode(starts[line] + 1, stops[line]).split()
+            if len(parts) == 2 and parts[0] == "alphabet":
+                alphabet = Alphabet(parts[1])
+                break
+    if not len(data):
         raise ParseError(f"{path}: no data rows")
+    if alphabet is None:
+        alphabet = protein_alphabet()
+    starts, stops = starts[data], stops[data]
+    del lines, comment
+
+    # the shape: one tab, after a sequence as long as the first row's
+    tabs = np.flatnonzero(units == ord("\t")).astype(offset)
+    after = np.searchsorted(tabs, starts)
+    one_tab = np.searchsorted(tabs, stops) - after == 1
+    tab = tabs[np.minimum(after, len(tabs) - 1)] if len(tabs) else stops
+    del tabs, after
+    length = int(tab[0] - starts[0]) if one_tab[0] else 0
+    end = _first(~one_tab | (tab - starts != length), len(data)) if length else 0
+    del tab, one_tab
+
+    # residues: column by column through a code unit -> ordinal table, v = unknown
+    v = alphabet.size
+    lut = np.full(max(map(ord, alphabet.symbols)) + 2, v, dtype=np.min_scalar_type(v))
+    lut[[ord(c) for c in alphabet.symbols]] = np.arange(v)
+    codes = np.empty((end, length), dtype=np.min_scalar_type(v - 1))
+    known = np.ones(end, dtype=bool)
+    for j in range(length):
+        col = lut[np.minimum(units[starts[:end] + j], len(lut) - 1)]
+        known &= col < v
+        codes[:, j] = col
+    end = _first(~known, end)
+
+    scores = _scores(units, codec, starts[:end], stops[:end], length + 1)
+    end = _first(~np.isfinite(scores), len(scores))
+    codes, scores = codes[:end], scores[:end]
+    if negate:
+        scores = -scores
+    # of the text, only the first bad line is kept
+    bad_line = decode(starts[end], stops[end]) if end < len(data) else None
+    del units, starts, stops
+
+    # a repeated sequence: its first row keeps it, the others must repeat its score
+    index = _row_index(codes)
+    if len(index) < end:
+        keys = _row_keys(codes).tolist()
+        index = dict(zip(reversed(keys), range(end - 1, -1, -1)))
+        first = np.fromiter(map(index.__getitem__, keys), dtype=np.intp, count=end)
+        repeat = first != np.arange(end)
+        row = _first(repeat & (scores != scores[first]), end)
+        if row < end:
+            seq = Sequence(tuple(codes[row].tolist()), alphabet).text
+            raise DataError(f"{path}:{data[row] + 1}: conflicting scores for {seq}: "
+                            f"{float(scores[first[row]])} vs {float(scores[row])}")
+        codes, scores, index = codes[~repeat], scores[~repeat], None
+
+    if bad_line is not None:
+        _raise_line_error(f"{path}:{data[end] + 1}", bad_line, alphabet, length if end else None)
+    land = LookupLandscape(codes, scores, Sequence(tuple(codes[0].tolist()), alphabet), index)
     if wild_type is not None:
         try:
             wt = alphabet.encode(wild_type)
         except ValueError as e:
             raise DataError(f"wild-type override {wild_type}: {e}") from None
-        if wt.residues not in table:
+        if not land.contains(wt):
             raise DataError(f"wild-type override {wild_type}: not in the table")
-    else:
-        wt = Sequence(first, alphabet)
-    return LookupLandscape(table=table, wild_type=wt)
+        land.wild_type = wt
+    return land
+
+
+def _raise_line_error(where: str, line: str, alphabet: Alphabet, length: int | None):
+    """Raise the ParseError of a bad data line, checking it as the line-by-line loader did.
+
+    `length` is the first row's sequence length (None on the first row).
+    """
+    cols = line.split("\t")
+    if len(cols) != 2:
+        raise ParseError(f"{where}: expected 2 tab-separated columns, got {len(cols)}")
+    try:
+        residues = alphabet.ordinals(cols[0])
+    except ValueError as e:
+        raise ParseError(f"{where}: {e}") from None
+    if not residues:
+        raise ParseError(f"{where}: sequence must have at least one residue")
+    try:
+        score = float(cols[1])
+    except ValueError:
+        raise ParseError(f"{where}: non-numeric score {cols[1]!r}") from None
+    if not isfinite(score):
+        raise ParseError(f"{where}: non-finite score {cols[1]!r}")
+    if length is not None and len(residues) != length:
+        raise ParseError(f"{where}: sequence length {len(residues)} != {length}")
+    raise AssertionError(f"{where}: {line!r} was found bad but passes every check")
 
 
 # the most contribution-table entries an NK landscape may have (800 MB of float64)

@@ -248,7 +248,10 @@ class RecurrentRegressor(_StackedNet):
         wx, wh, bh = self.params["wx"], self.params["wh"], self.params["bh"]
         hs = [np.zeros((len(wx), x.shape[-3], self.cfg.hidden_size))]
         for t in range(x.shape[-2]):
-            hs.append(np.tanh(x[..., t, :] @ wx + hs[-1] @ wh + bh[:, None, :]))
+            a = x[..., t, :] @ wx
+            if t:  # the initial state is zero: no product with it
+                a += hs[-1] @ wh
+            hs.append(np.tanh(a + bh[:, None, :]))
         return hs[-1], (x, hs)
 
     def last_hidden(self, feats: np.ndarray) -> np.ndarray:
@@ -270,9 +273,9 @@ class RecurrentRegressor(_StackedNet):
         for t in reversed(range(x.shape[-2])):
             da = dh * (1.0 - hs[t + 1] ** 2)  # through tanh
             gwx += np.swapaxes(x[..., t, :], -1, -2) @ da
-            gwh += np.swapaxes(hs[t], -1, -2) @ da
             gbh += da.sum(axis=-2)
-            if t:  # the initial state is a constant
+            if t:  # the initial state is a zero constant: no product with it
+                gwh += np.swapaxes(hs[t], -1, -2) @ da
                 dh = da @ np.swapaxes(wh, -1, -2)
         return grads
 

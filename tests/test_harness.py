@@ -311,6 +311,21 @@ class TestCrashSafety:
         assert outs[0] == outs[1]
         assert sorted(outs[0]) == ["manifest.txt", "run_0.csv", "run_1.csv", "run_2.csv"]
 
+    def test_parallel_lookup_seeds_write_the_serial_artifacts(self, tmp_path, monkeypatch):
+        # each worker gets the array-backed table pickled, and rebuilds its index
+        gen_nk(6, 1, 2, 9, tmp_path / "land")
+        cfg = parse_config_text(
+            SMALL_BO_CONFIG.replace("landscape.kind=nk", "landscape.kind=lookup")
+            .replace("seeds=0", "seeds=0,1,2")
+            + f"landscape.path={tmp_path / 'land.tsv'}\nout={tmp_path / 'runs'}\n")
+        outs = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("PROXBO_THREADS", threads)
+            assert list(run_campaign(cfg)) == [0, 1, 2]
+            outs.append(_artifacts(tmp_path / "runs"))
+        assert outs[0] == outs[1]
+        assert sorted(outs[0]) == ["manifest.txt", "run_0.csv", "run_1.csv", "run_2.csv"]
+
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_failing_seed_keeps_the_others_and_reraises(self, tmp_path, monkeypatch, threads):
         cfg = parse_config_text(THREE_SEEDS + f"out={tmp_path / 'runs'}\n")

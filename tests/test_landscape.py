@@ -1,6 +1,7 @@
 """Tests for lookup tables, NK landscapes, and the budgeted oracle."""
 
 import itertools
+import pickle
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from proxbo.landscape import (
     load_lookup,
     make_nk,
 )
-from proxbo.sequences import Sequence, hamming_distance, small_alphabet
+from proxbo.sequences import Alphabet, Sequence, hamming_distance, small_alphabet
 
 AB2 = small_alphabet(2)
 AB4 = small_alphabet(4)
@@ -117,6 +118,58 @@ class TestLoadLookup:
         assert not land.contains(stranger)
         with pytest.raises(DomainError):
             land.evaluate_batch([stranger])
+
+
+class TestLookupTable:
+    """The array-backed table: its index, its pickled copy, and lookups that miss."""
+
+    def _table(self, tmp_path):
+        from proxbo.harness import gen_nk
+
+        gen_nk(5, 2, 3, 4, tmp_path / "land")
+        return load_lookup(tmp_path / "land.tsv")
+
+    def test_pickled_table_answers_as_the_original(self, tmp_path):
+        land = self._table(tmp_path)
+        copy = pickle.loads(pickle.dumps(land))
+        assert list(copy.iter_residues()) == list(land.iter_residues())
+        assert copy.wild_type == land.wild_type and copy.alphabet == land.alphabet
+        states = list(land.iter_domain())
+        assert all(copy.contains(s) for s in states)
+        assert copy.evaluate_batch(states) == land.evaluate_batch(states)
+        assert copy.scores.tobytes() == land.scores.tobytes()
+
+    @pytest.mark.parametrize("residues", [(0, 0), (0,) * 6, (2, 2, 2, 2, 3)])
+    def test_unknown_or_wrong_length_sequence_misses(self, tmp_path, residues):
+        land = self._table(tmp_path)
+        for table in (land, pickle.loads(pickle.dumps(land))):
+            stranger = Sequence(residues, AB4)
+            assert not table.contains(stranger)
+            message = rf"^sequence {stranger.text} is not in the lookup table$"
+            with pytest.raises(DomainError, match=message):
+                table.evaluate_batch([land.wild_type, stranger])
+
+    def test_ordinals_the_dtype_cannot_hold_miss(self, tmp_path):
+        land = self._table(tmp_path)
+        assert land.codes.dtype == np.uint8
+        wide = Alphabet("".join(chr(0x100 + i) for i in range(300)))
+        assert not land.contains(Sequence((0, 0, 0, 0, 299), wide))
+
+    def test_repeated_rows_are_refused(self):
+        codes = np.array([[0, 1], [0, 1]], dtype=np.uint8)
+        with pytest.raises(DataError, match="not distinct"):
+            LookupLandscape(codes, np.zeros(2), Sequence((0, 1), AB2))
+
+    def test_wide_alphabet_takes_a_wider_dtype(self, tmp_path):
+        wide = "".join(chr(0x100 + i) for i in range(300))
+        p = tmp_path / "wide.tsv"
+        p.write_text(f"# alphabet {wide}\n{wide[299]}{wide[0]}\t1.0\n{wide[0]}{wide[1]}\t2.0\n",
+                     encoding="utf-8")
+        land = load_lookup(p)
+        assert land.codes.dtype == np.uint16
+        assert list(land.iter_residues()) == [(299, 0), (0, 1)]
+        assert land.evaluate_batch([land.alphabet.encode(wide[0] + wide[1])]) == [2.0]
+        assert not land.contains(Sequence((299, 1), land.alphabet))
 
 
 class TestNKLandscape:

@@ -182,27 +182,32 @@ class TestLockstepFit:
                               np.stack([preds.mean(axis=0), preds.var(axis=0)], axis=1))
 
     def test_matches_sequential_fit_at_campaign_shapes(self):
-        """The kg-nk10 network (16 -> 16 channels, k = 9) on minibatches of 64 sequences.
+        """The two benchmark networks on minibatches of 64 sequences; 65 rows leave a 1-row one.
 
-        Their products go over BLAS's small-matrix limit, where the lockstep
-        forward runs in row blocks and the sequential one in one product; 65
-        rows leave a 1-row minibatch.
+        kg-nk10's conv network (16 -> 16 channels, k = 9, L = 10): its products
+        go over BLAS's small-matrix limit, where the lockstep forward runs in
+        row blocks and the sequential one in one product. ucb-lookup-l4v20's
+        recurrent network (hidden 64, L = 4, V = 20): the lockstep one skips the
+        products with the zero initial state, which the sequential one keeps.
         """
-        cfg = ConvRegressorConfig(channels=(16, 16), kernel_size=9, hidden_dense=32)
-        data = random_dataset(65, length=10, seed=21)
-        train = TrainConfig(epochs=2, minibatch=64, learning_rate=5e-3)
-        ens = Ensemble("conv", cfg, n_members=5, seed=4)
-        ref = SequentialEnsemble("conv", cfg, 5, seed=4)
-        rng, ref_rng = np.random.default_rng(8), np.random.default_rng(8)
-        assert ens.fit(data, train, rng) == ref.fit(data, train, ref_rng)
-        for m, member in enumerate(ref.members):
-            for name, arr in member.params.items():
-                assert np.array_equal(ens.net.params[name][m], arr), (m, name)
-        x = encode_batch(data.sequences)
-        preds = np.stack([member.forward(x)[0] for member in ref.members])
-        preds = preds * ref.y_std + ref.y_mean
-        assert np.array_equal(ens.predict_batch(data.sequences),
-                              np.stack([preds.mean(axis=0), preds.var(axis=0)], axis=1))
+        for kind, cfg, length, vocab in [
+                ("conv", ConvRegressorConfig(channels=(16, 16), kernel_size=9, hidden_dense=32),
+                 10, 2),
+                ("recurrent", RecurrentRegressorConfig(hidden_size=64), 4, 20)]:
+            data = random_dataset(65, length=length, vocab=vocab, seed=21)
+            train = TrainConfig(epochs=2, minibatch=64, learning_rate=5e-3)
+            ens = Ensemble(kind, cfg, n_members=5, seed=4)
+            ref = SequentialEnsemble(kind, cfg, 5, seed=4)
+            rng, ref_rng = np.random.default_rng(8), np.random.default_rng(8)
+            assert ens.fit(data, train, rng) == ref.fit(data, train, ref_rng), kind
+            for m, member in enumerate(ref.members):
+                for name, arr in member.params.items():
+                    assert np.array_equal(ens.net.params[name][m], arr), (kind, m, name)
+            x = encode_batch(data.sequences)
+            preds = np.stack([member.forward(x)[0] for member in ref.members])
+            preds = preds * ref.y_std + ref.y_mean
+            assert np.array_equal(ens.predict_batch(data.sequences),
+                                  np.stack([preds.mean(axis=0), preds.var(axis=0)], axis=1))
 
     def test_divergence_raises_training_error(self):
         data = random_dataset(8, seed=2)
