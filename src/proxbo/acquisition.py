@@ -1,4 +1,9 @@
-"""Acquisition functions over ensemble posterior statistics and batch selection.
+"""Batch selection over a candidate pool, and the acquisitions it scores.
+
+`ei(mean, std, best)` is expected improvement over arrays of posterior means
+and stds; UCB is `mean + beta * std`, written inline. `select_batch` scores
+and ranks the whole pool as arrays: one score array per call, and one
+`np.lexsort` by score, then distance to the wild type, then residues.
 
 `kg_oneshot` and `select_batch` only need a model with two array methods:
 `predict_batch(seqs)`, a (len(seqs), 2) array of posterior mean and
@@ -15,7 +20,6 @@ from its means itself.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -24,18 +28,6 @@ import numpy as np
 from .errors import check_positive
 from .sequences import Sequence, hamming_distances
 from .surrogate import Dataset
-
-
-@dataclass(frozen=True)
-class Posterior:
-    mean: float
-    std: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.mean) and math.isfinite(self.std)):
-            raise ValueError(f"non-finite posterior ({self.mean}, {self.std})")
-        if self.std < 0:
-            raise ValueError(f"negative posterior std {self.std}")
 
 
 @dataclass(frozen=True)
@@ -57,29 +49,37 @@ class KGConfig:
         check_positive(self, "n_fantasies", "inner_pool_size", "inner_eval_size")
 
 
-def _norm_pdf(z: float) -> float:
-    return math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+_erfc = np.frompyfunc(math.erfc, 1, 1)
+_exp = np.frompyfunc(math.exp, 1, 1)
 
 
-def _norm_cdf(z: float) -> float:
-    return 0.5 * math.erfc(-z / math.sqrt(2.0))
+def ei(mean, std, best: float) -> np.ndarray:
+    """Expected improvement of each (mean, std) pair over the incumbent `best`, closed form.
 
-
-def ucb(p: Posterior, beta: float) -> float:
-    """Upper confidence bound: mean + beta * std."""
-    if beta < 0:
-        raise ValueError(f"beta must be >= 0, got {beta}")
-    return p.mean + beta * p.std
-
-
-def ei(p: Posterior, best: float) -> float:
-    """Expected improvement over the incumbent `best`, closed form."""
+    NumPy has no `erfc`, so Python's `math.erfc` and `math.exp` run element by
+    element; the rest is the scalar expression, in its order of operations,
+    so every element has the bits of the scalar form on Python floats. A zero
+    std gives the hinge max(mean - best, 0).
+    """
+    mean = np.asarray(mean, dtype=np.float64)
+    std = np.asarray(std, dtype=np.float64)
     if not math.isfinite(best):
         raise ValueError(f"non-finite incumbent {best}")
-    if p.std == 0.0:
-        return max(p.mean - best, 0.0)
-    z = (p.mean - best) / p.std
-    return (p.mean - best) * _norm_cdf(z) + p.std * _norm_pdf(z)
+    bad = np.flatnonzero(~(np.isfinite(mean) & np.isfinite(std)))
+    if bad.size:
+        raise ValueError(f"non-finite posterior ({mean.flat[bad[0]]}, {std.flat[bad[0]]})")
+    if np.any(std < 0):
+        raise ValueError(f"negative posterior std {std.min()}")
+    gain = mean - best
+    zero = std == 0.0
+    # Python floats overflow to inf without a warning: a tiny std gives z = ±inf
+    with np.errstate(over="ignore"):
+        z = gain / np.where(zero, 1.0, std)
+        cdf = 0.5 * np.asarray(_erfc(-z / math.sqrt(2.0)), dtype=np.float64)
+        pdf = np.asarray(_exp(-0.5 * z * z), dtype=np.float64) / math.sqrt(2.0 * math.pi)
+        smooth = gain * cdf + std * pdf
+    # max(gain, 0.0) keeps gain unless 0.0 > gain, so -0.0 stays -0.0
+    return np.where(zero, np.where(gain < 0.0, 0.0, gain), smooth)
 
 
 def kg_oneshot(model, batch: list[Sequence], inner_pool: list[Sequence],
@@ -141,10 +141,14 @@ def _mean_std(model, seqs: list[Sequence],
     return mean, std
 
 
-def _ranked(pool: list[Sequence], scores: list[float], distances: np.ndarray) -> list[int]:
-    """Sort keys: score desc, then distance to wild type asc, then ordinals."""
-    d = distances.tolist()
-    return sorted(range(len(pool)), key=lambda i: (-scores[i], d[i], pool[i].residues))
+def _ranked(pool: list[Sequence], scores: np.ndarray, distances: np.ndarray) -> np.ndarray:
+    """Pool indices by score desc, then distance to wild type asc, then residues.
+
+    `np.lexsort` is stable and takes its keys last-first: the residue columns
+    go in from the last to the first.
+    """
+    residues = np.array([s.residues for s in pool])
+    return np.lexsort((*residues.T[::-1], distances, -scores))
 
 
 def select_batch(strategy: str, model, pool: list[Sequence], data: Dataset, m: int,
@@ -183,34 +187,32 @@ def select_batch(strategy: str, model, pool: list[Sequence], data: Dataset, m: i
     penalty = lam * distances
     mean, std = _mean_std(model, pool, penalty)
     if strategy == "greedy":
-        order = _ranked(pool, mean.tolist(), distances)
-        # the k-th best of every class comes before the (k+1)-th best of any
-        d = distances.tolist()
-        depth = dict.fromkeys(d, 0)
-        sweep = []
-        for i in order:
-            sweep.append((depth[d[i]], d[i], i))
-            depth[d[i]] += 1
-        return [pool[i] for _, _, i in sorted(sweep)[:m]]
+        order = _ranked(pool, mean, distances)
+        # the k-th best of every class comes before the (k+1)-th best of any:
+        # group the ranks by class, stably, and count each one's depth in its class
+        classes = distances[order]
+        grouped = np.argsort(classes, kind="stable")
+        depth = np.empty(len(order), dtype=np.intp)
+        depth[grouped] = np.arange(len(order)) - np.searchsorted(classes[grouped],
+                                                                 classes[grouped])
+        return [pool[i] for i in order[np.lexsort((classes, depth))][:m]]
     if strategy == "ei":
         best = data.max_score() if lam == 0 else float(
             np.max(data.scores - lam * hamming_distances(data.sequences, wild_type)))
-        scores = [ei(Posterior(mu, sd), best) for mu, sd in zip(mean.tolist(), std.tolist())]
-        order = _ranked(pool, scores, distances)
+        order = _ranked(pool, ei(mean, std, best), distances)
         return [pool[i] for i in order[:m]]
-    order = _ranked(pool, (mean + beta * std).tolist(), distances)
+    order = _ranked(pool, mean + beta * std, distances)
     if strategy == "ucb":
         return [pool[i] for i in order[:m]]
 
     cfg = kg_config or KGConfig()
     rng = rng if rng is not None else np.random.default_rng(0)
     # prerank by UCB to bound the number of KG evaluations per slot
-    inner = order[: cfg.inner_pool_size]
+    inner = order[: cfg.inner_pool_size].tolist()
     chosen: list[int] = []
-    taken: set[int] = set()
+    free = np.ones(len(pool), dtype=bool)  # by pool index: not chosen yet
     for _ in range(m):
-        subset = list(itertools.islice((i for i in order if i not in taken),
-                                       cfg.inner_eval_size))
+        subset = order[free[order]][: cfg.inner_eval_size].tolist()
         slot_rng = np.random.default_rng(int(rng.integers(0, 2**63 - 1)))
         # the incumbent term is constant per slot, so it is dropped
         scores = _kg_slot_scores(model, pool, chosen, subset, inner, data, cfg, slot_rng,
@@ -220,5 +222,5 @@ def select_batch(strategy: str, model, pool: list[Sequence], data: Dataset, m: i
             raise ValueError(f"non-finite KG slot score for {bad} of {len(scores)} candidates")
         best_c = subset[int(np.argmax(scores))]  # the first of equal maxima
         chosen.append(best_c)
-        taken.add(best_c)
+        free[best_c] = False
     return [pool[i] for i in chosen]

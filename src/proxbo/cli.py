@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .acquisition import Posterior, ei
+from .acquisition import ei
 from .errors import ProxboError
 from .explorer import FrontierPoint, update_frontier
 from .harness import aggregate_dir, gen_nk, load_config, run_campaign
@@ -59,7 +59,7 @@ def _check_ei() -> tuple[bool, str]:
         n = 200_000
         samples = np.maximum(rng.normal(mean, std, size=n) - best, 0.0)
         mc, se = samples.mean(), samples.std(ddof=1) / np.sqrt(n)
-        closed = ei(Posterior(mean, std), best)
+        closed = float(ei(mean, std, best))
         if abs(closed - mc) > 3 * se:
             return False, f"EI closed form {closed} vs MC {mc} +- {se}"
     return True, "EI matches Monte Carlo oracle"

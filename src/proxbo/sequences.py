@@ -117,23 +117,11 @@ def hamming_distances(seqs: list[Sequence], ref: Sequence) -> np.ndarray:
     return (rows != np.array(ref.residues)).sum(axis=1)
 
 
-def encode_onehot(s: Sequence) -> np.ndarray:
-    """One-hot encode to an L x V float matrix (row i hot at column s[i])."""
-    mat = np.zeros((len(s), s.alphabet.size), dtype=np.float64)
-    mat[np.arange(len(s)), s.residues] = 1.0
-    return mat
-
-
-def decode_onehot(mat: np.ndarray, alphabet: Alphabet) -> Sequence:
-    """Inverse of encode_onehot via per-row argmax."""
-    return Sequence(tuple(int(i) for i in np.argmax(mat, axis=1)), alphabet)
-
-
 def encode_batch(seqs: list[Sequence]) -> np.ndarray:
     """One-hot encodings of equal-length sequences as a (B, L, V) array.
 
-    One gather of identity rows by the (B, L) residue ordinals; it equals
-    stacking `encode_onehot` of each sequence.
+    One gather of identity rows by the (B, L) residue ordinals: row i of
+    sequence b is hot at column b's residue i.
     """
     if not seqs:
         raise ValueError("empty sequence batch")
@@ -142,19 +130,6 @@ def encode_batch(seqs: list[Sequence]) -> np.ndarray:
         raise ValueError("every sequence in a batch must share one alphabet size")
     # a ragged batch makes np.array raise ValueError
     return np.eye(size)[np.array([s.residues for s in seqs])]
-
-
-def point_mutate(s: Sequence, position: int, symbol: int) -> Sequence:
-    """Substitute one residue; the replacement must differ from the original."""
-    if not 0 <= position < len(s):
-        raise ValueError(f"position {position} out of range for length {len(s)}")
-    if not 0 <= symbol < s.alphabet.size:
-        raise ValueError(f"symbol ordinal {symbol} out of range for alphabet size {s.alphabet.size}")
-    if s.residues[position] == symbol:
-        raise ValueError(f"no-op substitution at position {position}")
-    residues = list(s.residues)
-    residues[position] = symbol
-    return Sequence(tuple(residues), s.alphabet)
 
 
 def random_mutant(s: Sequence, radius: int, rng: np.random.Generator) -> Sequence:

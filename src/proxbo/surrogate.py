@@ -7,10 +7,7 @@ provides the predictive variance used by the acquisition functions.
 from __future__ import annotations
 
 import copy
-import json
-from collections.abc import MutableMapping
-from dataclasses import asdict, dataclass
-from pathlib import Path
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -285,41 +282,13 @@ REGRESSORS = {"conv": (ConvRegressorConfig, ConvRegressor),
               "recurrent": (RecurrentRegressorConfig, RecurrentRegressor)}
 
 
-class _MemberParams(MutableMapping):
-    """Row `m` of a stacked parameter dict; assigning an entry writes that row."""
-
-    def __init__(self, stacked: dict[str, np.ndarray], m: int):
-        self._stacked = stacked
-        self._m = m
-
-    def __getitem__(self, name: str) -> np.ndarray:
-        return self._stacked[name][self._m]
-
-    def __setitem__(self, name: str, value) -> None:
-        self._stacked[name][self._m] = value
-
-    def __delitem__(self, name: str) -> None:
-        raise TypeError("member parameters cannot be deleted")
-
-    def __iter__(self):
-        return iter(self._stacked)
-
-    def __len__(self) -> int:
-        return len(self._stacked)
-
-
-class Member:
-    """One member of a stacked network; `params` reads and writes its rows."""
-
-    def __init__(self, stacked: dict[str, np.ndarray], m: int):
-        self.params = _MemberParams(stacked, m)
-
-
 class Ensemble:
     """Independently seeded regressors; spread across members is the uncertainty.
 
     The members live in one stacked network (`net`) with a leading member
-    axis on every parameter; `members` gives per-member views of it.
+    axis on every parameter; `members` gives each one as a one-member stack
+    whose `params` are views into it. Assigning an entry of such a `params`
+    dict rebinds it; write `net.params[name][m]` to change member m.
     """
 
     def __init__(self, kind: str = "conv", config=None, n_members: int = 5, seed: int = 0):
@@ -347,10 +316,8 @@ class Ensemble:
         return self.net is not None
 
     @property
-    def members(self) -> list[Member]:
-        if self.net is None:
-            return []
-        return [Member(self.net.params, m) for m in range(self.n_members)]
+    def members(self) -> list[ConvRegressor | RecurrentRegressor]:
+        return [self.net.member(m) for m in range(self.n_members)] if self.trained else []
 
     def _init_net(self):
         rngs = [np.random.default_rng(s) for s in self.member_seeds]
@@ -499,49 +466,6 @@ class Ensemble:
         if not np.isfinite(result).all():
             raise TrainingError("non-finite fantasy posterior means")
         return result
-
-    # -- checkpointing ------------------------------------------------------
-
-    def save(self, path: str | Path) -> None:
-        """Write a single self-describing .npz checkpoint."""
-        meta = {
-            "kind": self.kind,
-            "config": asdict(self.config),
-            "n_members": self.n_members,
-            "seed": self.seed,
-            "member_seeds": self.member_seeds,
-            "y_mean": self.y_mean,
-            "y_std": self.y_std,
-            "length": self.length,
-            "vocab": self.vocab,
-        }
-        arrays = {}
-        for i, member in enumerate(self.members):
-            for name, arr in member.params.items():
-                arrays[f"member{i}/{name}"] = arr
-        np.savez(path, __meta__=np.bytes_(json.dumps(meta, default=list)), **arrays)
-
-    @classmethod
-    def load(cls, path: str | Path) -> "Ensemble":
-        with np.load(path) as archive:
-            meta = json.loads(bytes(archive["__meta__"]).decode())
-            cfg_kwargs = dict(meta["config"])
-            if "channels" in cfg_kwargs:
-                cfg_kwargs["channels"] = tuple(cfg_kwargs["channels"])
-            ens = cls(kind=meta["kind"], config=REGRESSORS[meta["kind"]][0](**cfg_kwargs),
-                      n_members=meta["n_members"], seed=meta["seed"])
-            ens.member_seeds = [int(s) for s in meta["member_seeds"]]
-            ens.y_mean = meta["y_mean"]
-            ens.y_std = meta["y_std"]
-            ens.length = meta["length"]
-            ens.vocab = meta["vocab"]
-            ens.net = ens._init_net()
-            # assigning an arena entry copies into its view, so the stacked
-            # parameters stay views into one buffer
-            for name in ens.net.params:
-                ens.net.params[name] = np.stack(
-                    [archive[f"member{i}/{name}"] for i in range(ens.n_members)])
-        return ens
 
 
 @dataclass

@@ -13,18 +13,59 @@ penalty array replaced: a model wrapper that looks up one penalty per
 sequence and unzips (mean, variance) tuples one at a time.
 `scalar_penalised_select_batch` is the campaign round's old use of it: the
 wrapped model, and EI's incumbent recomputed row by row.
+
+`Posterior`, `ucb` and `ei` are the scalar acquisitions that the array
+scores of `select_batch` and `acquisition.ei` replaced.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from proxbo.acquisition import KGConfig, Posterior, _kg_slot_scores, ei, ucb
+from proxbo.acquisition import KGConfig, _kg_slot_scores
 from proxbo.sequences import Sequence, hamming_distance
 from proxbo.surrogate import Dataset
+
+
+@dataclass(frozen=True)
+class Posterior:
+    mean: float
+    std: float
+
+    def __post_init__(self):
+        if not (math.isfinite(self.mean) and math.isfinite(self.std)):
+            raise ValueError(f"non-finite posterior ({self.mean}, {self.std})")
+        if self.std < 0:
+            raise ValueError(f"negative posterior std {self.std}")
+
+
+def _norm_pdf(z: float) -> float:
+    return math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+
+
+def _norm_cdf(z: float) -> float:
+    return 0.5 * math.erfc(-z / math.sqrt(2.0))
+
+
+def ucb(p: Posterior, beta: float) -> float:
+    """Upper confidence bound: mean + beta * std."""
+    if beta < 0:
+        raise ValueError(f"beta must be >= 0, got {beta}")
+    return p.mean + beta * p.std
+
+
+def ei(p: Posterior, best: float) -> float:
+    """Expected improvement over the incumbent `best`, closed form."""
+    if not math.isfinite(best):
+        raise ValueError(f"non-finite incumbent {best}")
+    if p.std == 0.0:
+        return max(p.mean - best, 0.0)
+    z = (p.mean - best) / p.std
+    return (p.mean - best) * _norm_cdf(z) + p.std * _norm_pdf(z)
 
 
 class ScalarShiftedModel:

@@ -1,21 +1,16 @@
 """Tests for acquisition functions: UCB, EI, knowledge gradient, batch selection."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from proxbo.acquisition import (
-    KGConfig,
-    Posterior,
-    ei,
-    kg_oneshot,
-    select_batch,
-    ucb,
-)
+from proxbo.acquisition import KGConfig, ei, kg_oneshot, select_batch
 from proxbo.sequences import Sequence, small_alphabet
 from proxbo.surrogate import Dataset
 
+import select_oracle
 from linear_model import two_feature_problem
 
 AB2 = small_alphabet(2)
@@ -26,40 +21,86 @@ def all_seqs(length):
     return [Sequence(r, AB2) for r in itertools.product((0, 1), repeat=length)]
 
 
-class TestPosterior:
-    def test_negative_std_rejected(self):
-        with pytest.raises(ValueError):
-            Posterior(0.0, -1.0)
+class TableModel:
+    """(mean, variance) rows looked up per sequence."""
 
-    def test_non_finite_rejected(self):
-        with pytest.raises(ValueError):
-            Posterior(float("nan"), 1.0)
+    def __init__(self, pool, mean, std):
+        self.rows = {s: (mu, sd * sd) for s, mu, sd in zip(pool, mean, std)}
+
+    def predict_batch(self, seqs):
+        return np.array([self.rows[s] for s in seqs])
 
 
 class TestUCB:
-    def test_known_value(self):
-        assert ucb(Posterior(1.0, 2.0), 0.5) == 2.0
+    # UCB = mean + beta * std: [2.0, 1.5, 2.0, 1.4] at beta 0.5; the tie at 2.0
+    # goes to the lexicographically smaller sequence
+    POOL = all_seqs(2)
+    MODEL = TableModel(POOL, [1.0, 1.5, 0.0, 0.9], [2.0, 0.0, 4.0, 1.0])
 
-    def test_beta_zero_is_mean(self):
-        assert ucb(Posterior(1.5, 3.0), 0.0) == 1.5
+    def test_ranks_by_mean_plus_beta_std(self):
+        chosen = select_batch("ucb", self.MODEL, self.POOL, Dataset(), 4, beta=0.5)
+        assert chosen == [self.POOL[i] for i in (0, 2, 1, 3)]
+
+    def test_beta_zero_ranks_by_mean(self):
+        chosen = select_batch("ucb", self.MODEL, self.POOL, Dataset(), 4, beta=0.0)
+        assert chosen == [self.POOL[i] for i in (1, 0, 3, 2)]
 
     def test_negative_beta_rejected(self):
-        with pytest.raises(ValueError):
-            ucb(Posterior(0.0, 1.0), -1.0)
-
-    def test_monotone_in_mean_and_std(self):
-        assert ucb(Posterior(2.0, 1.0), 1.0) > ucb(Posterior(1.0, 1.0), 1.0)
-        assert ucb(Posterior(1.0, 2.0), 1.0) > ucb(Posterior(1.0, 1.0), 1.0)
+        with pytest.raises(ValueError, match="beta"):
+            select_batch("ucb", self.MODEL, self.POOL, Dataset(), 1, beta=-1.0)
 
 
 class TestEI:
+    def test_negative_std_rejected(self):
+        with pytest.raises(ValueError, match="negative posterior std"):
+            ei([0.0, 0.0], [1.0, -1.0], 0.0)
+
+    @pytest.mark.parametrize("mean, std", [(float("nan"), 1.0), (0.0, float("inf")),
+                                           (float("-inf"), 1.0)])
+    def test_non_finite_rejected(self, mean, std):
+        with pytest.raises(ValueError, match="non-finite posterior"):
+            ei([1.0, mean], [1.0, std], 0.0)
+
+    def test_non_finite_incumbent_rejected(self):
+        with pytest.raises(ValueError, match="non-finite incumbent"):
+            ei([0.0], [1.0], float("inf"))
+
     def test_zero_std_is_hinge(self):
-        assert ei(Posterior(2.0, 0.0), 1.0) == 1.0
-        assert ei(Posterior(0.5, 0.0), 1.0) == 0.0
+        assert ei([2.0, 0.5], [0.0, 0.0], 1.0).tolist() == [1.0, 0.0]
+        # max(-0.0, 0.0) is -0.0 on Python floats
+        assert ei([-0.0], [0.0], 0.0).tobytes() == np.array(
+            [select_oracle.ei(select_oracle.Posterior(-0.0, 0.0), 0.0)]).tobytes()
 
     def test_nonnegative_and_monotone_in_std(self):
-        p_small, p_big = Posterior(0.0, 0.5), Posterior(0.0, 2.0)
-        assert 0.0 <= ei(p_small, 1.0) < ei(p_big, 1.0)
+        small, big = ei([0.0, 0.0], [0.5, 2.0], 1.0)
+        assert 0.0 <= small < big
+
+    def test_extreme_z_is_the_hinge_without_a_warning(self):
+        # z = 1e300 overflows z * z to inf, as it does silently on Python floats
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = ei([1.0, -1.0], [1e-300, 1e-300], 0.0)
+        assert value.tolist() == [1.0, 0.0]
+        assert value[0] == select_oracle.ei(select_oracle.Posterior(1.0, 1e-300), 0.0)
+
+    def test_matches_the_scalar_oracle_bit_for_bit(self):
+        """30,000 triples, 5% zero stds, each value at a scale from 1e-300 to 1e150."""
+        rng = np.random.default_rng(5)
+
+        def draw(n):
+            return rng.standard_normal(n) * 10.0 ** rng.uniform(-300, 150, n)
+
+        for best in draw(300).tolist():
+            mean, std = draw(100), np.abs(draw(100))
+            std[rng.random(100) < 0.05] = 0.0
+            mean[:3] = best  # a zero gain, with and without a std
+            std[0] = 0.0
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                fast = ei(mean, std, best)
+            slow = np.array([select_oracle.ei(select_oracle.Posterior(mu, sd), best)
+                             for mu, sd in zip(mean.tolist(), std.tolist())])
+            assert fast.tobytes() == slow.tobytes(), best
 
     def test_matches_monte_carlo(self):
         # closed form vs sampled improvement, 3 standard errors
@@ -74,11 +115,7 @@ class TestEI:
             se = imp.std(ddof=1) / math.sqrt(n)
             # the 1e-7 floor covers triples so deep in the tail that no
             # sample improves, making the estimated standard error zero
-            assert abs(ei(Posterior(mean, std), best) - imp.mean()) <= 3 * se + 1e-7
-
-    def test_non_finite_incumbent_rejected(self):
-        with pytest.raises(ValueError):
-            ei(Posterior(0.0, 1.0), float("inf"))
+            assert abs(ei(mean, std, best) - imp.mean()) <= 3 * se + 1e-7
 
 
 class TestKnowledgeGradient:
@@ -140,8 +177,8 @@ class TestSelectBatch:
         best = 0.5
         data.add(pool[0], best)
         chosen = select_batch("ei", model, pool, data, 1)
-        scores = [ei(Posterior(m, math.sqrt(max(v, 0.0))), best)
-                  for m, v in model.predict_batch(pool)]
+        mean, var = model.predict_batch(pool).T
+        scores = ei(mean, np.sqrt(np.maximum(var, 0.0)), best)
         assert chosen[0] == pool[int(np.argmax(scores))]
 
     def test_degenerate_whole_pool(self):

@@ -128,11 +128,16 @@ def test_non_finite_posterior_rejected(problem):
         select_batch("ucb", ens, pool, state.data, 2, beta=-1.0)
 
 
-@pytest.mark.parametrize("acquisition", ["ucb", "ei", "kg"])
-def test_campaign_with_the_scalar_path_gives_identical_csvs(tmp_path, monkeypatch, acquisition):
-    """λ from the IQR rule, so the penalty, the incumbent and the tie-break all read distances."""
+@pytest.mark.parametrize("method", [dict(acquisition="ucb"), dict(acquisition="ei"),
+                                    dict(acquisition="kg"), dict(method="pex_greedy")],
+                         ids=["ucb", "ei", "kg", "pex_greedy"])
+def test_campaign_with_the_scalar_path_gives_identical_csvs(tmp_path, monkeypatch, method):
+    """λ from the IQR rule, so the penalty, the incumbent and the tie-break all read distances.
+
+    The frontier-greedy baseline runs at λ = 0 and ranks each distance class by mean.
+    """
     base = {**test_acceptance.TestReproducibility.CONFIG.__dict__,
-            "acquisition": acquisition, "rounds": 3, "seeds": (0,)}
+            **method, "rounds": 3, "seeds": (0,)}
     blobs = []
     for name in ("arrays", "scalar"):
         if name == "scalar":

@@ -9,11 +9,8 @@ from proxbo.sequences import (
     PROTEIN_SYMBOLS,
     Alphabet,
     Sequence,
-    decode_onehot,
     encode_batch,
-    encode_onehot,
     hamming_distance,
-    point_mutate,
     protein_alphabet,
     random_mutant,
     sample_mutants,
@@ -25,6 +22,13 @@ AB4 = small_alphabet(4)
 
 def seq(text: str, alphabet: Alphabet = AB4) -> Sequence:
     return Sequence(tuple(alphabet.index(ch) for ch in text), alphabet)
+
+
+def encode_onehot(s: Sequence) -> np.ndarray:
+    """The oracle of `encode_batch`: an L x V float matrix, row i hot at column s[i]."""
+    mat = np.zeros((len(s), s.alphabet.size), dtype=np.float64)
+    mat[np.arange(len(s)), s.residues] = 1.0
+    return mat
 
 
 class TestAlphabet:
@@ -108,14 +112,10 @@ class TestHamming:
 class TestEncoding:
     def test_onehot_shape_and_rows(self):
         s = seq("ACDA")
-        x = encode_onehot(s)
+        x = encode_batch([s])[0]
         assert x.shape == (4, 4)
         assert np.array_equal(x.sum(axis=1), np.ones(4))
         assert np.array_equal(np.argmax(x, axis=1), np.array(s.residues))
-
-    def test_onehot_roundtrip(self):
-        s = seq("DCAD")
-        assert decode_onehot(encode_onehot(s), AB4) == s
 
     def test_batch_encoding_stacks(self):
         batch = [seq("ACDA"), seq("DDDD")]
@@ -148,21 +148,6 @@ class TestEncoding:
 
 
 class TestMutation:
-    def test_point_mutate_changes_one_site(self):
-        s = seq("ACDA")
-        m = point_mutate(s, 2, 0)
-        assert hamming_distance(s, m) == 1
-        assert m.residues[2] == 0
-
-    def test_point_mutate_rejects_noop(self):
-        s = seq("ACDA")
-        with pytest.raises(ValueError):
-            point_mutate(s, 0, s.residues[0])
-
-    def test_point_mutate_rejects_bad_position(self):
-        with pytest.raises(ValueError):
-            point_mutate(seq("ACDA"), 7, 0)
-
     def test_random_mutant_within_radius(self):
         rng = np.random.default_rng(3)
         s = seq("ACDADC")

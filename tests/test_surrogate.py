@@ -216,15 +216,15 @@ class TestLockstepFit:
             ens.fit(data, TrainConfig(epochs=5, minibatch=4, learning_rate=1e300),
                     np.random.default_rng(0))
 
-    def test_member_views_read_and_write_the_stack(self):
+    def test_member_views_read_the_stack(self):
         data = random_dataset(8, seed=2)
         ens = Ensemble("recurrent", SMALL_RNN, n_members=3, seed=0)
+        assert ens.members == []
         ens.fit(data, TrainConfig(epochs=1, minibatch=8), np.random.default_rng(0))
-        member = ens.members[1]
-        assert np.array_equal(member.params["wh"], ens.net.params["wh"][1])
-        member.params["out_b"] = np.array([2.5])
-        assert ens.net.params["out_b"][1, 0] == 2.5
-        assert ens.net.params["out_b"][0, 0] != 2.5
+        for m, member in enumerate(ens.members):
+            for name, arr in member.params.items():
+                assert np.shares_memory(arr, ens.net.params[name])
+                assert np.array_equal(arr, ens.net.params[name][m:m + 1])
 
 
 class TestPrediction:
@@ -243,10 +243,9 @@ class TestPrediction:
         targets = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
         s = data.sequences[0]
         feats = ens.features_batch([s])
-        for i, member in enumerate(ens.members):
-            member.params["out_w"] = np.zeros_like(member.params["out_w"])
-            target_std = (targets[i] - ens.y_mean) / ens.y_std
-            member.params["out_b"] = np.array([target_std])
+        for i in range(ens.n_members):
+            ens.net.params["out_w"][i] = 0.0
+            ens.net.params["out_b"][i] = (targets[i] - ens.y_mean) / ens.y_std
         mean, var = ens.predict_batch([s])[0]
         assert mean == pytest.approx(3.0, abs=1e-9)
         assert var == pytest.approx(2.0, abs=1e-9)
@@ -327,16 +326,3 @@ class TestFantasyUpdates:
                                       pool, data)
         after = [m for m, _ in ens.predict_batch(pool)]
         assert before == after
-
-
-class TestCheckpoint:
-    def test_save_load_predicts_identically(self, tmp_path):
-        data = random_dataset(16, seed=2)
-        for kind, cfg in [("conv", SMALL_CONV), ("recurrent", SMALL_RNN)]:
-            ens = Ensemble(kind, cfg, n_members=2, seed=5)
-            ens.fit(data, TrainConfig(epochs=15, minibatch=8), np.random.default_rng(6))
-            path = tmp_path / f"{kind}.npz"
-            ens.save(path)
-            loaded = Ensemble.load(path)
-            pool = list(data.sequences)
-            assert np.array_equal(ens.predict_batch(pool), loaded.predict_batch(pool))
