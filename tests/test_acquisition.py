@@ -37,13 +37,25 @@ class TestUCB:
     POOL = all_seqs(2)
     MODEL = TableModel(POOL, [1.0, 1.5, 0.0, 0.9], [2.0, 0.0, 4.0, 1.0])
 
-    def test_ranks_by_mean_plus_beta_std(self):
+    def test_known_value(self):
         chosen = select_batch("ucb", self.MODEL, self.POOL, Dataset(), 4, beta=0.5)
         assert chosen == [self.POOL[i] for i in (0, 2, 1, 3)]
 
-    def test_beta_zero_ranks_by_mean(self):
+    def test_beta_zero_is_mean(self):
         chosen = select_batch("ucb", self.MODEL, self.POOL, Dataset(), 4, beta=0.0)
         assert chosen == [self.POOL[i] for i in (1, 0, 3, 2)]
+
+    def test_monotone_in_mean_and_std(self):
+        # equal scores go to the lexicographically smaller sequence, so the
+        # last one wins only if its raised mean or std lifts its score
+        flat = [1.0, 1.0, 1.0, 1.0]
+        for mean, std in [([1.0, 1.0, 1.0, 1.5], flat), (flat, [1.0, 1.0, 1.0, 1.5])]:
+            model = TableModel(self.POOL, mean, std)
+            chosen = select_batch("ucb", model, self.POOL, Dataset(), 1, beta=1.0)
+            assert chosen == [self.POOL[3]]
+        chosen = select_batch("ucb", TableModel(self.POOL, flat, flat), self.POOL,
+                              Dataset(), 1, beta=1.0)
+        assert chosen == [self.POOL[0]]
 
     def test_negative_beta_rejected(self):
         with pytest.raises(ValueError, match="beta"):

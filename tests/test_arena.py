@@ -116,6 +116,33 @@ class TestNetArena:
         assert isinstance(ens.net.params, nn.Arena)
         assert_arena_views(ens.net.params)
 
+    @pytest.mark.parametrize("kind,cfg", [("conv", SMALL_CONV), ("recurrent", SMALL_RNN)])
+    def test_load_writes_into_the_arena(self, kind, cfg):
+        """Parameters assigned into a trained ensemble's arena, then a warm-start fit
+        and predict: the same bits as the ensemble they came from."""
+        data = random_dataset(16, seed=2)
+        ens = Ensemble(kind, cfg, n_members=3, seed=5)
+        ens.fit(data, TrainConfig(epochs=6, minibatch=8), np.random.default_rng(6))
+        loaded = Ensemble(kind, cfg, n_members=3, seed=5)
+        loaded.fit(data, TrainConfig(epochs=2, minibatch=4), np.random.default_rng(9))
+        buffer = loaded.net.params.flat
+        for name, arr in ens.net.params.items():
+            loaded.net.params[name] = arr.copy()
+        assert loaded.net.params.flat is buffer
+        assert_arena_views(loaded.net.params)
+        assert_same_bits(loaded.net.params.flat, ens.net.params.flat)
+
+        extra = [s for s in random_dataset(30, seed=3).sequences if s not in data][:5]
+        for i, s in enumerate(extra):
+            data.add(s, 0.2 * i)
+        warm = TrainConfig(epochs=4, minibatch=8)
+        losses = ens.fit(data, warm, np.random.default_rng(7), warm_start=True)
+        assert loaded.fit(data, warm, np.random.default_rng(7), warm_start=True) == losses
+        assert_same_bits(loaded.net.params.flat, ens.net.params.flat)
+        assert_arena_views(loaded.net.params)
+        pool = random_dataset(40, seed=4).sequences
+        assert np.array_equal(loaded.predict_batch(pool), ens.predict_batch(pool))
+
     @pytest.mark.parametrize("kind", ["conv", "recurrent"])
     def test_gradient_check_perturbs_through_the_views(self, kind, monkeypatch):
         """The entries the check perturbs are the arena's, and the network reads them."""

@@ -117,6 +117,13 @@ class TestEncoding:
         assert np.array_equal(x.sum(axis=1), np.ones(4))
         assert np.array_equal(np.argmax(x, axis=1), np.array(s.residues))
 
+    def test_onehot_roundtrip(self):
+        ab = protein_alphabet()
+        batch = [Sequence(tuple(int(r) for r in row), ab)
+                 for row in np.random.default_rng(4).integers(0, ab.size, (6, 9))]
+        x = encode_batch(batch)
+        assert [Sequence(tuple(int(r) for r in np.argmax(m, axis=1)), ab) for m in x] == batch
+
     def test_batch_encoding_stacks(self):
         batch = [seq("ACDA"), seq("DDDD")]
         x = encode_batch(batch)
