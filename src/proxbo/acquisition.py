@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import check_positive
-from .sequences import Sequence, hamming_distances
+from .sequences import Sequence, hamming_distances, residue_array
 from .surrogate import Dataset
 
 
@@ -141,13 +141,12 @@ def _mean_std(model, seqs: list[Sequence],
     return mean, std
 
 
-def _ranked(pool: list[Sequence], scores: np.ndarray, distances: np.ndarray) -> np.ndarray:
-    """Pool indices by score desc, then distance to wild type asc, then residues.
+def _ranked(residues: np.ndarray, scores: np.ndarray, distances: np.ndarray) -> np.ndarray:
+    """Indices of the (P, L) pool `residues` by score desc, distance asc, then residues.
 
     `np.lexsort` is stable and takes its keys last-first: the residue columns
     go in from the last to the first.
     """
-    residues = np.array([s.residues for s in pool])
     return np.lexsort((*residues.T[::-1], distances, -scores))
 
 
@@ -160,15 +159,15 @@ def select_batch(strategy: str, model, pool: list[Sequence], data: Dataset, m: i
 
     Every strategy scores the proximally regularised posterior: the model's
     mean minus `lam` times the Hamming distance to `wild_type`, with the
-    variance unchanged. The pool's distances are computed once per call and
-    also break ties. UCB/EI score the whole pool and take the top M (ties
-    broken by smaller distance, then lexicographic order); EI's incumbent is
-    the best measured score minus its own `lam` times distance. Greedy ranks
-    by mean and takes the best of each distance class, nearest first,
-    round-robin. KG fills the batch greedily: each slot scores every
-    extension of the partial batch over a UCB-preranked candidate subset
-    with `_kg_slot_scores`, whose fantasy outcomes get the penalty back
-    before the model's update.
+    variance unchanged. The pool's residue array is built once per call, and
+    its distances and residues break ties. UCB/EI score the whole pool and
+    take the top M (ties broken by smaller distance, then lexicographic
+    order); EI's incumbent is the best measured score minus its own `lam`
+    times distance. Greedy ranks by mean and takes the best of each distance
+    class, nearest first, round-robin. KG fills the batch greedily: each slot
+    scores every extension of the partial batch over a UCB-preranked
+    candidate subset with `_kg_slot_scores`, whose fantasy outcomes get the
+    penalty back before the model's update.
     """
     if strategy not in ("ucb", "ei", "kg", "greedy"):
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -178,8 +177,9 @@ def select_batch(strategy: str, model, pool: list[Sequence], data: Dataset, m: i
         raise ValueError(f"lambda must be >= 0, got {lam}")
     if beta < 0:
         raise ValueError(f"beta must be >= 0, got {beta}")
+    residues = residue_array(pool)
     if wild_type is not None:
-        distances = hamming_distances(pool, wild_type)
+        distances = hamming_distances(residues, wild_type)
     elif strategy == "greedy" or lam > 0:
         raise ValueError(f"the {strategy} strategy with lambda {lam} needs the wild type")
     else:
@@ -187,7 +187,7 @@ def select_batch(strategy: str, model, pool: list[Sequence], data: Dataset, m: i
     penalty = lam * distances
     mean, std = _mean_std(model, pool, penalty)
     if strategy == "greedy":
-        order = _ranked(pool, mean, distances)
+        order = _ranked(residues, mean, distances)
         # the k-th best of every class comes before the (k+1)-th best of any:
         # group the ranks by class, stably, and count each one's depth in its class
         classes = distances[order]
@@ -197,11 +197,11 @@ def select_batch(strategy: str, model, pool: list[Sequence], data: Dataset, m: i
                                                                  classes[grouped])
         return [pool[i] for i in order[np.lexsort((classes, depth))][:m]]
     if strategy == "ei":
-        best = data.max_score() if lam == 0 else float(
-            np.max(data.scores - lam * hamming_distances(data.sequences, wild_type)))
-        order = _ranked(pool, ei(mean, std, best), distances)
+        best = data.max_score() if lam == 0 else float(np.max(
+            data.scores - lam * hamming_distances(residue_array(data.sequences), wild_type)))
+        order = _ranked(residues, ei(mean, std, best), distances)
         return [pool[i] for i in order[:m]]
-    order = _ranked(pool, mean + beta * std, distances)
+    order = _ranked(residues, mean + beta * std, distances)
     if strategy == "ucb":
         return [pool[i] for i in order[:m]]
 

@@ -133,10 +133,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ProxboError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as e:
+    except (ProxboError, FileNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -17,7 +17,8 @@ import numpy as np
 from .acquisition import KGConfig, select_batch
 from .errors import DomainExhausted
 from .landscape import BudgetedOracle
-from .sequences import Sequence, hamming_distance, mutant_block, sample_mutants
+from .sequences import (Sequence, hamming_distance, mutant_block, residue_array, row_keys,
+                        sample_mutants)
 from .surrogate import Dataset, Ensemble, TrainConfig
 
 
@@ -77,68 +78,60 @@ def propose_pool(state: ExplorerState, domain, pool_size: int, radius: int,
                  rng: np.random.Generator) -> PoolProposal:
     """Sample unmeasured candidates around the frontier and the wild type.
 
-    Candidates come in blocks from `mutant_block`. Each draw has the law of
+    Candidates come in blocks from `mutant_block`, each draw with the law of
     `random_mutant` on an anchor drawn uniformly from the frontier points
-    plus the wild type: 1..r substitutions at distinct uniform positions,
-    each uniform over the V-1 alternatives. A block holds max(480, twice the
-    pool deficit) draws, taken in draw order; a draw already pooled, measured
-    or found outside the domain is skipped, and only new ones become
-    `Sequence`s. A block that adds nothing ends the radius r. The radius
-    then widens up to L; on enumerable domains (with `iter_residues` and
-    `num_states`) the fallback is instead the full unmeasured set in random
-    order (flagged short if it is still smaller than `pool_size`). It is
-    filtered as residue tuples, and only the states it adds become
-    `Sequence`s.
+    plus the wild type. A block holds max(480, twice the pool deficit) draws,
+    taken in draw order: draws already pooled, measured or drawn (compared by
+    row bytes at one dtype) are skipped, the rest are checked in one
+    `domain.in_domain` call, and only pooled rows become `Sequence`s. A
+    block that adds nothing ends the radius r, which then widens up to L. On
+    enumerable domains (with `states` and `num_states`) the fallback is
+    instead `domain.states()`, filtered the same way, in random order; the
+    pool is flagged short if it is still smaller than `pool_size`.
     """
     if pool_size < 1:
         raise ValueError(f"pool_size must be >= 1, got {pool_size}")
     anchors = [p.sequence for p in state.frontier] or [state.wild_type]
     if state.wild_type not in anchors:
         anchors.append(state.wild_type)
-    anchor_rows = np.array([a.residues for a in anchors])
+    anchor_rows = residue_array(anchors)
     alphabet = state.wild_type.alphabet
     length = len(state.wild_type)
     pool: list[Sequence] = []
-    # residue tuples pooled, measured or found outside the domain
-    seen = {s.residues for s in state.data.sequences}
+    seen: set[bytes] = set()  # row bytes of every sequence pooled, measured or drawn
+
+    def fresh(rows: np.ndarray) -> np.ndarray:
+        """The rows not seen before, in order, at one dtype; they are seen from now on."""
+        rows = rows.astype(np.min_scalar_type(alphabet.size - 1), copy=False)
+        keys = row_keys(rows).tolist()
+        return rows[[i for i, key in enumerate(keys) if key not in seen and not seen.add(key)]]
+
+    def add(rows: np.ndarray) -> None:
+        pool.extend(Sequence(tuple(r), alphabet) for r in rows[:pool_size - len(pool)].tolist())
+
+    fresh(residue_array(state.data.sequences).reshape(-1, length))  # the measured rows
 
     def draw_at(r: int) -> None:
         while len(pool) < pool_size:
             size = max(_MIN_BLOCK, 2 * (pool_size - len(pool)))
-            block = mutant_block(anchor_rows, r, size, alphabet.size, rng)
-            grew = False
-            for residues in map(tuple, block.tolist()):
-                if residues in seen:
-                    continue
-                seen.add(residues)
-                c = Sequence(residues, alphabet)
-                if domain is not None and not domain.contains(c):
-                    continue
-                pool.append(c)
-                grew = True
-                if len(pool) == pool_size:
-                    return
-            if not grew:
+            rows = fresh(mutant_block(anchor_rows, r, size, alphabet.size, rng))
+            if domain is not None:
+                rows = rows[domain.in_domain(rows)]
+            if not len(rows):
                 return
+            add(rows)
 
     draw_at(min(radius, length))
-    if len(pool) >= pool_size:
-        return PoolProposal(pool, short=False)
-    enumerable = (domain is not None and hasattr(domain, "iter_residues")
+    enumerable = (domain is not None and hasattr(domain, "states")
                   and hasattr(domain, "num_states") and domain.num_states() <= 2**20)
-    if not enumerable:
-        # widen the mutation radius until the pool fills or radius reaches L
+    if len(pool) < pool_size and enumerable:
+        # small enumerable domain: fill from the shuffled unmeasured remainder
+        rest = fresh(domain.states())
+        add(rest[rng.permutation(len(rest))])
+    else:
+        # widen the radius up to L; once the pool is full, draw_at draws nothing
         for r in range(min(radius, length) + 1, length + 1):
             draw_at(r)
-            if len(pool) >= pool_size:
-                return PoolProposal(pool, short=False)
-        return PoolProposal(pool, short=True)
-    # small enumerable domain: fill from the shuffled unmeasured remainder
-    rest = [r for r in domain.iter_residues() if r not in seen]
-    for i in rng.permutation(len(rest)):
-        if len(pool) >= pool_size:
-            return PoolProposal(pool, short=False)
-        pool.append(Sequence(rest[int(i)], alphabet))
     return PoolProposal(pool, short=len(pool) < pool_size)
 
 

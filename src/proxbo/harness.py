@@ -519,17 +519,15 @@ def gen_nk(n: int, k: int, alphabet_size: int, seed: int, out_prefix: str | Path
         encoding="utf-8")
     written = [spec_path]
     if enumerate_table:
-        best_seq, best_fit = None, -np.inf
-        rows = []
-        for s in landscape.iter_domain():
-            f = landscape.fitness(s)
-            rows.append(f"{s.text}\t{_FLOAT(f)}")
-            if f > best_fit:
-                best_seq, best_fit = s, f
+        codes = landscape.states()
+        fits = landscape.fitness_rows(codes)
+        # each state's text: its symbols, one per column, read as one string
+        texts = np.array(list(landscape.alphabet.symbols))[codes].view(f"U{n}").ravel()
+        rows = map("{}\t{}".format, texts.tolist(), map(_FLOAT, fits.tolist()))
         tsv_path = out_prefix.with_suffix(".tsv")
         header = (f"# NK landscape N={n} K={k} V={alphabet_size} seed={seed}\n"
                   f"# alphabet {landscape.alphabet.symbols}\n"
-                  f"# optimum {best_seq.text} {_FLOAT(best_fit)}\n")
+                  f"# optimum {texts[fits.argmax()]} {_FLOAT(fits.max())}\n")
         tsv_path.write_text(header + "\n".join(rows) + "\n", encoding="utf-8")
         written.append(tsv_path)
     return written

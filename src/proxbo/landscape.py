@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import io
-import itertools
 from dataclasses import dataclass, field
 from math import isfinite
 from pathlib import Path
@@ -12,11 +11,11 @@ from typing import Iterator, Protocol
 import numpy as np
 
 from .errors import BudgetError, DataError, DomainError, ParseError
-from .sequences import Alphabet, Sequence, protein_alphabet, small_alphabet
+from .sequences import Alphabet, Sequence, protein_alphabet, row_keys, small_alphabet
 
 
 class FitnessLandscape(Protocol):
-    """Deterministic black-box oracle over fixed-length sequences."""
+    """Deterministic black-box oracle over fixed-length sequences and (B, L) ordinal arrays."""
 
     @property
     def length(self) -> int: ...
@@ -26,7 +25,15 @@ class FitnessLandscape(Protocol):
 
     def evaluate_batch(self, batch: list[Sequence]) -> list[float]: ...
 
+    def in_domain(self, codes: np.ndarray) -> np.ndarray: ...
+
     def contains(self, s: Sequence) -> bool: ...
+
+
+def _batch_codes(batch: list[Sequence], length: int) -> np.ndarray:
+    """The (B, L) ordinals of a batch; a row of -1s stands for a sequence of another length."""
+    return np.array([s.residues if len(s) == length else (-1,) * length
+                     for s in batch]).reshape(-1, length)
 
 
 @dataclass(eq=False)
@@ -35,25 +42,24 @@ class LookupLandscape:
 
     Row i of `codes` (n, L) holds one state's residue ordinals, in the
     smallest unsigned dtype that holds them, and `scores[i]` its fitness. The
-    rows are distinct and keep table order. `index` maps each row's bytes to
-    its row number; it is built when not given, and rebuilt, not pickled.
+    rows are distinct and keep table order. Rows are found by binary search in
+    `_keys`, the rows' byte keys sorted once; `_order[i]` is the row of `_keys[i]`.
     """
 
     codes: np.ndarray
     scores: np.ndarray
     wild_type: Sequence
-    index: dict[bytes, int] | None = field(default=None, repr=False)
+    _keys: np.ndarray = field(init=False, repr=False)
+    _order: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.index is None:
-            self.index = _row_index(self.codes)
-        if len(self.index) != len(self.codes):
+        keys = row_keys(self.codes)
+        self._order = np.argsort(keys, kind="stable")  # linear on a table already in order
+        self._keys = keys[self._order]
+        if np.any(self._keys[1:] == self._keys[:-1]):
             raise DataError("the lookup table's rows are not distinct")
         if not self.contains(self.wild_type):
             raise DataError("wild type is not a key of the lookup table")
-
-    def __reduce__(self):
-        return LookupLandscape, (self.codes, self.scores, self.wild_type)
 
     @property
     def length(self) -> int:
@@ -63,57 +69,45 @@ class LookupLandscape:
     def alphabet(self) -> Alphabet:
         return self.wild_type.alphabet
 
-    def _row(self, residues: tuple[int, ...]) -> int | None:
-        try:
-            key = (bytes(residues) if self.codes.itemsize == 1
-                   else np.array(residues, dtype=self.codes.dtype).tobytes())
-        except (ValueError, OverflowError):  # an ordinal the dtype cannot hold
-            return None
-        return self.index.get(key)
+    def _find(self, codes: np.ndarray) -> np.ndarray:
+        """Table row of each row of a (B, L) ordinal array; -1 where it is not in the table."""
+        keys = self._keys
+        found = np.full(len(codes), -1, dtype=np.intp)
+        if codes.ndim == 2 and codes.shape[1] == self.length and len(keys):
+            cast = codes.astype(self.codes.dtype)
+            held = np.flatnonzero((cast == codes).all(axis=1))  # a wrapped ordinal is a miss
+            query = row_keys(cast[held])
+            at = np.minimum(np.searchsorted(keys, query), len(keys) - 1)
+            hit = keys[at] == query
+            found[held[hit]] = self._order[at[hit]]
+        return found
+
+    def in_domain(self, codes: np.ndarray) -> np.ndarray:
+        return self._find(codes) >= 0
 
     def contains(self, s: Sequence) -> bool:
-        return self._row(s.residues) is not None
+        return bool(self.in_domain(np.array([s.residues]))[0])
 
     def evaluate_batch(self, batch: list[Sequence]) -> list[float]:
-        rows = []
-        for s in batch:
-            row = self._row(s.residues)
-            if row is None:
-                raise DomainError(f"sequence {s.text} is not in the lookup table")
-            rows.append(row)
+        rows = self._find(_batch_codes(batch, self.length))
+        missing = np.flatnonzero(rows < 0)
+        if len(missing):
+            raise DomainError(f"sequence {batch[missing[0]].text} is not in the lookup table")
         return self.scores[rows].tolist()
 
-    def iter_residues(self) -> Iterator[tuple[int, ...]]:
-        """Residue tuples of every state, in table order."""
-        return map(tuple, self.codes.tolist())
+    def states(self) -> np.ndarray:
+        """Every state as one (S, L) ordinal array, in table order."""
+        return self.codes
 
     def iter_domain(self) -> Iterator[Sequence]:
-        alphabet = self.alphabet
-        return (Sequence(residues, alphabet) for residues in self.iter_residues())
+        return (Sequence(tuple(r), self.alphabet) for r in self.states().tolist())
 
     def num_states(self) -> int:
         return len(self.codes)
 
 
-# rows per block where a table is indexed or read a block at a time, to keep buffers small
+# rows per block where a table is read a block at a time, to keep buffers small
 _BLOCK = 1 << 14
-
-
-def _row_keys(codes: np.ndarray) -> np.ndarray:
-    """Each row of an (n, L) array as one fixed-width void item."""
-    codes = np.ascontiguousarray(codes)
-    return codes.view(np.dtype((np.void, codes.shape[1] * codes.itemsize))).ravel()
-
-
-def _row_index(codes: np.ndarray) -> dict[bytes, int]:
-    """Each row's bytes -> its row number (the last such row, where rows repeat).
-
-    Keys are listed a block at a time, so no list of every key is made.
-    """
-    keys, index = _row_keys(codes), {}
-    for a in range(0, len(keys), _BLOCK):
-        index.update(zip(keys[a:a + _BLOCK].tolist(), range(a, a + _BLOCK)))
-    return index
 
 
 def _first(bad: np.ndarray, default: int) -> int:
@@ -177,7 +171,7 @@ def load_lookup(
     the rows before it. The row it ends on is the first bad line, and
     `_raise_line_error` checks that line alone for its error. Scores are
     read a block of rows at a time (`_scores`), and the text is freed before
-    the index is built, so the parse's buffers stay small next to the table.
+    the rows are sorted, so the parse's buffers stay small next to the table.
     """
     path = Path(path)
     raw = path.read_bytes()
@@ -248,22 +242,19 @@ def load_lookup(
     del units, starts, stops
 
     # a repeated sequence: its first row keeps it, the others must repeat its score
-    index = _row_index(codes)
-    if len(index) < end:
-        keys = _row_keys(codes).tolist()
-        index = dict(zip(reversed(keys), range(end - 1, -1, -1)))
-        first = np.fromiter(map(index.__getitem__, keys), dtype=np.intp, count=end)
-        repeat = first != np.arange(end)
-        row = _first(repeat & (scores != scores[first]), end)
-        if row < end:
-            seq = Sequence(tuple(codes[row].tolist()), alphabet).text
-            raise DataError(f"{path}:{data[row] + 1}: conflicting scores for {seq}: "
-                            f"{float(scores[first[row]])} vs {float(scores[row])}")
-        codes, scores, index = codes[~repeat], scores[~repeat], None
+    _, first, inverse = np.unique(row_keys(codes), return_index=True, return_inverse=True)
+    first = first[inverse]  # each row's first row with its sequence
+    repeat = first != np.arange(end)
+    row = _first(repeat & (scores != scores[first]), end)
+    if row < end:
+        seq = Sequence(tuple(codes[row].tolist()), alphabet).text
+        raise DataError(f"{path}:{data[row] + 1}: conflicting scores for {seq}: "
+                        f"{float(scores[first[row]])} vs {float(scores[row])}")
+    codes, scores = codes[~repeat], scores[~repeat]
 
     if bad_line is not None:
         _raise_line_error(f"{path}:{data[end] + 1}", bad_line, alphabet, length if end else None)
-    land = LookupLandscape(codes, scores, Sequence(tuple(codes[0].tolist()), alphabet), index)
+    land = LookupLandscape(codes, scores, Sequence(tuple(codes[0].tolist()), alphabet))
     if wild_type is not None:
         try:
             wt = alphabet.encode(wild_type)
@@ -333,54 +324,64 @@ class NKLandscape:
             raise ValueError(f"k: the tables would hold n*v^(k+1) = {self.n}*{v}^{self.k + 1} "
                              f"entries, more than {MAX_NK_TABLE_ENTRIES:,}; lower k, n or v")
         rng = np.random.default_rng(self.seed)
-        neighbors = np.empty((self.n, self.k), dtype=np.int64)
-        for i in range(self.n):
-            others = np.delete(np.arange(self.n), i)
-            neighbors[i] = np.sort(rng.choice(others, size=self.k, replace=False))
-        self.neighbor_map = neighbors
+        self.neighbor_map = np.stack([
+            np.sort(rng.choice(np.delete(np.arange(self.n), i), size=self.k, replace=False))
+            for i in range(self.n)])
         self.tables = rng.uniform(size=(self.n, v ** (self.k + 1)))
 
     @property
     def length(self) -> int:
         return self.n
 
-    def contains(self, s: Sequence) -> bool:
-        return len(s) == self.n and s.alphabet.size == self.alphabet.size
+    def in_domain(self, codes: np.ndarray) -> np.ndarray:
+        if codes.ndim == 2 and codes.shape[1] == self.n:
+            return ((codes >= 0) & (codes < self.alphabet.size)).all(axis=1)
+        return np.zeros(len(codes), dtype=bool)
 
-    def fitness(self, s: Sequence) -> float:
-        if not self.contains(s):
-            raise ValueError(f"sequence incompatible with NK landscape (N={self.n}, V={self.alphabet.size})")
+    def contains(self, s: Sequence) -> bool:
+        return bool(self.in_domain(np.array([s.residues]))[0])
+
+    def fitness_rows(self, codes: np.ndarray) -> np.ndarray:
+        """Fitness of each row of a (B, N) in-domain ordinal array.
+
+        A site's key is its residue, then its neighbours', as base-V digits. The
+        sites are added in order from 0.0, so each row has the scalar sum's bits.
+        """
         v = self.alphabet.size
-        total = 0.0
-        for i in range(self.n):
-            key = s.residues[i]
-            for j in self.neighbor_map[i]:
-                key = key * v + s.residues[j]
+        total = np.zeros(len(codes))
+        for i, neighbors in enumerate(self.neighbor_map):
+            key = codes[:, i].astype(np.intp)
+            for j in neighbors:
+                key = key * v + codes[:, j]
             total += self.tables[i, key]
         return total / self.n
 
-    def evaluate_batch(self, batch: list[Sequence]) -> list[float]:
-        return [self.fitness(s) for s in batch]
+    def fitness(self, s: Sequence) -> float:
+        return self.evaluate_batch([s])[0]
 
-    def iter_residues(self) -> Iterator[tuple[int, ...]]:
-        """Residue tuples of every state, in lexicographic order."""
-        return itertools.product(range(self.alphabet.size), repeat=self.n)
+    def evaluate_batch(self, batch: list[Sequence]) -> list[float]:
+        codes = _batch_codes(batch, self.n)
+        if not self.in_domain(codes).all():
+            raise ValueError(f"sequence incompatible with NK landscape (N={self.n}, V={self.alphabet.size})")
+        return self.fitness_rows(codes).tolist()
+
+    def states(self) -> np.ndarray:
+        """Every state as one (V**N, N) ordinal array, in lexicographic order."""
+        v = self.alphabet.size
+        grid = np.indices((v,) * self.n, dtype=np.min_scalar_type(v - 1))
+        return np.ascontiguousarray(grid.reshape(self.n, -1).T)
 
     def iter_domain(self) -> Iterator[Sequence]:
-        for residues in self.iter_residues():
-            yield Sequence(residues, self.alphabet)
+        return (Sequence(tuple(r), self.alphabet) for r in self.states().tolist())
 
     def num_states(self) -> int:
         return self.alphabet.size**self.n
 
     def enumerate_optimum(self) -> tuple[Sequence, float]:
-        """Exhaustive argmax; only sensible for small V**N."""
-        best_seq, best_fit = None, -np.inf
-        for s in self.iter_domain():
-            f = self.fitness(s)
-            if f > best_fit:
-                best_seq, best_fit = s, f
-        return best_seq, best_fit
+        """Exhaustive argmax, the first of equal maxima; only sensible for small V**N."""
+        codes = self.states()
+        fits = self.fitness_rows(codes)
+        return Sequence(tuple(codes[fits.argmax()].tolist()), self.alphabet), fits.max()
 
 
 def make_nk(n: int, k: int, alphabet_size: int, seed: int) -> NKLandscape:

@@ -107,14 +107,24 @@ def hamming_distance(a: Sequence, b: Sequence) -> int:
     return sum(x != y for x, y in zip(a.residues, b.residues))
 
 
-def hamming_distances(seqs: list[Sequence], ref: Sequence) -> np.ndarray:
-    """Distance of every sequence in `seqs` to `ref`, as one (P, L) != ref comparison."""
-    if not seqs:
+def residue_array(seqs: list[Sequence]) -> np.ndarray:
+    """The (P, L) residue ordinals of equal-length sequences, one row each."""
+    return np.array([s.residues for s in seqs])
+
+
+def hamming_distances(rows: np.ndarray, ref: Sequence) -> np.ndarray:
+    """Distance of every row of a (P, L) ordinal array to `ref`, as one != comparison."""
+    if not len(rows):
         return np.zeros(0, dtype=np.intp)
-    rows = np.array([s.residues for s in seqs])
     if rows.ndim != 2 or rows.shape[1] != len(ref):
         raise ValueError(f"every sequence must have the reference length {len(ref)}")
     return (rows != np.array(ref.residues)).sum(axis=1)
+
+
+def row_keys(rows: np.ndarray) -> np.ndarray:
+    """Each row of a 2-D array as one fixed-width void item: its bytes, in row order."""
+    rows = np.ascontiguousarray(rows)
+    return rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel()
 
 
 def encode_batch(seqs: list[Sequence]) -> np.ndarray:

@@ -18,7 +18,8 @@ from proxbo.explorer import (
     run_round,
     update_frontier,
 )
-from proxbo.landscape import BudgetedOracle, make_nk
+from proxbo.harness import gen_nk
+from proxbo.landscape import BudgetedOracle, load_lookup, make_nk
 from proxbo.sequences import Sequence, hamming_distance, small_alphabet
 from proxbo.surrogate import ConvRegressorConfig, Ensemble, TrainConfig
 
@@ -144,7 +145,7 @@ class TestProposePool:
         state = self._state(land, measured=near)
 
         def no_sequences(self):
-            raise AssertionError("the fallback enumerates residue tuples")
+            raise AssertionError("the fallback filters the states array")
 
         monkeypatch.setattr(type(land), "iter_domain", no_sequences)
         built = []
@@ -153,6 +154,35 @@ class TestProposePool:
         pool = propose_pool(state, land, 20, 1, np.random.default_rng(3))
         assert not pool.short and len(built) == len(set(pool.sequences)) == 20
         assert all(s not in state.data and s.alphabet == land.alphabet for s in pool.sequences)
+
+    @pytest.mark.parametrize("kind", ["nk", "lookup"])
+    def test_one_domain_check_per_block_and_sequences_only_for_the_pool(
+            self, monkeypatch, tmp_path, kind):
+        # the radius-2 ball around the wild type holds 36 of the 256 states,
+        # so a pool of 64 takes more than one block and then the fallback
+        land = make_nk(8, 1, 2, 0)
+        if kind == "lookup":
+            gen_nk(8, 1, 2, 0, tmp_path / "land")
+            land = load_lookup(tmp_path / "land.tsv")
+        state = ExplorerState(wild_type=wt(8))
+        y = land.evaluate_batch([state.wild_type])[0]
+        state.data.add(state.wild_type, y)
+        state.frontier = update_frontier([], [state.make_point(state.wild_type, y)])
+
+        blocks, checked, built = [], [], []
+        draw, in_domain = explorer.mutant_block, land.in_domain
+        monkeypatch.setattr(explorer, "mutant_block",
+                            lambda *args: blocks.append(args) or draw(*args))
+        monkeypatch.setattr(land, "in_domain",
+                            lambda codes: checked.append(codes) or in_domain(codes))
+        monkeypatch.setattr(explorer, "Sequence",
+                            lambda *args: built.append(args) or Sequence(*args))
+        pool = propose_pool(state, land, 64, 2, np.random.default_rng(5))
+        assert not pool.short and len(pool.sequences) == 64
+        # one check per block, of the block's new rows at once; the fallback needs none
+        assert len(blocks) >= 2 and len(checked) == len(blocks)
+        assert checked[0].shape[1] == 8 and len(checked[0]) > 1
+        assert len(built) == len(set(pool.sequences)) == 64
 
     def test_deterministic_under_seed(self):
         land = make_nk(8, 1, 2, 0)

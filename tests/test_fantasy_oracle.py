@@ -16,7 +16,7 @@ import pytest
 import proxbo.acquisition as acquisition
 import proxbo.nn as nn
 from proxbo.harness import CampaignConfig, run_campaign
-from proxbo.sequences import hamming_distances
+from proxbo.sequences import hamming_distances, residue_array
 from proxbo.surrogate import (NOISE_VAR_FLOOR, ConvRegressorConfig, Ensemble,
                               RecurrentRegressorConfig, TrainConfig, evidence_posterior)
 
@@ -103,7 +103,7 @@ class TestFantasyHead:
     def test_matches_through_shifted_model(self, fitted, kind, monkeypatch):
         """KG slot scores on the posterior shifted by a λ = 0.05 distance penalty."""
         ens, data, unmeasured = fitted(kind, 3)
-        penalty = 0.05 * hamming_distances(unmeasured, data.sequences[0])
+        penalty = 0.05 * hamming_distances(residue_array(unmeasured), data.sequences[0])
         cfg = acquisition.KGConfig(n_fantasies=4)
         n = len(unmeasured)
         args = (ens, unmeasured, [0, 1], [2, 3, 4], list(range(n - 9, n)), data, cfg)

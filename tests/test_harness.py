@@ -312,7 +312,7 @@ class TestCrashSafety:
         assert sorted(outs[0]) == ["manifest.txt", "run_0.csv", "run_1.csv", "run_2.csv"]
 
     def test_parallel_lookup_seeds_write_the_serial_artifacts(self, tmp_path, monkeypatch):
-        # each worker gets the array-backed table pickled, and rebuilds its index
+        # each worker gets the array-backed table pickled with its sorted row keys
         gen_nk(6, 1, 2, 9, tmp_path / "land")
         cfg = parse_config_text(
             SMALL_BO_CONFIG.replace("landscape.kind=nk", "landscape.kind=lookup")

@@ -2,6 +2,7 @@
 
 import itertools
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from proxbo.landscape import (
     make_nk,
 )
 from proxbo.sequences import Alphabet, Sequence, hamming_distance, small_alphabet
+
+from nk_oracle import scalar_fitnesses
 
 AB2 = small_alphabet(2)
 AB4 = small_alphabet(4)
@@ -132,7 +135,7 @@ class TestLookupTable:
     def test_pickled_table_answers_as_the_original(self, tmp_path):
         land = self._table(tmp_path)
         copy = pickle.loads(pickle.dumps(land))
-        assert list(copy.iter_residues()) == list(land.iter_residues())
+        assert copy.states().tobytes() == land.states().tobytes()
         assert copy.wild_type == land.wild_type and copy.alphabet == land.alphabet
         states = list(land.iter_domain())
         assert all(copy.contains(s) for s in states)
@@ -167,9 +170,117 @@ class TestLookupTable:
                      encoding="utf-8")
         land = load_lookup(p)
         assert land.codes.dtype == np.uint16
-        assert list(land.iter_residues()) == [(299, 0), (0, 1)]
+        assert land.states().tolist() == [[299, 0], [0, 1]]
         assert land.evaluate_batch([land.alphabet.encode(wide[0] + wide[1])]) == [2.0]
         assert not land.contains(Sequence((299, 1), land.alphabet))
+
+
+class TestLookupSearch:
+    """`in_domain` and `evaluate_batch` against a dict, on tables whose rows are out of order.
+
+    The benchmark's table is written in sorted order, so it never makes the
+    table sort its row keys; these tables do.
+    """
+
+    @staticmethod
+    def _shuffled(v, length, n, seed):
+        rng = np.random.default_rng(seed)
+        rows = sorted({tuple(r) for r in rng.integers(0, v, (2 * n, length)).tolist()})[:n]
+        rows = [rows[i] for i in rng.permutation(len(rows))]
+        scores = rng.normal(size=len(rows))
+        alphabet = Alphabet("".join(chr(0x100 + i) for i in range(v)))
+        codes = np.array(rows, dtype=np.min_scalar_type(v - 1))
+        return codes, scores, alphabet, dict(zip(rows, scores.tolist()))
+
+    @staticmethod
+    def _loaded(tmp_path, codes, scores, alphabet):
+        text = "".join(f"{''.join(alphabet.symbols[c] for c in row)}\t{y!r}\n"
+                       for row, y in zip(codes.tolist(), scores.tolist()))
+        path = tmp_path / "shuffled.tsv"
+        path.write_text(f"# alphabet {alphabet.symbols}\n{text}", encoding="utf-8")
+        return load_lookup(path)
+
+    @pytest.mark.parametrize("v, length", [(5, 4), (300, 2)], ids=["uint8", "uint16"])
+    def test_answers_as_a_dict(self, tmp_path, v, length):
+        codes, scores, alphabet, table = self._shuffled(v, length, 200, seed=v)
+        rows = list(table)
+        assert rows != sorted(rows)
+        built = LookupLandscape(codes, scores, Sequence(rows[0], alphabet))
+        loaded = self._loaded(tmp_path, codes, scores, alphabet)
+        assert loaded.states().tobytes() == codes.tobytes()
+        width = 8 * codes.itemsize
+        assert codes.dtype == (np.uint8 if v <= 256 else np.uint16)
+
+        rng = np.random.default_rng(1)
+        # ordinals the dtype cannot hold, which would wrap onto a row of the table
+        wrapped, below = np.array(rows[:20]), np.array(rows[:20])
+        wrapped[:, 0] += 1 << width
+        below[:, -1] -= 1 << width
+        queries = np.concatenate([np.array(rows), rng.integers(0, v, (300, length)),
+                                  wrapped, below])
+        queries = queries[rng.permutation(len(queries))]
+        want = [tuple(q) in table for q in queries.tolist()]
+        assert 0 < sum(want) < len(want)
+        for land in (built, loaded):
+            assert land.in_domain(queries).tolist() == want
+            held = queries[((queries >= 0) & (queries < v)).all(axis=1)]
+            assert (land.in_domain(held.astype(codes.dtype)) == land.in_domain(held)).all()
+            for wrong in (queries[:, :-1], np.concatenate([queries, queries[:, :1]], axis=1)):
+                assert not land.in_domain(wrong).any()
+
+            seqs = [Sequence(tuple(q), alphabet) for q in queries.tolist()
+                    if 0 <= min(q) and max(q) < v]
+            hits = [s for s in seqs if s.residues in table]
+            assert land.evaluate_batch(hits) == [table[s.residues] for s in hits]
+            assert [land.contains(s) for s in seqs] == [s.residues in table for s in seqs]
+            miss = next(s for s in seqs if s.residues not in table)
+            short = Sequence(rows[0][:-1], alphabet)
+            for stranger in (miss, short):
+                assert not land.contains(stranger)
+                message = rf"^sequence {re.escape(stranger.text)} is not in the lookup table$"
+                with pytest.raises(DomainError, match=message):
+                    land.evaluate_batch(hits[:3] + [stranger] + hits[3:5])
+
+
+class TestNKKernel:
+    """`fitness_rows` against the per-site loop it replaced (tests/nk_oracle.py), bit for bit."""
+
+    GRID = [(n, k, v) for n in (1, 2, 3, 4, 6) for k in range(4) for v in (2, 3, 4, 20)
+            if k < n and v**n <= 10_000]
+
+    @pytest.mark.parametrize("n, k, v", GRID)
+    def test_every_state_matches_the_per_site_loop(self, n, k, v):
+        land = make_nk(n, k, v, 100 * n + 10 * k + v)
+        codes = land.states()
+        assert codes.tolist() == [list(r) for r in itertools.product(range(v), repeat=n)]
+        want = scalar_fitnesses(land, codes)
+        assert (land.fitness_rows(codes) == want).all()
+        assert (land.fitness_rows(codes.astype(np.int64)) == want).all()
+        assert land.evaluate_batch(list(land.iter_domain())) == want.tolist()
+        best_seq, best_fit = land.enumerate_optimum()
+        first = int(np.argmax(want))  # a strict > scan keeps the first of equal maxima
+        assert best_seq.residues == tuple(codes[first].tolist()) and best_fit == want[first]
+
+    def test_random_rows_of_a_large_landscape_match_the_per_site_loop(self):
+        land = make_nk(10, 4, 4, 7)
+        codes = np.random.default_rng(0).integers(0, 4, (10_000, 10))
+        want = scalar_fitnesses(land, codes)
+        assert (land.fitness_rows(codes) == want).all()
+        assert (land.fitness_rows(codes.astype(np.uint8)) == want).all()
+
+    def test_optimum_of_nk_10_4_4(self):
+        # the optimum the per-state scan found, over 4**10 = 1,048,576 states
+        best_seq, best_fit = make_nk(10, 4, 4, 7).enumerate_optimum()
+        assert best_seq.text == "CAEAEDAECD"
+        assert best_fit == 0.881204784524931
+
+    def test_in_domain_checks_length_and_range(self):
+        land = make_nk(4, 1, 3, 0)
+        codes = np.array([[0, 1, 2, 0], [0, 1, 3, 0], [0, -1, 2, 0], [2, 2, 2, 2]])
+        assert land.in_domain(codes).tolist() == [True, False, False, True]
+        assert not land.in_domain(codes[:, :3]).any()
+        with pytest.raises(ValueError, match="incompatible"):
+            land.evaluate_batch([Sequence((0, 1, 2, 0), AB4), Sequence((0, 1, 3, 0), AB4)])
 
 
 class TestNKLandscape:

@@ -37,7 +37,7 @@ def _outcome(load, path, **kwargs):
         rows, scores = list(table), np.array(list(table.values()), dtype=np.float64)
     else:
         wt = result.wild_type
-        rows, scores = list(result.iter_residues()), result.scores
+        rows, scores = list(map(tuple, result.states().tolist())), result.scores
         assert scores.dtype == np.float64 and result.num_states() == len(rows)
     return ("loaded", rows, scores.tobytes(), wt.residues, wt.alphabet.symbols)
 

@@ -13,7 +13,7 @@ import proxbo.explorer as explorer
 from proxbo.explorer import ExplorerState, propose_pool, update_frontier
 from proxbo.landscape import make_nk
 from proxbo.sequences import (Sequence, hamming_distance, hamming_distances, mutant_block,
-                              small_alphabet)
+                              residue_array, small_alphabet)
 
 from pool_oracle import rejection_draws, rejection_propose_pool
 
@@ -148,36 +148,40 @@ class TestHammingDistances:
         rng = np.random.default_rng(seed)
         ref = Sequence(tuple(rng.integers(0, v, length).tolist()), ab)
         seqs = [Sequence(tuple(rng.integers(0, v, length).tolist()), ab) for _ in range(count)]
-        assert hamming_distances(seqs, ref).tolist() == [hamming_distance(s, ref) for s in seqs]
+        assert (hamming_distances(residue_array(seqs), ref).tolist()
+                == [hamming_distance(s, ref) for s in seqs])
 
     def test_length_mismatch_raises(self):
         ab = small_alphabet(2)
         with pytest.raises(ValueError):
-            hamming_distances([Sequence((0, 1), ab)], Sequence((0, 1, 0), ab))
+            hamming_distances(residue_array([Sequence((0, 1), ab)]), Sequence((0, 1, 0), ab))
 
 
 class _Domain:
-    """A subset of V**L states; `iter_residues` makes it enumerable."""
+    """A subset of V**L states, `members`; `states` makes it enumerable."""
 
-    def __init__(self, states: set, alphabet):
-        self.states = states
+    def __init__(self, members: set, alphabet):
+        self.members = members
         self.alphabet = alphabet
         self.enumerated = False
 
     def contains(self, s: Sequence) -> bool:
-        return s.residues in self.states
+        return s.residues in self.members
+
+    def in_domain(self, codes: np.ndarray) -> np.ndarray:
+        return np.array([tuple(r) in self.members for r in codes.tolist()], dtype=bool)
 
 
 class _EnumerableDomain(_Domain):
-    def iter_residues(self):
+    def states(self) -> np.ndarray:
         self.enumerated = True
-        return iter(sorted(self.states))
+        return np.array(sorted(self.members))
 
     def iter_domain(self):
-        return (Sequence(r, self.alphabet) for r in self.iter_residues())
+        return (Sequence(tuple(r), self.alphabet) for r in self.states().tolist())
 
     def num_states(self) -> int:
-        return len(self.states)
+        return len(self.members)
 
 
 @st.composite
@@ -188,10 +192,10 @@ def pool_problems(draw):
     every = list(itertools.product(range(v), repeat=length))
     wt = (0,) * length
     in_domain_share = draw(st.sampled_from([0.4, 1.0]))
-    states = {r for r in every if r == wt or rng.random() < in_domain_share}
+    members = {r for r in every if r == wt or rng.random() < in_domain_share}
     measured_share = draw(st.sampled_from([0.0, 0.3, 0.9, 1.0]))
-    measured = [r for r in sorted(states) if r == wt or rng.random() < measured_share]
-    return dict(v=v, length=length, states=states, measured=measured,
+    measured = [r for r in sorted(members) if r == wt or rng.random() < measured_share]
+    return dict(v=v, length=length, members=members, measured=measured,
                 fitness=rng.random(len(measured)).tolist(),
                 enumerable=draw(st.booleans()),
                 pool_size=draw(st.integers(1, 120)),
@@ -202,7 +206,7 @@ def pool_problems(draw):
 def _setup(problem):
     ab = small_alphabet(problem["v"])
     kind = _EnumerableDomain if problem["enumerable"] else _Domain
-    domain = kind(problem["states"], ab)
+    domain = kind(problem["members"], ab)
     state = ExplorerState(wild_type=Sequence((0,) * problem["length"], ab))
     points = []
     for r, y in zip(problem["measured"], problem["fitness"]):
@@ -233,7 +237,7 @@ class TestProposePoolProperties:
             got = propose_pool(state, domain, pool_size, radius,
                                np.random.default_rng(problem["seed"]))
         pool = got.sequences
-        unmeasured = {r for r in domain.states if Sequence(r, state.wild_type.alphabet)
+        unmeasured = {r for r in domain.members if Sequence(r, state.wild_type.alphabet)
                       not in state.data}
 
         # distinct, unmeasured, in the domain, at most pool_size

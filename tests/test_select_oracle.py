@@ -17,7 +17,7 @@ from proxbo.acquisition import KGConfig, select_batch
 from proxbo.explorer import ExplorerState, propose_pool, update_frontier
 from proxbo.harness import CampaignConfig, run_campaign
 from proxbo.landscape import make_nk
-from proxbo.sequences import Sequence, hamming_distance, hamming_distances
+from proxbo.sequences import Sequence, hamming_distance, residue_array
 from proxbo.surrogate import ConvRegressorConfig, Ensemble, TrainConfig
 
 import test_acceptance
@@ -80,14 +80,15 @@ def test_ei_incumbent_is_the_best_regularized_measurement(problem):
 
 @pytest.mark.parametrize("strategy, calls", [("kg", ["pool"]), ("ei", ["pool", "data"])])
 def test_distances_computed_once_per_call(problem, monkeypatch, strategy, calls):
+    """The residue array that gives the distances and the tie-breaks is built once per call."""
     state, ens, pool = problem
     seen = []
 
-    def counting_hamming_distances(seqs, ref):
+    def counting_residue_array(seqs):
         seen.append({len(pool): "pool", len(state.data): "data"}[len(seqs)])
-        return hamming_distances(seqs, ref)
+        return residue_array(seqs)
 
-    monkeypatch.setattr(acquisition, "hamming_distances", counting_hamming_distances)
+    monkeypatch.setattr(acquisition, "residue_array", counting_residue_array)
     select_batch(strategy, ens, pool, state.data, 6, lam=0.04, wild_type=state.wild_type,
                  kg_config=KG, rng=np.random.default_rng(9))
     assert seen == calls
