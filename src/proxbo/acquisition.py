@@ -92,37 +92,34 @@ def kg_oneshot(model, batch: list[Sequence], inner_pool: list[Sequence],
     """
     if not batch or not inner_pool:
         raise ValueError("batch and inner_pool must be non-empty")
-    incumbent = model.predict_batch(inner_pool)[:, 0].max()
     n = len(batch)
     seqs = batch + inner_pool
-    return float(_kg_slot_scores(model, seqs, list(range(n - 1)), [n - 1],
-                                 list(range(n, len(seqs))), data, cfg, rng,
-                                 np.zeros(len(seqs)))[0] - incumbent)
+    penalty = np.zeros(len(seqs))
+    mean, std = _mean_std(model, seqs, penalty)
+    return float(_kg_slot_scores(model, seqs, mean, std, list(range(n - 1)), [n - 1],
+                                 list(range(n, len(seqs))), data, cfg, rng, penalty)[0]
+                 - mean[n:].max())
 
 
-def _kg_slot_scores(model, pool: list[Sequence], chosen: list[int], subset: list[int],
-                    inner: list[int], data: Dataset, cfg: KGConfig,
-                    rng: np.random.Generator, penalty: np.ndarray) -> np.ndarray:
+def _kg_slot_scores(model, pool: list[Sequence], mean: np.ndarray, std: np.ndarray,
+                    chosen: list[int], subset: list[int], inner: list[int], data: Dataset,
+                    cfg: KGConfig, rng: np.random.Generator, penalty: np.ndarray) -> np.ndarray:
     """Incumbent-free KG score of `chosen + [c]` for every candidate `c` in `subset`.
 
-    `chosen`, `subset` and `inner` (the inner pool) index `pool`, and
-    `penalty[i]` is subtracted from the posterior mean of `pool[i]`. The
-    fantasy update conditions on physical outcomes, so each fantasy outcome gets
-    its penalty back before the update and the inner means lose theirs after.
-    Candidates share the random fantasy draws (common random numbers), so
-    every candidate's fantasies are conditioned in one
-    `fantasy_inner_means_multi` call, after one `predict_batch` of the
-    chosen sequences and the whole subset.
+    `chosen`, `subset` and `inner` (the inner pool) index `pool`, whose
+    penalised posterior means and stds are `mean` and `std`; `penalty[i]` is
+    the penalty in the mean of `pool[i]`. The fantasy update conditions on
+    physical outcomes, so each fantasy outcome gets its penalty back before
+    the update and the inner means lose theirs after. Candidates share the
+    random fantasy draws (common random numbers), so every candidate's
+    fantasies are conditioned in one `fantasy_inner_means_multi` call.
     """
     z = rng.standard_normal((cfg.n_fantasies, len(chosen) + 1))
-    predicted = chosen + subset
-    mean, std = _mean_std(model, [pool[i] for i in predicted], penalty[predicted])
-    # row j: the chosen sequences, then candidate j
+    # row j: the pool indices of the chosen sequences, then of candidate j
     rows = np.empty((len(subset), len(chosen) + 1), dtype=np.intp)
-    rows[:, :-1] = np.arange(len(chosen))
-    rows[:, -1] = len(chosen) + np.arange(len(subset))
-    ys = (mean[rows][:, None, :] + std[rows][:, None, :] * z
-          + penalty[predicted][rows][:, None, :])
+    rows[:, :-1] = chosen
+    rows[:, -1] = subset
+    ys = mean[rows][:, None, :] + std[rows][:, None, :] * z + penalty[rows][:, None, :]
     chosen_seqs = [pool[i] for i in chosen]
     inner_means = model.fantasy_inner_means_multi(
         [chosen_seqs + [pool[c]] for c in subset], ys, [pool[i] for i in inner], data)
@@ -215,8 +212,8 @@ def select_batch(strategy: str, model, pool: list[Sequence], data: Dataset, m: i
         subset = order[free[order]][: cfg.inner_eval_size].tolist()
         slot_rng = np.random.default_rng(int(rng.integers(0, 2**63 - 1)))
         # the incumbent term is constant per slot, so it is dropped
-        scores = _kg_slot_scores(model, pool, chosen, subset, inner, data, cfg, slot_rng,
-                                 penalty)
+        scores = _kg_slot_scores(model, pool, mean, std, chosen, subset, inner, data, cfg,
+                                 slot_rng, penalty)
         bad = int(np.sum(~np.isfinite(scores)))
         if bad:
             raise ValueError(f"non-finite KG slot score for {bad} of {len(scores)} candidates")

@@ -4,6 +4,10 @@ Config files are flat `key=value` text with dotted sections; run output is
 one CSV per seed plus a manifest sufficient to reproduce byte-identical
 results. Floats are printed at 17 significant digits so CSVs round-trip
 losslessly.
+
+Each config key is declared once, on its `CampaignConfig` field through
+`_key`, and parsed by that field's annotation. `_KEYS` maps every key to its
+field; the parser and the manifest echo read it.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ import os
 import sys
 import traceback
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -31,48 +35,54 @@ ARTIFACT_VERSION = "0.3.0"
 _FLOAT = "{:.17g}".format
 
 
+def _key(key: str, default):
+    """A CampaignConfig field that config text sets, and the manifest echoes, as `key`."""
+    return field(default=default, metadata={"key": key})
+
+
 @dataclass(frozen=True)
 class CampaignConfig:
     # landscape
-    landscape_kind: str = "nk"            # nk | lookup
-    lookup_path: str = ""
-    negate: bool = False
-    wild_type: str = ""                   # text override; default: lookup first row / NK all-first-symbol
-    nk_n: int = 10
-    nk_k: int = 2
-    nk_v: int = 2
-    nk_seed: int = 0
+    landscape_kind: str = _key("landscape.kind", "nk")    # nk | lookup
+    lookup_path: str = _key("landscape.path", "")
+    negate: bool = _key("landscape.negate", False)
+    # text override; default: lookup first row / NK all-first-symbol
+    wild_type: str = _key("landscape.wild_type", "")
+    nk_n: int = _key("landscape.n", 10)
+    nk_k: int = _key("landscape.k", 2)
+    nk_v: int = _key("landscape.v", 2)
+    nk_seed: int = _key("landscape.seed", 0)
     # surrogate
-    surrogate_kind: str = "conv"          # conv | recurrent
-    members: int = 5
-    channels: tuple[int, ...] = (16, 16)
-    kernel_size: int = 9
-    hidden_dense: int = 32
-    hidden_size: int = 64
-    epochs: int = 150
-    warm_epochs: int = 40                 # >0: warm-start refits after round 1
-    minibatch: int = 64
-    learning_rate: float = 5e-3
-    bootstrap: bool = True
+    surrogate_kind: str = _key("surrogate.kind", "conv")  # conv | recurrent
+    members: int = _key("surrogate.members", 5)
+    channels: tuple[int, ...] = _key("surrogate.channels", (16, 16))
+    kernel_size: int = _key("surrogate.kernel_size", 9)
+    hidden_dense: int = _key("surrogate.hidden_dense", 32)
+    hidden_size: int = _key("surrogate.hidden_size", 64)
+    epochs: int = _key("train.epochs", 150)
+    warm_epochs: int = _key("train.warm_epochs", 40)     # >0: warm-start refits after round 1
+    minibatch: int = _key("train.minibatch", 64)
+    learning_rate: float = _key("train.learning_rate", 5e-3)
+    bootstrap: bool = _key("train.bootstrap", True)
     # method / acquisition
-    method: str = "batch_bo"              # batch_bo | random | pex_greedy
-    acquisition: str = "kg"               # ucb | ei | kg
-    beta: float = 3.0
-    kg_fantasies: int = 4
-    kg_inner_pool: int = 128
-    kg_update_steps: int = 6              # ignored: set the SGD fantasy head of 0.2.0
-    kg_update_lr: float = 8e-2            # ignored, as kg_update_steps
-    kg_inner_eval: int = 8
+    method: str = _key("method", "batch_bo")              # batch_bo | random | pex_greedy
+    acquisition: str = _key("acquisition.kind", "kg")     # ucb | ei | kg
+    beta: float = _key("acquisition.beta", 3.0)
+    kg_fantasies: int = _key("acquisition.kg.n_fantasies", 4)
+    kg_inner_pool: int = _key("acquisition.kg.inner_pool_size", 128)
+    kg_update_steps: int = 6              # no key; ignored: set the SGD fantasy head of 0.2.0
+    kg_update_lr: float = 8e-2            # no key; ignored, as kg_update_steps
+    kg_inner_eval: int = _key("acquisition.kg.inner_eval_size", 8)
     # campaign
-    rounds: int = 10
-    batch: int = 16
-    pool_size: int = 900
-    pool_radius: int = 4
-    lambda_kind: str = "iqr"              # fixed | iqr
-    lambda_value: float = 0.0
-    lambda_factor: float = 0.1
-    seeds: tuple[int, ...] = (0,)
-    out: str = "runs"
+    rounds: int = _key("rounds", 10)
+    batch: int = _key("batch", 16)
+    pool_size: int = _key("pool.size", 900)
+    pool_radius: int = _key("pool.radius", 4)
+    lambda_kind: str = _key("lambda.kind", "iqr")         # fixed | iqr
+    lambda_value: float = _key("lambda.value", 0.0)
+    lambda_factor: float = _key("lambda.factor", 0.1)
+    seeds: tuple[int, ...] = _key("seeds", (0,))
+    out: str = _key("out", "runs")
 
     def __post_init__(self):
         for key, value in (("rounds", self.rounds), ("batch", self.batch),
@@ -100,7 +110,7 @@ class CampaignConfig:
             raise ConfigError("landscape.path: required for lookup landscapes")
         if self.method not in ("batch_bo", "random", "pex_greedy"):
             raise ConfigError(f"method: unknown value {self.method!r}")
-        if self.method == "batch_bo" and self.acquisition not in ("ucb", "ei", "kg"):
+        if self.acquisition not in ("ucb", "ei", "kg"):
             raise ConfigError(f"acquisition.kind: unknown value {self.acquisition!r}")
         if self.surrogate_kind not in REGRESSORS:
             raise ConfigError(f"surrogate.kind: unknown value {self.surrogate_kind!r}")
@@ -113,50 +123,22 @@ class CampaignConfig:
             _wild_type_of(self, _build_landscape(self))
 
 
-_KEY_MAP = {
-    "landscape.kind": ("landscape_kind", str),
-    "landscape.path": ("lookup_path", str),
-    "landscape.negate": ("negate", None),
-    "landscape.wild_type": ("wild_type", str),
-    "landscape.n": ("nk_n", int),
-    "landscape.k": ("nk_k", int),
-    "landscape.v": ("nk_v", int),
-    "landscape.seed": ("nk_seed", int),
-    "surrogate.kind": ("surrogate_kind", str),
-    "surrogate.members": ("members", int),
-    "surrogate.channels": ("channels", "int_tuple"),
-    "surrogate.kernel_size": ("kernel_size", int),
-    "surrogate.hidden_dense": ("hidden_dense", int),
-    "surrogate.hidden_size": ("hidden_size", int),
-    "train.epochs": ("epochs", int),
-    "train.warm_epochs": ("warm_epochs", int),
-    "train.minibatch": ("minibatch", int),
-    "train.learning_rate": ("learning_rate", float),
-    "train.bootstrap": ("bootstrap", None),
-    "method": ("method", str),
-    "acquisition.kind": ("acquisition", str),
-    "acquisition.beta": ("beta", float),
-    "acquisition.kg.n_fantasies": ("kg_fantasies", int),
-    "acquisition.kg.inner_pool_size": ("kg_inner_pool", int),
-    "acquisition.kg.inner_eval_size": ("kg_inner_eval", int),
-    "rounds": ("rounds", int),
-    "batch": ("batch", int),
-    "pool.size": ("pool_size", int),
-    "pool.radius": ("pool_radius", int),
-    "lambda.kind": ("lambda_kind", str),
-    "lambda.value": ("lambda_value", float),
-    "lambda.factor": ("lambda_factor", float),
-    "seeds": ("seeds", "int_tuple"),
-    "out": ("out", str),
-}
-
-
 def _parse_bool(v: str) -> bool:
     if v.lower() in ("true", "1", "yes", "on"):
         return True
     if v.lower() in ("false", "0", "no", "off"):
         return False
     raise ValueError(f"not a boolean: {v!r}")
+
+
+# a keyed field's parser, by its annotation (a string under `from __future__ import annotations`)
+_PARSERS = {"str": str, "int": int, "float": float, "bool": _parse_bool,
+            "tuple[int, ...]": lambda v: tuple(int(p) for p in v.split(",") if p.strip())}
+# config key -> CampaignConfig field
+_KEYS = {f.metadata["key"]: f for f in fields(CampaignConfig) if "key" in f.metadata}
+for _f in _KEYS.values():
+    if _f.type not in _PARSERS:
+        raise TypeError(f"CampaignConfig.{_f.name}: no config parser for {_f.type!r}")
 
 
 def parse_config_text(text: str) -> CampaignConfig:
@@ -173,16 +155,11 @@ def parse_config_text(text: str) -> CampaignConfig:
         if key in ("acquisition.kg.update_steps", "acquisition.kg.update_lr"):
             raise ConfigError(f"{key}: removed; KG fantasies are closed-form since 0.3.0 "
                               "and take no update steps or learning rate")
-        if key not in _KEY_MAP:
+        if key not in _KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        attr, conv = _KEY_MAP[key]
+        f = _KEYS[key]
         try:
-            if conv == "int_tuple":
-                kwargs[attr] = tuple(int(p) for p in value.split(",") if p.strip())
-            elif conv is None:
-                kwargs[attr] = _parse_bool(value)
-            else:
-                kwargs[attr] = conv(value)
+            kwargs[f.name] = _PARSERS[f.type](value)
         except ValueError as e:
             raise ConfigError(f"{key}: {e}") from None
     return CampaignConfig(**kwargs)
@@ -194,10 +171,9 @@ def load_config(path: str | Path) -> CampaignConfig:
 
 def config_lines(cfg: CampaignConfig) -> list[str]:
     """Canonical key=value echo, inverse of parse_config_text."""
-    rev = {attr: key for key, (attr, _) in _KEY_MAP.items()}
     lines = []
-    for attr, key in sorted(rev.items(), key=lambda kv: kv[1]):
-        v = getattr(cfg, attr)
+    for key in sorted(_KEYS):
+        v = getattr(cfg, _KEYS[key].name)
         if isinstance(v, tuple):
             v = ",".join(str(x) for x in v)
         elif isinstance(v, bool):

@@ -402,7 +402,6 @@ class BudgetedOracle:
     batch_size: int
     rounds_remaining: int = field(init=False)
     queries_made: int = field(init=False, default=0)
-    query_log: list[tuple[Sequence, float]] = field(init=False, default_factory=list)
 
     def __post_init__(self):
         if self.rounds_total < 1 or self.batch_size < 1:
@@ -419,5 +418,4 @@ class BudgetedOracle:
         scores = self.inner.evaluate_batch(batch)
         self.rounds_remaining -= 1
         self.queries_made += len(batch)
-        self.query_log.extend(zip(batch, scores))
         return scores

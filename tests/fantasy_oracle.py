@@ -16,7 +16,8 @@
 - `log_evidence` is the log marginal likelihood that
   `surrogate.evidence_posterior` maximises, for brute-force grid searches.
 - `per_candidate_slot_scores` is the KG slot scoring that predicted
-  `chosen + [c]` once per candidate `c`.
+  `chosen + [c]` once per candidate `c`, where `_kg_slot_scores` indexes the
+  posterior of the whole pool.
 """
 
 import numpy as np
@@ -25,8 +26,12 @@ from proxbo.errors import TrainingError
 from proxbo.surrogate import evidence_posterior
 
 
-def per_candidate_slot_scores(model, pool, chosen, subset, inner, data, cfg, rng, penalty):
-    """`acquisition._kg_slot_scores`, predicting each candidate's batch on its own."""
+def per_candidate_slot_scores(model, pool, mean, std, chosen, subset, inner, data, cfg, rng,
+                              penalty):
+    """`acquisition._kg_slot_scores`, predicting each candidate's batch on its own.
+
+    The pool posterior `mean` and `std` are ignored.
+    """
     z = rng.standard_normal((cfg.n_fantasies, len(chosen) + 1))
     batches, ys = [], []
     for c in subset:

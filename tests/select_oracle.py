@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from proxbo.acquisition import KGConfig, _kg_slot_scores
+from proxbo.acquisition import KGConfig, _kg_slot_scores, _mean_std
 from proxbo.sequences import Sequence, hamming_distance
 from proxbo.surrogate import Dataset
 
@@ -90,8 +90,10 @@ def _slot_scores(model, chosen, subset, inner_pool, data, cfg, rng):
     """`_kg_slot_scores` on sequences, with the penalty left to `model`."""
     seqs = chosen + subset + inner_pool
     k, n = len(chosen), len(chosen) + len(subset)
-    return _kg_slot_scores(model, seqs, list(range(k)), list(range(k, n)),
-                           list(range(n, len(seqs))), data, cfg, rng, np.zeros(len(seqs)))
+    penalty = np.zeros(len(seqs))
+    mean, std = _mean_std(model, seqs, penalty)
+    return _kg_slot_scores(model, seqs, mean, std, list(range(k)), list(range(k, n)),
+                           list(range(n, len(seqs))), data, cfg, rng, penalty)
 
 
 def _ranked(pool: list[Sequence], scores: list[float],

@@ -45,6 +45,8 @@ def test_tracer_hooks_and_counts_a_kg_campaign(tmp_path, monkeypatch):
     totals = tracer.take()
     assert totals["surrogate.predict_items"] == sum(passed) > 0
     assert totals["surrogate.predict_calls"] == len(passed)
+    # KG slots index the pool posterior of their round: one prediction per selection
+    assert totals["surrogate.predict_calls"] == totals["acquisition.select_batch_calls"]
     for name in ("surrogate.fit_calls", "surrogate.fantasy_calls",
                  "surrogate.fantasy_head_copies", "nn.adam_step_calls"):
         assert totals[name] > 0, name

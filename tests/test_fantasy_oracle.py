@@ -106,7 +106,8 @@ class TestFantasyHead:
         penalty = 0.05 * hamming_distances(residue_array(unmeasured), data.sequences[0])
         cfg = acquisition.KGConfig(n_fantasies=4)
         n = len(unmeasured)
-        args = (ens, unmeasured, [0, 1], [2, 3, 4], list(range(n - 9, n)), data, cfg)
+        mean, std = acquisition._mean_std(ens, unmeasured, penalty)
+        args = (ens, unmeasured, mean, std, [0, 1], [2, 3, 4], list(range(n - 9, n)), data, cfg)
         fast = acquisition._kg_slot_scores(*args, np.random.default_rng(5), penalty)
         monkeypatch.setattr(Ensemble, "fantasy_inner_means_multi",
                             looped_fantasy_inner_means_multi)

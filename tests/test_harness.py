@@ -1,5 +1,6 @@
 """Tests for campaign configuration, CSV artifacts, aggregation, and the CLI."""
 
+import itertools
 import os
 import shutil
 import subprocess
@@ -502,6 +503,9 @@ class TestCLI:
         # the SGD fantasy head's keys fail loudly rather than being ignored
         ("acquisition.kg.update_steps=6", (), "acquisition.kg.update_steps"),
         ("acquisition.kg.update_lr=0.08", (), "acquisition.kg.update_lr"),
+        # checked whichever method reads it: the value enters the manifest and config_hash
+        ("method=random\nacquisition.kind=entropy", (), "acquisition.kind"),
+        ("method=pex_greedy\nacquisition.kind=entropy", (), "acquisition.kind"),
     ])
     def test_bad_config_value_exits_one_before_the_manifest(self, tmp_path, line, argv, key):
         gen_nk(6, 1, 2, 9, tmp_path / "land")
@@ -549,41 +553,57 @@ EDGE_VALUES = ("0", "-1", "nan", "inf", "-inf", "1e400", HUGE_INT, "")
 MUST_REJECT = {("out", ""), ("surrogate.hidden_size", "0"), ("surrogate.hidden_size", "-1")}
 
 
-def _parse_fuzzed(key, value):
-    """The config FUZZ_CONFIG gives with `key=value` added, or None when that is rejected.
+# the valid alternatives of the kind and boolean keys, fuzzed in pairs with EDGE_VALUES
+PAIR_VALUES = {"method": ("random", "pex_greedy"), "acquisition.kind": ("ei", "kg"),
+               "surrogate.kind": ("recurrent",), "lambda.kind": ("fixed",),
+               "landscape.negate": ("true", "false"), "train.bootstrap": ("true", "false")}
+
+
+def _parse_fuzzed(*lines):
+    """The config FUZZ_CONFIG gives with the (key, value) `lines` added, or None when rejected.
 
     A rejection must be a ConfigError or DataError whose message starts with
-    `key`; any other exception escapes to the calling test.
+    one of the added keys; any other exception escapes to the calling test.
     """
     try:
-        cfg = parse_config_text(FUZZ_CONFIG + f"{key}={value}\n")
+        cfg = parse_config_text(FUZZ_CONFIG + "".join(f"{k}={v}\n" for k, v in lines))
         harness._train_configs(cfg)
         harness._kg_config(cfg)
         harness._surrogate_config(cfg)
     except (ConfigError, DataError) as e:
-        assert str(e).startswith(f"{key}: "), (key, value, str(e))
+        assert str(e).startswith(tuple(f"{k}: " for k, _ in lines)), (lines, str(e))
         return None
     return cfg
 
 
 class TestConfigFuzz:
-    @pytest.mark.parametrize("key", list(harness._KEY_MAP))
+    @pytest.mark.parametrize("key", list(harness._KEYS))
     def test_every_edge_value_parses_or_is_rejected_naming_its_key(self, key):
         for value in EDGE_VALUES:
-            cfg = _parse_fuzzed(key, value)
+            cfg = _parse_fuzzed((key, value))
             if (key, value) in MUST_REJECT:
                 assert cfg is None, (key, value)
 
-    @pytest.mark.parametrize("key", list(harness._KEY_MAP))
+    def test_every_pair_keeps_single_rejections_and_names_one_of_its_keys(self):
+        values = {key: EDGE_VALUES + PAIR_VALUES.get(key, ()) for key in harness._KEYS}
+        rejected = {(k, v) for k, vs in values.items() for v in vs if _parse_fuzzed((k, v)) is None}
+        let_through = []
+        for a, b in itertools.combinations(values, 2):
+            for pair in itertools.product([(a, v) for v in values[a]], [(b, v) for v in values[b]]):
+                if _parse_fuzzed(*pair) is not None and rejected.intersection(pair):
+                    let_through.append(pair)
+        assert not let_through, (len(let_through), let_through[:4])
+
+    @pytest.mark.parametrize("key", list(harness._KEYS))
     def test_every_accepted_value_runs_or_exits_one_leaving_no_output(self, tmp_path, monkeypatch,
                                                                       capsys, key):
         monkeypatch.setenv("PROXBO_THREADS", "1")
-        sized = harness._KEY_MAP[key][1] in (int, "int_tuple")
+        sized = harness._KEYS[key].type in ("int", "tuple[int, ...]")
         for i, value in enumerate(EDGE_VALUES):
             # a huge size is for the parse layer only: a campaign on it would not end
             if value == HUGE_INT and sized and key not in ("landscape.seed", "seeds"):
                 continue
-            if _parse_fuzzed(key, value) is None:
+            if _parse_fuzzed((key, value)) is None:
                 continue
             work = tmp_path / str(i)
             work.mkdir()
