@@ -30,7 +30,7 @@ from .sequences import Sequence, small_alphabet
 from .surrogate import (REGRESSORS, ConvRegressorConfig, Dataset, Ensemble,
                         RecurrentRegressorConfig, TrainConfig)
 
-ARTIFACT_VERSION = "0.3.0"
+ARTIFACT_VERSION = "0.4.0"
 
 _FLOAT = "{:.17g}".format
 
@@ -342,7 +342,9 @@ def run_campaign(cfg: CampaignConfig) -> dict[int, list[RoundRecord]]:
     process, runs on it. The manifest comes next, and each seed's CSV as soon
     as that seed finishes. A seed that raises does not stop the others; once
     every seed has run, the first error in seed order is raised again, and
-    the tracebacks of any later ones go to stderr.
+    the tracebacks of any later ones go to stderr. When no seed finished, the
+    manifest is deleted first, and so is the output directory if this call
+    made it: a campaign with no results leaves no output.
     """
     raw_threads = os.environ.get("PROXBO_THREADS", "1")
     try:
@@ -351,10 +353,12 @@ def run_campaign(cfg: CampaignConfig) -> dict[int, list[RoundRecord]]:
         raise ConfigError(f"PROXBO_THREADS: expected an integer, got {raw_threads!r}") from None
     landscape = _build_landscape(cfg)
     out = Path(cfg.out)
+    made_out = not out.exists()
     out.mkdir(parents=True, exist_ok=True)
     manifest = [f"artifact_version={ARTIFACT_VERSION}",
                 f"config_hash={config_hash(cfg)}"] + config_lines(cfg)
-    (out / "manifest.txt").write_text("\n".join(manifest) + "\n", encoding="utf-8")
+    manifest_path = out / "manifest.txt"
+    manifest_path.write_text("\n".join(manifest) + "\n", encoding="utf-8")
 
     all_records: dict[int, list[RoundRecord]] = {}
     errors: dict[int, Exception] = {}
@@ -380,6 +384,10 @@ def run_campaign(cfg: CampaignConfig) -> dict[int, list[RoundRecord]]:
             except Exception as exc:
                 errors[seed] = exc
     if errors:
+        if not all_records:
+            manifest_path.unlink()
+            if made_out and not any(out.iterdir()):
+                out.rmdir()
         first, *others = sorted(errors, key=cfg.seeds.index)
         for seed in others:
             print(f"seed {seed} failed as well:", file=sys.stderr)

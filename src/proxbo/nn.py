@@ -3,12 +3,16 @@
 Just enough machinery for the two regressor architectures: 1D convolution
 (stride 1, same padding), rectified-linear, dense layers, mean pooling over
 positions and mean-squared-error; the tanh recurrence lives with its
-regressor. Everything is float64.
+regressor. Every kernel computes in the dtype of its inputs: the ensemble
+trains and runs its networks in float32, and the finite-difference gradient
+check builds a float64 network.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import os
 from collections.abc import Mapping, MutableMapping
 
 import numpy as np
@@ -27,13 +31,18 @@ def he_uniform(shape: tuple[int, ...], fan_in: int, rng: np.random.Generator) ->
 # network's, so stacking does not change a single bit of the result.
 
 # Two shortcuts in the conv kernels, each giving the bits of the one product
-# it replaces. With one thread on its SkylakeX core, OpenBLAS's dgemm runs a
+# it replaces. With one thread on its SkylakeX core, OpenBLAS's gemm runs a
 # small-matrix kernel while M·N·K <= 100³ and packs its operands above that.
 # A row gets the same bits from both kernels, wherever it sits in the
-# product, only if the output width N is a multiple of 8 (the doubles in an
-# AVX-512 register) and the depth K is at most `_PANEL_K` (the packed kernel
-# sums deeper products in K panels of that depth, the small-matrix kernel in
-# one pass). Both shortcuts are taken only there.
+# product, only if the output width N is a multiple of the items in an
+# AVX-512 register (8 doubles, 16 floats: `_lanes`) and the depth K is at
+# most `_PANEL_K` (the packed kernel sums deeper products in K panels, 384
+# deep for doubles and deeper for floats, the small-matrix kernel in one
+# pass). Both shortcuts are taken only there, and only on the core these
+# rules were measured on (`_VERIFIED_CORE`, read by `blas_core`): OpenBLAS's
+# Haswell core, for one, rounds both shortcuts differently from the one
+# product. On any other core, and under any other BLAS, every kernel runs
+# the one product.
 # - Forward row blocks (`_row_blocks`): the layer-1 product of a 64-row
 #   minibatch (640 rows, K = 144, N = 16) lies just above the small-matrix
 #   limit, and the time per row doubles between 400 and 480 rows. Larger
@@ -44,9 +53,34 @@ def he_uniform(shape: tuple[int, ...], fan_in: int, rng: np.random.Generator) ->
 _SMALL_GEMM_MAX = 100**3
 _PANEL_K = 384
 _BLOCKED_WIDTH_MAX = 64
+_VERIFIED_CORE = "SkylakeX"
 
 
-def _row_blocks(rows: int, depth: int, width: int) -> int:
+def _lanes(dtype) -> int:
+    """Items of `dtype` in one AVX-512 register."""
+    return 64 // np.dtype(dtype).itemsize
+
+
+@functools.cache
+def blas_core() -> str:
+    """The core name numpy's bundled OpenBLAS reports, or "" for any other BLAS.
+
+    Read through `ctypes` on the first call, not at import.
+    """
+    import ctypes
+    import glob
+
+    for path in sorted(glob.glob(os.path.dirname(np.__file__) + ".libs/*openblas*")):
+        try:
+            corename = ctypes.CDLL(path).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.restype = ctypes.c_char_p
+        return corename().decode()
+    return ""
+
+
+def _row_blocks(rows: int, depth: int, width: int, dtype=np.float64) -> int:
     """How many near-equal row blocks a (rows, depth) @ (depth, width) product runs in.
 
     Each block stays within `_SMALL_GEMM_MAX` multiply-adds. Where a product
@@ -54,7 +88,7 @@ def _row_blocks(rows: int, depth: int, width: int) -> int:
     split holds 20 or more: none is a 1-row product, which numpy hands to
     gemv, and gemv rounds differently.
     """
-    if width % 8 or width > _BLOCKED_WIDTH_MAX or depth > _PANEL_K:
+    if width % _lanes(dtype) or width > _BLOCKED_WIDTH_MAX or depth > _PANEL_K:
         return 1
     return -(-rows // (_SMALL_GEMM_MAX // (depth * width)))
 
@@ -69,7 +103,7 @@ def stacked_conv1d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
     k, cin, cout = w.shape[-3:]
     pad = (k - 1) // 2
     *lead, bsz, l, _ = x.shape
-    xp = np.zeros((*lead, bsz, l + 2 * pad, cin))
+    xp = np.zeros((*lead, bsz, l + 2 * pad, cin), x.dtype)
     xp[..., pad:pad + l, :] = x
     # (..., B, L, k, Cin) windows over the padded positions, copied once into
     # the im2col matrix
@@ -79,11 +113,12 @@ def stacked_conv1d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
     rows = bsz * l
     col = win.reshape(*lead, rows, k * cin)
     w2 = w.reshape(*w.shape[:-3], k * cin, cout)
-    blocks = _row_blocks(rows, k * cin, cout)
+    dtype = np.result_type(col, w2)
+    blocks = _row_blocks(rows, k * cin, cout, dtype) if blas_core() == _VERIFIED_CORE else 1
     if blocks <= 1:
         out = col @ w2
     else:
-        out = np.empty(np.broadcast_shapes(col.shape[:-2], w2.shape[:-2]) + (rows, cout))
+        out = np.empty(np.broadcast_shapes(col.shape[:-2], w2.shape[:-2]) + (rows, cout), dtype)
         for i in range(blocks):
             r0, r1 = i * rows // blocks, (i + 1) * rows // blocks
             np.matmul(col[..., r0:r1, :], w2, out=out[..., r0:r1, :])
@@ -113,13 +148,15 @@ def stacked_conv1d_backward(cache, dout: np.ndarray, need_dx: bool = True,
     # zero, as a scatter onto the padded input would, and each tap's product
     # is the same K = Cout dot product: where the shortcut is taken (see
     # the note above) they give the same bits.
-    if cin % 8 or cout > _PANEL_K or bsz == 1:
+    dtype = np.result_type(dout, wt)
+    if (cin % _lanes(dtype) or cout > _PANEL_K or bsz == 1
+            or blas_core() != _VERIFIED_CORE):
         # one product for every tap, padding included: tap-major window
         # gradients (..., k, B, L, Cin), each tap's block added onto the input
         # positions its outputs read. A lone sequence never goes tap by tap:
         # a one-position block would be a 1-row product.
         dcol = (dout2[..., None, :, :] @ wt).reshape(*lead, k, bsz, l, cin)
-        dx = np.zeros((*lead, bsz, l, cin))
+        dx = np.zeros((*lead, bsz, l, cin), dtype)
         for j in range(k):
             lo, hi = max(0, j - pad), min(l, l + j - pad)
             if lo < hi:
@@ -130,7 +167,7 @@ def stacked_conv1d_backward(cache, dout: np.ndarray, need_dx: bool = True,
     # read real input
     rows = bsz * l
     dpos = np.swapaxes(dout, -3, -2).reshape(*lead, rows, cout)
-    dx = np.zeros((*lead, rows, cin))
+    dx = np.zeros((*lead, rows, cin), dtype)
     for j in range(k):
         # output rows [lo, hi) read input rows [lo + s, hi + s)
         lo, hi = max(0, pad - j) * bsz, min(l, l + pad - j) * bsz
@@ -193,23 +230,25 @@ def mse_backward(cache: np.ndarray):
 
 
 class Arena(MutableMapping):
-    """Named float64 arrays laid out back to back in one flat buffer.
+    """Named arrays of one dtype laid out back to back in one flat buffer.
 
     `flat` is the buffer and each entry is a C-contiguous view of its slice,
     in `layout` order, so one ufunc call over `flat` acts on every entry.
-    Entries are never rebound: assigning one copies the value into its view
-    (the shapes must match), and deleting one is an error.
+    Entries are never rebound: assigning one casts the value to the arena's
+    dtype and copies it into its view (the shapes must match), and deleting
+    one is an error.
     """
 
-    def __init__(self, shapes: Mapping[str, tuple[int, ...]]):
+    def __init__(self, shapes: Mapping[str, tuple[int, ...]], dtype=np.float64):
         self.layout = tuple((name, tuple(shape)) for name, shape in shapes.items())
-        self.flat = np.zeros(sum(math.prod(shape) for _, shape in self.layout))
+        self.flat = np.zeros(sum(math.prod(shape) for _, shape in self.layout), dtype)
         self._bind()
 
     @classmethod
     def like(cls, arrays: Mapping[str, np.ndarray]) -> "Arena":
-        """A zero-filled arena with the names and shapes of `arrays`."""
-        return cls({name: arr.shape for name, arr in arrays.items()})
+        """A zero-filled arena with the names and shapes of `arrays`, in their common dtype."""
+        return cls({name: arr.shape for name, arr in arrays.items()},
+                   np.result_type(*arrays.values()))
 
     def _bind(self) -> None:
         self._views = {}
@@ -252,13 +291,13 @@ class Adam:
     The update is elementwise, so one optimizer over stacked parameters steps
     every member exactly as separate per-member optimizers would.
 
-    The moments `m` and `v` are arenas with the parameters' layout, and the
-    two work arrays are flat buffers of the same size. When `step` gets its
-    parameters and gradients as two arenas of that layout, it runs its
-    operations once over the flat buffers, whatever the number of entries;
-    given plain dicts, it runs them once per gradient entry, on views of the
-    work buffers. Either way `step` updates the moments and the parameters
-    in place, in this order of operations:
+    The moments `m` and `v` are arenas with the parameters' layout and
+    dtype, and the two work arrays are flat buffers of the same size and
+    dtype. When `step` gets its parameters and gradients as two arenas of
+    that layout, it runs its operations once over the flat buffers, whatever
+    the number of entries; given plain dicts, it runs them once per gradient
+    entry, on views of the work buffers. Either way `step` updates the
+    moments and the parameters in place, in this order of operations:
 
         m = b1*m + (1-b1)*g
         v = b2*v + ((1-b2)*g)*g

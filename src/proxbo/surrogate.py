@@ -2,6 +2,12 @@
 
 The ensemble's member disagreement (random init + bootstrap resampling)
 provides the predictive variance used by the acquisition functions.
+
+The networks train and run in float32 (`NET_DTYPE`): parameters, gradients,
+optimizer state, one-hot inputs, standardized targets and activations.
+Outside training, everything after the last hidden layer is float64: the
+output layer, de-standardization, the member mean and variance, and the
+output-layer posterior behind the KG fantasies.
 """
 
 from __future__ import annotations
@@ -14,6 +20,8 @@ import numpy as np
 from . import nn
 from .errors import DataError, TrainingError, check_positive
 from .sequences import Sequence, encode_batch
+
+NET_DTYPE = np.float32  # the dtype of every network an Ensemble trains and runs
 
 
 @dataclass(frozen=True)
@@ -129,18 +137,20 @@ class _StackedNet:
     """What both stacked regressors share: the stacked parameters, forward = head after features.
 
     `rngs` holds one generator per member; each draws its member's weights
-    layer by layer, and the members' parameters are stacked on a leading axis.
-    `params` is an `nn.Arena`: every stacked parameter is a view into one
-    flat buffer, so one Adam step updates them all with a single pass.
+    layer by layer in float64, and the members' parameters are stacked on a
+    leading axis and cast to `dtype`. `params` is an `nn.Arena`: every stacked
+    parameter is a view into one flat buffer, so one Adam step updates them
+    all with a single pass.
     """
 
-    def __init__(self, cfg, length: int, vocab: int, rngs: list[np.random.Generator]):
+    def __init__(self, cfg, length: int, vocab: int, rngs: list[np.random.Generator],
+                 dtype=NET_DTYPE):
         self.cfg = cfg
         self.length = length
         self.vocab = vocab
         members = [self._init_member(rng) for rng in rngs]
         self.params = nn.Arena({name: (len(members),) + arr.shape
-                                for name, arr in members[0].items()})
+                                for name, arr in members[0].items()}, dtype)
         for name in self.params:
             self.params[name] = np.stack([p[name] for p in members])
 
@@ -243,7 +253,7 @@ class RecurrentRegressor(_StackedNet):
 
     def _features(self, x: np.ndarray):
         wx, wh, bh = self.params["wx"], self.params["wh"], self.params["bh"]
-        hs = [np.zeros((len(wx), x.shape[-3], self.cfg.hidden_size))]
+        hs = [np.zeros((len(wx), x.shape[-3], self.cfg.hidden_size), np.result_type(x, wx))]
         for t in range(x.shape[-2]):
             a = x[..., t, :] @ wx
             if t:  # the initial state is zero: no product with it
@@ -350,14 +360,14 @@ class Ensemble:
         seqs = data.sequences
         self.length = len(seqs[0])
         self.vocab = seqs[0].alphabet.size
-        x_all = encode_batch(seqs)
+        x_all = encode_batch(seqs).astype(NET_DTYPE)
         y_raw = data.scores
         if not (warm_start and self.trained):
             self.y_mean = float(y_raw.mean())
             std = float(y_raw.std())
             self.y_std = std if std > 1e-12 else 1.0
             self.net = self._init_net()
-        y_all = (y_raw - self.y_mean) / self.y_std
+        y_all = ((y_raw - self.y_mean) / self.y_std).astype(NET_DTYPE)
         self._feature_cache.clear()
         self._head_post = None
 
@@ -387,12 +397,12 @@ class Ensemble:
         return nn.mse_forward(pred, y_all[idx])[0].tolist()
 
     def features_batch(self, batch: list[Sequence]) -> np.ndarray:
-        """(n_members, B, d) feature-map outputs, cached per sequence."""
+        """(n_members, B, d) float32 feature-map outputs, cached per sequence."""
         if not self.trained:
             raise TrainingError("ensemble has not been fitted")
         missing = [s for s in batch if s not in self._feature_cache]
         if missing:
-            x = encode_batch(missing)
+            x = encode_batch(missing).astype(NET_DTYPE)
             # member by member: a whole pool's activations for every member at
             # once would multiply the peak memory by the member count
             feats = np.concatenate([self.net.member(m).features(x)
@@ -402,14 +412,25 @@ class Ensemble:
         return np.stack([self._feature_cache[s] for s in batch], axis=1)
 
     def predict_batch(self, batch: list[Sequence]) -> np.ndarray:
-        """(B, 2) array: per-sequence mean and population variance of the member predictions."""
-        preds = self.net.head_forward(self.features_batch(batch))[0] * self.y_std + self.y_mean
+        """(B, 2) array: per-sequence mean and population variance of the member predictions.
+
+        Each member's output layer runs in float64 on its float32 last hidden
+        layer, as in the fantasies: a fantasy whose outcomes are the
+        predictions leaves the means where they are.
+        """
+        preds = (self._design(batch) @ self._head_weights()[..., None])[..., 0]
+        preds = preds * self.y_std + self.y_mean
         return np.stack([preds.mean(axis=0), preds.var(axis=0)], axis=1)
 
     def _design(self, seqs: list[Sequence]) -> np.ndarray:
-        """(M, B, h + 1) design matrices: each member's output-layer input, then a ones column."""
-        hid = self.net.last_hidden(self.features_batch(seqs))
+        """(M, B, h + 1) float64 design matrices: each member's output-layer input, then ones."""
+        hid = self.net.last_hidden(self.features_batch(seqs)).astype(np.float64)
         return np.concatenate([hid, np.ones(hid.shape[:-1] + (1,))], axis=-1)
+
+    def _head_weights(self) -> np.ndarray:
+        """(M, h + 1) float64 output-layer weights of every member, bias last."""
+        params = self.net.params
+        return np.concatenate([params["out_w"][..., 0], params["out_b"]], -1).astype(np.float64)
 
     def _head_posterior(self, data: Dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Per member: w0 (trained output layer, bias last), S and 1/β of `evidence_posterior`."""
@@ -418,8 +439,8 @@ class Ensemble:
             phi = self._design(data.sequences)
             t = (data.scores - self.y_mean) / self.y_std
             _, beta, cov = zip(*(evidence_posterior(phi[m], t) for m in range(self.n_members)))
-            w0 = np.concatenate([self.net.params["out_w"][..., 0], self.net.params["out_b"]], -1)
-            self._head_post = post = (data, len(data), (w0, np.stack(cov), 1.0 / np.array(beta)))
+            self._head_post = post = (data, len(data),
+                                      (self._head_weights(), np.stack(cov), 1.0 / np.array(beta)))
         return post[2]
 
     def fantasy_inner_means_multi(self, batches: list[list[Sequence]], ys: np.ndarray,
@@ -483,9 +504,11 @@ def gradient_check(kind: str = "conv", config=None, tolerance: float = 1e-4,
 
     Uses a small random stacked network of two members, each with its own
     random inputs, so the check covers the member axis the ensemble trains
-    through. The loss is the sum of the members' MSEs; every parameter entry
-    is perturbed by +-1e-4 and the relative error of the analytic gradient is
-    recorded. Failure is a report outcome, not an exception.
+    through. It is built in float64, whatever `NET_DTYPE` is, so the finite
+    differences resolve the tolerance. The loss is the sum of the members'
+    MSEs; every parameter entry is perturbed by +-1e-4 and the relative error
+    of the analytic gradient is recorded. Failure is a report outcome, not an
+    exception.
     """
     if kind not in REGRESSORS:
         raise ValueError(f"unknown regressor kind {kind!r}")
@@ -494,7 +517,7 @@ def gradient_check(kind: str = "conv", config=None, tolerance: float = 1e-4,
         config = (ConvRegressorConfig(channels=(4, 4), kernel_size=3, hidden_dense=6)
                   if kind == "conv" else RecurrentRegressorConfig(hidden_size=6))
     members = 2
-    net = REGRESSORS[kind][1](config, length, vocab, [rng] * members)
+    net = REGRESSORS[kind][1](config, length, vocab, [rng] * members, np.float64)
     x = rng.standard_normal((members, batch, length, vocab))
     y = rng.standard_normal((members, batch))
 

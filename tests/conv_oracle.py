@@ -12,6 +12,8 @@ product of the output gradient and the contiguous transposed filters for
 every tap, scattered tap by tap. At widths where the oracle's single product
 rounds differently from both (see `test_input_gradient_keeps_0_3_0_bits`),
 it is the reference.
+
+Every array is computed in the dtype of the inputs, as the kernels are.
 """
 
 import numpy as np
@@ -39,7 +41,7 @@ def stacked_conv1d_backward(cache, dout, need_dx=True):
         return None, dw, db
     w2 = w.reshape(*w.shape[:-3], k * cin, cout)
     dcol = (dout2 @ np.swapaxes(w2, -1, -2)).reshape(*dout.shape[:-3], bsz, l, k, cin)
-    dxp = np.zeros((*dout.shape[:-3], bsz, l + 2 * pad, cin))
+    dxp = np.zeros((*dout.shape[:-3], bsz, l + 2 * pad, cin), dcol.dtype)
     for j in range(k):
         dxp[..., j:j + l, :] += dcol[..., j, :]
     return dxp[..., pad:pad + l, :], dw, db
@@ -52,7 +54,7 @@ def tap_major_input_gradient(cache, dout):
     lead = dout.shape[:-3]
     wt = np.ascontiguousarray(np.swapaxes(w, -1, -2))
     dcol = (dout.reshape(*lead, 1, bsz * l, cout) @ wt).reshape(*lead, k, bsz, l, cin)
-    dx = np.zeros((*lead, bsz, l, cin))
+    dx = np.zeros((*lead, bsz, l, cin), dcol.dtype)
     for j in range(k):
         lo, hi = max(0, j - pad), min(l, l + j - pad)
         if lo < hi:

@@ -80,9 +80,14 @@ def looped_fantasy_inner_means_multi(ens, batches, ys, inner_pool, data):
     n_m = ens.n_members
     posts = [member_posterior(ens, m, data) for m in range(n_m)]
     phi_p = [member_design(ens, m, inner_pool) for m in range(n_m)]
+    # the batches' rows come from one design call, as in the fast path: the
+    # float32 hidden layer can round a row differently in a product of
+    # another height, which no float64 step downstream would undo
+    phi_all = [member_design(ens, m, [s for batch in batches for s in batch])
+               for m in range(n_m)]
     out = np.empty((len(batches), ys.shape[1], len(inner_pool)))
-    for c, batch in enumerate(batches):
-        phi_b = [member_design(ens, m, batch) for m in range(n_m)]
+    for c in range(len(batches)):
+        phi_b = [phi[c * width:(c + 1) * width] for phi in phi_all]
         for f in range(ys.shape[1]):
             y = (ys[c, f] - ens.y_mean) / ens.y_std
             total = np.zeros(len(inner_pool))

@@ -4,13 +4,17 @@ This is the training loop `Ensemble.fit` used before its members were
 stacked: each member is a separate network with its own single-network
 layers and its own Adam optimizer, trained to completion before the next one
 starts. The layers are kept here in their single-network form, so the
-lockstep code is checked against code it does not share.
+lockstep code is checked against code it does not share. It trains in the
+ensemble's dtype, `NET_DTYPE`: the weights are drawn in float64 and cast, and
+the one-hot inputs and standardized targets are cast as `Ensemble.fit` casts
+them.
 """
 
 import numpy as np
 
 from proxbo.nn import he_uniform
 from proxbo.sequences import encode_batch
+from proxbo.surrogate import NET_DTYPE
 
 
 def conv1d_forward(x, w, b):
@@ -31,10 +35,12 @@ def conv1d_backward(cache, dout):
     dout2 = dout.reshape(bsz * l, cout)
     dw = (col.T @ dout2).reshape(k, cin, cout)
     db = dout2.sum(axis=0)
-    dcol = (dout2 @ w.reshape(k * cin, cout).T).reshape(bsz, l, k, cin)
-    dxp = np.zeros((bsz, l + 2 * pad, cin))
+    # one product per tap, as release 0.3.0 computed it: in float32 on some
+    # OpenBLAS cores (Haswell), one product over every tap rounds some of the
+    # same K = Cout dot products differently
+    dxp = np.zeros((bsz, l + 2 * pad, cin), dout.dtype)
     for j in range(k):
-        dxp[:, j:j + l, :] += dcol[:, :, j, :]
+        dxp[:, j:j + l, :] += (dout2 @ w[j].T).reshape(bsz, l, cin)
     return dxp[:, pad:pad + l, :], dw, db
 
 
@@ -88,6 +94,7 @@ class ConvMember:
         self.params["dense_b"] = np.zeros(cfg.hidden_dense)
         self.params["out_w"] = he_uniform((cfg.hidden_dense, 1), cfg.hidden_dense, rng)
         self.params["out_b"] = np.zeros(1)
+        self.params = {k: v.astype(NET_DTYPE) for k, v in self.params.items()}
 
     def forward(self, x):
         caches, h = [], x
@@ -118,18 +125,19 @@ class RecurrentMember:
     def __init__(self, cfg, vocab, rng):
         h = cfg.hidden_size
         self.cfg = cfg
-        self.params = {
+        params = {
             "wx": he_uniform((vocab, h), vocab, rng),
             "wh": he_uniform((h, h), h, rng),
             "bh": np.zeros(h),
             "out_w": he_uniform((h, 1), h, rng),
             "out_b": np.zeros(1),
         }
+        self.params = {k: v.astype(NET_DTYPE) for k, v in params.items()}
 
     def forward(self, x):
         b, l, _ = x.shape
         wx, wh, bh = self.params["wx"], self.params["wh"], self.params["bh"]
-        hs = [np.zeros((b, self.cfg.hidden_size))]
+        hs = [np.zeros((b, self.cfg.hidden_size), x.dtype)]
         for t in range(l):
             hs.append(np.tanh(x[:, t, :] @ wx + hs[-1] @ wh + bh))
         out, c_out = dense_forward(hs[-1], self.params["out_w"], self.params["out_b"])
@@ -161,7 +169,7 @@ class SequentialEnsemble:
 
     def fit(self, data, cfg, rng, warm_start=False):
         seqs = data.sequences
-        x_all = encode_batch(seqs)
+        x_all = encode_batch(seqs).astype(NET_DTYPE)
         y_raw = data.scores
         warm = warm_start and self.members
         if not warm:
@@ -172,7 +180,7 @@ class SequentialEnsemble:
             vocab = seqs[0].alphabet.size
             self.members = [member_cls(self.config, vocab, np.random.default_rng(s))
                             for s in self.member_seeds]
-        y_all = (y_raw - self.y_mean) / self.y_std
+        y_all = ((y_raw - self.y_mean) / self.y_std).astype(NET_DTYPE)
         losses = []
         n = len(seqs)
         for member in self.members:
@@ -189,3 +197,19 @@ class SequentialEnsemble:
             pred, _ = member.forward(x)
             losses.append(mse_forward(pred, y)[0])
         return losses
+
+    def predict(self, seqs):
+        """(B, 2) mean and population variance of the member predictions, member by member.
+
+        Each member's output layer is evaluated in float64 on its last hidden
+        layer with a ones column appended, as `Ensemble.predict_batch` does.
+        """
+        x = encode_batch(seqs).astype(NET_DTYPE)
+        preds = []
+        for member in self.members:
+            hid = member.forward(x)[1][-1][0].astype(np.float64)  # the output layer's input
+            w0 = np.append(member.params["out_w"][:, 0], member.params["out_b"])
+            design = np.hstack([hid, np.ones((len(seqs), 1))])
+            preds.append((design @ w0.astype(np.float64)[:, None])[:, 0])
+        preds = np.stack(preds) * self.y_std + self.y_mean
+        return np.stack([preds.mean(axis=0), preds.var(axis=0)], axis=1)

@@ -69,14 +69,24 @@ class TestArena:
             assert_same_bits(other[name], arena[name])
 
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_like_takes_the_dtype_of_its_arrays(self, dtype):
+        arrays = {name: np.ones(shape, dtype) for name, shape in SHAPES.items()}
+        arena = nn.Arena.like(arrays)
+        assert arena.flat.dtype == dtype and arena.layout == nn.Arena(SHAPES).layout
+        arena["out_b"] = np.full(SHAPES["out_b"], 0.1)  # a float64 value, cast on the way in
+        assert_same_bits(arena["out_b"], np.full(SHAPES["out_b"], 0.1).astype(dtype))
+
+
 class TestArenaAdam:
     @pytest.mark.parametrize("hyper", [dict(lr=8e-2),
                                        dict(lr=1e-3, beta1=0.5, beta2=0.9, eps=1e-6)])
-    def test_matches_per_key_oracle_bit_for_bit(self, hyper):
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_matches_per_key_oracle_bit_for_bit(self, hyper, dtype):
         rng = np.random.default_rng(1)
-        params = nn.Arena(SHAPES)
+        params = nn.Arena(SHAPES, dtype)
         params.flat[:] = rng.standard_normal(params.flat.size)
-        grads = nn.Arena(SHAPES)
+        grads = nn.Arena(SHAPES, dtype)
         ref = {k: v.copy() for k, v in params.items()}
         opt, ref_opt = nn.Adam(params, **hyper), AllocatingAdam(ref, **hyper)
         for step in range(8):
@@ -86,6 +96,7 @@ class TestArenaAdam:
                 grads.flat[:] = 0.0
             opt.step(params, grads)
             ref_opt.step(ref, {k: v.copy() for k, v in grads.items()})
+            assert opt.m.flat.dtype == opt.v.flat.dtype == opt._work[0].dtype == dtype
             for k in SHAPES:
                 assert_same_bits(params[k], ref[k])
                 assert_same_bits(opt.m[k], ref_opt.m[k])
@@ -108,6 +119,31 @@ class TestArenaAdam:
 
 
 class TestNetArena:
+    @pytest.mark.parametrize("kind,cfg", [("conv", SMALL_CONV), ("recurrent", SMALL_RNN)])
+    def test_fit_trains_in_float32_and_predicts_in_float64(self, kind, cfg, monkeypatch):
+        optimizers = []
+
+        class RecordingAdam(nn.Adam):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                optimizers.append(self)
+
+        monkeypatch.setattr(nn, "Adam", RecordingAdam)
+        data = random_dataset(10, seed=1)
+        ens = Ensemble(kind, cfg, n_members=3, seed=0)
+        losses = ens.fit(data, TrainConfig(epochs=2, minibatch=4), np.random.default_rng(0))
+        assert all(type(loss) is float for loss in losses)
+        assert ens.net.params.flat.dtype == np.float32
+        assert all(arr.dtype == np.float32 for arr in ens.net.params.values())
+        (opt,) = optimizers
+        assert opt.m.flat.dtype == opt.v.flat.dtype == np.float32
+        assert all(work.dtype == np.float32 for work in opt._work)
+        pool = random_dataset(12, seed=2).sequences
+        assert ens.features_batch(pool).dtype == np.float32
+        assert ens.predict_batch(pool).dtype == np.float64
+        means = ens.fantasy_inner_means_multi([pool[:2]], np.zeros((1, 3, 2)), pool[2:], data)
+        assert means.dtype == np.float64 and means.shape == (1, 3, 10)
+
     @pytest.mark.parametrize("kind,cfg", [("conv", SMALL_CONV), ("recurrent", SMALL_RNN)])
     def test_fit_keeps_params_in_one_arena(self, kind, cfg):
         ens = Ensemble(kind, cfg, n_members=3, seed=0)
@@ -166,6 +202,7 @@ class TestNetArena:
         report = gradient_check(kind)
         assert report.passed, f"{report.worst_param}: {report.max_rel_error}"
         net, initial = nets[0]
+        assert initial.dtype == np.float64  # whatever dtype the ensemble trains in
         assert_arena_views(net.params)
         # one analytic pass, then two perturbed losses per parameter entry,
         # each with exactly one arena entry moved off its initial value

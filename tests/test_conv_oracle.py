@@ -5,6 +5,10 @@ also catches a flipped sign of zero.
 """
 
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,7 +28,8 @@ def assert_same_bits(a, b):
     assert a.tobytes() == b.tobytes()
 
 
-def _problem(k, length, cin, lead, shared_x, seed, bsz=5, cout=6):
+def _problem(k, length, cin, lead, shared_x, seed, bsz=5, cout=6, dtype=np.float64):
+    """(x, w, b, dout) in `dtype`, drawn in float64 and cast."""
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((() if shared_x else lead) + (bsz, length, cin))
     x[x < -0.8] = 0.0  # exact zeros, as after a ReLU
@@ -33,7 +38,7 @@ def _problem(k, length, cin, lead, shared_x, seed, bsz=5, cout=6):
     dout = rng.standard_normal(lead + (bsz, length, cout))
     dout[dout < -0.5] = -0.0  # signed zeros, as a ReLU mask leaves them
     dout[dout > 1.2] = 0.0
-    return x, w, b, dout
+    return tuple(a.astype(dtype) for a in (x, w, b, dout))
 
 
 @pytest.mark.parametrize("k,length", SIZES)
@@ -75,7 +80,8 @@ def test_shared_input_matches_oracle(k, length, lead):
 # minibatch and the pool go over BLAS's small-matrix limit, so the forward
 # runs in row blocks; from 2 sequences on, the input gradient goes tap by tap.
 # 29 sequences of 15 positions make 435 rows, one more than a block may hold
-# at these widths: blocks of the largest size would leave a 1-row block.
+# at these widths: blocks of the largest size would leave a 1-row block. The
+# ensemble trains in float32; the float64 kernels serve the gradient check.
 CAMPAIGN_SHAPES = {
     "minibatch-1": ((5,), 1, 10, 16, False),
     "minibatch-17": ((5,), 17, 10, 16, False),
@@ -88,20 +94,32 @@ CAMPAIGN_SHAPES = {
 }
 
 
+DTYPES = [np.float64, np.float32]
+
+
+@pytest.mark.parametrize("dtype", DTYPES, ids=["float64", "float32"])
 @pytest.mark.parametrize("lead,bsz,length,cin,shared_x", CAMPAIGN_SHAPES.values(),
                          ids=CAMPAIGN_SHAPES.keys())
-def test_matches_oracle_at_campaign_shapes(lead, bsz, length, cin, shared_x):
-    x, w, b, dout = _problem(9, length, cin, lead, shared_x, seed=bsz + cin, bsz=bsz, cout=16)
+def test_matches_oracle_at_campaign_shapes(lead, bsz, length, cin, shared_x, dtype):
+    x, w, b, dout = _problem(9, length, cin, lead, shared_x, seed=bsz + cin, bsz=bsz, cout=16,
+                             dtype=dtype)
     out, cache = nn.stacked_conv1d_forward(x, w, b)
     ref_out, ref_cache = conv_oracle.stacked_conv1d_forward(x, w, b)
     assert_same_bits(out, ref_out)
-    grads = nn.stacked_conv1d_backward(cache, dout, need_dx=not shared_x)
-    ref = conv_oracle.stacked_conv1d_backward(ref_cache, dout, need_dx=not shared_x)
-    for got, want in zip(grads, ref):
-        if want is None:
-            assert got is None
-        else:
-            assert_same_bits(got, want)
+    dx, dw, db = nn.stacked_conv1d_backward(cache, dout, need_dx=not shared_x)
+    ref_dx, ref_dw, ref_db = conv_oracle.stacked_conv1d_backward(ref_cache, dout,
+                                                                 need_dx=not shared_x)
+    assert_same_bits(dw, ref_dw)
+    assert_same_bits(db, ref_db)
+    if shared_x:
+        assert dx is None and ref_dx is None
+        return
+    # the input gradient has the bits of release 0.3.0's product, one per tap;
+    # the oracle's single product over every tap gives them too, except in
+    # float32 on cores other than the verified one (Haswell, for one)
+    assert_same_bits(dx, conv_oracle.tap_major_input_gradient(cache, dout))
+    if dtype == np.float64 or nn.blas_core() == nn._VERIFIED_CORE:
+        assert_same_bits(dx, ref_dx)
 
 
 # On OpenBLAS's SkylakeX core, products whose output width is not a multiple
@@ -125,11 +143,36 @@ def test_input_gradient_keeps_0_3_0_bits(cin, cout):
                      conv_oracle.tap_major_input_gradient(cache, dout))
 
 
+# In float32 an AVX-512 register holds 16 items, and a width that is a
+# multiple of 8 but not of 16 rounds some rows differently in row blocks or
+# tap by tap: each of these cases did on SkylakeX when the float64 rule of 8
+# was applied to floats.
+@pytest.mark.parametrize("bsz,length,cin,cout", [(200, 10, 16, 8), (64, 10, 16, 24),
+                                                 (64, 15, 24, 24)])
+def test_float32_forward_blocks_only_at_sixteen_lanes(bsz, length, cin, cout):
+    x, w, b, _ = _problem(9, length, cin, (1,), False, seed=cout, bsz=bsz, cout=cout,
+                          dtype=np.float32)
+    assert_same_bits(nn.stacked_conv1d_forward(x, w, b)[0],
+                     conv_oracle.stacked_conv1d_forward(x, w, b)[0])
+
+
+@pytest.mark.parametrize("bsz,length,cin,cout", [(200, 15, 8, 48), (200, 10, 8, 64),
+                                                 (49, 15, 24, 64), (100, 10, 24, 64)])
+def test_float32_input_gradient_goes_tap_by_tap_only_at_sixteen_lanes(bsz, length, cin, cout):
+    x, w, b, dout = _problem(9, length, cin, (5,), False, seed=cin, bsz=bsz, cout=cout,
+                             dtype=np.float32)
+    _, cache = nn.stacked_conv1d_forward(x, w, b)
+    assert_same_bits(nn.stacked_conv1d_backward(cache, dout)[0],
+                     conv_oracle.tap_major_input_gradient(cache, dout))
+
+
 def test_row_blocks():
     """Blocks only where they were measured faster, and never a 1-row block."""
     assert nn._row_blocks(640, 144, 16) == 2  # a 64-sequence kg-nk10 minibatch
     assert nn._row_blocks(434, 144, 16) == 1
     assert nn._row_blocks(435, 144, 16) == 2
+    assert nn._row_blocks(640, 144, 16, np.float32) == 2
+    assert nn._row_blocks(9000, 144, 8) > 1 and nn._row_blocks(9000, 144, 8, np.float32) == 1
     for depth, width in [(9 * 16, 128), (9 * 256, 256), (9 * 48, 16), (144, 12)]:
         assert nn._row_blocks(9000, depth, width) == 1
     for depth, width in [(144, 16), (160, 32), (384, 64)]:
@@ -170,3 +213,28 @@ def test_relu_forward_in_place_matches_the_allocating_maximum():
     assert out is x
     assert_same_bits(out, np.maximum(ref, 0.0))
     assert_same_bits(mask, ref > 0.0)
+
+
+def test_blas_core_is_read_on_first_use_not_at_import():
+    code = ("import proxbo, proxbo.nn as nn\n"
+            "assert nn.blas_core.cache_info().currsize == 0\n"
+            "print(nn.blas_core())\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(nn.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         timeout=60, check=True).stdout
+    assert out.strip() == nn.blas_core()
+
+
+@pytest.mark.skipif(nn.blas_core() != nn._VERIFIED_CORE,
+                    reason="the override needs a host whose OpenBLAS picks the verified core")
+def test_other_core_takes_the_one_product():
+    """Under OpenBLAS's Haswell core, which rounds both shortcuts differently, the
+    campaign shapes get the oracle's bits in both dtypes."""
+    code = ("import proxbo.nn as nn, test_conv_oracle as t\n"
+            "assert nn.blas_core() == 'Haswell', nn.blas_core()\n"
+            "for shape in t.CAMPAIGN_SHAPES.values():\n"
+            "    for dtype in t.DTYPES:\n"
+            "        t.test_matches_oracle_at_campaign_shapes(*shape, dtype)\n")
+    path = os.pathsep.join([str(Path(nn.__file__).parents[1]), str(Path(__file__).parent)])
+    env = dict(os.environ, PYTHONPATH=path, OPENBLAS_CORETYPE="Haswell")
+    subprocess.run([sys.executable, "-c", code], env=env, timeout=120, check=True)

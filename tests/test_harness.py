@@ -160,7 +160,7 @@ class TestRunArtifacts:
         cfg = parse_config_text(SMALL_BO_CONFIG + f"out={tmp_path}\n")
         run_campaign(cfg)
         manifest = (tmp_path / "manifest.txt").read_text().splitlines()
-        assert manifest[0] == "artifact_version=0.3.0"
+        assert manifest[0] == "artifact_version=0.4.0"
         assert manifest[1] == f"config_hash={config_hash(cfg)}"
 
     def test_cold_start_rows_equal_the_0_1_0_artifact(self, tmp_path):
@@ -290,6 +290,10 @@ def _run_one_seed_failing_on_seed_1(cfg, seed, landscape=None):
     return _RUN_ONE_SEED(cfg, seed, landscape)
 
 
+def _run_one_seed_failing(cfg, seed, landscape=None):
+    raise TrainingError(f"seed {seed}: member 0 diverged (non-finite loss)")
+
+
 _RUN_ONE_SEED = harness.run_one_seed
 THREE_SEEDS = RANDOM_NK_CONFIG.replace("seeds=0,1", "seeds=0,1,2")
 
@@ -339,6 +343,22 @@ class TestCrashSafety:
         crashed = _artifacts(tmp_path / "runs")  # no temp file is left over
         assert sorted(crashed) == ["manifest.txt", "run_0.csv", "run_2.csv"]
         assert all(crashed[name] == clean[name] for name in crashed)
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_campaign_where_every_seed_fails_leaves_no_output(self, tmp_path, monkeypatch,
+                                                              threads):
+        monkeypatch.setenv("PROXBO_THREADS", threads)
+        monkeypatch.setattr(harness, "run_one_seed", _run_one_seed_failing)
+        cfg = parse_config_text(THREE_SEEDS + f"out={tmp_path / 'runs'}\n")
+        with pytest.raises(TrainingError, match="seed 0: member 0 diverged"):
+            run_campaign(cfg)
+        assert not (tmp_path / "runs").exists()
+        # a directory that was there before keeps what it held, and no manifest
+        (tmp_path / "runs").mkdir()
+        (tmp_path / "runs" / "notes.txt").write_text("kept\n")
+        with pytest.raises(TrainingError, match="seed 0: member 0 diverged"):
+            run_campaign(cfg)
+        assert sorted(_artifacts(tmp_path / "runs")) == ["notes.txt"]
 
     def test_error_is_raised_unchanged(self, tmp_path, monkeypatch, capsys):
         errors = {}
