@@ -98,7 +98,7 @@ def propose_pool(state: ExplorerState, domain, pool_size: int, radius: int,
     alphabet = state.wild_type.alphabet
     length = len(state.wild_type)
     pool: list[Sequence] = []
-    seen: set[bytes] = set()  # row bytes of every sequence pooled, measured or drawn
+    seen: set = set()  # row keys of every sequence pooled, measured or drawn
 
     def fresh(rows: np.ndarray) -> np.ndarray:
         """The rows not seen before, in order, at one dtype; they are seen from now on."""

@@ -30,7 +30,7 @@ from .sequences import Sequence, small_alphabet
 from .surrogate import (REGRESSORS, ConvRegressorConfig, Dataset, Ensemble,
                         RecurrentRegressorConfig, TrainConfig)
 
-ARTIFACT_VERSION = "0.4.0"
+ARTIFACT_VERSION = "0.5.0"
 
 _FLOAT = "{:.17g}".format
 

@@ -43,7 +43,7 @@ class LookupLandscape:
     Row i of `codes` (n, L) holds one state's residue ordinals, in the
     smallest unsigned dtype that holds them, and `scores[i]` its fitness. The
     rows are distinct and keep table order. Rows are found by binary search in
-    `_keys`, the rows' byte keys sorted once; `_order[i]` is the row of `_keys[i]`.
+    `_keys`, the rows' `row_keys` sorted once; `_order[i]` is the row of `_keys[i]`.
     """
 
     codes: np.ndarray

@@ -1,18 +1,17 @@
 """Minimal dense-tensor layers with explicit reverse-mode gradients.
 
 Just enough machinery for the two regressor architectures: 1D convolution
-(stride 1, same padding), rectified-linear, dense layers, mean pooling over
-positions and mean-squared-error; the tanh recurrence lives with its
-regressor. Every kernel computes in the dtype of its inputs: the ensemble
-trains and runs its networks in float32, and the finite-difference gradient
-check builds a float64 network.
+(stride 1, same padding) in position-major layout, rectified-linear, dense
+layers and mean-squared-error; the tanh recurrence and the mean pool live
+with their regressors. Every kernel computes in the dtype of its inputs:
+the ensemble trains and runs its networks in float32, and the
+finite-difference gradient check builds a float64 network. There is one
+code path on every BLAS and every CPU.
 """
 
 from __future__ import annotations
 
-import functools
 import math
-import os
 from collections.abc import Mapping, MutableMapping
 
 import numpy as np
@@ -27,164 +26,131 @@ def he_uniform(shape: tuple[int, ...], fan_in: int, rng: np.random.Generator) ->
 # layers: each forward returns (output, cache); backward takes (cache, dout).
 # Every layer also accepts leading axes in front of the shapes given below;
 # an ensemble puts its member axis there and runs all members in lockstep.
-# Each member's slice goes through the same matrix product as a lone
+# Each member's slice goes through the same matrix products as a lone
 # network's, so stacking does not change a single bit of the result.
 
-# Two shortcuts in the conv kernels, each giving the bits of the one product
-# it replaces. With one thread on its SkylakeX core, OpenBLAS's gemm runs a
-# small-matrix kernel while M·N·K <= 100³ and packs its operands above that.
-# A row gets the same bits from both kernels, wherever it sits in the
-# product, only if the output width N is a multiple of the items in an
-# AVX-512 register (8 doubles, 16 floats: `_lanes`) and the depth K is at
-# most `_PANEL_K` (the packed kernel sums deeper products in K panels, 384
-# deep for doubles and deeper for floats, the small-matrix kernel in one
-# pass). Both shortcuts are taken only there, and only on the core these
-# rules were measured on (`_VERIFIED_CORE`, read by `blas_core`): OpenBLAS's
-# Haswell core, for one, rounds both shortcuts differently from the one
-# product. On any other core, and under any other BLAS, every kernel runs
-# the one product.
-# - Forward row blocks (`_row_blocks`): the layer-1 product of a 64-row
-#   minibatch (640 rows, K = 144, N = 16) lies just above the small-matrix
-#   limit, and the time per row doubles between 400 and 480 rows. Larger
-#   products run in row blocks under the limit, up to `_BLOCKED_WIDTH_MAX`
-#   output columns: 640- and 9000-row products at K = 144 and 384 ran up to
-#   2x faster in blocks at 16-64 columns, and up to 1.5x slower at 128-256.
-# - The input gradient tap by tap (see `stacked_conv1d_backward`).
-_SMALL_GEMM_MAX = 100**3
-_PANEL_K = 384
-_BLOCKED_WIDTH_MAX = 64
-_VERIFIED_CORE = "SkylakeX"
+# The conv layers run position-major: activations are (..., L, B, C), so
+# the B rows of a run of positions are one contiguous block. Tap j of a
+# same-padded k-tap conv multiplies only the block of output positions
+# whose input position is real, and adds the product onto the output (or,
+# for the input gradient, onto the input positions it came from): one
+# product per tap, none spent on padding, and no padded or im2col copy. The
+# first layer instead reads im2col columns of the one-hot input
+# (`conv1d_columns`), built once per input: with few input channels one
+# product of depth k*Cin beats k products of depth Cin. The mean pool over
+# positions then sums L contiguous (B, C) blocks.
 
 
-def _lanes(dtype) -> int:
-    """Items of `dtype` in one AVX-512 register."""
-    return 64 // np.dtype(dtype).itemsize
+def _taps(k: int, length: int):
+    """(j, lo, hi, s) for each tap j that reads real input.
 
-
-@functools.cache
-def blas_core() -> str:
-    """The core name numpy's bundled OpenBLAS reports, or "" for any other BLAS.
-
-    Read through `ctypes` on the first call, not at import.
+    Output positions [lo, hi) read input positions [lo + s, hi + s) through tap j.
     """
-    import ctypes
-    import glob
-
-    for path in sorted(glob.glob(os.path.dirname(np.__file__) + ".libs/*openblas*")):
-        try:
-            corename = ctypes.CDLL(path).scipy_openblas_get_corename64_
-        except (OSError, AttributeError):
-            continue
-        corename.restype = ctypes.c_char_p
-        return corename().decode()
-    return ""
+    pad = (k - 1) // 2
+    for j in range(k):
+        s = j - pad
+        lo, hi = max(0, -s), min(length, length - s)
+        if lo < hi:
+            yield j, lo, hi, s
 
 
-def _row_blocks(rows: int, depth: int, width: int, dtype=np.float64) -> int:
-    """How many near-equal row blocks a (rows, depth) @ (depth, width) product runs in.
+def conv1d_columns(x: np.ndarray, k: int) -> np.ndarray:
+    """Position-major im2col columns of x (..., B, L, Cin) for a same-padded k-tap conv.
 
-    Each block stays within `_SMALL_GEMM_MAX` multiply-adds. Where a product
-    is blocked, that allows 40 rows or more, so every block of a near-equal
-    split holds 20 or more: none is a 1-row product, which numpy hands to
-    gemv, and gemv rounds differently.
+    Returns (..., L, B, k*Cin): row (l, b) holds the k input windows of
+    sequence b around position l, tap by tap, zero where a tap reads padding.
+    In the zero-padded input those k*Cin items lie back to back, so the
+    columns are one strided copy.
     """
-    if width % _lanes(dtype) or width > _BLOCKED_WIDTH_MAX or depth > _PANEL_K:
-        return 1
-    return -(-rows // (_SMALL_GEMM_MAX // (depth * width)))
+    *lead, bsz, l, cin = x.shape
+    pad = (k - 1) // 2
+    xp = np.zeros((*lead, bsz, l + 2 * pad, cin), x.dtype)
+    xp[..., pad:pad + l, :] = x
+    *lead_strides, s_b, s_l, s_c = xp.strides
+    win = np.lib.stride_tricks.as_strided(xp, (*lead, l, bsz, k * cin),
+                                          (*lead_strides, s_l, s_b, s_c), writeable=False)
+    return win.copy()
 
 
 def stacked_conv1d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
-    """Same-padded 1D convolution via im2col and a (batched) matmul in row blocks.
+    """Same-padded 1D convolution in position-major layout.
 
-    x: (..., B, L, Cin); w: (..., k, Cin, Cout) with k odd; b: (..., Cout)
-    -> (..., B, L, Cout). An x without the leading axes is shared by every
-    stacked filter bank.
+    x: (..., L, B, Cin) activations, or (..., L, B, k*Cin) columns from
+    `conv1d_columns`; w: (..., k, Cin, Cout) with k odd; b: (..., Cout)
+    -> (..., L, B, Cout). An x without the leading axes is shared by every
+    stacked filter bank. Columns run as one product; activations run one
+    product per tap (for k = 1 the two are the same product).
     """
     k, cin, cout = w.shape[-3:]
-    pad = (k - 1) // 2
-    *lead, bsz, l, _ = x.shape
-    xp = np.zeros((*lead, bsz, l + 2 * pad, cin), x.dtype)
-    xp[..., pad:pad + l, :] = x
-    # (..., B, L, k, Cin) windows over the padded positions, copied once into
-    # the im2col matrix
-    *lead_strides, s_b, s_l, s_c = xp.strides
-    win = np.lib.stride_tricks.as_strided(
-        xp, (*lead, bsz, l, k, cin), (*lead_strides, s_b, s_l, s_l, s_c), writeable=False)
-    rows = bsz * l
-    col = win.reshape(*lead, rows, k * cin)
-    w2 = w.reshape(*w.shape[:-3], k * cin, cout)
-    dtype = np.result_type(col, w2)
-    blocks = _row_blocks(rows, k * cin, cout, dtype) if blas_core() == _VERIFIED_CORE else 1
-    if blocks <= 1:
-        out = col @ w2
+    *_, l, bsz, width = x.shape
+    x2 = x.reshape(*x.shape[:-3], l * bsz, width)
+    if width == k * cin:
+        out = x2 @ w.reshape(*w.shape[:-3], k * cin, cout)
     else:
-        out = np.empty(np.broadcast_shapes(col.shape[:-2], w2.shape[:-2]) + (rows, cout), dtype)
-        for i in range(blocks):
-            r0, r1 = i * rows // blocks, (i + 1) * rows // blocks
-            np.matmul(col[..., r0:r1, :], w2, out=out[..., r0:r1, :])
+        pad = (k - 1) // 2
+        out = x2 @ w[..., pad, :, :]  # the centre tap reads real input at every position
+        for j, lo, hi, s in _taps(k, l):
+            if j != pad:
+                out[..., lo * bsz:hi * bsz, :] += (x2[..., (lo + s) * bsz:(hi + s) * bsz, :]
+                                                   @ w[..., j, :, :])
     out += b[..., None, :]
-    return out.reshape(*out.shape[:-2], bsz, l, cout), (col, w, (bsz, l))
+    return out.reshape(*out.shape[:-2], l, bsz, cout), (x2, w, (l, bsz))
 
 
 def stacked_conv1d_backward(cache, dout: np.ndarray, need_dx: bool = True,
                             dw: np.ndarray | None = None, db: np.ndarray | None = None):
     """Gradients (dx, dw, db) of `stacked_conv1d_forward`; dx is None unless `need_dx`.
 
-    `dw` and `db`, when given, are C-contiguous arrays the gradients are
-    written into (an arena's views); otherwise they are allocated.
+    dout: (..., L, B, Cout). dx is the gradient w.r.t. activations,
+    (..., L, B, Cin); it depends on dout and w only. `dw` and `db`, when
+    given, are C-contiguous arrays the gradients are written into (an
+    arena's views); otherwise they are allocated.
     """
-    col, w, (bsz, l) = cache
+    x2, w, (l, bsz) = cache
     k, cin, cout = w.shape[-3:]
-    pad = (k - 1) // 2
     lead = dout.shape[:-3]
-    dout2 = dout.reshape(*lead, bsz * l, cout)
-    dw2 = None if dw is None else dw.reshape(*lead, k * cin, cout)
-    dw = np.matmul(np.swapaxes(col, -1, -2), dout2, out=dw2).reshape(*lead, k, cin, cout)
-    db = np.sum(dout2, axis=-2, out=db)
+    rows = l * bsz
+    dout2 = dout.reshape(*lead, rows, cout)
+    xt = np.swapaxes(x2, -1, -2)
+    if x2.shape[-1] == k * cin:
+        dw2 = None if dw is None else dw.reshape(*lead, k * cin, cout)
+        dw = np.matmul(xt, dout2, out=dw2).reshape(*lead, k, cin, cout)
+    else:
+        if dw is None:
+            dw = np.empty((*lead, k, cin, cout), dout.dtype)
+        if l <= (k - 1) // 2:
+            dw[...] = 0.0  # the outer taps read padding only: they have no gradient
+        for j, lo, hi, s in _taps(k, l):
+            np.matmul(xt[..., (lo + s) * bsz:(hi + s) * bsz], dout2[..., lo * bsz:hi * bsz, :],
+                      out=dw[..., j, :, :])
+    db = np.matmul(np.ones(rows, dout.dtype), dout2, out=db)
     if not need_dx:
         return None, dw, db
+    pad = (k - 1) // 2
     wt = np.ascontiguousarray(np.swapaxes(w, -1, -2))  # (..., k, Cout, Cin)
-    # Both ways below sum each input position's taps in ascending order from
-    # zero, as a scatter onto the padded input would, and each tap's product
-    # is the same K = Cout dot product: where the shortcut is taken (see
-    # the note above) they give the same bits.
-    dtype = np.result_type(dout, wt)
-    if (cin % _lanes(dtype) or cout > _PANEL_K or bsz == 1
-            or blas_core() != _VERIFIED_CORE):
-        # one product for every tap, padding included: tap-major window
-        # gradients (..., k, B, L, Cin), each tap's block added onto the input
-        # positions its outputs read. A lone sequence never goes tap by tap:
-        # a one-position block would be a 1-row product.
-        dcol = (dout2[..., None, :, :] @ wt).reshape(*lead, k, bsz, l, cin)
-        dx = np.zeros((*lead, bsz, l, cin), dtype)
-        for j in range(k):
-            lo, hi = max(0, j - pad), min(l, l + j - pad)
-            if lo < hi:
-                dx[..., lo:hi, :] += dcol[..., j, :, lo + pad - j:hi + pad - j, :]
-        return dx, dw, db
-    # tap by tap in position-major (..., L*B, C) layouts, where the B rows of a
-    # run of positions are contiguous: tap j multiplies only the outputs that
-    # read real input
-    rows = bsz * l
-    dpos = np.swapaxes(dout, -3, -2).reshape(*lead, rows, cout)
-    dx = np.zeros((*lead, rows, cin), dtype)
-    for j in range(k):
-        # output rows [lo, hi) read input rows [lo + s, hi + s)
-        lo, hi = max(0, pad - j) * bsz, min(l, l + pad - j) * bsz
-        if lo < hi:
-            s = (j - pad) * bsz
-            dx[..., lo + s:hi + s, :] += dpos[..., lo:hi, :] @ wt[..., j, :, :]
-    return np.swapaxes(dx.reshape(*lead, l, bsz, cin), -3, -2), dw, db
+    dx = dout2 @ wt[..., pad, :, :]
+    for j, lo, hi, s in _taps(k, l):
+        if j != pad:
+            dx[..., (lo + s) * bsz:(hi + s) * bsz, :] += (dout2[..., lo * bsz:hi * bsz, :]
+                                                          @ wt[..., j, :, :])
+    return dx.reshape(*dx.shape[:-2], l, bsz, cin), dw, db
 
 
 def conv1d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
-    """One network's convolution: x (B, L, Cin), w (k, Cin, Cout), b (Cout,)."""
-    return stacked_conv1d_forward(x, w, b)
+    """One network's convolution, batch-major: x (B, L, Cin), w (k, Cin, Cout), b (Cout,).
+
+    Runs `stacked_conv1d_forward` on the columns of x and returns the
+    (B, L, Cout) output and its cache, whose first item is the (L*B, k*Cin)
+    column matrix.
+    """
+    out, cache = stacked_conv1d_forward(conv1d_columns(x, w.shape[0]), w, b)
+    return np.swapaxes(out, 0, 1), cache
 
 
 def conv1d_backward(cache, dout: np.ndarray):
-    """Gradients (dx, dw, db) of `conv1d_forward`."""
-    return stacked_conv1d_backward(cache, dout)
+    """Gradients (dx, dw, db) of `conv1d_forward`, with dout and dx batch-major."""
+    dx, dw, db = stacked_conv1d_backward(cache, np.ascontiguousarray(np.swapaxes(dout, 0, 1)))
+    return np.swapaxes(dx, 0, 1), dw, db
 
 
 def dense_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
@@ -211,11 +177,6 @@ def relu_forward(x: np.ndarray):
 
 def relu_backward(cache, dout: np.ndarray):
     return dout * cache
-
-
-def mean_pool_forward(x: np.ndarray):
-    """Mean over the position axis: (..., B, L, C) -> (..., B, C)."""
-    return x.mean(axis=-2), x.shape
 
 
 def mse_forward(pred: np.ndarray, target: np.ndarray):

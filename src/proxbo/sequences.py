@@ -122,9 +122,22 @@ def hamming_distances(rows: np.ndarray, ref: Sequence) -> np.ndarray:
 
 
 def row_keys(rows: np.ndarray) -> np.ndarray:
-    """Each row of a 2-D array as one fixed-width void item: its bytes, in row order."""
-    rows = np.ascontiguousarray(rows)
-    return rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel()
+    """Each row of a 2-D unsigned array as one key, equal only for equal rows.
+
+    A row of up to 8 bytes is one native unsigned integer holding its items
+    in big-endian order, first item highest, so the keys sort as the rows
+    do, lexicographically, and sort and search as numbers. A wider row is
+    one fixed-width void item of its bytes.
+    """
+    width = rows.shape[1] * rows.itemsize
+    if width > 8:
+        rows = np.ascontiguousarray(rows)
+        return rows.view(np.dtype((np.void, width))).ravel()
+    keys = np.zeros(len(rows), np.min_scalar_type((1 << 8 * width) - 1))
+    for column in rows.T:
+        keys <<= 8 * rows.itemsize
+        keys |= column
+    return keys
 
 
 def encode_batch(seqs: list[Sequence]) -> np.ndarray:

@@ -154,8 +154,16 @@ class _StackedNet:
         for name in self.params:
             self.params[name] = np.stack([p[name] for p in members])
 
+    def inputs(self, x: np.ndarray) -> np.ndarray:
+        """The network's input for one-hot x (..., B, L, V): x itself."""
+        return x
+
+    def take(self, inputs: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """Each member's input for the sequences at `rows` (M, b) of `inputs`."""
+        return inputs[rows]
+
     def features(self, x: np.ndarray) -> np.ndarray:
-        """(M, B, d) features of x: (M, B, L, V), or (B, L, V) shared by all members."""
+        """(M, B, d) features of the input x (see `inputs`), per member or shared by all."""
         return self._features(x)[0]
 
     def forward(self, x: np.ndarray):
@@ -174,7 +182,9 @@ class ConvRegressor(_StackedNet):
     """M conv networks stacked: 1D convs -> mean pool over positions -> dense -> scalar.
 
     Every parameter carries a leading member axis, and the forward and
-    backward passes run all members at once.
+    backward passes run all members at once. The conv stack runs
+    position-major (see `nn`): its input is the first layer's im2col
+    columns (L, B, k*V) of the one-hot sequences, or (M, L, B, k*V) per member.
     """
 
     kind = "conv"
@@ -194,6 +204,16 @@ class ConvRegressor(_StackedNet):
         params["out_b"] = np.zeros(1)
         return params
 
+    def inputs(self, x: np.ndarray) -> np.ndarray:
+        """The first layer's columns (..., L, B, k*V) of one-hot x (..., B, L, V)."""
+        return nn.conv1d_columns(x, self.cfg.kernel_size)
+
+    def take(self, inputs: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """(M, L, b, k*V) columns of the sequences at `rows` (M, b), gathered at once."""
+        l, n = inputs.shape[:2]
+        return np.take(inputs.reshape(l * n, -1), np.arange(l)[:, None] * n + rows[..., None, :],
+                       axis=0)
+
     def _features(self, x: np.ndarray):
         caches = []
         h = x
@@ -202,8 +222,10 @@ class ConvRegressor(_StackedNet):
                                                   self.params[f"conv{i}_b"])
             h, c_relu = nn.relu_forward(h)
             caches.append((c_conv, c_relu))
-        feats, c_pool = nn.mean_pool_forward(h)
-        return feats, (caches, c_pool)
+        # the mean pool: L contiguous (B, C) blocks summed, then divided as `mean` divides
+        feats = np.add.reduce(h, axis=-3)
+        feats /= h.shape[-3]
+        return feats, (caches, h.shape[-3])
 
     # feature map (conv stack + pooling) vs head (dense layers): the split
     # lets predictions and KG fantasies reuse cached features
@@ -222,11 +244,11 @@ class ConvRegressor(_StackedNet):
     def backward(self, cache, dpred: np.ndarray, grads: nn.Arena | None = None) -> nn.Arena:
         """Gradients of every parameter, written into `grads` (a new arena when None)."""
         grads = nn.Arena.like(self.params) if grads is None else grads
-        (caches, c_pool), (c_dense, c_hrelu, c_out) = cache
+        (caches, length), (c_dense, c_hrelu, c_out) = cache
         d, _, _ = nn.dense_backward(c_out, dpred[..., None], grads["out_w"], grads["out_b"])
         d = nn.relu_backward(c_hrelu, d)
         d, _, _ = nn.dense_backward(c_dense, d, grads["dense_w"], grads["dense_b"])
-        d = d[..., None, :] / c_pool[-2]  # mean pool; the mask below broadcasts it over L
+        d = d[..., None, :, :] / length  # mean pool; the mask below broadcasts it over L
         for i in reversed(range(len(self.cfg.channels))):
             c_conv, c_relu = caches[i]
             d = nn.relu_backward(c_relu, d)
@@ -290,6 +312,13 @@ class RecurrentRegressor(_StackedNet):
 # regressor kind -> (config class, stacked network class)
 REGRESSORS = {"conv": (ConvRegressorConfig, ConvRegressor),
               "recurrent": (RecurrentRegressorConfig, RecurrentRegressor)}
+
+
+def _check_finite(loss: np.ndarray) -> None:
+    """Raise `TrainingError` naming the first member whose loss is not finite."""
+    finite = np.isfinite(loss)
+    if not finite.all():
+        raise TrainingError(f"member {int(np.argmin(finite))} diverged (non-finite loss)")
 
 
 class Ensemble:
@@ -367,6 +396,8 @@ class Ensemble:
             std = float(y_raw.std())
             self.y_std = std if std > 1e-12 else 1.0
             self.net = self._init_net()
+        net = self.net
+        x_all = net.inputs(x_all)  # built once per fit
         y_all = ((y_raw - self.y_mean) / self.y_std).astype(NET_DTYPE)
         self._feature_cache.clear()
         self._head_post = None
@@ -380,21 +411,22 @@ class Ensemble:
             for e in range(cfg.epochs):
                 rows[m, e] = idx[m, rng.permutation(n)]
 
-        net = self.net
         grads = nn.Arena.like(net.params)
         opt = nn.Adam(net.params, lr=cfg.learning_rate)
-        for e in range(cfg.epochs):
-            for start in range(0, n, cfg.minibatch):
-                sel = rows[:, e, start:start + cfg.minibatch]
-                pred, cache = net.forward(x_all[sel])
-                loss, diff = nn.mse_forward(pred, y_all[sel])
-                finite = np.isfinite(loss)
-                if not finite.all():
-                    raise TrainingError(
-                        f"member {int(np.argmin(finite))} diverged (non-finite loss)")
-                opt.step(net.params, net.backward(cache, nn.mse_backward(diff), grads))
-        pred, _ = net.forward(x_all[idx])
-        return nn.mse_forward(pred, y_all[idx])[0].tolist()
+        # a diverging member overflows before its loss turns non-finite: the
+        # loss check reports it, so NumPy's warnings would say nothing more
+        with np.errstate(over="ignore", invalid="ignore"):
+            for e in range(cfg.epochs):
+                for start in range(0, n, cfg.minibatch):
+                    sel = rows[:, e, start:start + cfg.minibatch]
+                    pred, cache = net.forward(net.take(x_all, sel))
+                    loss, diff = nn.mse_forward(pred, y_all[sel])
+                    _check_finite(loss)
+                    opt.step(net.params, net.backward(cache, nn.mse_backward(diff), grads))
+            pred, _ = net.forward(net.take(x_all, idx))
+            loss = nn.mse_forward(pred, y_all[idx])[0]
+        _check_finite(loss)
+        return loss.tolist()
 
     def features_batch(self, batch: list[Sequence]) -> np.ndarray:
         """(n_members, B, d) float32 feature-map outputs, cached per sequence."""
@@ -402,7 +434,7 @@ class Ensemble:
             raise TrainingError("ensemble has not been fitted")
         missing = [s for s in batch if s not in self._feature_cache]
         if missing:
-            x = encode_batch(missing).astype(NET_DTYPE)
+            x = self.net.inputs(encode_batch(missing).astype(NET_DTYPE))
             # member by member: a whole pool's activations for every member at
             # once would multiply the peak memory by the member count
             feats = np.concatenate([self.net.member(m).features(x)
@@ -518,7 +550,7 @@ def gradient_check(kind: str = "conv", config=None, tolerance: float = 1e-4,
                   if kind == "conv" else RecurrentRegressorConfig(hidden_size=6))
     members = 2
     net = REGRESSORS[kind][1](config, length, vocab, [rng] * members, np.float64)
-    x = rng.standard_normal((members, batch, length, vocab))
+    x = net.inputs(rng.standard_normal((members, batch, length, vocab)))
     y = rng.standard_normal((members, batch))
 
     def loss() -> float:

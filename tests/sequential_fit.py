@@ -1,10 +1,13 @@
 """Member-by-member ensemble training: the oracle for the lockstep `Ensemble.fit`.
 
 This is the training loop `Ensemble.fit` used before its members were
-stacked: each member is a separate network with its own single-network
-layers and its own Adam optimizer, trained to completion before the next one
-starts. The layers are kept here in their single-network form, so the
-lockstep code is checked against code it does not share. It trains in the
+stacked: each member is a separate network with its own Adam optimizer,
+trained to completion before the next one starts. The dense and recurrent
+layers are kept here in their single-network form, so the lockstep code is
+checked against code it does not share. The conv layers are `proxbo.nn`'s
+position-major kernels, run on one member's arrays alone, without a member
+axis: `tests/conv_oracle.py` checks those kernels, and this loop checks the
+stacking, the gathered first-layer columns and the pool. It trains in the
 ensemble's dtype, `NET_DTYPE`: the weights are drawn in float64 and cast, and
 the one-hot inputs and standardized targets are cast as `Ensemble.fit` casts
 them.
@@ -12,36 +15,9 @@ them.
 
 import numpy as np
 
-from proxbo.nn import he_uniform
+from proxbo import nn
 from proxbo.sequences import encode_batch
 from proxbo.surrogate import NET_DTYPE
-
-
-def conv1d_forward(x, w, b):
-    k, cin, cout = w.shape
-    pad = (k - 1) // 2
-    bsz, l, _ = x.shape
-    xp = np.pad(x, ((0, 0), (pad, pad), (0, 0)))
-    win = np.lib.stride_tricks.sliding_window_view(xp, k, axis=1)  # (B, L, Cin, k)
-    col = win.transpose(0, 1, 3, 2).reshape(bsz * l, k * cin)
-    out = col @ w.reshape(k * cin, cout) + b
-    return out.reshape(bsz, l, cout), (col, w, (bsz, l))
-
-
-def conv1d_backward(cache, dout):
-    col, w, (bsz, l) = cache
-    k, cin, cout = w.shape
-    pad = (k - 1) // 2
-    dout2 = dout.reshape(bsz * l, cout)
-    dw = (col.T @ dout2).reshape(k, cin, cout)
-    db = dout2.sum(axis=0)
-    # one product per tap, as release 0.3.0 computed it: in float32 on some
-    # OpenBLAS cores (Haswell), one product over every tap rounds some of the
-    # same K = Cout dot products differently
-    dxp = np.zeros((bsz, l + 2 * pad, cin), dout.dtype)
-    for j in range(k):
-        dxp[:, j:j + l, :] += (dout2 @ w[j].T).reshape(bsz, l, cin)
-    return dxp[:, pad:pad + l, :], dw, db
 
 
 def dense_forward(x, w, b):
@@ -87,22 +63,23 @@ class ConvMember:
         self.params = {}
         cin, k = vocab, cfg.kernel_size
         for i, cout in enumerate(cfg.channels):
-            self.params[f"conv{i}_w"] = he_uniform((k, cin, cout), k * cin, rng)
+            self.params[f"conv{i}_w"] = nn.he_uniform((k, cin, cout), k * cin, rng)
             self.params[f"conv{i}_b"] = np.zeros(cout)
             cin = cout
-        self.params["dense_w"] = he_uniform((cin, cfg.hidden_dense), cin, rng)
+        self.params["dense_w"] = nn.he_uniform((cin, cfg.hidden_dense), cin, rng)
         self.params["dense_b"] = np.zeros(cfg.hidden_dense)
-        self.params["out_w"] = he_uniform((cfg.hidden_dense, 1), cfg.hidden_dense, rng)
+        self.params["out_w"] = nn.he_uniform((cfg.hidden_dense, 1), cfg.hidden_dense, rng)
         self.params["out_b"] = np.zeros(1)
         self.params = {k: v.astype(NET_DTYPE) for k, v in self.params.items()}
 
     def forward(self, x):
-        caches, h = [], x
+        caches, h = [], nn.conv1d_columns(x, self.cfg.kernel_size)  # (L, B, k*V)
         for i in range(len(self.cfg.channels)):
-            h, c_conv = conv1d_forward(h, self.params[f"conv{i}_w"], self.params[f"conv{i}_b"])
+            h, c_conv = nn.stacked_conv1d_forward(h, self.params[f"conv{i}_w"],
+                                                  self.params[f"conv{i}_b"])
             caches.append((c_conv, h > 0.0))
             h = np.maximum(h, 0.0)
-        pooled = h.mean(axis=1)
+        pooled = h.mean(axis=0)
         hid, c_dense = dense_forward(pooled, self.params["dense_w"], self.params["dense_b"])
         mask = hid > 0.0
         out, c_out = dense_forward(np.maximum(hid, 0.0), self.params["out_w"], self.params["out_b"])
@@ -113,11 +90,12 @@ class ConvMember:
         grads = {}
         d, grads["out_w"], grads["out_b"] = dense_backward(c_out, dpred[:, None])
         d, grads["dense_w"], grads["dense_b"] = dense_backward(c_dense, d * mask)
-        b, l, c = pool_shape
-        d = np.broadcast_to(d[:, None, :] / l, (b, l, c)).copy()
+        l, b, c = pool_shape
+        d = np.broadcast_to(d[None, :, :] / l, (l, b, c)).copy()
         for i in reversed(range(len(self.cfg.channels))):
             c_conv, relu_mask = caches[i]
-            d, grads[f"conv{i}_w"], grads[f"conv{i}_b"] = conv1d_backward(c_conv, d * relu_mask)
+            d, grads[f"conv{i}_w"], grads[f"conv{i}_b"] = nn.stacked_conv1d_backward(
+                c_conv, d * relu_mask, need_dx=i > 0)
         return grads
 
 
@@ -126,10 +104,10 @@ class RecurrentMember:
         h = cfg.hidden_size
         self.cfg = cfg
         params = {
-            "wx": he_uniform((vocab, h), vocab, rng),
-            "wh": he_uniform((h, h), h, rng),
+            "wx": nn.he_uniform((vocab, h), vocab, rng),
+            "wh": nn.he_uniform((h, h), h, rng),
             "bh": np.zeros(h),
-            "out_w": he_uniform((h, 1), h, rng),
+            "out_w": nn.he_uniform((h, 1), h, rng),
             "out_b": np.zeros(1),
         }
         self.params = {k: v.astype(NET_DTYPE) for k, v in params.items()}

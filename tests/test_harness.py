@@ -160,7 +160,7 @@ class TestRunArtifacts:
         cfg = parse_config_text(SMALL_BO_CONFIG + f"out={tmp_path}\n")
         run_campaign(cfg)
         manifest = (tmp_path / "manifest.txt").read_text().splitlines()
-        assert manifest[0] == "artifact_version=0.4.0"
+        assert manifest[0] == "artifact_version=0.5.0"
         assert manifest[1] == f"config_hash={config_hash(cfg)}"
 
     def test_cold_start_rows_equal_the_0_1_0_artifact(self, tmp_path):

@@ -200,9 +200,13 @@ class TestLookupSearch:
         path.write_text(f"# alphabet {alphabet.symbols}\n{text}", encoding="utf-8")
         return load_lookup(path)
 
-    @pytest.mark.parametrize("v, length", [(5, 4), (300, 2)], ids=["uint8", "uint16"])
+    # rows of 1 to 9 bytes: integer keys up to 8 bytes, void keys beyond
+    @pytest.mark.parametrize("v, length", [(20, 1), (5, 3), (5, 4), (5, 8), (5, 9), (300, 1),
+                                           (300, 2), (300, 3), (300, 4), (300, 5)],
+                             ids=lambda p: str(p))
     def test_answers_as_a_dict(self, tmp_path, v, length):
-        codes, scores, alphabet, table = self._shuffled(v, length, 200, seed=v)
+        codes, scores, alphabet, table = self._shuffled(v, length, min(200, v**length // 2),
+                                                        seed=v + length)
         rows = list(table)
         assert rows != sorted(rows)
         built = LookupLandscape(codes, scores, Sequence(rows[0], alphabet))
@@ -234,8 +238,8 @@ class TestLookupSearch:
             assert land.evaluate_batch(hits) == [table[s.residues] for s in hits]
             assert [land.contains(s) for s in seqs] == [s.residues in table for s in seqs]
             miss = next(s for s in seqs if s.residues not in table)
-            short = Sequence(rows[0][:-1], alphabet)
-            for stranger in (miss, short):
+            short = [Sequence(rows[0][:-1], alphabet)] if length > 1 else []
+            for stranger in [miss] + short:
                 assert not land.contains(stranger)
                 message = rf"^sequence {re.escape(stranger.text)} is not in the lookup table$"
                 with pytest.raises(DomainError, match=message):

@@ -188,6 +188,32 @@ def test_tables_longer_than_a_block_load_as_the_oracle_loads_them(tmp_path, defe
     assert_same_outcome(path)
 
 
+# rows of 1 to 10 bytes: uint8 ordinals of 1 to 9 residues, uint16 ordinals of 1 to 5
+@pytest.mark.parametrize("size,length", [(3, n) for n in range(1, 10)]
+                         + [(300, n) for n in range(1, 6)])
+@pytest.mark.parametrize("defect", ["none", "conflict"])
+def test_shuffled_tables_of_every_row_width_load_as_the_oracle_loads_them(tmp_path, size,
+                                                                          length, defect):
+    """Rows in random order, with repeats, keyed as integers up to 8 bytes and as bytes beyond."""
+    rng = np.random.default_rng(size * 10 + length)
+    symbols = "".join(chr(0x100 + i) for i in range(size))
+    seqs = ["".join(symbols[c] for c in row)
+            for row in rng.integers(0, size, (min(300, size**length), length))]
+    seqs += seqs[::7]
+    seqs = [seqs[i] for i in rng.permutation(len(seqs))]
+    score = {seq: rng.normal() for seq in seqs}
+    lines = [f"{seq}\t{score[seq]!r}" for seq in seqs]
+    if defect == "conflict":
+        lines.insert(int(rng.integers(1, len(lines))), f"{seqs[0]}\t{score[seqs[0]] + 1.0!r}")
+    path = tmp_path / "shuffled.tsv"
+    path.write_text(f"# alphabet {symbols}\n" + "\n".join(lines) + "\n", encoding="utf-8")
+    outcome = assert_same_outcome(path)
+    assert outcome[0] == ("loaded" if defect == "none" else "raised")
+    if defect == "none":
+        rows = outcome[1]
+        assert len(rows) < len(seqs) and (len(rows) < 4 or rows != sorted(rows))
+
+
 def test_load_builds_no_per_row_tuple(tmp_path, monkeypatch):
     """The old loader made a residue tuple per row; the new one makes one, for the wild type."""
     rng = np.random.default_rng(3)

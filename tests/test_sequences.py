@@ -13,6 +13,7 @@ from proxbo.sequences import (
     hamming_distance,
     protein_alphabet,
     random_mutant,
+    row_keys,
     sample_mutants,
     small_alphabet,
 )
@@ -152,6 +153,23 @@ class TestEncoding:
     def test_batch_rejects_empty(self):
         with pytest.raises(ValueError):
             encode_batch([])
+
+
+@pytest.mark.parametrize("dtype,length", [(np.uint8, n) for n in range(1, 10)]
+                         + [(np.uint16, n) for n in range(1, 6)])
+def test_row_keys_sort_as_the_rows_and_tell_them_apart(dtype, length):
+    """Up to 8 bytes a row's key is an integer, ordered as the rows are lexicographically."""
+    rng = np.random.default_rng(length)
+    codes = rng.integers(0, np.iinfo(dtype).max + 1, (400, length)).astype(dtype)
+    codes = np.concatenate([codes, codes[::7]])  # repeated rows
+    keys = row_keys(codes)
+    rows = [tuple(r) for r in codes.tolist()]
+    same = keys[:, None] == keys[None, :]
+    assert (same == np.array([[a == b for b in rows] for a in rows])).all()
+    if codes.shape[1] * codes.itemsize <= 8:
+        assert keys.dtype.kind == "u" and keys.dtype.itemsize <= 8
+        order = np.argsort(keys, kind="stable")
+        assert [rows[i] for i in order] == sorted(rows)
 
 
 class TestMutation:

@@ -180,9 +180,10 @@ class TestLockstepFit:
     def test_matches_sequential_fit_at_campaign_shapes(self):
         """The two benchmark networks on minibatches of 64 sequences; 65 rows leave a 1-row one.
 
-        kg-nk10's conv network (16 -> 16 channels, k = 9, L = 10): its products
-        go over BLAS's small-matrix limit, where the lockstep forward runs in
-        row blocks and the sequential one in one product. ucb-lookup-l4v20's
+        kg-nk10's conv network (16 -> 16 channels, k = 9, L = 10): the lockstep
+        fit gathers each minibatch's first-layer columns from the columns it
+        built once, where the sequential one builds them per minibatch, and
+        pools L blocks of every member at once. ucb-lookup-l4v20's
         recurrent network (hidden 64, L = 4, V = 20): the lockstep one skips the
         products with the zero initial state, which the sequential one keeps.
         """
@@ -202,9 +203,10 @@ class TestLockstepFit:
             assert np.array_equal(ens.predict_batch(data.sequences), ref.predict(data.sequences))
 
     def test_divergence_raises_training_error(self):
+        """The loss check reports the divergence; NumPy's overflow warnings stay silent."""
         data = random_dataset(8, seed=2)
         ens = Ensemble("conv", SMALL_CONV, n_members=2, seed=0)
-        with pytest.raises(TrainingError, match="diverged"), np.errstate(all="ignore"):
+        with pytest.raises(TrainingError, match="diverged"):
             ens.fit(data, TrainConfig(epochs=5, minibatch=4, learning_rate=1e300),
                     np.random.default_rng(0))
 
