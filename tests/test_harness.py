@@ -183,6 +183,25 @@ class TestRunArtifacts:
         assert (tmp_path / "run_0.csv").read_bytes() == \
                (DATA / f"{method}_seed0.csv").read_bytes()
 
+    @pytest.mark.parametrize("name", ["kg_lambda", "ei_lambda", "ucb_lambda",
+                                      "ucb_recurrent_lookup"])
+    def test_model_guided_rows_equal_the_0_5_0_artifact(self, tmp_path, name):
+        # every model-guided path, byte for byte: the conv acquisitions at a
+        # fixed λ on the reproducibility config, and UCB on the recurrent
+        # surrogate over a lookup table with the iqr λ
+        fields = {**test_acceptance.TestReproducibility.CONFIG.__dict__,
+                  "rounds": 3, "seeds": (0,), "out": str(tmp_path / "out")}
+        if name == "ucb_recurrent_lookup":
+            gen_nk(5, 1, 4, 11, tmp_path / "land")
+            fields.update(landscape_kind="lookup", lookup_path=str(tmp_path / "land.tsv"),
+                          surrogate_kind="recurrent", hidden_size=8, acquisition="ucb")
+        else:
+            fields.update(acquisition=name.split("_")[0], lambda_kind="fixed",
+                          lambda_value=0.05)
+        run_campaign(CampaignConfig(**fields))
+        assert (tmp_path / "out" / "run_0.csv").read_bytes() == \
+               (DATA / f"{name}_seed0.csv").read_bytes()
+
     @pytest.mark.parametrize("method,fits", [("batch_bo", 2), ("pex_greedy", 2), ("random", 0)])
     def test_the_round_that_spends_the_budget_does_not_refit(self, tmp_path, monkeypatch,
                                                              method, fits):
