@@ -5,15 +5,17 @@ and stds; UCB is `mean + beta * std`, written inline. `select_batch` scores
 and ranks the whole pool as arrays: one score array per call, and one
 `np.lexsort` by score, then distance to the wild type, then residues.
 
-`kg_oneshot` and `select_batch` only need a model with two array methods:
-`predict_batch(seqs)`, a (len(seqs), 2) array of posterior mean and
-variance, and `fantasy_inner_means_multi(batches, ys, inner_pool, data)`,
-the (len(batches), n_fantasies, len(inner_pool)) posterior
-means over `inner_pool` after conditioning each same-size batch on each row
-of its fantasy outcomes `ys[c]` (n_fantasies, batch size). Exact conjugate
-models can therefore stand in for the ensemble in tests. The model knows
-nothing of the proximal penalty: `select_batch` subtracts λ·d(s, wild type)
-from its means itself.
+Candidates are rows of a (P, L) residue array, and `kg_oneshot` and
+`select_batch` only need a model with two array methods:
+`predict_batch(codes)`, the (P, 2) posterior mean and variance of the rows
+of `codes`, and `fantasy_inner_means_multi(batches, ys, inner_pool, data)`,
+whose (C, w) `batches` and (I,) `inner_pool` are row indices into the codes
+of the last `predict_batch` call. It returns the (C, n_fantasies, I)
+posterior means over the `inner_pool` rows after conditioning each batch
+on each row of its fantasy outcomes `ys[c]` (n_fantasies, w). Exact
+conjugate models can therefore stand in for the ensemble in tests. The
+model knows nothing of the proximal penalty: `select_batch` subtracts
+λ·d(s, wild type) from its means itself.
 `select_batch` strategies are the acquisitions `ucb`, `ei` and `kg`, and
 `greedy`, the frontier-greedy (PEX-style) baseline.
 """
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import check_positive
-from .sequences import Sequence, hamming_distances, residue_array
+from .sequences import Sequence, hamming_distances
 from .surrogate import Dataset
 
 
@@ -82,37 +84,39 @@ def ei(mean, std, best: float) -> np.ndarray:
     return np.where(zero, np.where(gain < 0.0, 0.0, gain), smooth)
 
 
-def kg_oneshot(model, batch: list[Sequence], inner_pool: list[Sequence],
+def kg_oneshot(model, batch: np.ndarray, inner_pool: np.ndarray,
                data: Dataset, cfg: KGConfig, rng: np.random.Generator) -> float:
-    """One-shot knowledge gradient of measuring `batch`.
+    """One-shot knowledge gradient of measuring the (n, L) residue rows `batch`.
 
     Averages, over sampled fantasy outcomes for the batch, the maximum
-    posterior mean over `inner_pool` after a lightweight posterior update on
-    the augmented dataset; subtracts the current maximum posterior mean.
+    posterior mean over the (I, L) rows `inner_pool` after a lightweight
+    posterior update on the augmented dataset; subtracts the current maximum
+    posterior mean.
     """
-    if not batch or not inner_pool:
+    if not len(batch) or not len(inner_pool):
         raise ValueError("batch and inner_pool must be non-empty")
     n = len(batch)
-    seqs = batch + inner_pool
-    penalty = np.zeros(len(seqs))
-    mean, std = _mean_std(model, seqs, penalty)
-    return float(_kg_slot_scores(model, seqs, mean, std, list(range(n - 1)), [n - 1],
-                                 list(range(n, len(seqs))), data, cfg, rng, penalty)[0]
+    codes = np.concatenate([batch, inner_pool])
+    penalty = np.zeros(len(codes))
+    mean, std = _mean_std(model, codes, penalty)
+    return float(_kg_slot_scores(model, mean, std, list(range(n - 1)), [n - 1],
+                                 list(range(n, len(codes))), data, cfg, rng, penalty)[0]
                  - mean[n:].max())
 
 
-def _kg_slot_scores(model, pool: list[Sequence], mean: np.ndarray, std: np.ndarray,
-                    chosen: list[int], subset: list[int], inner: list[int], data: Dataset,
-                    cfg: KGConfig, rng: np.random.Generator, penalty: np.ndarray) -> np.ndarray:
+def _kg_slot_scores(model, mean: np.ndarray, std: np.ndarray, chosen: list[int],
+                    subset: list[int], inner: list[int], data: Dataset, cfg: KGConfig,
+                    rng: np.random.Generator, penalty: np.ndarray) -> np.ndarray:
     """Incumbent-free KG score of `chosen + [c]` for every candidate `c` in `subset`.
 
-    `chosen`, `subset` and `inner` (the inner pool) index `pool`, whose
-    penalised posterior means and stds are `mean` and `std`; `penalty[i]` is
-    the penalty in the mean of `pool[i]`. The fantasy update conditions on
-    physical outcomes, so each fantasy outcome gets its penalty back before
-    the update and the inner means lose theirs after. Candidates share the
-    random fantasy draws (common random numbers), so every candidate's
-    fantasies are conditioned in one `fantasy_inner_means_multi` call.
+    `chosen`, `subset` and `inner` (the inner pool) index the rows of the
+    model's last `predict_batch`, whose penalised posterior means and stds
+    are `mean` and `std`; `penalty[i]` is the penalty in the mean of row i.
+    The fantasy update conditions on physical outcomes, so each fantasy
+    outcome gets its penalty back before the update and the inner means lose
+    theirs after. Candidates share the random fantasy draws (common random
+    numbers), so every candidate's fantasies are conditioned in one
+    `fantasy_inner_means_multi` call.
     """
     z = rng.standard_normal((cfg.n_fantasies, len(chosen) + 1))
     # row j: the pool indices of the chosen sequences, then of candidate j
@@ -120,16 +124,15 @@ def _kg_slot_scores(model, pool: list[Sequence], mean: np.ndarray, std: np.ndarr
     rows[:, :-1] = chosen
     rows[:, -1] = subset
     ys = mean[rows][:, None, :] + std[rows][:, None, :] * z + penalty[rows][:, None, :]
-    chosen_seqs = [pool[i] for i in chosen]
-    inner_means = model.fantasy_inner_means_multi(
-        [chosen_seqs + [pool[c]] for c in subset], ys, [pool[i] for i in inner], data)
+    inner_means = model.fantasy_inner_means_multi(rows, ys, np.asarray(inner, dtype=np.intp),
+                                                  data)
     return (inner_means - penalty[inner]).max(axis=2).mean(axis=1)
 
 
-def _mean_std(model, seqs: list[Sequence],
+def _mean_std(model, codes: np.ndarray,
               penalty: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Penalised posterior mean and std arrays over `seqs`; a non-finite entry is an error."""
-    mean, var = model.predict_batch(seqs).T
+    """Penalised posterior mean and std arrays over the rows of `codes`; a non-finite entry is an error."""
+    mean, var = model.predict_batch(codes).T
     mean = mean - penalty
     std = np.sqrt(np.maximum(var, 0.0))
     bad = np.flatnonzero(~(np.isfinite(mean) & np.isfinite(std)))
@@ -147,24 +150,23 @@ def _ranked(residues: np.ndarray, scores: np.ndarray, distances: np.ndarray) -> 
     return np.lexsort((*residues.T[::-1], distances, -scores))
 
 
-def select_batch(strategy: str, model, pool: list[Sequence], data: Dataset, m: int,
+def select_batch(strategy: str, model, pool: np.ndarray, data: Dataset, m: int,
                  *, lam: float = 0.0, beta: float = 2.0,
                  kg_config: KGConfig | None = None,
                  wild_type: Sequence | None = None,
-                 rng: np.random.Generator | None = None) -> list[Sequence]:
-    """Pick M distinct pool sequences by the chosen acquisition strategy.
+                 rng: np.random.Generator | None = None) -> np.ndarray:
+    """Row indices of M distinct rows of the (P, L) residue array `pool`, by the chosen strategy.
 
     Every strategy scores the proximally regularised posterior: the model's
     mean minus `lam` times the Hamming distance to `wild_type`, with the
-    variance unchanged. The pool's residue array is built once per call, and
-    its distances and residues break ties. UCB/EI score the whole pool and
-    take the top M (ties broken by smaller distance, then lexicographic
-    order); EI's incumbent is the best measured score minus its own `lam`
-    times distance. Greedy ranks by mean and takes the best of each distance
-    class, nearest first, round-robin. KG fills the batch greedily: each slot
-    scores every extension of the partial batch over a UCB-preranked
-    candidate subset with `_kg_slot_scores`, whose fantasy outcomes get the
-    penalty back before the model's update.
+    variance unchanged. The pool's distances and residues break ties. UCB/EI
+    score the whole pool and take the top M (ties broken by smaller
+    distance, then lexicographic order); EI's incumbent is the best measured
+    score minus its own `lam` times distance. Greedy ranks by mean and takes
+    the best of each distance class, nearest first, round-robin. KG fills
+    the batch greedily: each slot scores every extension of the partial
+    batch over a UCB-preranked candidate subset with `_kg_slot_scores`,
+    whose fantasy outcomes get the penalty back before the model's update.
     """
     if strategy not in ("ucb", "ei", "kg", "greedy"):
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -174,9 +176,8 @@ def select_batch(strategy: str, model, pool: list[Sequence], data: Dataset, m: i
         raise ValueError(f"lambda must be >= 0, got {lam}")
     if beta < 0:
         raise ValueError(f"beta must be >= 0, got {beta}")
-    residues = residue_array(pool)
     if wild_type is not None:
-        distances = hamming_distances(residues, wild_type)
+        distances = hamming_distances(pool, wild_type)
     elif strategy == "greedy" or lam > 0:
         raise ValueError(f"the {strategy} strategy with lambda {lam} needs the wild type")
     else:
@@ -184,7 +185,7 @@ def select_batch(strategy: str, model, pool: list[Sequence], data: Dataset, m: i
     penalty = lam * distances
     mean, std = _mean_std(model, pool, penalty)
     if strategy == "greedy":
-        order = _ranked(residues, mean, distances)
+        order = _ranked(pool, mean, distances)
         # the k-th best of every class comes before the (k+1)-th best of any:
         # group the ranks by class, stably, and count each one's depth in its class
         classes = distances[order]
@@ -192,15 +193,14 @@ def select_batch(strategy: str, model, pool: list[Sequence], data: Dataset, m: i
         depth = np.empty(len(order), dtype=np.intp)
         depth[grouped] = np.arange(len(order)) - np.searchsorted(classes[grouped],
                                                                  classes[grouped])
-        return [pool[i] for i in order[np.lexsort((classes, depth))][:m]]
+        return order[np.lexsort((classes, depth))][:m]
     if strategy == "ei":
         best = data.max_score() if lam == 0 else float(np.max(
-            data.scores - lam * hamming_distances(residue_array(data.sequences), wild_type)))
-        order = _ranked(residues, ei(mean, std, best), distances)
-        return [pool[i] for i in order[:m]]
-    order = _ranked(residues, mean + beta * std, distances)
+            data.scores - lam * hamming_distances(data.codes, wild_type)))
+        return _ranked(pool, ei(mean, std, best), distances)[:m]
+    order = _ranked(pool, mean + beta * std, distances)
     if strategy == "ucb":
-        return [pool[i] for i in order[:m]]
+        return order[:m]
 
     cfg = kg_config or KGConfig()
     rng = rng if rng is not None else np.random.default_rng(0)
@@ -212,7 +212,7 @@ def select_batch(strategy: str, model, pool: list[Sequence], data: Dataset, m: i
         subset = order[free[order]][: cfg.inner_eval_size].tolist()
         slot_rng = np.random.default_rng(int(rng.integers(0, 2**63 - 1)))
         # the incumbent term is constant per slot, so it is dropped
-        scores = _kg_slot_scores(model, pool, mean, std, chosen, subset, inner, data, cfg,
+        scores = _kg_slot_scores(model, mean, std, chosen, subset, inner, data, cfg,
                                  slot_rng, penalty)
         bad = int(np.sum(~np.isfinite(scores)))
         if bad:
@@ -220,4 +220,4 @@ def select_batch(strategy: str, model, pool: list[Sequence], data: Dataset, m: i
         best_c = subset[int(np.argmax(scores))]  # the first of equal maxima
         chosen.append(best_c)
         free[best_c] = False
-    return [pool[i] for i in chosen]
+    return np.array(chosen, dtype=np.intp)

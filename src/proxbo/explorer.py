@@ -17,8 +17,8 @@ import numpy as np
 from .acquisition import KGConfig, select_batch
 from .errors import DomainExhausted
 from .landscape import BudgetedOracle
-from .sequences import (Sequence, hamming_distance, mutant_block, residue_array, row_keys,
-                        sample_mutants)
+from .sequences import (Alphabet, Sequence, hamming_distance, mutant_block, residue_array,
+                        row_keys, sample_mutants)
 from .surrogate import Dataset, Ensemble, TrainConfig
 
 
@@ -65,8 +65,14 @@ def update_frontier(frontier: list[FrontierPoint],
 
 @dataclass
 class PoolProposal:
-    sequences: list[Sequence]
+    codes: np.ndarray  # (P, L) residue ordinals of the candidates, in draw order
+    alphabet: Alphabet
     short: bool  # True when the domain could not fill the requested size
+
+    @property
+    def sequences(self) -> list[Sequence]:
+        """The candidates as `Sequence`s, built on access; no campaign reads them."""
+        return [Sequence(tuple(r), self.alphabet) for r in self.codes.tolist()]
 
 
 # The smallest block drawn at once: the old sampler's staleness budget, 30
@@ -82,12 +88,13 @@ def propose_pool(state: ExplorerState, domain, pool_size: int, radius: int,
     `random_mutant` on an anchor drawn uniformly from the frontier points
     plus the wild type. A block holds max(480, twice the pool deficit) draws,
     taken in draw order: draws already pooled, measured or drawn (compared by
-    row bytes at one dtype) are skipped, the rest are checked in one
-    `domain.in_domain` call, and only pooled rows become `Sequence`s. A
-    block that adds nothing ends the radius r, which then widens up to L. On
-    enumerable domains (with `states` and `num_states`) the fallback is
-    instead `domain.states()`, filtered the same way, in random order; the
-    pool is flagged short if it is still smaller than `pool_size`.
+    row bytes at one dtype) are skipped, and the rest are checked in one
+    `domain.in_domain` call. A block that adds nothing ends the radius r,
+    which then widens up to L. On enumerable domains (with `states` and
+    `num_states`) the fallback is instead `domain.states()`, filtered the
+    same way, in random order; the pool is flagged short if it is still
+    smaller than `pool_size`. The pool is one (P, L) array in the smallest
+    unsigned dtype of the alphabet.
     """
     if pool_size < 1:
         raise ValueError(f"pool_size must be >= 1, got {pool_size}")
@@ -97,23 +104,27 @@ def propose_pool(state: ExplorerState, domain, pool_size: int, radius: int,
     anchor_rows = residue_array(anchors)
     alphabet = state.wild_type.alphabet
     length = len(state.wild_type)
-    pool: list[Sequence] = []
+    dtype = np.min_scalar_type(alphabet.size - 1)
+    pool = [np.zeros((0, length), dtype)]  # the pooled rows, block by block
     seen: set = set()  # row keys of every sequence pooled, measured or drawn
 
     def fresh(rows: np.ndarray) -> np.ndarray:
         """The rows not seen before, in order, at one dtype; they are seen from now on."""
-        rows = rows.astype(np.min_scalar_type(alphabet.size - 1), copy=False)
+        rows = rows.astype(dtype, copy=False)
         keys = row_keys(rows).tolist()
         return rows[[i for i, key in enumerate(keys) if key not in seen and not seen.add(key)]]
 
-    def add(rows: np.ndarray) -> None:
-        pool.extend(Sequence(tuple(r), alphabet) for r in rows[:pool_size - len(pool)].tolist())
+    def deficit() -> int:
+        return pool_size - sum(map(len, pool))
 
-    fresh(residue_array(state.data.sequences).reshape(-1, length))  # the measured rows
+    def add(rows: np.ndarray) -> None:
+        pool.append(rows[:deficit()])
+
+    fresh(state.data.codes.reshape(-1, length))  # the measured rows
 
     def draw_at(r: int) -> None:
-        while len(pool) < pool_size:
-            size = max(_MIN_BLOCK, 2 * (pool_size - len(pool)))
+        while deficit() > 0:
+            size = max(_MIN_BLOCK, 2 * deficit())
             rows = fresh(mutant_block(anchor_rows, r, size, alphabet.size, rng))
             if domain is not None:
                 rows = rows[domain.in_domain(rows)]
@@ -124,7 +135,7 @@ def propose_pool(state: ExplorerState, domain, pool_size: int, radius: int,
     draw_at(min(radius, length))
     enumerable = (domain is not None and hasattr(domain, "states")
                   and hasattr(domain, "num_states") and domain.num_states() <= 2**20)
-    if len(pool) < pool_size and enumerable:
+    if deficit() > 0 and enumerable:
         # small enumerable domain: fill from the shuffled unmeasured remainder
         rest = fresh(domain.states())
         add(rest[rng.permutation(len(rest))])
@@ -132,7 +143,8 @@ def propose_pool(state: ExplorerState, domain, pool_size: int, radius: int,
         # widen the radius up to L; once the pool is full, draw_at draws nothing
         for r in range(min(radius, length) + 1, length + 1):
             draw_at(r)
-    return PoolProposal(pool, short=len(pool) < pool_size)
+    codes = np.concatenate(pool)
+    return PoolProposal(codes, alphabet, short=len(codes) < pool_size)
 
 
 @dataclass
@@ -176,7 +188,7 @@ def _query_draws(state: ExplorerState, oracle: BudgetedOracle, m: int, tries: in
     if not chosen:
         raise DomainExhausted(f"{what} found no unmeasured in-domain mutants")
     batch = list(chosen)
-    scores = oracle.query_batch(batch)
+    scores = oracle.query_batch(residue_array(batch))
     _ingest(state, batch, scores)
     return batch, scores
 
@@ -209,18 +221,20 @@ def run_round(state: ExplorerState, ensemble: Ensemble, oracle: BudgetedOracle,
         return state, _finish_round(state, batch, scores, t0)
 
     proposal = propose_pool(state, oracle.inner, pool_size, radius, rng)
-    m = min(oracle.batch_size, len(proposal.sequences))
+    m = min(oracle.batch_size, len(proposal.codes))
     if m == 0:
         raise DomainExhausted("candidate pool is empty; domain exhausted")
 
-    batch = select_batch(strategy, ensemble, proposal.sequences, state.data, m, lam=lam,
-                         beta=beta, kg_config=kg_config, wild_type=state.wild_type, rng=rng)
-    scores = oracle.query_batch(batch)
+    rows = select_batch(strategy, ensemble, proposal.codes, state.data, m, lam=lam,
+                        beta=beta, kg_config=kg_config, wild_type=state.wild_type, rng=rng)
+    codes = proposal.codes[rows]
+    scores = oracle.query_batch(codes)
+    batch = [Sequence(tuple(r), proposal.alphabet) for r in codes.tolist()]
     _ingest(state, batch, scores)
     if oracle.rounds_remaining > 0:
         ensemble.fit(state.data, warm_cfg or train_cfg, rng, warm_start=warm_cfg is not None)
     return state, _finish_round(state, batch, scores, t0, lambda_used=lam,
-                                pool_size=len(proposal.sequences),
+                                pool_size=len(proposal.codes),
                                 short_pool=proposal.short)
 
 

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .acquisition import KGConfig
-from .errors import ConfigError, DomainExhausted
+from .errors import ConfigError, DataError, DomainExhausted, ParseError
 from .explorer import ExplorerState, RoundRecord, random_search_round, run_round
 from .landscape import BudgetedOracle, LookupLandscape, NKLandscape, load_lookup
 from .sequences import Sequence, small_alphabet
@@ -33,6 +33,7 @@ from .surrogate import (REGRESSORS, ConvRegressorConfig, Dataset, Ensemble,
 ARTIFACT_VERSION = "0.5.0"
 
 _FLOAT = "{:.17g}".format
+_RUN_HEADER = "round,query_index,sequence,fitness,cumulative_max"
 
 
 def _key(key: str, default):
@@ -270,7 +271,7 @@ def run_one_seed(cfg: CampaignConfig, seed: int,
     if landscape is None:
         landscape = _build_landscape(cfg)
     wt = _wild_type_of(cfg, landscape)
-    wt_fitness = landscape.evaluate_batch([wt])[0]  # seed measurement, outside the budget
+    wt_fitness = landscape.evaluate_batch(np.array([wt.residues]))[0]  # outside the budget
     oracle = BudgetedOracle(landscape, rounds_total=cfg.rounds, batch_size=cfg.batch)
     state = ExplorerState(wild_type=wt)
     state.data.add(wt, wt_fitness)
@@ -309,7 +310,7 @@ def run_one_seed(cfg: CampaignConfig, seed: int,
 
 def write_run_csv(path: Path, records: list[RoundRecord],
                   wt: Sequence, wt_fitness: float, exhausted: bool) -> None:
-    lines = ["round,query_index,sequence,fitness,cumulative_max"]
+    lines = [_RUN_HEADER]
     cum = wt_fitness
     lines.append(f"0,0,{wt.text},{_FLOAT(wt_fitness)},{_FLOAT(cum)}")
     qi = 1
@@ -413,18 +414,28 @@ class AggregateCurve:
 
 
 def read_run_csv(path: str | Path) -> dict[int, float]:
-    """Per-round final cumulative max (round 0 = the seed wild-type row)."""
+    """Per-round final cumulative max (round 0 = the seed wild-type row).
+
+    A malformed line raises `ParseError` naming `path:line`.
+    """
     per_round: dict[int, float] = {}
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().strip()
-        if header != "round,query_index,sequence,fitness,cumulative_max":
-            raise ValueError(f"{path}: unexpected header {header!r}")
-        for line in fh:
+        if header != _RUN_HEADER:
+            raise ParseError(f"{path}:1: unexpected header {header!r}")
+        for lineno, line in enumerate(fh, start=2):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             cols = line.split(",")
-            per_round[int(cols[0])] = float(cols[4])
+            if len(cols) != 5:
+                raise ParseError(f"{path}:{lineno}: expected 5 comma-separated columns, "
+                                 f"got {len(cols)}")
+            try:
+                per_round[int(cols[0])] = float(cols[4])
+            except ValueError:
+                raise ParseError(f"{path}:{lineno}: non-numeric round {cols[0]!r} or "
+                                 f"cumulative max {cols[4]!r}") from None
     return per_round
 
 
@@ -436,7 +447,7 @@ def aggregate_runs(csv_paths: list[str | Path]) -> AggregateCurve:
     rounds = sorted(curves[0])
     for p, c in zip(csv_paths, curves):
         if sorted(c) != rounds:
-            raise ValueError(f"{p}: round structure differs from the first run")
+            raise DataError(f"{p}: round structure differs from the first run")
     mat = np.array([[c[r] for r in rounds] for c in curves])
     return AggregateCurve(rounds=rounds,
                           mean=mat.mean(axis=0).tolist(),
@@ -471,7 +482,7 @@ def aggregate_dir(run_dir: str | Path) -> AggregateCurve:
     run_dir = Path(run_dir)
     paths = sorted(run_dir.glob("run_*.csv"))
     if not paths:
-        raise ValueError(f"no run_*.csv files in {run_dir}")
+        raise DataError(f"no run_*.csv files in {run_dir}")
     curve = aggregate_runs(paths)
     write_aggregate(run_dir, curve)
     return curve

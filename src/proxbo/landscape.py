@@ -23,17 +23,11 @@ class FitnessLandscape(Protocol):
     @property
     def alphabet(self) -> Alphabet: ...
 
-    def evaluate_batch(self, batch: list[Sequence]) -> list[float]: ...
+    def evaluate_batch(self, codes: np.ndarray) -> list[float]: ...
 
     def in_domain(self, codes: np.ndarray) -> np.ndarray: ...
 
     def contains(self, s: Sequence) -> bool: ...
-
-
-def _batch_codes(batch: list[Sequence], length: int) -> np.ndarray:
-    """The (B, L) ordinals of a batch; a row of -1s stands for a sequence of another length."""
-    return np.array([s.residues if len(s) == length else (-1,) * length
-                     for s in batch]).reshape(-1, length)
 
 
 @dataclass(eq=False)
@@ -88,11 +82,13 @@ class LookupLandscape:
     def contains(self, s: Sequence) -> bool:
         return bool(self.in_domain(np.array([s.residues]))[0])
 
-    def evaluate_batch(self, batch: list[Sequence]) -> list[float]:
-        rows = self._find(_batch_codes(batch, self.length))
+    def evaluate_batch(self, codes: np.ndarray) -> list[float]:
+        """Fitness of each row of a (B, L) ordinal array; a row not in the table is an error."""
+        rows = self._find(codes)
         missing = np.flatnonzero(rows < 0)
         if len(missing):
-            raise DomainError(f"sequence {batch[missing[0]].text} is not in the lookup table")
+            raise DomainError(f"row {missing[0]} {codes[missing[0]].tolist()} "
+                              f"is not in the lookup table")
         return self.scores[rows].tolist()
 
     def states(self) -> np.ndarray:
@@ -357,10 +353,9 @@ class NKLandscape:
         return total / self.n
 
     def fitness(self, s: Sequence) -> float:
-        return self.evaluate_batch([s])[0]
+        return self.evaluate_batch(np.array([s.residues]))[0]
 
-    def evaluate_batch(self, batch: list[Sequence]) -> list[float]:
-        codes = _batch_codes(batch, self.n)
+    def evaluate_batch(self, codes: np.ndarray) -> list[float]:
         if not self.in_domain(codes).all():
             raise ValueError(f"sequence incompatible with NK landscape (N={self.n}, V={self.alphabet.size})")
         return self.fitness_rows(codes).tolist()
@@ -408,14 +403,15 @@ class BudgetedOracle:
             raise ValueError("rounds_total and batch_size must be >= 1")
         self.rounds_remaining = self.rounds_total
 
-    def query_batch(self, batch: list[Sequence]) -> list[float]:
-        if not batch:
+    def query_batch(self, codes: np.ndarray) -> list[float]:
+        """Fitness of each row of a (B, L) ordinal array, spending one round of the budget."""
+        if not len(codes):
             raise ValueError("empty query batch")
-        if len(batch) > self.batch_size:
-            raise ValueError(f"batch of {len(batch)} exceeds batch size {self.batch_size}")
+        if len(codes) > self.batch_size:
+            raise ValueError(f"batch of {len(codes)} exceeds batch size {self.batch_size}")
         if self.rounds_remaining <= 0:
             raise BudgetError(f"query budget exhausted after {self.rounds_total} rounds")
-        scores = self.inner.evaluate_batch(batch)
+        scores = self.inner.evaluate_batch(codes)
         self.rounds_remaining -= 1
-        self.queries_made += len(batch)
+        self.queries_made += len(codes)
         return scores

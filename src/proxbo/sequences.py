@@ -140,19 +140,15 @@ def row_keys(rows: np.ndarray) -> np.ndarray:
     return keys
 
 
-def encode_batch(seqs: list[Sequence]) -> np.ndarray:
-    """One-hot encodings of equal-length sequences as a (B, L, V) array.
+def encode_batch(codes: np.ndarray, size: int) -> np.ndarray:
+    """One-hot encodings of a (B, L) residue array over `size` symbols, as a (B, L, V) array.
 
-    One gather of identity rows by the (B, L) residue ordinals: row i of
-    sequence b is hot at column b's residue i.
+    One gather of identity rows by the ordinals: row i of sequence b is hot
+    at column b's residue i.
     """
-    if not seqs:
+    if not len(codes):
         raise ValueError("empty sequence batch")
-    size = seqs[0].alphabet.size
-    if any(s.alphabet.size != size for s in seqs):
-        raise ValueError("every sequence in a batch must share one alphabet size")
-    # a ragged batch makes np.array raise ValueError
-    return np.eye(size)[np.array([s.residues for s in seqs])]
+    return np.eye(size)[codes]
 
 
 def random_mutant(s: Sequence, radius: int, rng: np.random.Generator) -> Sequence:

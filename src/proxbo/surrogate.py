@@ -19,7 +19,7 @@ import numpy as np
 
 from . import nn
 from .errors import DataError, TrainingError, check_positive
-from .sequences import Sequence, encode_batch
+from .sequences import Alphabet, Sequence, encode_batch, residue_array
 
 NET_DTYPE = np.float32  # the dtype of every network an Ensemble trains and runs
 
@@ -62,31 +62,45 @@ class TrainConfig:
 
 
 class Dataset:
-    """Append-only collection of (sequence, measured fitness) pairs, in insertion order."""
+    """Append-only collection of (sequence, measured fitness) pairs, in insertion order.
+
+    Each pair is held as its residue tuple and score. `codes` and `scores`
+    give them as arrays: (N, L) residues in the smallest unsigned dtype of
+    the first added sequence's `alphabet`, and (N,) float64 fitness.
+    """
 
     def __init__(self):
-        self._scores: dict[Sequence, float] = {}
+        self.alphabet: Alphabet | None = None
+        self._scores: dict[tuple[int, ...], float] = {}
 
     def __len__(self) -> int:
         return len(self._scores)
 
     def __contains__(self, s: Sequence) -> bool:
-        return s in self._scores
+        return s.residues in self._scores
 
     @property
-    def sequences(self) -> list[Sequence]:
-        return list(self._scores)
+    def codes(self) -> np.ndarray:
+        if not self._scores:
+            return np.zeros((0, 0), dtype=np.uint8)
+        return np.array(list(self._scores), dtype=np.min_scalar_type(self.alphabet.size - 1))
 
     @property
     def scores(self) -> np.ndarray:
         return np.fromiter(self._scores.values(), dtype=np.float64, count=len(self._scores))
 
+    @property
+    def sequences(self) -> list[Sequence]:
+        return [Sequence(r, self.alphabet) for r in self._scores]
+
     def add(self, s: Sequence, y: float) -> None:
-        if s in self._scores:
-            if self._scores[s] != y:
-                raise DataError(f"conflicting scores for {s.text}: {self._scores[s]} vs {y}")
+        if s.residues in self._scores:
+            if self._scores[s.residues] != y:
+                raise DataError(f"conflicting scores for {s.text}: "
+                                f"{self._scores[s.residues]} vs {y}")
             return
-        self._scores[s] = float(y)
+        self.alphabet = self.alphabet or s.alphabet
+        self._scores[s.residues] = float(y)
 
     def extend(self, pairs) -> None:
         for s, y in pairs:
@@ -347,7 +361,7 @@ class Ensemble:
         self.y_std = 1.0
         self.length: int | None = None
         self.vocab: int | None = None
-        self._feature_cache: dict[Sequence, np.ndarray] = {}
+        self._pool: np.ndarray | None = None  # features of the last predict_batch's rows
         self._head_post: tuple | None = None  # see _head_posterior
 
     @property
@@ -386,10 +400,9 @@ class Ensemble:
             raise ValueError("cannot fit on an empty dataset")
         cfg = cfg or TrainConfig()
         rng = rng if rng is not None else np.random.default_rng(self.seed)
-        seqs = data.sequences
-        self.length = len(seqs[0])
-        self.vocab = seqs[0].alphabet.size
-        x_all = encode_batch(seqs).astype(NET_DTYPE)
+        self.length = data.codes.shape[1]
+        self.vocab = data.alphabet.size
+        x_all = encode_batch(data.codes, self.vocab).astype(NET_DTYPE)
         y_raw = data.scores
         if not (warm_start and self.trained):
             self.y_mean = float(y_raw.mean())
@@ -399,10 +412,10 @@ class Ensemble:
         net = self.net
         x_all = net.inputs(x_all)  # built once per fit
         y_all = ((y_raw - self.y_mean) / self.y_std).astype(NET_DTYPE)
-        self._feature_cache.clear()
+        self._pool = None
         self._head_post = None
 
-        n = len(seqs)
+        n = len(data)
         # rows[m, e]: dataset rows member m visits in epoch e, in order
         idx = np.empty((self.n_members, n), dtype=np.int64)
         rows = np.empty((self.n_members, cfg.epochs, n), dtype=np.int64)
@@ -428,35 +441,32 @@ class Ensemble:
         _check_finite(loss)
         return loss.tolist()
 
-    def features_batch(self, batch: list[Sequence]) -> np.ndarray:
-        """(n_members, B, d) float32 feature-map outputs, cached per sequence."""
+    def _features(self, codes: np.ndarray) -> np.ndarray:
+        """(n_members, B, d) float32 feature-map outputs of the (B, L) residue rows `codes`."""
         if not self.trained:
             raise TrainingError("ensemble has not been fitted")
-        missing = [s for s in batch if s not in self._feature_cache]
-        if missing:
-            x = self.net.inputs(encode_batch(missing).astype(NET_DTYPE))
-            # member by member: a whole pool's activations for every member at
-            # once would multiply the peak memory by the member count
-            feats = np.concatenate([self.net.member(m).features(x)
-                                    for m in range(self.n_members)])  # (M, B, d)
-            for i, s in enumerate(missing):
-                self._feature_cache[s] = feats[:, i, :]
-        return np.stack([self._feature_cache[s] for s in batch], axis=1)
+        x = self.net.inputs(encode_batch(codes, self.vocab).astype(NET_DTYPE))
+        # member by member: a whole pool's activations for every member at
+        # once would multiply the peak memory by the member count
+        return np.concatenate([self.net.member(m).features(x) for m in range(self.n_members)])
 
-    def predict_batch(self, batch: list[Sequence]) -> np.ndarray:
-        """(B, 2) array: per-sequence mean and population variance of the member predictions.
+    def predict_batch(self, codes: np.ndarray) -> np.ndarray:
+        """(B, 2) array: per-row mean and population variance of the member predictions.
 
-        Each member's output layer runs in float64 on its float32 last hidden
+        `codes` is a (B, L) residue array. Its rows' features are kept, and
+        `fantasy_inner_means_multi` takes row indices into them. Each
+        member's output layer runs in float64 on its float32 last hidden
         layer, as in the fantasies: a fantasy whose outcomes are the
         predictions leaves the means where they are.
         """
-        preds = (self._design(batch) @ self._head_weights()[..., None])[..., 0]
+        self._pool = self._features(codes)
+        preds = (self._design(self._pool) @ self._head_weights()[..., None])[..., 0]
         preds = preds * self.y_std + self.y_mean
         return np.stack([preds.mean(axis=0), preds.var(axis=0)], axis=1)
 
-    def _design(self, seqs: list[Sequence]) -> np.ndarray:
-        """(M, B, h + 1) float64 design matrices: each member's output-layer input, then ones."""
-        hid = self.net.last_hidden(self.features_batch(seqs)).astype(np.float64)
+    def _design(self, feats: np.ndarray) -> np.ndarray:
+        """(M, B, h + 1) float64 design matrices of (M, B, d) features: the output layer's input, then ones."""
+        hid = self.net.last_hidden(feats).astype(np.float64)
         return np.concatenate([hid, np.ones(hid.shape[:-1] + (1,))], axis=-1)
 
     def _head_weights(self) -> np.ndarray:
@@ -468,22 +478,22 @@ class Ensemble:
         """Per member: w0 (trained output layer, bias last), S and 1/β of `evidence_posterior`."""
         post = self._head_post
         if post is None or post[0] is not data or post[1] != len(data):
-            phi = self._design(data.sequences)
+            phi = self._design(self._features(data.codes))
             t = (data.scores - self.y_mean) / self.y_std
             _, beta, cov = zip(*(evidence_posterior(phi[m], t) for m in range(self.n_members)))
             self._head_post = post = (data, len(data),
                                       (self._head_weights(), np.stack(cov), 1.0 / np.array(beta)))
         return post[2]
 
-    def fantasy_inner_means_multi(self, batches: list[list[Sequence]], ys: np.ndarray,
-                                  inner_pool: list[Sequence], data: Dataset,
+    def fantasy_inner_means_multi(self, batches: np.ndarray, ys: np.ndarray,
+                                  inner_pool: np.ndarray, data: Dataset,
                                   steps: int | None = None, lr: float | None = None) -> np.ndarray:
         """Posterior means over `inner_pool` under each fantasy outcome of each batch.
 
-        `ys` has shape (len(batches), n_fantasies, batch size): one
-        hypothetical outcome vector per (batch, fantasy). Returns an array of
-        shape (len(batches), n_fantasies, len(inner_pool)) of de-standardized
-        ensemble means.
+        `batches` (C, w) and `inner_pool` (P,) are row indices into the rows
+        of the last `predict_batch` call. `ys` has shape (C, n_fantasies, w):
+        one hypothetical outcome vector per (batch, fantasy). Returns an
+        array of shape (C, n_fantasies, P) of de-standardized ensemble means.
 
         Each member's output layer is a Bayesian linear regression on its
         last hidden layer Φ (neural-linear, as in DNGO), with weights
@@ -495,18 +505,24 @@ class Ensemble:
         """
         if not self.trained:
             raise TrainingError("ensemble has not been fitted")
+        if not isinstance(batches, np.ndarray):
+            # lists of Sequences, as bench/micro.py passes them: kept for bench/
+            # until it passes rows (ROADMAP item 2)
+            codes = residue_array([s for batch in batches for s in batch] + list(inner_pool))
+            self._pool = self._features(codes)
+            n = len(codes) - len(inner_pool)
+            batches, inner_pool = np.arange(n).reshape(len(batches), -1), np.arange(n, len(codes))
+        if self._pool is None:
+            raise TrainingError("no rows predicted since the last fit")
         ys = np.asarray(ys, dtype=np.float64)
-        if not batches or ys.ndim != 3 or ys.shape[0] != len(batches):
-            raise ValueError(
-                f"ys must have shape ({len(batches) or 1}, n_fantasies, batch size), got {ys.shape}")
-        width = len(batches[0])
-        if ys.shape[2] != width or any(len(b) != width for b in batches):
-            raise ValueError("all batches must share one size matching ys")
+        if batches.ndim != 2 or not len(batches) or ys.ndim != 3 or ys.shape[::2] != batches.shape:
+            raise ValueError(f"ys must have shape (C, n_fantasies, w) for (C, w) batches "
+                             f"{batches.shape}, got {ys.shape}")
         w0, cov, noise = self._head_posterior(data)
-        n_m, n_c = self.n_members, len(batches)
-        phi_b = self._design([s for batch in batches for s in batch]).reshape(
+        (n_c, width), n_m = batches.shape, self.n_members
+        phi_b = self._design(np.take(self._pool, batches.ravel(), axis=1)).reshape(
             n_m, n_c, width, -1)
-        phi_p = self._design(inner_pool)[:, None]                  # (M, 1, P, D)
+        phi_p = self._design(np.take(self._pool, inner_pool, axis=1))[:, None]  # (M, 1, P, D)
         y = (ys - self.y_mean) / self.y_std                        # (C, F, w)
         g = phi_b @ cov[:, None]                                   # Φ_b S: (M, C, w, D)
         gram = g @ np.swapaxes(phi_b, -1, -2)                      # (M, C, w, w)

@@ -18,6 +18,9 @@
 - `per_candidate_slot_scores` is the KG slot scoring that predicted
   `chosen + [c]` once per candidate `c`, where `_kg_slot_scores` indexes the
   posterior of the whole pool.
+
+Like the fast path, the fantasy oracles take row indices into the rows of
+the ensemble's last `predict_batch` call and read those rows' features.
 """
 
 import numpy as np
@@ -26,39 +29,44 @@ from proxbo.errors import TrainingError
 from proxbo.surrogate import evidence_posterior
 
 
-def per_candidate_slot_scores(model, pool, mean, std, chosen, subset, inner, data, cfg, rng,
-                              penalty):
-    """`acquisition._kg_slot_scores`, predicting each candidate's batch on its own.
+def per_candidate_slot_scores(pool):
+    """`acquisition._kg_slot_scores` on the (P, L) `pool`, predicting each candidate's batch alone.
 
-    The pool posterior `mean` and `std` are ignored.
+    The returned function takes `_kg_slot_scores`'s arguments and ignores
+    the pool posterior `mean` and `std`. Its per-batch predictions replace
+    the model's predicted rows, so it predicts `pool` again before the
+    fantasies, which index it.
     """
-    z = rng.standard_normal((cfg.n_fantasies, len(chosen) + 1))
-    batches, ys = [], []
-    for c in subset:
-        rows = chosen + [c]
-        batch = [pool[i] for i in rows]
-        means, variances = model.predict_batch(batch).T
-        means = means - penalty[rows]
-        stds = np.sqrt(np.maximum(variances, 0.0))
-        batches.append(batch)
-        ys.append(means[None, :] + stds[None, :] * z + penalty[rows][None, :])
-    inner_means = model.fantasy_inner_means_multi(batches, np.stack(ys),
-                                                  [pool[i] for i in inner], data)
-    return (inner_means - penalty[inner]).max(axis=2).mean(axis=1)
+    def slot_scores(model, mean, std, chosen, subset, inner, data, cfg, rng, penalty):
+        z = rng.standard_normal((cfg.n_fantasies, len(chosen) + 1))
+        batches, ys = [], []
+        for c in subset:
+            rows = chosen + [c]
+            means, variances = model.predict_batch(pool[rows]).T
+            means = means - penalty[rows]
+            stds = np.sqrt(np.maximum(variances, 0.0))
+            batches.append(rows)
+            ys.append(means[None, :] + stds[None, :] * z + penalty[rows][None, :])
+        model.predict_batch(pool)
+        inner_means = model.fantasy_inner_means_multi(np.array(batches), np.stack(ys),
+                                                      np.array(inner), data)
+        return (inner_means - penalty[inner]).max(axis=2).mean(axis=1)
+
+    return slot_scores
 
 
-def member_design(ens, m, seqs):
-    """Member m's (len(seqs), h + 1) design matrix: its output layer's input, then ones."""
+def member_design(ens, m, feats):
+    """Member m's (B, h + 1) design matrix of (M, B, d) features: its output layer's input, 1s."""
     params = {name: arr[m] for name, arr in ens.net.params.items()}
-    hid = ens.features_batch(seqs)[m]
+    hid = feats[m]
     if ens.kind == "conv":
         hid = np.maximum(hid @ params["dense_w"] + params["dense_b"], 0.0)
-    return np.hstack([hid, np.ones((len(seqs), 1))])
+    return np.hstack([hid, np.ones((len(hid), 1))])
 
 
 def member_posterior(ens, m, data):
     """(w0, S, noise variance) of member m's output layer, with S from an explicit inverse."""
-    phi = member_design(ens, m, data.sequences)
+    phi = member_design(ens, m, ens._features(data.codes))
     t = (data.scores - ens.y_mean) / ens.y_std
     alpha, beta, _ = evidence_posterior(phi, t)
     cov = np.linalg.inv(alpha * np.eye(phi.shape[1]) + beta * phi.T @ phi)
@@ -71,19 +79,17 @@ def looped_fantasy_inner_means_multi(ens, batches, ys, inner_pool, data):
     if not ens.trained:
         raise TrainingError("ensemble has not been fitted")
     ys = np.asarray(ys, dtype=np.float64)
-    if not batches or ys.ndim != 3 or ys.shape[0] != len(batches):
-        raise ValueError(
-            f"ys must have shape ({len(batches) or 1}, n_fantasies, batch size), got {ys.shape}")
-    width = len(batches[0])
-    if ys.shape[2] != width or any(len(b) != width for b in batches):
-        raise ValueError("all batches must share one size matching ys")
+    if batches.ndim != 2 or not len(batches) or ys.ndim != 3 or ys.shape[::2] != batches.shape:
+        raise ValueError(f"ys must have shape (C, n_fantasies, w) for (C, w) batches "
+                         f"{batches.shape}, got {ys.shape}")
+    width = batches.shape[1]
     n_m = ens.n_members
     posts = [member_posterior(ens, m, data) for m in range(n_m)]
-    phi_p = [member_design(ens, m, inner_pool) for m in range(n_m)]
+    phi_p = [member_design(ens, m, np.take(ens._pool, inner_pool, axis=1)) for m in range(n_m)]
     # the batches' rows come from one design call, as in the fast path: the
     # float32 hidden layer can round a row differently in a product of
     # another height, which no float64 step downstream would undo
-    phi_all = [member_design(ens, m, [s for batch in batches for s in batch])
+    phi_all = [member_design(ens, m, np.take(ens._pool, batches.ravel(), axis=1))
                for m in range(n_m)]
     out = np.empty((len(batches), ys.shape[1], len(inner_pool)))
     for c in range(len(batches)):
@@ -105,23 +111,20 @@ def tiled_fantasy_inner_means_multi(ens, batches, ys, inner_pool, data):
     if not ens.trained:
         raise TrainingError("ensemble has not been fitted")
     ys = np.asarray(ys, dtype=np.float64)
-    if not batches or ys.ndim != 3 or ys.shape[0] != len(batches):
-        raise ValueError(
-            f"ys must have shape ({len(batches) or 1}, n_fantasies, batch size), got {ys.shape}")
-    width = len(batches[0])
-    if ys.shape[2] != width or any(len(b) != width for b in batches):
-        raise ValueError("all batches must share one size matching ys")
-    n_c, n_m = len(batches), ens.n_members
+    if batches.ndim != 2 or not len(batches) or ys.ndim != 3 or ys.shape[::2] != batches.shape:
+        raise ValueError(f"ys must have shape (C, n_fantasies, w) for (C, w) batches "
+                         f"{batches.shape}, got {ys.shape}")
+    (n_c, width), n_m = batches.shape, ens.n_members
     w0, cov, noise = ens._head_posterior(data)
     # candidate-major, then member-major within each candidate; one design call
     # over every batch's rows, since a (1, d) row times a matrix is a
     # matrix-vector product whose last bits differ from the matrix-matrix one
-    phi_all = ens._design([s for batch in batches for s in batch])        # (M, C*w, D)
+    phi_all = ens._design(np.take(ens._pool, batches.ravel(), axis=1))    # (M, C*w, D)
     phi_b = np.concatenate([phi_all[:, c * width:(c + 1) * width] for c in range(n_c)])
     w0_t = np.tile(w0, (n_c, 1))
     cov_t = np.tile(cov, (n_c, 1, 1))
     noise_t = np.tile(noise, n_c)
-    phi_p = np.tile(ens._design(inner_pool), (n_c, 1, 1))
+    phi_p = np.tile(ens._design(np.take(ens._pool, inner_pool, axis=1)), (n_c, 1, 1))
     y = np.repeat((ys - ens.y_mean) / ens.y_std, n_m, axis=0)               # (C*M, F, w)
     g = phi_b @ cov_t
     gram = g @ phi_b.transpose(0, 2, 1) + noise_t[:, None, None] * np.eye(width)
@@ -133,12 +136,12 @@ def tiled_fantasy_inner_means_multi(ens, batches, ys, inner_pool, data):
 
 
 def sequential_fantasy_inner_means(ens, batch, ys, inner_pool, data):
-    """(n_fantasies, len(inner_pool)) means after conditioning on `batch` row by row."""
+    """(n_fantasies, len(inner_pool)) means after conditioning on the `batch` rows one by one."""
     out = np.zeros((len(ys), len(inner_pool)))
     for m in range(ens.n_members):
         w0, cov0, noise = member_posterior(ens, m, data)
-        phi_b = member_design(ens, m, batch)
-        phi_p = member_design(ens, m, inner_pool)
+        phi_b = member_design(ens, m, np.take(ens._pool, batch, axis=1))
+        phi_p = member_design(ens, m, np.take(ens._pool, inner_pool, axis=1))
         for f, y_raw in enumerate(ys):
             w, cov = w0.copy(), cov0.copy()
             for phi, y in zip(phi_b, (np.asarray(y_raw) - ens.y_mean) / ens.y_std):

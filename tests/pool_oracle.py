@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from proxbo.explorer import ExplorerState, PoolProposal
-from proxbo.sequences import Sequence, random_mutant, sample_mutants
+from proxbo.sequences import Sequence, random_mutant, residue_array, sample_mutants
 
 
 def rejection_propose_pool(state: ExplorerState, domain, pool_size: int, radius: int,
@@ -24,6 +24,10 @@ def rejection_propose_pool(state: ExplorerState, domain, pool_size: int, radius:
     length = len(state.wild_type)
     pool: list[Sequence] = []
     seen: set[Sequence] = set()
+
+    def proposal(short: bool) -> PoolProposal:
+        return PoolProposal(residue_array(pool).reshape(-1, length), state.wild_type.alphabet,
+                            short)
 
     def draw_at(r: int) -> None:
         stale = 0
@@ -43,7 +47,7 @@ def rejection_propose_pool(state: ExplorerState, domain, pool_size: int, radius:
 
     draw_at(min(radius, length))
     if len(pool) >= pool_size:
-        return PoolProposal(pool, short=False)
+        return proposal(short=False)
     enumerable = (domain is not None and hasattr(domain, "iter_domain")
                   and hasattr(domain, "num_states") and domain.num_states() <= 2**20)
     if not enumerable:
@@ -51,15 +55,15 @@ def rejection_propose_pool(state: ExplorerState, domain, pool_size: int, radius:
         for r in range(min(radius, length) + 1, length + 1):
             draw_at(r)
             if len(pool) >= pool_size:
-                return PoolProposal(pool, short=False)
-        return PoolProposal(pool, short=True)
+                return proposal(short=False)
+        return proposal(short=True)
     # small enumerable domain: fill from the shuffled unmeasured remainder
     rest = [c for c in domain.iter_domain() if c not in seen and c not in state.data]
     for i in rng.permutation(len(rest)):
         if len(pool) >= pool_size:
-            return PoolProposal(pool, short=False)
+            return proposal(short=False)
         pool.append(rest[int(i)])
-    return PoolProposal(pool, short=len(pool) < pool_size)
+    return proposal(short=len(pool) < pool_size)
 
 
 def rejection_draws(anchors: list[Sequence], radius: int, count: int,

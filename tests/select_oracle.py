@@ -9,10 +9,13 @@ frontier-greedy baseline round that `select_batch("greedy", ...)` replaced:
 one candidate list per distance class, each sorted by mean, popped in turn.
 
 `ScalarShiftedModel` is the λ-shifted posterior that `select_batch`'s
-penalty array replaced: a model wrapper that looks up one penalty per
-sequence and unzips (mean, variance) tuples one at a time.
+penalty array replaced: a model wrapper that computes one penalty per
+predicted row and unzips (mean, variance) tuples one at a time.
 `scalar_penalised_select_batch` is the campaign round's old use of it: the
-wrapped model, and EI's incumbent recomputed row by row.
+wrapped model, and EI's incumbent recomputed row by row, behind
+`select_batch`'s signature (a residue array in, row indices out).
+
+The oracle ranks `Sequence`s and hands the model their residue array.
 
 `Posterior`, `ucb` and `ei` are the scalar acquisitions that the array
 scores of `select_batch` and `acquisition.ei` replaced.
@@ -27,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from proxbo.acquisition import KGConfig, _kg_slot_scores, _mean_std
-from proxbo.sequences import Sequence, hamming_distance
+from proxbo.sequences import Sequence, hamming_distance, residue_array
 from proxbo.surrogate import Dataset
 
 
@@ -68,22 +71,33 @@ def ei(p: Posterior, best: float) -> float:
     return (p.mean - best) * _norm_cdf(z) + p.std * _norm_pdf(z)
 
 
+def distance_penalty(lam: float, wild_type: Sequence):
+    """The penalty of one residue tuple: `lam` times its Hamming distance to `wild_type`."""
+    return lambda residues: lam * sum(a != b for a, b in zip(residues, wild_type.residues))
+
+
 class ScalarShiftedModel:
-    """Posterior with mean shifted by a per-sequence `penalty(s)`, variance unchanged."""
+    """Posterior with mean shifted by a per-row `penalty(residues)`, variance unchanged.
+
+    The fantasies index the rows of the last prediction, as the model's do,
+    so their penalties are kept from it.
+    """
 
     def __init__(self, model, penalty):
         self._model = model
         self._penalty = penalty
+        self._shift = None
 
-    def predict_batch(self, batch):
-        return np.array([(mu - self._penalty(s), var)
-                         for s, (mu, var) in zip(batch, self._model.predict_batch(batch))])
+    def predict_batch(self, codes):
+        self._shift = [self._penalty(tuple(r)) for r in codes.tolist()]
+        return np.array([(mu - p, var)
+                         for p, (mu, var) in zip(self._shift, self._model.predict_batch(codes))])
 
     def fantasy_inner_means_multi(self, batches, ys, inner_pool, data):
-        physical = np.asarray(ys, dtype=np.float64) + np.stack(
-            [[self._penalty(s) for s in batch] for batch in batches])[:, None, :]
+        physical = np.asarray(ys, dtype=np.float64) + np.array(
+            [[self._shift[i] for i in batch] for batch in batches.tolist()])[:, None, :]
         inner = self._model.fantasy_inner_means_multi(batches, physical, inner_pool, data)
-        return inner - np.array([self._penalty(s) for s in inner_pool])[None, None, :]
+        return inner - np.array([self._shift[i] for i in inner_pool.tolist()])[None, None, :]
 
 
 def _slot_scores(model, chosen, subset, inner_pool, data, cfg, rng):
@@ -91,8 +105,8 @@ def _slot_scores(model, chosen, subset, inner_pool, data, cfg, rng):
     seqs = chosen + subset + inner_pool
     k, n = len(chosen), len(chosen) + len(subset)
     penalty = np.zeros(len(seqs))
-    mean, std = _mean_std(model, seqs, penalty)
-    return _kg_slot_scores(model, seqs, mean, std, list(range(k)), list(range(k, n)),
+    mean, std = _mean_std(model, residue_array(seqs), penalty)
+    return _kg_slot_scores(model, mean, std, list(range(k)), list(range(k, n)),
                            list(range(n, len(seqs))), data, cfg, rng, penalty)
 
 
@@ -123,7 +137,7 @@ def scalar_select_batch(strategy: str, model, pool: list[Sequence], data: Datase
         raise ValueError(f"pool of {len(pool)} smaller than batch size {m}")
     if strategy == "greedy":
         by_class: dict[int, list[tuple[float, Sequence]]] = {}
-        for s, (mu, _) in zip(pool, model.predict_batch(pool)):
+        for s, (mu, _) in zip(pool, model.predict_batch(residue_array(pool))):
             by_class.setdefault(hamming_distance(s, wild_type), []).append((mu, s))
         for cands in by_class.values():
             cands.sort(key=lambda t: (-t[0], t[1].residues))
@@ -140,7 +154,8 @@ def scalar_select_batch(strategy: str, model, pool: list[Sequence], data: Datase
                 break
         return batch
     if strategy in ("ucb", "ei"):
-        stats = [Posterior(mu, math.sqrt(max(var, 0.0))) for mu, var in model.predict_batch(pool)]
+        stats = [Posterior(mu, math.sqrt(max(var, 0.0)))
+                 for mu, var in model.predict_batch(residue_array(pool))]
         if strategy == "ucb":
             scores = [ucb(p, beta) for p in stats]
         else:
@@ -154,7 +169,8 @@ def scalar_select_batch(strategy: str, model, pool: list[Sequence], data: Datase
     cfg = kg_config or KGConfig()
     rng = rng if rng is not None else np.random.default_rng(0)
     # prerank by UCB to bound the number of KG evaluations per slot
-    stats = [Posterior(mu, math.sqrt(max(var, 0.0))) for mu, var in model.predict_batch(pool)]
+    stats = [Posterior(mu, math.sqrt(max(var, 0.0)))
+             for mu, var in model.predict_batch(residue_array(pool))]
     ucb_scores = [ucb(p, beta) for p in stats]
     order = _ranked(pool, ucb_scores, wild_type)
     candidates = [pool[i] for i in order]
@@ -181,15 +197,21 @@ def scalar_select_batch(strategy: str, model, pool: list[Sequence], data: Datase
     return chosen
 
 
-def scalar_penalised_select_batch(strategy: str, model, pool: list[Sequence], data: Dataset,
+def scalar_penalised_select_batch(strategy: str, model, pool: np.ndarray, data: Dataset,
                                   m: int, *, lam: float = 0.0,
-                                  wild_type: Sequence | None = None, **kwargs):
-    """`scalar_select_batch` on the λ-shifted posterior, with EI's incumbent max(y − λ·d)."""
+                                  wild_type: Sequence | None = None, **kwargs) -> np.ndarray:
+    """`scalar_select_batch` on the λ-shifted posterior, with EI's incumbent max(y − λ·d).
+
+    Takes the (P, L) residue array and returns the chosen rows, as `select_batch` does.
+    """
     if lam > 0:
-        model = ScalarShiftedModel(model, lambda s: lam * hamming_distance(s, wild_type))
-    return scalar_select_batch(strategy, model, pool, data, m,
-                               incumbent=regularized_incumbent(data, wild_type, lam),
-                               wild_type=wild_type, **kwargs)
+        model = ScalarShiftedModel(model, distance_penalty(lam, wild_type))
+    seqs = [Sequence(tuple(r), wild_type.alphabet) for r in pool.tolist()]
+    chosen = scalar_select_batch(strategy, model, seqs, data, m,
+                                 incumbent=regularized_incumbent(data, wild_type, lam),
+                                 wild_type=wild_type, **kwargs)
+    row = {s: i for i, s in enumerate(seqs)}
+    return np.array([row[s] for s in chosen], dtype=np.intp)
 
 
 def regularized_incumbent(data: Dataset, wild_type: Sequence, lam: float) -> float:

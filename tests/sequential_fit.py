@@ -146,8 +146,8 @@ class SequentialEnsemble:
         self.y_mean, self.y_std = 0.0, 1.0
 
     def fit(self, data, cfg, rng, warm_start=False):
-        seqs = data.sequences
-        x_all = encode_batch(seqs).astype(NET_DTYPE)
+        self.vocab = data.alphabet.size
+        x_all = encode_batch(data.codes, self.vocab).astype(NET_DTYPE)
         y_raw = data.scores
         warm = warm_start and self.members
         if not warm:
@@ -155,12 +155,11 @@ class SequentialEnsemble:
             std = float(y_raw.std())
             self.y_std = std if std > 1e-12 else 1.0
             member_cls = ConvMember if self.kind == "conv" else RecurrentMember
-            vocab = seqs[0].alphabet.size
-            self.members = [member_cls(self.config, vocab, np.random.default_rng(s))
+            self.members = [member_cls(self.config, self.vocab, np.random.default_rng(s))
                             for s in self.member_seeds]
         y_all = ((y_raw - self.y_mean) / self.y_std).astype(NET_DTYPE)
         losses = []
-        n = len(seqs)
+        n = len(data)
         for member in self.members:
             idx = rng.integers(0, n, size=n) if cfg.bootstrap else np.arange(n)
             x, y = x_all[idx], y_all[idx]
@@ -176,18 +175,18 @@ class SequentialEnsemble:
             losses.append(mse_forward(pred, y)[0])
         return losses
 
-    def predict(self, seqs):
-        """(B, 2) mean and population variance of the member predictions, member by member.
+    def predict(self, codes):
+        """(B, 2) mean and variance of the member predictions on a (B, L) residue array, one by one.
 
         Each member's output layer is evaluated in float64 on its last hidden
         layer with a ones column appended, as `Ensemble.predict_batch` does.
         """
-        x = encode_batch(seqs).astype(NET_DTYPE)
+        x = encode_batch(codes, self.vocab).astype(NET_DTYPE)
         preds = []
         for member in self.members:
             hid = member.forward(x)[1][-1][0].astype(np.float64)  # the output layer's input
             w0 = np.append(member.params["out_w"][:, 0], member.params["out_b"])
-            design = np.hstack([hid, np.ones((len(seqs), 1))])
+            design = np.hstack([hid, np.ones((len(codes), 1))])
             preds.append((design @ w0.astype(np.float64)[:, None])[:, 0])
         preds = np.stack(preds) * self.y_std + self.y_mean
         return np.stack([preds.mean(axis=0), preds.var(axis=0)], axis=1)

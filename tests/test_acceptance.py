@@ -15,7 +15,7 @@ from proxbo.acquisition import KGConfig, ei, kg_oneshot
 from proxbo.explorer import FrontierPoint, update_frontier
 from proxbo.harness import CampaignConfig, config_lines, run_campaign, run_one_seed
 from proxbo.landscape import make_nk
-from proxbo.sequences import Sequence, hamming_distance, small_alphabet
+from proxbo.sequences import Sequence, hamming_distance, residue_array, small_alphabet
 from proxbo.surrogate import (
     ConvRegressorConfig,
     Dataset,
@@ -116,25 +116,25 @@ class TestEICorrectness:
 class TestKGSanity:
     def test_zero_variance_gives_negligible_kg(self):
         model, pool, _ = two_feature_problem()
-        measured = pool[0]  # already observed with ~zero noise: zero variance
+        measured = pool[:1]  # already observed with ~zero noise: zero variance
         cfg = KGConfig(n_fantasies=64)
-        value = kg_oneshot(model, [measured], pool, Dataset(), cfg,
+        value = kg_oneshot(model, measured, pool, Dataset(), cfg,
                            np.random.default_rng(0))
         report("kg_zero_variance", abs(value) <= 1e-3, f"|KG| = {abs(value):.2e}")
 
     def test_conjugate_linear_matches_gauss_hermite_within_5pct(self):
         model, pool, phi = two_feature_problem()
-        candidate = pool[1]
+        candidate = pool[1:2]
         stats = model.predict_batch(pool)
         a = np.array([m for m, _ in stats])
-        _, var_c = model.predict_batch([candidate])[0]
+        _, var_c = model.predict_batch(candidate)[0]
         phi_p = np.stack([phi(s) for s in pool])
-        cov_pc = phi_p @ model.cov @ phi(candidate)
+        cov_pc = phi_p @ model.cov @ phi(candidate[0])
         b = cov_pc / math.sqrt(var_c + model.noise_var)
         nodes, weights = np.polynomial.hermite.hermgauss(41)
         post_max = np.array([np.max(a + b * math.sqrt(2.0) * t) for t in nodes])
         reference = float(weights @ post_max / math.sqrt(math.pi)) - a.max()
-        value = kg_oneshot(model, [candidate], pool, Dataset(),
+        value = kg_oneshot(model, candidate, pool, Dataset(),
                            KGConfig(n_fantasies=20_000), np.random.default_rng(1))
         rel = abs(value - reference) / abs(reference)
         report("kg_gauss_hermite", rel <= 0.05,
@@ -160,7 +160,7 @@ class TestSurrogateFit:
         ens.fit(data, TrainConfig(epochs=200, minibatch=64, learning_rate=5e-3),
                 np.random.default_rng(2))
         y = np.array([land.fitness(s) for s in held_out])
-        mu = np.array([m for m, _ in ens.predict_batch(held_out)])
+        mu = np.array([m for m, _ in ens.predict_batch(residue_array(held_out))])
         r2 = 1.0 - np.sum((y - mu) ** 2) / np.sum((y - y.mean()) ** 2)
         elapsed = time.perf_counter() - t0
         report("surrogate_fit", r2 >= 0.9 and elapsed < 60,

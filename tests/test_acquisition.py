@@ -17,18 +17,19 @@ AB2 = small_alphabet(2)
 
 
 def all_seqs(length):
+    """Every binary sequence of `length`, as a residue array in lexicographic order."""
     import itertools
-    return [Sequence(r, AB2) for r in itertools.product((0, 1), repeat=length)]
+    return np.array(list(itertools.product((0, 1), repeat=length)), dtype=np.uint8)
 
 
 class TableModel:
-    """(mean, variance) rows looked up per sequence."""
+    """(mean, variance) rows looked up per residue row."""
 
     def __init__(self, pool, mean, std):
-        self.rows = {s: (mu, sd * sd) for s, mu, sd in zip(pool, mean, std)}
+        self.rows = {tuple(r): (mu, sd * sd) for r, mu, sd in zip(pool.tolist(), mean, std)}
 
-    def predict_batch(self, seqs):
-        return np.array([self.rows[s] for s in seqs])
+    def predict_batch(self, codes):
+        return np.array([self.rows[tuple(r)] for r in codes.tolist()])
 
 
 class TestUCB:
@@ -39,11 +40,11 @@ class TestUCB:
 
     def test_known_value(self):
         chosen = select_batch("ucb", self.MODEL, self.POOL, Dataset(), 4, beta=0.5)
-        assert chosen == [self.POOL[i] for i in (0, 2, 1, 3)]
+        assert chosen.tolist() == [0, 2, 1, 3]
 
     def test_beta_zero_is_mean(self):
         chosen = select_batch("ucb", self.MODEL, self.POOL, Dataset(), 4, beta=0.0)
-        assert chosen == [self.POOL[i] for i in (1, 0, 3, 2)]
+        assert chosen.tolist() == [1, 0, 3, 2]
 
     def test_monotone_in_mean_and_std(self):
         # equal scores go to the lexicographically smaller sequence, so the
@@ -52,10 +53,10 @@ class TestUCB:
         for mean, std in [([1.0, 1.0, 1.0, 1.5], flat), (flat, [1.0, 1.0, 1.0, 1.5])]:
             model = TableModel(self.POOL, mean, std)
             chosen = select_batch("ucb", model, self.POOL, Dataset(), 1, beta=1.0)
-            assert chosen == [self.POOL[3]]
+            assert chosen.tolist() == [3]
         chosen = select_batch("ucb", TableModel(self.POOL, flat, flat), self.POOL,
                               Dataset(), 1, beta=1.0)
-        assert chosen == [self.POOL[0]]
+        assert chosen.tolist() == [0]
 
     def test_negative_beta_rejected(self):
         with pytest.raises(ValueError, match="beta"):
@@ -134,30 +135,30 @@ class TestKnowledgeGradient:
     def test_zero_variance_gives_zero_kg(self):
         # conditioning on an already-known point cannot move the posterior
         model, pool, phi = two_feature_problem()
-        measured = pool[0]
+        measured = pool[:1]
         data = Dataset()
         cfg = KGConfig(n_fantasies=32)
-        value = kg_oneshot(model, [measured], pool, data, cfg, np.random.default_rng(0))
+        value = kg_oneshot(model, measured, pool, data, cfg, np.random.default_rng(0))
         assert abs(value) <= 1e-3
 
     def test_matches_gauss_hermite_quadrature(self):
         # single-candidate KG on the conjugate model has the closed form
         # E_z[max_x (a_x + b_x z)]; check Monte Carlo fantasies against it
         model, pool, phi = two_feature_problem()
-        candidate = pool[1]  # unmeasured corner
+        candidate = pool[1:2]  # unmeasured corner
         data = Dataset()
         stats = model.predict_batch(pool)
         a = np.array([m for m, _ in stats])
-        mu_c, var_c = model.predict_batch([candidate])[0]
+        mu_c, var_c = model.predict_batch(candidate)[0]
         phi_p = np.stack([phi(s) for s in pool])
-        phi_c = phi(candidate)
+        phi_c = phi(candidate[0])
         cov_pc = phi_p @ model.cov @ phi_c
         b = cov_pc / math.sqrt(var_c + model.noise_var)
         nodes, weights = np.polynomial.hermite.hermgauss(41)
         post_max = np.array([np.max(a + b * math.sqrt(2.0) * t) for t in nodes])
         reference = float(weights @ post_max / math.sqrt(math.pi)) - a.max()
         cfg = KGConfig(n_fantasies=20_000)
-        value = kg_oneshot(model, [candidate], pool, data, cfg, np.random.default_rng(1))
+        value = kg_oneshot(model, candidate, pool, data, cfg, np.random.default_rng(1))
         assert reference > 0
         assert abs(value - reference) <= 0.05 * abs(reference)
 
@@ -165,9 +166,9 @@ class TestKnowledgeGradient:
         model, pool, _ = two_feature_problem()
         cfg = KGConfig()
         with pytest.raises(ValueError):
-            kg_oneshot(model, [], pool, Dataset(), cfg, np.random.default_rng(0))
+            kg_oneshot(model, pool[:0], pool, Dataset(), cfg, np.random.default_rng(0))
         with pytest.raises(ValueError):
-            kg_oneshot(model, pool[:1], [], Dataset(), cfg, np.random.default_rng(0))
+            kg_oneshot(model, pool[:1], pool[:0], Dataset(), cfg, np.random.default_rng(0))
 
 
 class TestSelectBatch:
@@ -179,31 +180,30 @@ class TestSelectBatch:
         model, pool = self._model_and_pool()
         data = Dataset()
         chosen = select_batch("ucb", model, pool, data, 2, beta=0.0)
-        means = {s: m for s, (m, _) in zip(pool, model.predict_batch(pool))}
-        top_two = sorted(pool, key=lambda s: -means[s])[:2]
-        assert set(chosen) == set(top_two)
+        means = model.predict_batch(pool)[:, 0]
+        assert set(chosen.tolist()) == set(np.argsort(-means, kind="stable")[:2].tolist())
 
     def test_ei_top_one_is_argmax(self):
         model, pool = self._model_and_pool()
         data = Dataset()
         best = 0.5
-        data.add(pool[0], best)
+        data.add(Sequence(tuple(pool[0].tolist()), AB2), best)
         chosen = select_batch("ei", model, pool, data, 1)
         mean, var = model.predict_batch(pool).T
         scores = ei(mean, np.sqrt(np.maximum(var, 0.0)), best)
-        assert chosen[0] == pool[int(np.argmax(scores))]
+        assert chosen.tolist() == [int(np.argmax(scores))]
 
     def test_degenerate_whole_pool(self):
         model, pool = self._model_and_pool()
         chosen = select_batch("ucb", model, pool, Dataset(), len(pool))
-        assert sorted(s.residues for s in chosen) == sorted(s.residues for s in pool)
+        assert sorted(chosen.tolist()) == list(range(len(pool)))
 
     def test_kg_returns_distinct_batch(self):
         model, pool = self._model_and_pool()
         cfg = KGConfig(n_fantasies=8, inner_pool_size=4, inner_eval_size=4)
         chosen = select_batch("kg", model, pool, Dataset(), 3, kg_config=cfg,
                               rng=np.random.default_rng(3))
-        assert len(set(chosen)) == 3
+        assert len(set(chosen.tolist())) == 3
 
     def test_pool_smaller_than_batch_rejected(self):
         model, pool = self._model_and_pool()
@@ -234,7 +234,8 @@ class TestSelectBatch:
     def test_negative_lambda_rejected(self):
         model, pool = self._model_and_pool()
         with pytest.raises(ValueError, match="lambda"):
-            select_batch("ucb", model, pool, Dataset(), 1, lam=-0.1, wild_type=pool[0])
+            select_batch("ucb", model, pool, Dataset(), 1, lam=-0.1,
+                         wild_type=Sequence(tuple(pool[0].tolist()), AB2))
 
     def test_unknown_strategy_rejected(self):
         model, pool = self._model_and_pool()

@@ -138,10 +138,11 @@ class TestNetArena:
         (opt,) = optimizers
         assert opt.m.flat.dtype == opt.v.flat.dtype == np.float32
         assert all(work.dtype == np.float32 for work in opt._work)
-        pool = random_dataset(12, seed=2).sequences
-        assert ens.features_batch(pool).dtype == np.float32
+        pool = random_dataset(12, seed=2).codes
+        assert ens._features(pool).dtype == np.float32
         assert ens.predict_batch(pool).dtype == np.float64
-        means = ens.fantasy_inner_means_multi([pool[:2]], np.zeros((1, 3, 2)), pool[2:], data)
+        means = ens.fantasy_inner_means_multi(np.array([[0, 1]]), np.zeros((1, 3, 2)),
+                                              np.arange(2, 12), data)
         assert means.dtype == np.float64 and means.shape == (1, 3, 10)
 
     @pytest.mark.parametrize("kind,cfg", [("conv", SMALL_CONV), ("recurrent", SMALL_RNN)])
@@ -176,7 +177,7 @@ class TestNetArena:
         assert loaded.fit(data, warm, np.random.default_rng(7), warm_start=True) == losses
         assert_same_bits(loaded.net.params.flat, ens.net.params.flat)
         assert_arena_views(loaded.net.params)
-        pool = random_dataset(40, seed=4).sequences
+        pool = random_dataset(40, seed=4).codes
         assert np.array_equal(loaded.predict_batch(pool), ens.predict_batch(pool))
 
     @pytest.mark.parametrize("kind", ["conv", "recurrent"])

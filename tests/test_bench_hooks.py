@@ -50,3 +50,40 @@ def test_tracer_hooks_and_counts_a_kg_campaign(tmp_path, monkeypatch):
     for name in ("surrogate.fit_calls", "surrogate.fantasy_calls",
                  "surrogate.fantasy_head_copies", "nn.adam_step_calls"):
         assert totals[name] > 0, name
+
+
+def test_micro_benchmark_calls_work():
+    """bench/micro.py's calls into the package, made once and untimed.
+
+    `_member` builds a `Dataset` from `Sequence`s (`add`, `not in`,
+    `land.fitness`) and fits; the fantasy call passes lists of `Sequence`s
+    with the no-op `steps` and `lr`, as `_fantasy` does, and `Adam` takes
+    a member's parameters from `ens.members`.
+    """
+    import numpy as np
+
+    import proxbo
+    import micro
+    from proxbo.sequences import residue_array
+
+    rng = np.random.default_rng(0)
+    ens, data, land = micro._member(proxbo, rng)
+    assert len(data) == micro.FANTASY_DATA and ens.trained
+    kg = proxbo.KGConfig(n_fantasies=4, inner_pool_size=128, update_steps=6,
+                         update_lr=8e-2, inner_eval_size=8)
+    pool = [s for s in land.iter_domain() if s not in data]
+    width = micro.FANTASY_WIDTH
+    batches = [pool[:width - 1] + [c] for c in pool[width - 1:width - 1 + 8]]
+    inner = pool[-kg.inner_pool_size:]
+    ys = rng.standard_normal((len(batches), kg.n_fantasies, width)) * 0.1 + 0.6
+    means = ens.fantasy_inner_means_multi(batches, ys, inner, data,
+                                          steps=kg.update_steps, lr=kg.update_lr)
+    assert means.shape == (len(batches), kg.n_fantasies, kg.inner_pool_size)
+    assert np.isfinite(means).all()
+    # the lists are only converted: the same rows through the row-index protocol
+    flat = [s for batch in batches for s in batch] + inner
+    ens.predict_batch(residue_array(flat))
+    rows = np.arange(len(flat) - len(inner))
+    assert np.array_equal(means, ens.fantasy_inner_means_multi(
+        rows.reshape(len(batches), width), ys, np.arange(len(rows), len(flat)), data))
+    assert len(ens.members) == ens.n_members and ens.members[0].params["out_w"].shape[0] == 1

@@ -20,7 +20,7 @@ from proxbo.explorer import (
 )
 from proxbo.harness import gen_nk
 from proxbo.landscape import BudgetedOracle, load_lookup, make_nk
-from proxbo.sequences import Sequence, hamming_distance, small_alphabet
+from proxbo.sequences import Sequence, hamming_distance, residue_array, small_alphabet
 from proxbo.surrogate import ConvRegressorConfig, Ensemble, TrainConfig
 
 AB2 = small_alphabet(2)
@@ -136,7 +136,7 @@ class TestProposePool:
         assert sorted(s.residues for s in pool.sequences) == \
                sorted(s.residues for s in every[252:])
 
-    def test_enumeration_fallback_builds_only_picked_states(self, monkeypatch):
+    def test_enumeration_fallback_builds_no_sequences(self, monkeypatch):
         land = make_nk(8, 1, 2, 0)  # 256 states
         # every state within one substitution of the wild type is measured,
         # so radius-1 draws add nothing and the pool comes from the fallback
@@ -152,11 +152,12 @@ class TestProposePool:
         monkeypatch.setattr(explorer, "Sequence",
                             lambda *args: built.append(args) or Sequence(*args))
         pool = propose_pool(state, land, 20, 1, np.random.default_rng(3))
-        assert not pool.short and len(built) == len(set(pool.sequences)) == 20
+        assert not pool.short and not built and pool.codes.shape == (20, 8)
+        assert len(set(pool.sequences)) == 20
         assert all(s not in state.data and s.alphabet == land.alphabet for s in pool.sequences)
 
     @pytest.mark.parametrize("kind", ["nk", "lookup"])
-    def test_one_domain_check_per_block_and_sequences_only_for_the_pool(
+    def test_one_domain_check_per_block_and_no_sequences(
             self, monkeypatch, tmp_path, kind):
         # the radius-2 ball around the wild type holds 36 of the 256 states,
         # so a pool of 64 takes more than one block and then the fallback
@@ -165,7 +166,7 @@ class TestProposePool:
             gen_nk(8, 1, 2, 0, tmp_path / "land")
             land = load_lookup(tmp_path / "land.tsv")
         state = ExplorerState(wild_type=wt(8))
-        y = land.evaluate_batch([state.wild_type])[0]
+        y = land.evaluate_batch(np.array([state.wild_type.residues]))[0]
         state.data.add(state.wild_type, y)
         state.frontier = update_frontier([], [state.make_point(state.wild_type, y)])
 
@@ -178,11 +179,11 @@ class TestProposePool:
         monkeypatch.setattr(explorer, "Sequence",
                             lambda *args: built.append(args) or Sequence(*args))
         pool = propose_pool(state, land, 64, 2, np.random.default_rng(5))
-        assert not pool.short and len(pool.sequences) == 64
+        assert not pool.short and pool.codes.shape == (64, 8) and not built
         # one check per block, of the block's new rows at once; the fallback needs none
         assert len(blocks) >= 2 and len(checked) == len(blocks)
         assert checked[0].shape[1] == 8 and len(checked[0]) > 1
-        assert len(built) == len(set(pool.sequences)) == 64
+        assert len(set(pool.sequences)) == 64
 
     def test_deterministic_under_seed(self):
         land = make_nk(8, 1, 2, 0)
@@ -298,7 +299,7 @@ class TestRounds:
         assert oracle.rounds_remaining == 0 and fits == [2, 1]
         assert (ens.net.params.flat.tobytes(), ens.y_mean, ens.y_std) == before
         assert rec.round_index == 3 and len(rec.sequences) == 4
-        assert rec.scores == land.evaluate_batch(rec.sequences)
+        assert rec.scores == land.evaluate_batch(residue_array(rec.sequences))
         assert rec.cumulative_max == state.data.max_score()
         assert rec.pool_size == 32 and not rec.short_pool and rec.wall_time > 0
 
@@ -337,4 +338,4 @@ class TestRounds:
                              train_cfg=FAST_TRAIN, rng=rng)
         state, rec = run_round(state, ens, oracle, strategy="ucb", lam=0.7,
                                pool_size=32, train_cfg=FAST_TRAIN, rng=rng)
-        assert rec.scores == land.evaluate_batch(rec.sequences)
+        assert rec.scores == land.evaluate_batch(residue_array(rec.sequences))

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import proxbo.acquisition as acquisition
+import proxbo.explorer as explorer
 import proxbo.nn as nn
 from proxbo.harness import CampaignConfig, run_campaign
 from proxbo.sequences import hamming_distances, residue_array
@@ -50,7 +51,8 @@ def fitted():
     and caps α, and every fantasy mean is then the prediction.
     """
     data = random_dataset(20, seed=21, fn=_linear)
-    unmeasured = [s for s in random_dataset(40, seed=22).sequences if s not in data]
+    unmeasured = residue_array([s for s in random_dataset(40, seed=22).sequences
+                                if s not in data])
     cache = {}
 
     def get(kind, n_members):
@@ -64,9 +66,11 @@ def fitted():
     return get
 
 
-def _problem(unmeasured, n_c, width, n_f, seed):
-    batches = [unmeasured[c * width:(c + 1) * width] for c in range(n_c)]
-    inner_pool = unmeasured[-9:]
+def _problem(ens, unmeasured, n_c, width, n_f, seed):
+    """Batches of the first unmeasured rows and an inner pool of the last 9, once predicted."""
+    ens.predict_batch(unmeasured)
+    batches = np.arange(n_c * width).reshape(n_c, width)
+    inner_pool = np.arange(len(unmeasured) - 9, len(unmeasured))
     ys = np.random.default_rng(seed).normal(0.5, 0.3, (n_c, n_f, width))
     return batches, ys, inner_pool
 
@@ -79,11 +83,12 @@ class TestFantasyHead:
     @pytest.mark.parametrize("n_members", [1, 3])
     def test_matches_looped_oracle(self, fitted, kind, n_c, width, n_f, n_members):
         ens, data, unmeasured = fitted(kind, n_members)
-        batches, ys, inner_pool = _problem(unmeasured, n_c, width, n_f, seed=n_c + width + n_f)
+        batches, ys, inner_pool = _problem(ens, unmeasured, n_c, width, n_f,
+                                           seed=n_c + width + n_f)
         fast = ens.fantasy_inner_means_multi(batches, ys, inner_pool, data)
         slow = looped_fantasy_inner_means_multi(ens, batches, ys, inner_pool, data)
         np.testing.assert_allclose(fast, slow, rtol=1e-9, atol=0)
-        moved = np.abs(fast - ens.predict_batch(inner_pool)[:, 0]).max()
+        moved = np.abs(fast - ens.predict_batch(unmeasured[inner_pool])[:, 0]).max()
         assert moved > 1e-3  # the comparison covers the update term, not just Φ_p w0
 
     @pytest.mark.parametrize("kind", sorted(KINDS))
@@ -94,7 +99,8 @@ class TestFantasyHead:
     def test_matches_tiled_stack_bit_for_bit(self, fitted, kind, n_c, width, n_f, n_members):
         """The broadcast (member, candidate) layout against the tiled stack; steps/lr are no-ops."""
         ens, data, unmeasured = fitted(kind, n_members)
-        batches, ys, inner_pool = _problem(unmeasured, n_c, width, n_f, seed=n_c + width + n_f)
+        batches, ys, inner_pool = _problem(ens, unmeasured, n_c, width, n_f,
+                                           seed=n_c + width + n_f)
         fast = ens.fantasy_inner_means_multi(batches, ys, inner_pool, data, steps=5, lr=5e-2)
         slow = tiled_fantasy_inner_means_multi(ens, batches, ys, inner_pool, data)
         assert_same_bits(fast, slow)
@@ -103,11 +109,11 @@ class TestFantasyHead:
     def test_matches_through_shifted_model(self, fitted, kind, monkeypatch):
         """KG slot scores on the posterior shifted by a λ = 0.05 distance penalty."""
         ens, data, unmeasured = fitted(kind, 3)
-        penalty = 0.05 * hamming_distances(residue_array(unmeasured), data.sequences[0])
+        penalty = 0.05 * hamming_distances(unmeasured, data.sequences[0])
         cfg = acquisition.KGConfig(n_fantasies=4)
         n = len(unmeasured)
         mean, std = acquisition._mean_std(ens, unmeasured, penalty)
-        args = (ens, unmeasured, mean, std, [0, 1], [2, 3, 4], list(range(n - 9, n)), data, cfg)
+        args = (ens, mean, std, [0, 1], [2, 3, 4], list(range(n - 9, n)), data, cfg)
         fast = acquisition._kg_slot_scores(*args, np.random.default_rng(5), penalty)
         monkeypatch.setattr(Ensemble, "fantasy_inner_means_multi",
                             looped_fantasy_inner_means_multi)
@@ -118,7 +124,7 @@ class TestFantasyHead:
     def test_leaves_base_parameters_untouched(self, fitted, kind):
         ens, data, unmeasured = fitted(kind, 3)
         before = {name: arr.copy() for name, arr in ens.net.params.items()}
-        batches, ys, inner_pool = _problem(unmeasured, 3, 2, 4, seed=6)
+        batches, ys, inner_pool = _problem(ens, unmeasured, 3, 2, 4, seed=6)
         ens.fantasy_inner_means_multi(batches, ys, inner_pool, data)
         assert ens.net.params.keys() == before.keys()
         for name, arr in before.items():
@@ -128,16 +134,18 @@ class TestFantasyHead:
     def test_outcomes_on_the_mean_leave_the_means_unchanged(self, fitted, kind):
         """With one member, y = Φ_b w0 is the model's own prediction: nothing moves."""
         ens, data, unmeasured = fitted(kind, 1)
-        batch, inner_pool = unmeasured[:3], unmeasured[-9:]
-        ys = ens.predict_batch(batch)[:, 0]
-        means = ens.fantasy_inner_means_multi([batch], np.tile(ys, (1, 2, 1)), inner_pool, data)
-        expected = ens.predict_batch(inner_pool)[:, 0]
-        np.testing.assert_allclose(means[0], np.tile(expected, (2, 1)), rtol=1e-12, atol=1e-12)
+        predicted = ens.predict_batch(unmeasured)[:, 0]
+        batch, inner_pool = np.arange(3), np.arange(len(unmeasured) - 9, len(unmeasured))
+        ys = predicted[batch]
+        means = ens.fantasy_inner_means_multi(batch[None], np.tile(ys, (1, 2, 1)), inner_pool,
+                                              data)
+        np.testing.assert_allclose(means[0], np.tile(predicted[inner_pool], (2, 1)),
+                                   rtol=1e-12, atol=1e-12)
 
     def test_posterior_follows_the_data_it_is_given(self, fitted):
         """The head posterior is refitted when the observed data change without a refit."""
         ens, data, unmeasured = fitted("conv", 3)
-        batches, ys, inner_pool = _problem(unmeasured, 2, 2, 3, seed=8)
+        batches, ys, inner_pool = _problem(ens, unmeasured, 2, 2, 3, seed=8)
         first = ens.fantasy_inner_means_multi(batches, ys, inner_pool, data)
         smaller = random_dataset(12, seed=21, fn=_linear)
         fast = ens.fantasy_inner_means_multi(batches, ys, inner_pool, smaller)
@@ -215,11 +223,17 @@ class TestInPlaceAdam:
 def test_campaign_with_oracles_gives_identical_csvs(tmp_path, monkeypatch):
     """The reproducibility campaign, run on the fast paths and then on the bit-exact oracles."""
     base = test_acceptance.TestReproducibility.CONFIG.__dict__
+    select_batch = acquisition.select_batch
+
+    def select_with_per_candidate_slots(strategy, model, pool, *args, **kwargs):
+        monkeypatch.setattr(acquisition, "_kg_slot_scores", per_candidate_slot_scores(pool))
+        return select_batch(strategy, model, pool, *args, **kwargs)
+
     blobs = []
     for name in ("fast", "oracle"):
         if name == "oracle":
             monkeypatch.setattr(nn, "Adam", AllocatingAdam)
-            monkeypatch.setattr(acquisition, "_kg_slot_scores", per_candidate_slot_scores)
+            monkeypatch.setattr(explorer, "select_batch", select_with_per_candidate_slots)
             monkeypatch.setattr(Ensemble, "fantasy_inner_means_multi",
                                 tiled_fantasy_inner_means_multi)
         cfg = CampaignConfig(**{**base, "out": str(tmp_path / name)})

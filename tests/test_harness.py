@@ -2,6 +2,7 @@
 
 import itertools
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -496,6 +497,26 @@ class TestCLI:
         result = cli("aggregate", str(tmp_path / "runs"))
         assert result.returncode == 0
         assert (tmp_path / "runs" / "aggregate.csv").exists()
+
+    @pytest.mark.parametrize("run_1, message", [
+        ("round,query_index,sequence,fitness,cumulative_max\n0,0,AA,1.0,1.0\n1,1,AC\n",
+         r"run_1\.csv:3: expected 5 comma-separated columns, got 3"),
+        ("round;query_index;sequence;fitness;cumulative_max\n0,0,AA,1.0,1.0\n",
+         r"run_1\.csv:1: unexpected header"),
+        ("round,query_index,sequence,fitness,cumulative_max\n0,0,AA,1.0,high\n",
+         r"run_1\.csv:2: non-numeric round '0' or cumulative max 'high'"),
+        ("round,query_index,sequence,fitness,cumulative_max\n0,0,AA,1.0,1.0\n",
+         r"run_1\.csv: round structure differs from the first run"),
+        ], ids=["columns", "header", "number", "rounds"])
+    def test_malformed_run_csv_exits_one_with_one_line(self, tmp_path, run_1, message):
+        (tmp_path / "run_0.csv").write_text(
+            "round,query_index,sequence,fitness,cumulative_max\n0,0,AA,1.0,1.0\n"
+            "1,1,AC,2.0,2.0\n")
+        (tmp_path / "run_1.csv").write_text(run_1)
+        result = cli("aggregate", str(tmp_path))
+        assert result.returncode == 1
+        assert re.fullmatch(rf"error: \S*{message}.*\n", result.stderr), result.stderr
+        assert not (tmp_path / "aggregate.csv").exists()
 
     def test_run_seed_override(self, tmp_path):
         cfg_path = tmp_path / "campaign.cfg"

@@ -16,7 +16,7 @@ from proxbo.landscape import (
     load_lookup,
     make_nk,
 )
-from proxbo.sequences import Alphabet, Sequence, hamming_distance, small_alphabet
+from proxbo.sequences import Alphabet, Sequence, hamming_distance, residue_array, small_alphabet
 
 from nk_oracle import scalar_fitnesses
 
@@ -41,7 +41,7 @@ class TestLoadLookup:
         assert len(states) == len(set(states)) == nk.num_states() == 243
         assert {s.residues for s in states} == {s.residues for s in nk.iter_domain()}
         assert all(s.alphabet == land.alphabet for s in states)
-        assert land.evaluate_batch(states) == [nk.fitness(s) for s in states]
+        assert land.evaluate_batch(residue_array(states)) == [nk.fitness(s) for s in states]
         assert land.wild_type.residues == (0,) * 5
 
     def test_basic_parse_and_wild_type(self, tmp_path):
@@ -49,7 +49,7 @@ class TestLoadLookup:
         land = load_lookup(p)
         assert land.length == 3
         assert land.wild_type.text == "ACD"
-        assert land.evaluate_batch([land.wild_type]) == [1.5]
+        assert land.evaluate_batch(residue_array([land.wild_type])) == [1.5]
         assert land.num_states() == 2
 
     def test_comments_and_blank_lines_skipped(self, tmp_path):
@@ -77,7 +77,7 @@ class TestLoadLookup:
     def test_negate_flips_scores(self, tmp_path):
         p = write(tmp_path, "AC\t1.5\n")
         land = load_lookup(p, negate=True)
-        assert land.evaluate_batch([land.wild_type]) == [-1.5]
+        assert land.evaluate_batch(residue_array([land.wild_type])) == [-1.5]
 
     def test_parse_error_carries_location(self, tmp_path):
         p = write(tmp_path, "AC\t1.0\nAD\tnot-a-number\n")
@@ -120,7 +120,7 @@ class TestLoadLookup:
         stranger = Sequence((3, 3), land.alphabet)
         assert not land.contains(stranger)
         with pytest.raises(DomainError):
-            land.evaluate_batch([stranger])
+            land.evaluate_batch(residue_array([stranger]))
 
 
 class TestLookupTable:
@@ -139,7 +139,7 @@ class TestLookupTable:
         assert copy.wild_type == land.wild_type and copy.alphabet == land.alphabet
         states = list(land.iter_domain())
         assert all(copy.contains(s) for s in states)
-        assert copy.evaluate_batch(states) == land.evaluate_batch(states)
+        assert copy.evaluate_batch(land.states()) == land.evaluate_batch(land.states())
         assert copy.scores.tobytes() == land.scores.tobytes()
 
     @pytest.mark.parametrize("residues", [(0, 0), (0,) * 6, (2, 2, 2, 2, 3)])
@@ -148,9 +148,10 @@ class TestLookupTable:
         for table in (land, pickle.loads(pickle.dumps(land))):
             stranger = Sequence(residues, AB4)
             assert not table.contains(stranger)
-            message = rf"^sequence {stranger.text} is not in the lookup table$"
+            rows = residue_array([land.wild_type, stranger] if len(residues) == 5 else [stranger])
+            message = rf"^row {len(rows) - 1} \[{', '.join(map(str, residues))}\] is not in the lookup table$"
             with pytest.raises(DomainError, match=message):
-                table.evaluate_batch([land.wild_type, stranger])
+                table.evaluate_batch(rows)
 
     def test_ordinals_the_dtype_cannot_hold_miss(self, tmp_path):
         land = self._table(tmp_path)
@@ -171,7 +172,7 @@ class TestLookupTable:
         land = load_lookup(p)
         assert land.codes.dtype == np.uint16
         assert land.states().tolist() == [[299, 0], [0, 1]]
-        assert land.evaluate_batch([land.alphabet.encode(wide[0] + wide[1])]) == [2.0]
+        assert land.evaluate_batch(residue_array([land.alphabet.encode(wide[0] + wide[1])])) == [2.0]
         assert not land.contains(Sequence((299, 1), land.alphabet))
 
 
@@ -235,15 +236,17 @@ class TestLookupSearch:
             seqs = [Sequence(tuple(q), alphabet) for q in queries.tolist()
                     if 0 <= min(q) and max(q) < v]
             hits = [s for s in seqs if s.residues in table]
-            assert land.evaluate_batch(hits) == [table[s.residues] for s in hits]
+            assert land.evaluate_batch(residue_array(hits)) == [table[s.residues] for s in hits]
             assert [land.contains(s) for s in seqs] == [s.residues in table for s in seqs]
             miss = next(s for s in seqs if s.residues not in table)
             short = [Sequence(rows[0][:-1], alphabet)] if length > 1 else []
             for stranger in [miss] + short:
                 assert not land.contains(stranger)
-                message = rf"^sequence {re.escape(stranger.text)} is not in the lookup table$"
+                batch = hits[:3] + [stranger] + hits[3:5] if len(stranger) == length else [stranger]
+                at = batch.index(stranger)
+                message = rf"^row {at} {re.escape(str(list(stranger.residues)))} is not in"
                 with pytest.raises(DomainError, match=message):
-                    land.evaluate_batch(hits[:3] + [stranger] + hits[3:5])
+                    land.evaluate_batch(residue_array(batch))
 
 
 class TestNKKernel:
@@ -260,7 +263,7 @@ class TestNKKernel:
         want = scalar_fitnesses(land, codes)
         assert (land.fitness_rows(codes) == want).all()
         assert (land.fitness_rows(codes.astype(np.int64)) == want).all()
-        assert land.evaluate_batch(list(land.iter_domain())) == want.tolist()
+        assert land.evaluate_batch(residue_array(list(land.iter_domain()))) == want.tolist()
         best_seq, best_fit = land.enumerate_optimum()
         first = int(np.argmax(want))  # a strict > scan keeps the first of equal maxima
         assert best_seq.residues == tuple(codes[first].tolist()) and best_fit == want[first]
@@ -284,7 +287,7 @@ class TestNKKernel:
         assert land.in_domain(codes).tolist() == [True, False, False, True]
         assert not land.in_domain(codes[:, :3]).any()
         with pytest.raises(ValueError, match="incompatible"):
-            land.evaluate_batch([Sequence((0, 1, 2, 0), AB4), Sequence((0, 1, 3, 0), AB4)])
+            land.evaluate_batch(np.array([[0, 1, 2, 0], [0, 1, 3, 0]]))
 
 
 class TestNKLandscape:
@@ -371,7 +374,7 @@ class TestBudgetedOracle:
     def test_budget_accounting(self):
         land = make_nk(4, 0, 2, 0)
         oracle = BudgetedOracle(land, rounds_total=2, batch_size=3)
-        batch = [Sequence(r, AB2) for r in itertools.product((0, 1), repeat=4)][:3]
+        batch = np.array(list(itertools.product((0, 1), repeat=4))[:3])
         oracle.query_batch(batch)
         assert oracle.rounds_remaining == 1
         assert oracle.queries_made == 3
@@ -383,18 +386,17 @@ class TestBudgetedOracle:
 
     def test_oversize_and_empty_batches_rejected(self):
         oracle = BudgetedOracle(make_nk(4, 0, 2, 0), rounds_total=1, batch_size=2)
-        seqs = [Sequence((0, 0, 0, 0), AB2), Sequence((1, 0, 0, 0), AB2),
-                Sequence((0, 1, 0, 0), AB2)]
+        codes = np.array([[0, 0, 0, 0], [1, 0, 0, 0], [0, 1, 0, 0]])
         with pytest.raises(ValueError):
-            oracle.query_batch(seqs)
+            oracle.query_batch(codes)
         with pytest.raises(ValueError):
-            oracle.query_batch([])
+            oracle.query_batch(codes[:0])
         # neither error consumed budget
         assert oracle.rounds_remaining == 1
 
     def test_query_batch_returns_the_landscape_scores(self):
         land = make_nk(4, 1, 2, 3)
         oracle = BudgetedOracle(land, rounds_total=1, batch_size=2)
-        batch = [Sequence((0, 0, 0, 0), AB2), Sequence((1, 1, 1, 1), AB2)]
+        batch = np.array([[0, 0, 0, 0], [1, 1, 1, 1]], dtype=np.uint8)
         scores = oracle.query_batch(batch)
         assert scores == land.evaluate_batch(batch)

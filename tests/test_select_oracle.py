@@ -17,11 +17,11 @@ from proxbo.acquisition import KGConfig, select_batch
 from proxbo.explorer import ExplorerState, propose_pool, update_frontier
 from proxbo.harness import CampaignConfig, run_campaign
 from proxbo.landscape import make_nk
-from proxbo.sequences import Sequence, hamming_distance, residue_array
+from proxbo.sequences import Sequence
 from proxbo.surrogate import ConvRegressorConfig, Ensemble, TrainConfig
 
 import test_acceptance
-from select_oracle import (ScalarShiftedModel, regularized_incumbent,
+from select_oracle import (ScalarShiftedModel, distance_penalty, regularized_incumbent,
                            scalar_penalised_select_batch, scalar_select_batch)
 
 KG = KGConfig(n_fantasies=3, inner_pool_size=24, inner_eval_size=5)
@@ -42,8 +42,12 @@ def problem():
     ens = Ensemble("conv", ConvRegressorConfig(channels=(4, 4), kernel_size=3, hidden_dense=6),
                    n_members=3, seed=1)
     ens.fit(state.data, TrainConfig(epochs=20, minibatch=16), rng)
-    pool = propose_pool(state, land, 96, 3, rng).sequences
+    pool = propose_pool(state, land, 96, 3, rng).codes
     return state, ens, pool
+
+
+def seqs(codes, alphabet):
+    return [Sequence(tuple(r), alphabet) for r in codes.tolist()]
 
 
 @pytest.mark.parametrize("lam", [0.0, 0.04])
@@ -51,13 +55,14 @@ def problem():
 def test_same_batch_as_the_scalar_path(problem, strategy, lam):
     state, ens, pool = problem
     wt = state.wild_type
-    slow_model = ScalarShiftedModel(ens, lambda s: lam * hamming_distance(s, wt)) if lam else ens
-    slow = scalar_select_batch(strategy, slow_model, pool, state.data, 6, wild_type=wt,
-                               beta=2.5, incumbent=regularized_incumbent(state.data, wt, lam),
+    slow_model = ScalarShiftedModel(ens, distance_penalty(lam, wt)) if lam else ens
+    slow = scalar_select_batch(strategy, slow_model, seqs(pool, wt.alphabet), state.data, 6,
+                               wild_type=wt, beta=2.5,
+                               incumbent=regularized_incumbent(state.data, wt, lam),
                                kg_config=KG, rng=np.random.default_rng(9))
     fast = select_batch(strategy, ens, pool, state.data, 6, lam=lam, wild_type=wt,
                         beta=2.5, kg_config=KG, rng=np.random.default_rng(9))
-    assert [s.residues for s in fast] == [s.residues for s in slow]
+    assert pool[fast].tolist() == [list(s.residues) for s in slow]
 
 
 def test_ei_incumbent_is_the_best_regularized_measurement(problem):
@@ -66,29 +71,32 @@ def test_ei_incumbent_is_the_best_regularized_measurement(problem):
     wt, lam = state.wild_type, 0.04
     data = copy.deepcopy(state.data)
     far = Sequence((1,) * len(wt), wt.alphabet)
-    assert far not in data and far not in pool
+    assert far not in data and far not in seqs(pool, wt.alphabet)
     data.add(far, data.max_score() + 0.2)
     incumbent = regularized_incumbent(data, wt, lam)
     assert incumbent < data.max_score() - 0.1
-    shifted = ScalarShiftedModel(ens, lambda s: lam * hamming_distance(s, wt))
-    slow = scalar_select_batch("ei", shifted, pool, data, 6, wild_type=wt, incumbent=incumbent)
+    shifted = ScalarShiftedModel(ens, distance_penalty(lam, wt))
+    slow = scalar_select_batch("ei", shifted, seqs(pool, wt.alphabet), data, 6, wild_type=wt,
+                               incumbent=incumbent)
     fast = select_batch("ei", ens, pool, data, 6, lam=lam, wild_type=wt)
-    assert [s.residues for s in fast] == [s.residues for s in slow]
-    unregularized = scalar_select_batch("ei", shifted, pool, data, 6, wild_type=wt)
-    assert [s.residues for s in fast] != [s.residues for s in unregularized]
+    assert pool[fast].tolist() == [list(s.residues) for s in slow]
+    unregularized = scalar_select_batch("ei", shifted, seqs(pool, wt.alphabet), data, 6,
+                                        wild_type=wt)
+    assert pool[fast].tolist() != [list(s.residues) for s in unregularized]
 
 
 @pytest.mark.parametrize("strategy, calls", [("kg", ["pool"]), ("ei", ["pool", "data"])])
 def test_distances_computed_once_per_call(problem, monkeypatch, strategy, calls):
-    """The residue array that gives the distances and the tie-breaks is built once per call."""
+    """The pool's distances, which also break ties, are computed once per call."""
     state, ens, pool = problem
     seen = []
+    distances = acquisition.hamming_distances
 
-    def counting_residue_array(seqs):
-        seen.append({len(pool): "pool", len(state.data): "data"}[len(seqs)])
-        return residue_array(seqs)
+    def counting_distances(rows, ref):
+        seen.append({len(pool): "pool", len(state.data): "data"}[len(rows)])
+        return distances(rows, ref)
 
-    monkeypatch.setattr(acquisition, "residue_array", counting_residue_array)
+    monkeypatch.setattr(acquisition, "hamming_distances", counting_distances)
     select_batch(strategy, ens, pool, state.data, 6, lam=0.04, wild_type=state.wild_type,
                  kg_config=KG, rng=np.random.default_rng(9))
     assert seen == calls
@@ -97,9 +105,8 @@ def test_distances_computed_once_per_call(problem, monkeypatch, strategy, calls)
 class CoarseModel:
     """Posterior read from the first two residues only, so most scores tie."""
 
-    def predict_batch(self, batch):
-        return np.array([(float(s.residues[0] + s.residues[1]), 0.25 * (1 + s.residues[2]))
-                         for s in batch])
+    def predict_batch(self, codes):
+        return np.array([(float(r[0] + r[1]), 0.25 * (1 + r[2])) for r in codes.tolist()])
 
 
 @pytest.mark.parametrize("lam", [0.0, 0.04])
@@ -107,11 +114,11 @@ class CoarseModel:
 def test_same_tie_breaks_as_the_scalar_path(problem, strategy, lam):
     state, _, pool = problem
     wt = state.wild_type
-    slow_model = ScalarShiftedModel(CoarseModel(), lambda s: lam * hamming_distance(s, wt))
-    slow = scalar_select_batch(strategy, slow_model, pool, state.data, 40, wild_type=wt,
-                               incumbent=regularized_incumbent(state.data, wt, lam))
+    slow_model = ScalarShiftedModel(CoarseModel(), distance_penalty(lam, wt))
+    slow = scalar_select_batch(strategy, slow_model, seqs(pool, wt.alphabet), state.data, 40,
+                               wild_type=wt, incumbent=regularized_incumbent(state.data, wt, lam))
     fast = select_batch(strategy, CoarseModel(), pool, state.data, 40, lam=lam, wild_type=wt)
-    assert [s.residues for s in fast] == [s.residues for s in slow]
+    assert pool[fast].tolist() == [list(s.residues) for s in slow]
 
 
 def test_non_finite_posterior_rejected(problem):

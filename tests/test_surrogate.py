@@ -6,7 +6,7 @@ import pytest
 import proxbo.nn as nn
 from proxbo.errors import DataError, TrainingError
 from proxbo.landscape import make_nk
-from proxbo.sequences import Sequence, small_alphabet
+from proxbo.sequences import Sequence, residue_array, small_alphabet
 from proxbo.surrogate import (
     ConvRegressor,
     ConvRegressorConfig,
@@ -56,6 +56,25 @@ class TestDataset:
         with pytest.raises(DataError):
             data.add(s, 2.0)
 
+    def test_rows_are_arrays_in_insertion_order(self):
+        data = Dataset()
+        data.extend([(Sequence((1, 0, 1), AB4), 0.5), (Sequence((3, 2, 0), AB4), -1.0),
+                     (Sequence((1, 0, 1), AB4), 0.5)])
+        data.add(Sequence((0, 0, 0), AB4), 2.0)
+        assert data.codes.dtype == np.uint8
+        assert data.codes.tolist() == [[1, 0, 1], [3, 2, 0], [0, 0, 0]]
+        assert data.scores.tolist() == [0.5, -1.0, 2.0]
+        assert data.sequences == [Sequence(tuple(r), AB4) for r in data.codes.tolist()]
+        assert Sequence((3, 2, 0), AB4) in data and Sequence((3, 2, 1), AB4) not in data
+
+    def test_a_conflict_keeps_the_pairs_before_it(self):
+        data = Dataset()
+        data.add(Sequence((0, 1), AB2), 1.0)
+        with pytest.raises(DataError):
+            data.extend([(Sequence((1, 1), AB2), 3.0), (Sequence((0, 1), AB2), 2.0)])
+        assert data.codes.tolist() == [[0, 1], [1, 1]]
+        assert data.scores.tolist() == [1.0, 3.0]
+
 
 class TestGradients:
     def test_conv_gradients_match_finite_differences(self):
@@ -88,7 +107,7 @@ class TestTraining:
         ens = Ensemble("conv", SMALL_CONV, n_members=2, seed=0)
         ens.fit(data, TrainConfig(epochs=100, minibatch=8, learning_rate=1e-2, bootstrap=False),
                 np.random.default_rng(1))
-        preds = [m for m, _ in ens.predict_batch(list(data.sequences))]
+        preds = [m for m, _ in ens.predict_batch(data.codes)]
         assert np.allclose(preds, 3.25, atol=1e-2)
 
     def test_additive_landscape_r2(self):
@@ -108,7 +127,7 @@ class TestTraining:
         ens.fit(data, TrainConfig(epochs=150, minibatch=32, learning_rate=3e-3),
                 np.random.default_rng(4))
         y = np.array([land.fitness(s) for s in test])
-        mu = np.array([m for m, _ in ens.predict_batch(test)])
+        mu = np.array([m for m, _ in ens.predict_batch(residue_array(test))])
         r2 = 1.0 - np.sum((y - mu) ** 2) / np.sum((y - y.mean()) ** 2)
         assert r2 >= 0.9
 
@@ -118,7 +137,7 @@ class TestTraining:
         for _ in range(2):
             ens = Ensemble("conv", SMALL_CONV, n_members=3, seed=7)
             ens.fit(data, TrainConfig(epochs=20, minibatch=8), np.random.default_rng(9))
-            preds.append(np.array([m for m, _ in ens.predict_batch(list(data.sequences))]))
+            preds.append(np.array([m for m, _ in ens.predict_batch(data.codes)]))
         assert np.array_equal(preds[0], preds[1])
 
     def test_warm_start_keeps_standardization(self):
@@ -174,8 +193,7 @@ class TestLockstepFit:
                 for name, arr in member.params.items():
                     assert np.array_equal(ens.net.params[name][m], arr), (warm, m, name)
         # prediction runs the stacked network one member at a time
-        pool = data.sequences
-        assert np.array_equal(ens.predict_batch(pool), ref.predict(pool))
+        assert np.array_equal(ens.predict_batch(data.codes), ref.predict(data.codes))
 
     def test_matches_sequential_fit_at_campaign_shapes(self):
         """The two benchmark networks on minibatches of 64 sequences; 65 rows leave a 1-row one.
@@ -200,7 +218,7 @@ class TestLockstepFit:
             for m, member in enumerate(ref.members):
                 for name, arr in member.params.items():
                     assert np.array_equal(ens.net.params[name][m], arr), (kind, m, name)
-            assert np.array_equal(ens.predict_batch(data.sequences), ref.predict(data.sequences))
+            assert np.array_equal(ens.predict_batch(data.codes), ref.predict(data.codes))
 
     def test_divergence_raises_training_error(self):
         """The loss check reports the divergence; NumPy's overflow warnings stay silent."""
@@ -226,7 +244,7 @@ class TestPrediction:
         data = random_dataset(12, seed=8)
         ens = Ensemble("conv", SMALL_CONV, n_members=1, seed=0)
         ens.fit(data, TrainConfig(epochs=10, minibatch=8), np.random.default_rng(0))
-        for _, var in ens.predict_batch(list(data.sequences)):
+        for _, var in ens.predict_batch(data.codes):
             assert var == 0.0
 
     def test_mean_and_population_variance_of_member_outputs(self):
@@ -238,12 +256,10 @@ class TestPrediction:
         ens.fit(data, TrainConfig(epochs=1, minibatch=8), np.random.default_rng(0))
         ens.y_mean, ens.y_std = 0.5, 0.25
         targets = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
-        s = data.sequences[0]
-        feats = ens.features_batch([s])
         for i in range(ens.n_members):
             ens.net.params["out_w"][i] = 0.0
             ens.net.params["out_b"][i] = (targets[i] - ens.y_mean) / ens.y_std
-        mean, var = ens.predict_batch([s])[0]
+        mean, var = ens.predict_batch(data.codes[:1])[0]
         assert mean == pytest.approx(3.0, abs=1e-9)
         assert var == pytest.approx(2.0, abs=1e-9)
 
@@ -261,7 +277,7 @@ class TestPrediction:
     def test_untrained_predict_raises(self):
         ens = Ensemble("conv", SMALL_CONV, seed=0)
         with pytest.raises(Exception):
-            ens.predict_batch([Sequence((0,) * 8, AB2)])
+            ens.predict_batch(np.zeros((1, 8), dtype=np.uint8))
 
 
 class TestFantasyUpdates:
@@ -269,11 +285,10 @@ class TestFantasyUpdates:
         data = random_dataset(16, seed=3)
         ens = Ensemble("conv", SMALL_CONV, n_members=2, seed=2)
         ens.fit(data, TrainConfig(epochs=30, minibatch=8), np.random.default_rng(3))
-        s = data.sequences[0]
-        before, _ = ens.predict_batch([s])[0]
+        before, _ = ens.predict_batch(data.codes[:1])[0]
         target = before + 1.0
-        after = ens.fantasy_inner_means_multi([[s]], np.array([[target]])[None], [s],
-                                              data)[0][0, 0]
+        after = ens.fantasy_inner_means_multi(np.array([[0]]), np.array([[target]])[None],
+                                              np.array([0]), data)[0][0, 0]
         assert abs(after - target) < abs(before - target)
 
     def test_batched_fantasies_match_sequential_updates(self):
@@ -282,10 +297,10 @@ class TestFantasyUpdates:
         for kind, cfg in [("conv", SMALL_CONV), ("recurrent", SMALL_RNN)]:
             ens = Ensemble(kind, cfg, n_members=3, seed=1)
             ens.fit(data, TrainConfig(epochs=20, minibatch=8), np.random.default_rng(5))
-            batch = list(data.sequences[:3])
-            pool = list(data.sequences[5:13])
+            ens.predict_batch(data.codes)
+            batch, pool = np.arange(3), np.arange(5, 13)
             ys = np.random.default_rng(6).random((4, 3))
-            batched = ens.fantasy_inner_means_multi([batch], ys[None], pool, data)[0]
+            batched = ens.fantasy_inner_means_multi(batch[None], ys[None], pool, data)[0]
             ref = sequential_fantasy_inner_means(ens, batch, ys, pool, data)
             np.testing.assert_allclose(batched, ref, rtol=1e-9, atol=1e-12)
 
@@ -293,33 +308,43 @@ class TestFantasyUpdates:
         data = random_dataset(16, seed=4)
         ens = Ensemble("conv", SMALL_CONV, n_members=3, seed=1)
         ens.fit(data, TrainConfig(epochs=20, minibatch=8), np.random.default_rng(5))
-        pool = list(data.sequences[5:13])
-        batches = [[data.sequences[i], data.sequences[i + 1]] for i in range(3)]
+        ens.predict_batch(data.codes)
+        pool = np.arange(5, 13)
+        batches = np.array([[i, i + 1] for i in range(3)])
         ys = np.random.default_rng(7).random((3, 4, 2))
         multi = ens.fantasy_inner_means_multi(batches, ys, pool, data)
         for c, batch in enumerate(batches):
-            single = ens.fantasy_inner_means_multi([batch], ys[c][None], pool, data)[0]
+            single = ens.fantasy_inner_means_multi(batch[None], ys[c][None], pool, data)[0]
             assert np.array_equal(multi[c], single)
 
     def test_multi_batch_fantasies_reject_bad_shapes(self):
         data = random_dataset(12, seed=4)
         ens = Ensemble("conv", SMALL_CONV, n_members=2, seed=1)
         ens.fit(data, TrainConfig(epochs=5, minibatch=8), np.random.default_rng(5))
-        pool = list(data.sequences[:4])
-        batch = [data.sequences[0], data.sequences[1]]
-        with pytest.raises(ValueError):
-            ens.fantasy_inner_means_multi([batch], np.zeros((2, 3, 2)), pool, data)
-        with pytest.raises(ValueError):
-            ens.fantasy_inner_means_multi([batch, batch[:1]], np.zeros((2, 3, 2)), pool, data)
+        ens.predict_batch(data.codes)
+        pool, batch = np.arange(4), np.array([[0, 1]])
+        with pytest.raises(ValueError, match="ys must have shape"):
+            ens.fantasy_inner_means_multi(batch, np.zeros((2, 3, 2)), pool, data)
+        with pytest.raises(ValueError, match="ys must have shape"):
+            ens.fantasy_inner_means_multi(batch[:, :1], np.zeros((1, 3, 2)), pool, data)
+        with pytest.raises(ValueError, match="ys must have shape"):
+            ens.fantasy_inner_means_multi(batch[0], np.zeros((1, 3, 2)), pool, data)
+
+    def test_fantasies_need_predicted_rows(self):
+        data = random_dataset(12, seed=4)
+        ens = Ensemble("conv", SMALL_CONV, n_members=2, seed=1)
+        ens.fit(data, TrainConfig(epochs=5, minibatch=8), np.random.default_rng(5))
+        with pytest.raises(TrainingError, match="no rows predicted"):
+            ens.fantasy_inner_means_multi(np.array([[0]]), np.zeros((1, 3, 1)), np.arange(4),
+                                          data)
 
     def test_fantasy_update_leaves_base_model_unchanged(self):
         data = random_dataset(12, seed=9)
         ens = Ensemble("conv", SMALL_CONV, n_members=2, seed=0)
         ens.fit(data, TrainConfig(epochs=10, minibatch=8), np.random.default_rng(0))
-        pool = list(data.sequences)
-        before = [m for m, _ in ens.predict_batch(pool)]
-        ens.fantasy_inner_means_multi([[pool[0]]], np.array([[5.0]])[None], pool, data)
-        ens.fantasy_inner_means_multi([[pool[0]], [pool[1]]], np.full((2, 3, 1), 5.0),
-                                      pool, data)
-        after = [m for m, _ in ens.predict_batch(pool)]
+        pool = np.arange(len(data))
+        before = [m for m, _ in ens.predict_batch(data.codes)]
+        ens.fantasy_inner_means_multi(np.array([[0]]), np.array([[5.0]])[None], pool, data)
+        ens.fantasy_inner_means_multi(np.array([[0], [1]]), np.full((2, 3, 1), 5.0), pool, data)
+        after = [m for m, _ in ens.predict_batch(data.codes)]
         assert before == after
