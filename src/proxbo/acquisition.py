@@ -100,12 +100,12 @@ def kg_oneshot(model, batch: np.ndarray, inner_pool: np.ndarray,
     penalty = np.zeros(len(codes))
     mean, std = _mean_std(model, codes, penalty)
     return float(_kg_slot_scores(model, mean, std, list(range(n - 1)), [n - 1],
-                                 list(range(n, len(codes))), data, cfg, rng, penalty)[0]
+                                 np.arange(n, len(codes)), data, cfg, rng, penalty)[0]
                  - mean[n:].max())
 
 
 def _kg_slot_scores(model, mean: np.ndarray, std: np.ndarray, chosen: list[int],
-                    subset: list[int], inner: list[int], data: Dataset, cfg: KGConfig,
+                    subset: list[int], inner: np.ndarray, data: Dataset, cfg: KGConfig,
                     rng: np.random.Generator, penalty: np.ndarray) -> np.ndarray:
     """Incumbent-free KG score of `chosen + [c]` for every candidate `c` in `subset`.
 
@@ -124,8 +124,7 @@ def _kg_slot_scores(model, mean: np.ndarray, std: np.ndarray, chosen: list[int],
     rows[:, :-1] = chosen
     rows[:, -1] = subset
     ys = mean[rows][:, None, :] + std[rows][:, None, :] * z + penalty[rows][:, None, :]
-    inner_means = model.fantasy_inner_means_multi(rows, ys, np.asarray(inner, dtype=np.intp),
-                                                  data)
+    inner_means = model.fantasy_inner_means_multi(rows, ys, inner, data)
     return (inner_means - penalty[inner]).max(axis=2).mean(axis=1)
 
 
@@ -205,7 +204,7 @@ def select_batch(strategy: str, model, pool: np.ndarray, data: Dataset, m: int,
     cfg = kg_config or KGConfig()
     rng = rng if rng is not None else np.random.default_rng(0)
     # prerank by UCB to bound the number of KG evaluations per slot
-    inner = order[: cfg.inner_pool_size].tolist()
+    inner = order[: cfg.inner_pool_size]
     chosen: list[int] = []
     free = np.ones(len(pool), dtype=bool)  # by pool index: not chosen yet
     for _ in range(m):

@@ -93,8 +93,7 @@ def propose_pool(state: ExplorerState, domain, pool_size: int, radius: int,
     which then widens up to L. On enumerable domains (with `states` and
     `num_states`) the fallback is instead `domain.states()`, filtered the
     same way, in random order; the pool is flagged short if it is still
-    smaller than `pool_size`. The pool is one (P, L) array in the smallest
-    unsigned dtype of the alphabet.
+    smaller than `pool_size`.
     """
     if pool_size < 1:
         raise ValueError(f"pool_size must be >= 1, got {pool_size}")
@@ -105,7 +104,7 @@ def propose_pool(state: ExplorerState, domain, pool_size: int, radius: int,
     alphabet = state.wild_type.alphabet
     length = len(state.wild_type)
     dtype = np.min_scalar_type(alphabet.size - 1)
-    pool = [np.zeros((0, length), dtype)]  # the pooled rows, block by block
+    pool = np.zeros((0, length), dtype)
     seen: set = set()  # row keys of every sequence pooled, measured or drawn
 
     def fresh(rows: np.ndarray) -> np.ndarray:
@@ -114,17 +113,15 @@ def propose_pool(state: ExplorerState, domain, pool_size: int, radius: int,
         keys = row_keys(rows).tolist()
         return rows[[i for i, key in enumerate(keys) if key not in seen and not seen.add(key)]]
 
-    def deficit() -> int:
-        return pool_size - sum(map(len, pool))
-
     def add(rows: np.ndarray) -> None:
-        pool.append(rows[:deficit()])
+        nonlocal pool
+        pool = np.concatenate([pool, rows[:pool_size - len(pool)]])
 
     fresh(state.data.codes.reshape(-1, length))  # the measured rows
 
     def draw_at(r: int) -> None:
-        while deficit() > 0:
-            size = max(_MIN_BLOCK, 2 * deficit())
+        while len(pool) < pool_size:
+            size = max(_MIN_BLOCK, 2 * (pool_size - len(pool)))
             rows = fresh(mutant_block(anchor_rows, r, size, alphabet.size, rng))
             if domain is not None:
                 rows = rows[domain.in_domain(rows)]
@@ -135,7 +132,7 @@ def propose_pool(state: ExplorerState, domain, pool_size: int, radius: int,
     draw_at(min(radius, length))
     enumerable = (domain is not None and hasattr(domain, "states")
                   and hasattr(domain, "num_states") and domain.num_states() <= 2**20)
-    if deficit() > 0 and enumerable:
+    if len(pool) < pool_size and enumerable:
         # small enumerable domain: fill from the shuffled unmeasured remainder
         rest = fresh(domain.states())
         add(rest[rng.permutation(len(rest))])
@@ -143,8 +140,7 @@ def propose_pool(state: ExplorerState, domain, pool_size: int, radius: int,
         # widen the radius up to L; once the pool is full, draw_at draws nothing
         for r in range(min(radius, length) + 1, length + 1):
             draw_at(r)
-    codes = np.concatenate(pool)
-    return PoolProposal(codes, alphabet, short=len(codes) < pool_size)
+    return PoolProposal(pool, alphabet, short=len(pool) < pool_size)
 
 
 @dataclass

@@ -414,28 +414,21 @@ class AggregateCurve:
 
 
 def read_run_csv(path: str | Path) -> dict[int, float]:
-    """Per-round final cumulative max (round 0 = the seed wild-type row).
-
-    A malformed line raises `ParseError` naming `path:line`.
-    """
+    """Per-round final cumulative max (round 0 = the wild type); a bad line is a ParseError."""
     per_round: dict[int, float] = {}
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header != _RUN_HEADER:
             raise ParseError(f"{path}:1: unexpected header {header!r}")
         for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            cols = line.split(",")
-            if len(cols) != 5:
-                raise ParseError(f"{path}:{lineno}: expected 5 comma-separated columns, "
-                                 f"got {len(cols)}")
-            try:
-                per_round[int(cols[0])] = float(cols[4])
-            except ValueError:
-                raise ParseError(f"{path}:{lineno}: non-numeric round {cols[0]!r} or "
-                                 f"cumulative max {cols[4]!r}") from None
+            cols = line.strip().split(",")
+            if cols[0] and not cols[0].startswith("#"):
+                try:
+                    if len(cols) != 5:
+                        raise ValueError(f"expected 5 comma-separated columns, got {len(cols)}")
+                    per_round[int(cols[0])] = float(cols[4])
+                except ValueError as e:
+                    raise ParseError(f"{path}:{lineno}: {e}") from None
     return per_round
 
 

@@ -83,7 +83,6 @@ class LookupLandscape:
         return bool(self.in_domain(np.array([s.residues]))[0])
 
     def evaluate_batch(self, codes: np.ndarray) -> list[float]:
-        """Fitness of each row of a (B, L) ordinal array; a row not in the table is an error."""
         rows = self._find(codes)
         missing = np.flatnonzero(rows < 0)
         if len(missing):

@@ -29,17 +29,8 @@ class Alphabet:
     def size(self) -> int:
         return len(self.symbols)
 
-    def index(self, symbol: str) -> int:
-        try:
-            return self._index[symbol]
-        except KeyError:
-            raise ValueError(f"symbol {symbol!r} not in alphabet {self.symbols!r}") from None
-
-    def symbol(self, ordinal: int) -> str:
-        return self.symbols[ordinal]
-
     def ordinals(self, text: str) -> tuple[int, ...]:
-        """Residue ordinals of a text sequence; raises like `index` on an unknown symbol."""
+        """Residue ordinals of a text sequence; an unknown symbol raises ValueError."""
         try:
             return tuple(map(self._index.__getitem__, text))
         except KeyError as e:
@@ -82,9 +73,6 @@ class Sequence:
 
     def __len__(self) -> int:
         return len(self.residues)
-
-    def __getitem__(self, i: int) -> int:
-        return self.residues[i]
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Sequence) and self.residues == other.residues

@@ -62,11 +62,10 @@ class TrainConfig:
 
 
 class Dataset:
-    """Append-only collection of (sequence, measured fitness) pairs, in insertion order.
+    """Append-only (sequence, measured fitness) pairs, in insertion order, keyed by residues.
 
-    Each pair is held as its residue tuple and score. `codes` and `scores`
-    give them as arrays: (N, L) residues in the smallest unsigned dtype of
-    the first added sequence's `alphabet`, and (N,) float64 fitness.
+    `codes` gives them as (N, L) ordinals in the smallest unsigned dtype of the
+    first added sequence's `alphabet`, and `scores` as (N,) float64 fitness.
     """
 
     def __init__(self):
@@ -157,10 +156,8 @@ class _StackedNet:
     all with a single pass.
     """
 
-    def __init__(self, cfg, length: int, vocab: int, rngs: list[np.random.Generator],
-                 dtype=NET_DTYPE):
+    def __init__(self, cfg, vocab: int, rngs: list[np.random.Generator], dtype=NET_DTYPE):
         self.cfg = cfg
-        self.length = length
         self.vocab = vocab
         members = [self._init_member(rng) for rng in rngs]
         self.params = nn.Arena({name: (len(members),) + arr.shape
@@ -359,8 +356,6 @@ class Ensemble:
         self.net: ConvRegressor | RecurrentRegressor | None = None
         self.y_mean = 0.0
         self.y_std = 1.0
-        self.length: int | None = None
-        self.vocab: int | None = None
         self._pool: np.ndarray | None = None  # features of the last predict_batch's rows
         self._head_post: tuple | None = None  # see _head_posterior
 
@@ -372,9 +367,9 @@ class Ensemble:
     def members(self) -> list[ConvRegressor | RecurrentRegressor]:
         return [self.net.member(m) for m in range(self.n_members)] if self.trained else []
 
-    def _init_net(self):
+    def _init_net(self, vocab: int):
         rngs = [np.random.default_rng(s) for s in self.member_seeds]
-        return REGRESSORS[self.kind][1](self.config, self.length, self.vocab, rngs)
+        return REGRESSORS[self.kind][1](self.config, vocab, rngs)
 
     def fit(self, data: Dataset, cfg: TrainConfig | None = None,
             rng: np.random.Generator | None = None, warm_start: bool = False) -> list[float]:
@@ -400,15 +395,13 @@ class Ensemble:
             raise ValueError("cannot fit on an empty dataset")
         cfg = cfg or TrainConfig()
         rng = rng if rng is not None else np.random.default_rng(self.seed)
-        self.length = data.codes.shape[1]
-        self.vocab = data.alphabet.size
-        x_all = encode_batch(data.codes, self.vocab).astype(NET_DTYPE)
+        x_all = encode_batch(data.codes, data.alphabet.size).astype(NET_DTYPE)
         y_raw = data.scores
         if not (warm_start and self.trained):
             self.y_mean = float(y_raw.mean())
             std = float(y_raw.std())
             self.y_std = std if std > 1e-12 else 1.0
-            self.net = self._init_net()
+            self.net = self._init_net(data.alphabet.size)
         net = self.net
         x_all = net.inputs(x_all)  # built once per fit
         y_all = ((y_raw - self.y_mean) / self.y_std).astype(NET_DTYPE)
@@ -445,7 +438,7 @@ class Ensemble:
         """(n_members, B, d) float32 feature-map outputs of the (B, L) residue rows `codes`."""
         if not self.trained:
             raise TrainingError("ensemble has not been fitted")
-        x = self.net.inputs(encode_batch(codes, self.vocab).astype(NET_DTYPE))
+        x = self.net.inputs(encode_batch(codes, self.net.vocab).astype(NET_DTYPE))
         # member by member: a whole pool's activations for every member at
         # once would multiply the peak memory by the member count
         return np.concatenate([self.net.member(m).features(x) for m in range(self.n_members)])
@@ -465,7 +458,7 @@ class Ensemble:
         return np.stack([preds.mean(axis=0), preds.var(axis=0)], axis=1)
 
     def _design(self, feats: np.ndarray) -> np.ndarray:
-        """(M, B, h + 1) float64 design matrices of (M, B, d) features: the output layer's input, then ones."""
+        """(M, B, h + 1) float64 output-layer inputs of (M, B, d) features, then a ones column."""
         hid = self.net.last_hidden(feats).astype(np.float64)
         return np.concatenate([hid, np.ones(hid.shape[:-1] + (1,))], axis=-1)
 
@@ -503,15 +496,13 @@ class Ensemble:
         (member, candidate, fantasy) at once and averaged over the members.
         `steps` and `lr` are ignored; they set the SGD head this replaced.
         """
-        if not self.trained:
-            raise TrainingError("ensemble has not been fitted")
         if not isinstance(batches, np.ndarray):
             # lists of Sequences, as bench/micro.py passes them: kept for bench/
             # until it passes rows (ROADMAP item 2)
-            codes = residue_array([s for batch in batches for s in batch] + list(inner_pool))
-            self._pool = self._features(codes)
-            n = len(codes) - len(inner_pool)
-            batches, inner_pool = np.arange(n).reshape(len(batches), -1), np.arange(n, len(codes))
+            flat = [s for batch in batches for s in batch]
+            self._pool = self._features(residue_array(flat + list(inner_pool)))
+            batches, inner_pool = (np.arange(len(flat)).reshape(len(batches), -1),
+                                   np.arange(len(flat), len(flat) + len(inner_pool)))
         if self._pool is None:
             raise TrainingError("no rows predicted since the last fit")
         ys = np.asarray(ys, dtype=np.float64)
@@ -565,7 +556,7 @@ def gradient_check(kind: str = "conv", config=None, tolerance: float = 1e-4,
         config = (ConvRegressorConfig(channels=(4, 4), kernel_size=3, hidden_dense=6)
                   if kind == "conv" else RecurrentRegressorConfig(hidden_size=6))
     members = 2
-    net = REGRESSORS[kind][1](config, length, vocab, [rng] * members, np.float64)
+    net = REGRESSORS[kind][1](config, vocab, [rng] * members, np.float64)
     x = net.inputs(rng.standard_normal((members, batch, length, vocab)))
     y = rng.standard_normal((members, batch))
 

@@ -48,8 +48,8 @@ def per_candidate_slot_scores(pool):
             batches.append(rows)
             ys.append(means[None, :] + stds[None, :] * z + penalty[rows][None, :])
         model.predict_batch(pool)
-        inner_means = model.fantasy_inner_means_multi(np.array(batches), np.stack(ys),
-                                                      np.array(inner), data)
+        inner_means = model.fantasy_inner_means_multi(np.array(batches), np.stack(ys), inner,
+                                                      data)
         return (inner_means - penalty[inner]).max(axis=2).mean(axis=1)
 
     return slot_scores

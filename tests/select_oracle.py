@@ -107,7 +107,7 @@ def _slot_scores(model, chosen, subset, inner_pool, data, cfg, rng):
     penalty = np.zeros(len(seqs))
     mean, std = _mean_std(model, residue_array(seqs), penalty)
     return _kg_slot_scores(model, mean, std, list(range(k)), list(range(k, n)),
-                           list(range(n, len(seqs))), data, cfg, rng, penalty)
+                           np.arange(n, len(seqs)), data, cfg, rng, penalty)
 
 
 def _ranked(pool: list[Sequence], scores: list[float],

@@ -113,7 +113,7 @@ class TestFantasyHead:
         cfg = acquisition.KGConfig(n_fantasies=4)
         n = len(unmeasured)
         mean, std = acquisition._mean_std(ens, unmeasured, penalty)
-        args = (ens, mean, std, [0, 1], [2, 3, 4], list(range(n - 9, n)), data, cfg)
+        args = (ens, mean, std, [0, 1], [2, 3, 4], np.arange(n - 9, n), data, cfg)
         fast = acquisition._kg_slot_scores(*args, np.random.default_rng(5), penalty)
         monkeypatch.setattr(Ensemble, "fantasy_inner_means_multi",
                             looped_fantasy_inner_means_multi)

@@ -504,7 +504,7 @@ class TestCLI:
         ("round;query_index;sequence;fitness;cumulative_max\n0,0,AA,1.0,1.0\n",
          r"run_1\.csv:1: unexpected header"),
         ("round,query_index,sequence,fitness,cumulative_max\n0,0,AA,1.0,high\n",
-         r"run_1\.csv:2: non-numeric round '0' or cumulative max 'high'"),
+         r"run_1\.csv:2: could not convert string to float: 'high'"),
         ("round,query_index,sequence,fitness,cumulative_max\n0,0,AA,1.0,1.0\n",
          r"run_1\.csv: round structure differs from the first run"),
         ], ids=["columns", "header", "number", "rounds"])

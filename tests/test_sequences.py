@@ -23,7 +23,7 @@ AB4 = small_alphabet(4)
 
 
 def seq(text: str, alphabet: Alphabet = AB4) -> Sequence:
-    return Sequence(tuple(alphabet.index(ch) for ch in text), alphabet)
+    return alphabet.encode(text)
 
 
 def encode_onehot(s: Sequence) -> np.ndarray:
@@ -39,15 +39,14 @@ class TestAlphabet:
         assert ab.symbols == PROTEIN_SYMBOLS
         assert ab.size == 20
 
-    def test_index_and_symbol_roundtrip(self):
+    def test_ordinals_and_text_roundtrip(self):
         ab = protein_alphabet()
-        for i, ch in enumerate(ab.symbols):
-            assert ab.index(ch) == i
-            assert ab.symbol(i) == ch
+        assert ab.ordinals(ab.symbols) == tuple(range(20))
+        assert ab.encode(ab.symbols).text == ab.symbols
 
     def test_unknown_symbol_raises(self):
-        with pytest.raises(ValueError):
-            AB4.index("Z")
+        with pytest.raises(ValueError, match="'Z' not in alphabet"):
+            AB4.ordinals("ACZ")
 
     def test_duplicate_symbols_rejected(self):
         with pytest.raises(ValueError):
