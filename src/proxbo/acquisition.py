@@ -130,7 +130,7 @@ def _kg_slot_scores(model, mean: np.ndarray, std: np.ndarray, chosen: list[int],
 
 def _mean_std(model, codes: np.ndarray,
               penalty: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Penalised posterior mean and std arrays over the rows of `codes`; a non-finite entry is an error."""
+    """Penalised posterior mean and std arrays over the rows of `codes`; non-finite is an error."""
     mean, var = model.predict_batch(codes).T
     mean = mean - penalty
     std = np.sqrt(np.maximum(var, 0.0))
@@ -154,7 +154,7 @@ def select_batch(strategy: str, model, pool: np.ndarray, data: Dataset, m: int,
                  kg_config: KGConfig | None = None,
                  wild_type: Sequence | None = None,
                  rng: np.random.Generator | None = None) -> np.ndarray:
-    """Row indices of M distinct rows of the (P, L) residue array `pool`, by the chosen strategy.
+    """Indices of M distinct rows of the (P, L) residue array `pool`, by the chosen strategy.
 
     Every strategy scores the proximally regularised posterior: the model's
     mean minus `lam` times the Hamming distance to `wild_type`, with the
