@@ -10,12 +10,12 @@ Candidates are rows of a (P, L) residue array, and `kg_oneshot` and
 `predict_batch(codes)`, the (P, 2) posterior mean and variance of the rows
 of `codes`, and `fantasy_inner_means_multi(batches, ys, inner_pool, data)`,
 whose (C, w) `batches` and (I,) `inner_pool` are row indices into the codes
-of the last `predict_batch` call. It returns the (C, n_fantasies, I)
-posterior means over the `inner_pool` rows after conditioning each batch
-on each row of its fantasy outcomes `ys[c]` (n_fantasies, w). Exact
-conjugate models can therefore stand in for the ensemble in tests. The
-model knows nothing of the proximal penalty: `select_batch` subtracts
-λ·d(s, wild type) from its means itself.
+of the last `predict_batch` call (a later call retargets them). It
+returns the (C, n_fantasies, I) posterior means over the `inner_pool`
+rows after conditioning each batch on each row of its fantasy outcomes
+`ys[c]` (n_fantasies, w). Exact conjugate models can therefore stand in
+for the ensemble in tests. The model knows nothing of the proximal
+penalty: `select_batch` subtracts λ·d(s, wild type) from its means itself.
 `select_batch` strategies are the acquisitions `ucb`, `ei` and `kg`, and
 `greedy`, the frontier-greedy (PEX-style) baseline.
 """

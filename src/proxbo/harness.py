@@ -420,9 +420,9 @@ def read_run_csv(path: str | Path) -> dict[int, float]:
         header = fh.readline().strip()
         if header != _RUN_HEADER:
             raise ParseError(f"{path}:1: unexpected header {header!r}")
-        for lineno, line in enumerate(fh, start=2):
-            cols = line.strip().split(",")
-            if cols[0] and not cols[0].startswith("#"):
+        for lineno, line in enumerate(map(str.strip, fh), start=2):
+            if line and not line.startswith("#"):
+                cols = line.split(",")
                 try:
                     if len(cols) != 5:
                         raise ValueError(f"expected 5 comma-separated columns, got {len(cols)}")

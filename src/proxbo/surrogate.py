@@ -64,12 +64,14 @@ class TrainConfig:
 class Dataset:
     """Append-only (sequence, measured fitness) pairs, in insertion order, keyed by residues.
 
-    `codes` gives them as (N, L) ordinals in the smallest unsigned dtype of the
-    first added sequence's `alphabet`, and `scores` as (N,) float64 fitness.
+    Every sequence shares the first one's `alphabet` and length. `codes` gives
+    them as (N, L) ordinals in the alphabet's smallest unsigned dtype, and
+    `scores` as (N,) float64 fitness.
     """
 
     def __init__(self):
         self.alphabet: Alphabet | None = None
+        self._length = 0
         self._scores: dict[tuple[int, ...], float] = {}
 
     def __len__(self) -> int:
@@ -93,13 +95,14 @@ class Dataset:
         return [Sequence(r, self.alphabet) for r in self._scores]
 
     def add(self, s: Sequence, y: float) -> None:
-        if s.residues in self._scores:
-            if self._scores[s.residues] != y:
-                raise DataError(f"conflicting scores for {s.text}: "
-                                f"{self._scores[s.residues]} vs {y}")
-            return
-        self.alphabet = self.alphabet or s.alphabet
-        self._scores[s.residues] = float(y)
+        self.alphabet, self._length = self.alphabet or s.alphabet, self._length or len(s)
+        if (s.alphabet, len(s)) != (self.alphabet, self._length):
+            raise DataError(f"{s.text} (alphabet {s.alphabet.symbols!r}) does not fit a dataset "
+                            f"of length-{self._length} sequences over {self.alphabet.symbols!r}")
+        if s.residues not in self._scores:
+            self._scores[s.residues] = float(y)
+        elif self._scores[s.residues] != y:
+            raise DataError(f"conflicting scores for {s.text}: {self._scores[s.residues]} vs {y}")
 
     def extend(self, pairs) -> None:
         for s, y in pairs:
@@ -238,9 +241,6 @@ class ConvRegressor(_StackedNet):
         feats /= h.shape[-3]
         return feats, (caches, h.shape[-3])
 
-    # feature map (conv stack + pooling) vs head (dense layers): the split
-    # lets predictions and KG fantasies reuse cached features
-
     def last_hidden(self, feats: np.ndarray) -> np.ndarray:
         """(M, B, h) input of each member's output layer on its own (M, B, d) features."""
         return np.maximum(feats @ self.params["dense_w"] + self.params["dense_b"][:, None, :], 0.0)
@@ -356,7 +356,7 @@ class Ensemble:
         self.net: ConvRegressor | RecurrentRegressor | None = None
         self.y_mean = 0.0
         self.y_std = 1.0
-        self._pool: np.ndarray | None = None  # features of the last predict_batch's rows
+        self._predicted_features: np.ndarray | None = None  # see predict_batch
         self._head_post: tuple | None = None  # see _head_posterior
 
     @property
@@ -405,7 +405,7 @@ class Ensemble:
         net = self.net
         x_all = net.inputs(x_all)  # built once per fit
         y_all = ((y_raw - self.y_mean) / self.y_std).astype(NET_DTYPE)
-        self._pool = None
+        self._predicted_features = None
         self._head_post = None
 
         n = len(data)
@@ -446,14 +446,14 @@ class Ensemble:
     def predict_batch(self, codes: np.ndarray) -> np.ndarray:
         """(B, 2) array: per-row mean and population variance of the member predictions.
 
-        `codes` is a (B, L) residue array. Its rows' features are kept, and
-        `fantasy_inner_means_multi` takes row indices into them. Each
-        member's output layer runs in float64 on its float32 last hidden
-        layer, as in the fantasies: a fantasy whose outcomes are the
-        predictions leaves the means where they are.
+        `codes` is a (B, L) residue array. Only this method keeps the rows'
+        features (`fit` drops them); `fantasy_inner_means_multi` takes row
+        indices into the last call's. Each member's output layer runs in
+        float64 on its float32 last hidden layer, as in the fantasies: a
+        fantasy whose outcomes are the predictions leaves the means in place.
         """
-        self._pool = self._features(codes)
-        preds = (self._design(self._pool) @ self._head_weights()[..., None])[..., 0]
+        feats = self._predicted_features = self._features(codes)
+        preds = (self._design(feats) @ self._head_weights()[..., None])[..., 0]
         preds = preds * self.y_std + self.y_mean
         return np.stack([preds.mean(axis=0), preds.var(axis=0)], axis=1)
 
@@ -497,13 +497,14 @@ class Ensemble:
         `steps` and `lr` are ignored; they set the SGD head this replaced.
         """
         if not isinstance(batches, np.ndarray):
-            # lists of Sequences, as bench/micro.py passes them: kept for bench/
-            # until it passes rows (ROADMAP item 2)
+            # lists of Sequences, as bench/micro.py passes them, are predicted
+            # here: kept for bench/ until it passes rows (ROADMAP item 2)
             flat = [s for batch in batches for s in batch]
-            self._pool = self._features(residue_array(flat + list(inner_pool)))
+            self.predict_batch(residue_array(flat + list(inner_pool)))
             batches, inner_pool = (np.arange(len(flat)).reshape(len(batches), -1),
                                    np.arange(len(flat), len(flat) + len(inner_pool)))
-        if self._pool is None:
+        feats = self._predicted_features
+        if feats is None:
             raise TrainingError("no rows predicted since the last fit")
         ys = np.asarray(ys, dtype=np.float64)
         if batches.ndim != 2 or not len(batches) or ys.ndim != 3 or ys.shape[::2] != batches.shape:
@@ -511,9 +512,8 @@ class Ensemble:
                              f"{batches.shape}, got {ys.shape}")
         w0, cov, noise = self._head_posterior(data)
         (n_c, width), n_m = batches.shape, self.n_members
-        phi_b = self._design(np.take(self._pool, batches.ravel(), axis=1)).reshape(
-            n_m, n_c, width, -1)
-        phi_p = self._design(np.take(self._pool, inner_pool, axis=1))[:, None]  # (M, 1, P, D)
+        phi_b = self._design(np.take(feats, batches.ravel(), axis=1)).reshape(n_m, n_c, width, -1)
+        phi_p = self._design(np.take(feats, inner_pool, axis=1))[:, None]  # (M, 1, P, D)
         y = (ys - self.y_mean) / self.y_std                        # (C, F, w)
         g = phi_b @ cov[:, None]                                   # Φ_b S: (M, C, w, D)
         gram = g @ np.swapaxes(phi_b, -1, -2)                      # (M, C, w, w)

@@ -85,11 +85,12 @@ def looped_fantasy_inner_means_multi(ens, batches, ys, inner_pool, data):
     width = batches.shape[1]
     n_m = ens.n_members
     posts = [member_posterior(ens, m, data) for m in range(n_m)]
-    phi_p = [member_design(ens, m, np.take(ens._pool, inner_pool, axis=1)) for m in range(n_m)]
+    feats = ens._predicted_features
+    phi_p = [member_design(ens, m, np.take(feats, inner_pool, axis=1)) for m in range(n_m)]
     # the batches' rows come from one design call, as in the fast path: the
     # float32 hidden layer can round a row differently in a product of
     # another height, which no float64 step downstream would undo
-    phi_all = [member_design(ens, m, np.take(ens._pool, batches.ravel(), axis=1))
+    phi_all = [member_design(ens, m, np.take(feats, batches.ravel(), axis=1))
                for m in range(n_m)]
     out = np.empty((len(batches), ys.shape[1], len(inner_pool)))
     for c in range(len(batches)):
@@ -119,12 +120,13 @@ def tiled_fantasy_inner_means_multi(ens, batches, ys, inner_pool, data):
     # candidate-major, then member-major within each candidate; one design call
     # over every batch's rows, since a (1, d) row times a matrix is a
     # matrix-vector product whose last bits differ from the matrix-matrix one
-    phi_all = ens._design(np.take(ens._pool, batches.ravel(), axis=1))    # (M, C*w, D)
+    feats = ens._predicted_features
+    phi_all = ens._design(np.take(feats, batches.ravel(), axis=1))    # (M, C*w, D)
     phi_b = np.concatenate([phi_all[:, c * width:(c + 1) * width] for c in range(n_c)])
     w0_t = np.tile(w0, (n_c, 1))
     cov_t = np.tile(cov, (n_c, 1, 1))
     noise_t = np.tile(noise, n_c)
-    phi_p = np.tile(ens._design(np.take(ens._pool, inner_pool, axis=1)), (n_c, 1, 1))
+    phi_p = np.tile(ens._design(np.take(feats, inner_pool, axis=1)), (n_c, 1, 1))
     y = np.repeat((ys - ens.y_mean) / ens.y_std, n_m, axis=0)               # (C*M, F, w)
     g = phi_b @ cov_t
     gram = g @ phi_b.transpose(0, 2, 1) + noise_t[:, None, None] * np.eye(width)
@@ -140,8 +142,8 @@ def sequential_fantasy_inner_means(ens, batch, ys, inner_pool, data):
     out = np.zeros((len(ys), len(inner_pool)))
     for m in range(ens.n_members):
         w0, cov0, noise = member_posterior(ens, m, data)
-        phi_b = member_design(ens, m, np.take(ens._pool, batch, axis=1))
-        phi_p = member_design(ens, m, np.take(ens._pool, inner_pool, axis=1))
+        phi_b = member_design(ens, m, np.take(ens._predicted_features, batch, axis=1))
+        phi_p = member_design(ens, m, np.take(ens._predicted_features, inner_pool, axis=1))
         for f, y_raw in enumerate(ys):
             w, cov = w0.copy(), cov0.copy()
             for phi, y in zip(phi_b, (np.asarray(y_raw) - ens.y_mean) / ens.y_std):

@@ -505,9 +505,11 @@ class TestCLI:
          r"run_1\.csv:1: unexpected header"),
         ("round,query_index,sequence,fitness,cumulative_max\n0,0,AA,1.0,high\n",
          r"run_1\.csv:2: could not convert string to float: 'high'"),
+        ("round,query_index,sequence,fitness,cumulative_max\n0,0,AA,1.0,1.0\n,1,AC,2.0,2.0\n",
+         r"run_1\.csv:3: invalid literal for int\(\) with base 10: ''"),
         ("round,query_index,sequence,fitness,cumulative_max\n0,0,AA,1.0,1.0\n",
          r"run_1\.csv: round structure differs from the first run"),
-        ], ids=["columns", "header", "number", "rounds"])
+        ], ids=["columns", "header", "number", "empty-round", "rounds"])
     def test_malformed_run_csv_exits_one_with_one_line(self, tmp_path, run_1, message):
         (tmp_path / "run_0.csv").write_text(
             "round,query_index,sequence,fitness,cumulative_max\n0,0,AA,1.0,1.0\n"

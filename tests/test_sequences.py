@@ -143,11 +143,6 @@ class TestEncoding:
         assert x.shape == ref.shape and x.dtype == ref.dtype
         assert x.tobytes() == ref.tobytes()
 
-    def test_batch_rejects_mixed_lengths(self):
-        # a batch of sequences becomes residues at the edge, which refuses a ragged one
-        with pytest.raises(ValueError):
-            residue_array([seq("AC"), seq("ACD")])
-
     def test_batch_rejects_empty(self):
         with pytest.raises(ValueError):
             encode_batch(np.zeros((0, 3), dtype=np.uint8), 4)

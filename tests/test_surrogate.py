@@ -75,6 +75,29 @@ class TestDataset:
         assert data.codes.tolist() == [[0, 1], [1, 1]]
         assert data.scores.tolist() == [1.0, 3.0]
 
+    @pytest.mark.parametrize("first, second", [(AB2, AB4), (AB4, AB2)],
+                             ids=["smaller-first", "larger-first"])
+    def test_rejects_mixed_alphabet_sizes(self, first, second):
+        # a row of another alphabet would one-hot encode past or short of the fitted vocab
+        data = Dataset()
+        data.extend([(Sequence((0, 1, 1), first), 1.0), (Sequence((1, 0, 0), first), 2.0)])
+        with pytest.raises(DataError, match="does not fit"):
+            data.add(Sequence((1, 1, 1), second), 0.5)
+        assert data.codes.tolist() == [[0, 1, 1], [1, 0, 0]]
+        ens = Ensemble("conv", SMALL_CONV, n_members=2, seed=0)
+        ens.fit(data, TrainConfig(epochs=2, minibatch=2), np.random.default_rng(0))
+        assert ens.net.vocab == first.size
+
+    def test_rejects_mixed_lengths(self):
+        data = Dataset()
+        data.add(Sequence((0, 1), AB2), 1.0)
+        with pytest.raises(DataError, match="length-2 sequences"):
+            data.add(Sequence((0, 1, 1), AB2), 2.0)
+        assert data.codes.tolist() == [[0, 1]]
+        ens = Ensemble("conv", SMALL_CONV, n_members=2, seed=0)
+        ens.fit(data, TrainConfig(epochs=2, minibatch=2), np.random.default_rng(0))
+        assert ens.predict_batch(data.codes).shape == (1, 2)
+
 
 class TestGradients:
     def test_conv_gradients_match_finite_differences(self):
