@@ -6,8 +6,8 @@ experiment harness over lookup and NK fitness landscapes.
 """
 
 from .acquisition import KGConfig, ei, kg_oneshot, select_batch
-from .explorer import (ExplorerState, FrontierPoint, PoolProposal, RoundRecord,
-                       propose_pool, random_search_round, run_round, update_frontier)
+from .explorer import (ExplorerState, PoolProposal, RoundRecord, frontier_rows, propose_pool,
+                       random_search_round, run_round)
 from .harness import (AggregateCurve, CampaignConfig, aggregate_dir, aggregate_runs,
                       gen_nk, load_config, parse_config_text, run_campaign)
 from .landscape import (BudgetedOracle, LookupLandscape, NKLandscape, load_lookup,

@@ -11,8 +11,9 @@ import numpy as np
 
 from .acquisition import ei
 from .errors import ProxboError
-from .explorer import FrontierPoint, update_frontier
+from .explorer import frontier_rows
 from .harness import aggregate_dir, gen_nk, load_config, run_campaign
+from .sequences import Sequence, small_alphabet
 from .surrogate import gradient_check
 
 
@@ -66,17 +67,15 @@ def _check_ei() -> tuple[bool, str]:
 
 
 def _check_frontier() -> tuple[bool, str]:
-    from .sequences import Sequence, small_alphabet
     rng = np.random.default_rng(7)
-    alph = small_alphabet(2)
-    pts = [FrontierPoint(Sequence((i % 2,), alph), int(rng.integers(0, 10)),
-                         float(rng.uniform())) for i in range(100)]
-    front = update_frontier([], pts)
+    pts = [(int(rng.integers(0, 10)), float(rng.uniform())) for _ in range(100)]
+    dist, fit = np.array(pts).T
+    codes = (np.arange(10) < dist[:, None]).astype(np.uint8)  # d leading ones: distance d
+    front = frontier_rows(codes, fit, Sequence((0,) * 10, small_alphabet(2)))
     brute = [p for p in pts
-             if not any((q.distance <= p.distance and q.fitness >= p.fitness
-                         and (q.distance < p.distance or q.fitness > p.fitness))
+             if not any((q[0] <= p[0] and q[1] >= p[1] and (q[0] < p[0] or q[1] > p[1]))
                         for q in pts)]
-    ok = {(p.distance, p.fitness) for p in front} == {(p.distance, p.fitness) for p in brute}
+    ok = {pts[i] for i in front} == set(brute)
     return ok, "frontier matches pairwise-domination brute force" if ok \
         else "frontier disagrees with brute force"
 

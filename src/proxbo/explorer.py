@@ -1,10 +1,11 @@
-"""Proximal regularized search: frontier maintenance, candidate pools, rounds.
+"""Proximal regularized search: candidate pools around the frontier, rounds.
 
-The campaign keeps a non-dominated frontier of measured sequences trading
-low mutation count against high fitness, proposes mutant pools around it,
-and selects query batches with `acquisition.select_batch`, which applies the
-acquisition to the distance-regularized posterior (mean shifted by
--lambda * d(s, wild_type)).
+The proximal frontier is the non-dominated set of measured sequences under
+(distance to the wild type, fitness). It is not stored: `frontier_rows`
+derives it from the dataset's arrays whenever a pool is proposed. Mutant
+pools are drawn around it, and query batches are selected with
+`acquisition.select_batch`, which applies the acquisition to the
+distance-regularized posterior (mean shifted by -lambda * d(s, wild_type)).
 """
 
 from __future__ import annotations
@@ -17,50 +18,31 @@ import numpy as np
 from .acquisition import KGConfig, select_batch
 from .errors import DomainExhausted
 from .landscape import BudgetedOracle
-from .sequences import (Alphabet, Sequence, hamming_distance, mutant_block, residue_array,
+from .sequences import (Alphabet, Sequence, hamming_distances, mutant_block, residue_array,
                         row_keys, sample_mutants)
 from .surrogate import Dataset, Ensemble, TrainConfig
-
-
-@dataclass(frozen=True)
-class FrontierPoint:
-    sequence: Sequence
-    distance: int
-    fitness: float
 
 
 @dataclass
 class ExplorerState:
     wild_type: Sequence
     data: Dataset = field(default_factory=Dataset)
-    frontier: list[FrontierPoint] = field(default_factory=list)
     round_index: int = 0
 
-    def make_point(self, s: Sequence, fitness: float) -> FrontierPoint:
-        return FrontierPoint(s, hamming_distance(s, self.wild_type), fitness)
 
+def frontier_rows(codes: np.ndarray, scores: np.ndarray, wild_type: Sequence) -> np.ndarray:
+    """Indices of the non-dominated rows under (minimize distance, maximize fitness).
 
-def update_frontier(frontier: list[FrontierPoint],
-                    new_points: list[FrontierPoint]) -> list[FrontierPoint]:
-    """Non-dominated set under (minimize distance, maximize fitness).
-
-    A point is dominated when another has distance <= and fitness >= with at
-    least one strict. The result is sorted by distance; fitness is then
-    strictly increasing. Idempotent.
+    A row is dominated when another has distance <= and fitness >= with at
+    least one strict. The rows come nearest first, so their fitness strictly
+    increases; of rows equal in distance and fitness, the first in residue
+    order is kept.
     """
-    points = list(frontier) + list(new_points)
-    points.sort(key=lambda p: (p.distance, -p.fitness, p.sequence.residues))
-    kept: list[FrontierPoint] = []
-    best_fit = -np.inf
-    prev_dist = None
-    for p in points:
-        if p.distance == prev_dist:
-            continue  # same distance, lower-or-equal fitness: dominated or duplicate
-        if p.fitness > best_fit:
-            kept.append(p)
-            best_fit = p.fitness
-            prev_dist = p.distance
-    return kept
+    dist = hamming_distances(codes, wild_type)
+    order = np.lexsort((*codes.T[::-1], -scores, dist))
+    tops = order[np.diff(dist[order], prepend=-1) != 0]  # the fittest row at each distance
+    fit = scores[tops]
+    return tops[fit > np.maximum.accumulate(np.concatenate([[-np.inf], fit[:-1]]))]
 
 
 @dataclass
@@ -82,12 +64,13 @@ _MIN_BLOCK = 30 * 16
 
 def propose_pool(state: ExplorerState, domain, pool_size: int, radius: int,
                  rng: np.random.Generator) -> PoolProposal:
-    """Sample unmeasured candidates around the frontier and the wild type.
+    """Sample unmeasured candidates around the proximal frontier and the wild type.
 
     Candidates come in blocks from `mutant_block`, each draw with the law of
-    `random_mutant` on an anchor drawn uniformly from the frontier points
-    plus the wild type. A block holds max(480, twice the pool deficit) draws,
-    taken in draw order: draws already pooled, measured or drawn (compared by
+    `random_mutant` on an anchor drawn uniformly from the dataset's
+    `frontier_rows` (nearest first), then the wild type when it is not among
+    them. A block holds max(480, twice the pool deficit) draws, taken in
+    draw order: draws already pooled, measured or drawn (compared by
     row bytes at one dtype) are skipped, and the rest are checked in one
     `domain.in_domain` call. A block that adds nothing ends the radius r,
     which then widens up to L. On enumerable domains (with `states` and
@@ -97,12 +80,13 @@ def propose_pool(state: ExplorerState, domain, pool_size: int, radius: int,
     """
     if pool_size < 1:
         raise ValueError(f"pool_size must be >= 1, got {pool_size}")
-    anchors = [p.sequence for p in state.frontier] or [state.wild_type]
-    if state.wild_type not in anchors:
-        anchors.append(state.wild_type)
-    anchor_rows = residue_array(anchors)
     alphabet = state.wild_type.alphabet
     length = len(state.wild_type)
+    measured = state.data.codes.reshape(-1, length)
+    anchor_rows = measured[frontier_rows(measured, state.data.scores, state.wild_type)]
+    wt_row = np.array([state.wild_type.residues])
+    if not (anchor_rows == wt_row).all(axis=1).any():
+        anchor_rows = np.concatenate([anchor_rows, wt_row])
     dtype = np.min_scalar_type(alphabet.size - 1)
     pool = np.zeros((0, length), dtype)
     seen: set = set()  # row keys of every sequence pooled, measured or drawn
@@ -117,7 +101,7 @@ def propose_pool(state: ExplorerState, domain, pool_size: int, radius: int,
         nonlocal pool
         pool = np.concatenate([pool, rows[:pool_size - len(pool)]])
 
-    fresh(state.data.codes.reshape(-1, length))  # the measured rows
+    fresh(measured)
 
     def draw_at(r: int) -> None:
         while len(pool) < pool_size:
@@ -155,12 +139,6 @@ class RoundRecord:
     short_pool: bool = False
 
 
-def _ingest(state: ExplorerState, batch: list[Sequence], scores: list[float]) -> None:
-    state.data.extend(zip(batch, scores))
-    state.frontier = update_frontier(state.frontier,
-                                     [state.make_point(s, y) for s, y in zip(batch, scores)])
-
-
 def _finish_round(state: ExplorerState, batch, scores, t0, **extra) -> RoundRecord:
     state.round_index += 1
     return RoundRecord(round_index=state.round_index, sequences=batch, scores=scores,
@@ -185,7 +163,7 @@ def _query_draws(state: ExplorerState, oracle: BudgetedOracle, m: int, tries: in
         raise DomainExhausted(f"{what} found no unmeasured in-domain mutants")
     batch = list(chosen)
     scores = oracle.query_batch(residue_array(batch))
-    _ingest(state, batch, scores)
+    state.data.extend(zip(batch, scores))
     return batch, scores
 
 
@@ -226,7 +204,7 @@ def run_round(state: ExplorerState, ensemble: Ensemble, oracle: BudgetedOracle,
     codes = proposal.codes[rows]
     scores = oracle.query_batch(codes)
     batch = [Sequence(tuple(r), proposal.alphabet) for r in codes.tolist()]
-    _ingest(state, batch, scores)
+    state.data.extend(zip(batch, scores))
     if oracle.rounds_remaining > 0:
         ensemble.fit(state.data, warm_cfg or train_cfg, rng, warm_start=warm_cfg is not None)
     return state, _finish_round(state, batch, scores, t0, lambda_used=lam,

@@ -275,7 +275,6 @@ def run_one_seed(cfg: CampaignConfig, seed: int,
     oracle = BudgetedOracle(landscape, rounds_total=cfg.rounds, batch_size=cfg.batch)
     state = ExplorerState(wild_type=wt)
     state.data.add(wt, wt_fitness)
-    state.frontier = [state.make_point(wt, wt_fitness)]
 
     rng = np.random.default_rng([seed, 0xB0])
     train_cfg, warm_cfg = _train_configs(cfg)
@@ -352,6 +351,8 @@ def run_campaign(cfg: CampaignConfig) -> dict[int, list[RoundRecord]]:
         threads = int(raw_threads)
     except ValueError:
         raise ConfigError(f"PROXBO_THREADS: expected an integer, got {raw_threads!r}") from None
+    if threads < 1:
+        raise ConfigError(f"PROXBO_THREADS: expected at least 1, got {threads}")
     landscape = _build_landscape(cfg)
     out = Path(cfg.out)
     made_out = not out.exists()
@@ -369,7 +370,8 @@ def run_campaign(cfg: CampaignConfig) -> dict[int, list[RoundRecord]]:
         all_records[seed] = result[0]
 
     if threads > 1 and len(cfg.seeds) > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        # a fork start forks every worker at the first submit: one per seed at most
+        with ProcessPoolExecutor(max_workers=min(threads, len(cfg.seeds))) as pool:
             futures = {pool.submit(run_one_seed, cfg, seed, landscape): seed
                        for seed in cfg.seeds}
             for future in as_completed(futures):

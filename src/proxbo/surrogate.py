@@ -150,7 +150,10 @@ def evidence_posterior(phi: np.ndarray, t: np.ndarray) -> tuple[float, float, np
 
 
 class _StackedNet:
-    """What both stacked regressors share: the stacked parameters, forward = head after features.
+    """What both stacked regressors share: the stacked parameters and the output layer.
+
+    `forward` runs each regressor's `_features`, then its `_hidden` layers,
+    then the output layer; `backward` runs the output layer, then `_backward`.
 
     `rngs` holds one generator per member; each draws its member's weights
     layer by layer in float64, and the members' parameters are stacked on a
@@ -180,10 +183,27 @@ class _StackedNet:
         """(M, B, d) features of the input x (see `inputs`), per member or shared by all."""
         return self._features(x)[0]
 
+    def _hidden(self, feats: np.ndarray):
+        """The layers between the features and the output layer, and their cache: none here."""
+        return feats, None
+
+    def last_hidden(self, feats: np.ndarray) -> np.ndarray:
+        """(M, B, h) input of each member's output layer on its own (M, B, d) features."""
+        return self._hidden(feats)[0]
+
     def forward(self, x: np.ndarray):
         feats, c_feats = self._features(x)
-        pred, c_head = self.head_forward(feats)
-        return pred, (c_feats, c_head)
+        hid, c_hid = self._hidden(feats)
+        out, c_out = nn.dense_forward(hid, self.params["out_w"], self.params["out_b"])
+        return out[..., 0], (c_feats, c_hid, c_out)
+
+    def backward(self, cache, dpred: np.ndarray, grads: nn.Arena | None = None) -> nn.Arena:
+        """Gradients of every parameter, written into `grads` (a new arena when None)."""
+        grads = nn.Arena.like(self.params) if grads is None else grads
+        c_feats, c_hid, c_out = cache
+        dhid, _, _ = nn.dense_backward(c_out, dpred[..., None], grads["out_w"], grads["out_b"])
+        self._backward(c_feats, c_hid, dhid, grads)
+        return grads
 
     def member(self, m: int):
         """Member m alone, as a one-member stack sharing this stack's arrays."""
@@ -241,23 +261,16 @@ class ConvRegressor(_StackedNet):
         feats /= h.shape[-3]
         return feats, (caches, h.shape[-3])
 
-    def last_hidden(self, feats: np.ndarray) -> np.ndarray:
-        """(M, B, h) input of each member's output layer on its own (M, B, d) features."""
-        return np.maximum(feats @ self.params["dense_w"] + self.params["dense_b"][:, None, :], 0.0)
-
-    def head_forward(self, feats: np.ndarray):
-        """(M, B) outputs of each member's head on its own (M, B, d) features."""
+    def _hidden(self, feats: np.ndarray):
+        """The dense layer and its ReLU on (M, B, d) features, and their cache."""
         hid, c_dense = nn.dense_forward(feats, self.params["dense_w"], self.params["dense_b"])
-        hid, c_hrelu = nn.relu_forward(hid)
-        out, c_out = nn.dense_forward(hid, self.params["out_w"], self.params["out_b"])
-        return out[..., 0], (c_dense, c_hrelu, c_out)
+        hid, c_relu = nn.relu_forward(hid)
+        return hid, (c_dense, c_relu)
 
-    def backward(self, cache, dpred: np.ndarray, grads: nn.Arena | None = None) -> nn.Arena:
-        """Gradients of every parameter, written into `grads` (a new arena when None)."""
-        grads = nn.Arena.like(self.params) if grads is None else grads
-        (caches, length), (c_dense, c_hrelu, c_out) = cache
-        d, _, _ = nn.dense_backward(c_out, dpred[..., None], grads["out_w"], grads["out_b"])
-        d = nn.relu_backward(c_hrelu, d)
+    def _backward(self, c_feats, c_hid, dhid: np.ndarray, grads: nn.Arena) -> None:
+        """Write the gradients of every parameter before the output layer into `grads`."""
+        (caches, length), (c_dense, c_relu) = c_feats, c_hid
+        d = nn.relu_backward(c_relu, dhid)
         d, _, _ = nn.dense_backward(c_dense, d, grads["dense_w"], grads["dense_b"])
         d = d[..., None, :, :] / length  # mean pool; the mask below broadcasts it over L
         for i in reversed(range(len(self.cfg.channels))):
@@ -266,7 +279,6 @@ class ConvRegressor(_StackedNet):
             # nothing reads the gradient w.r.t. the one-hot input
             d, _, _ = nn.stacked_conv1d_backward(c_conv, d, need_dx=i > 0,
                                                  dw=grads[f"conv{i}_w"], db=grads[f"conv{i}_b"])
-        return grads
 
 
 class RecurrentRegressor(_StackedNet):
@@ -294,22 +306,13 @@ class RecurrentRegressor(_StackedNet):
             hs.append(np.tanh(a + bh[:, None, :]))
         return hs[-1], (x, hs)
 
-    def last_hidden(self, feats: np.ndarray) -> np.ndarray:
-        """The output layer's input: the final hidden states themselves."""
-        return feats
-
-    def head_forward(self, feats: np.ndarray):
-        out, c_out = nn.dense_forward(feats, self.params["out_w"], self.params["out_b"])
-        return out[..., 0], (c_out,)
-
-    def backward(self, cache, dpred: np.ndarray, grads: nn.Arena | None = None) -> nn.Arena:
-        """Gradients of every parameter, written into `grads` (a new arena when None)."""
-        grads = nn.Arena.like(self.params) if grads is None else grads
-        (x, hs), (c_out,) = cache
+    def _backward(self, c_feats, c_hid, dh: np.ndarray, grads: nn.Arena) -> None:
+        """Write the gradients of the recurrence into `grads`, summed over positions."""
+        x, hs = c_feats
         wh = self.params["wh"]
-        grads.flat.fill(0.0)  # the recurrent gradients accumulate over positions
-        dh, _, _ = nn.dense_backward(c_out, dpred[..., None], grads["out_w"], grads["out_b"])
         gwx, gwh, gbh = grads["wx"], grads["wh"], grads["bh"]
+        for g in (gwx, gwh, gbh):
+            g.fill(0.0)  # accumulated below; the output layer's are already written
         for t in reversed(range(x.shape[-2])):
             da = dh * (1.0 - hs[t + 1] ** 2)  # through tanh
             gwx += np.swapaxes(x[..., t, :], -1, -2) @ da
@@ -317,7 +320,6 @@ class RecurrentRegressor(_StackedNet):
             if t:  # the initial state is a zero constant: no product with it
                 gwh += np.swapaxes(hs[t], -1, -2) @ da
                 dh = da @ np.swapaxes(wh, -1, -2)
-        return grads
 
 
 # regressor kind -> (config class, stacked network class)

@@ -10,17 +10,24 @@ from __future__ import annotations
 
 import numpy as np
 
-from proxbo.explorer import ExplorerState, PoolProposal
+from proxbo.explorer import ExplorerState, PoolProposal, frontier_rows
 from proxbo.sequences import Sequence, random_mutant, residue_array, sample_mutants
+
+
+def frontier_anchors(state: ExplorerState) -> list[Sequence]:
+    """The pool's anchors: the dataset's frontier, nearest first, then the wild type if absent."""
+    length = len(state.wild_type)
+    codes = state.data.codes.reshape(-1, length)
+    rows = frontier_rows(codes, state.data.scores, state.wild_type)
+    anchors = [Sequence(tuple(r), state.wild_type.alphabet) for r in codes[rows].tolist()]
+    return anchors if state.wild_type in anchors else anchors + [state.wild_type]
 
 
 def rejection_propose_pool(state: ExplorerState, domain, pool_size: int, radius: int,
                            rng: np.random.Generator) -> PoolProposal:
     if pool_size < 1:
         raise ValueError(f"pool_size must be >= 1, got {pool_size}")
-    anchors = [p.sequence for p in state.frontier] or [state.wild_type]
-    if state.wild_type not in anchors:
-        anchors.append(state.wild_type)
+    anchors = frontier_anchors(state)
     length = len(state.wild_type)
     pool: list[Sequence] = []
     seen: set[Sequence] = set()

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from proxbo.acquisition import KGConfig, ei, kg_oneshot
-from proxbo.explorer import FrontierPoint, update_frontier
+from proxbo.explorer import frontier_rows
 from proxbo.harness import CampaignConfig, config_lines, run_campaign, run_one_seed
 from proxbo.landscape import make_nk
 from proxbo.sequences import Sequence, hamming_distance, residue_array, small_alphabet
@@ -187,19 +187,18 @@ class TestProximalProperties:
 
     def test_frontier_matches_quadratic_domination_oracle_on_200_point_sets(self):
         rng = np.random.default_rng(4)
+        wt = Sequence((0,) * 10, AB2)
         mismatched = 0
         for _ in range(10):
-            points = []
+            seqs, fits = [], []
             for _ in range(200):
-                s = Sequence(tuple(rng.integers(0, 2, 10)), AB2)
-                points.append(FrontierPoint(
-                    s, hamming_distance(s, Sequence((0,) * 10, AB2)),
-                    float(rng.random())))
-            got = {(p.distance, p.fitness) for p in update_frontier([], points)}
-            brute = {(p.distance, p.fitness) for p in points
-                     if not any(q.distance <= p.distance and q.fitness >= p.fitness
-                                and (q.distance < p.distance or q.fitness > p.fitness)
-                                for q in points)}
+                seqs.append(Sequence(tuple(rng.integers(0, 2, 10)), AB2))
+                fits.append(float(rng.random()))
+            points = [(hamming_distance(s, wt), y) for s, y in zip(seqs, fits)]
+            got = {points[i] for i in frontier_rows(residue_array(seqs), np.array(fits), wt)}
+            brute = {(d, y) for d, y in points
+                     if not any(qd <= d and qy >= y and (qd < d or qy > y)
+                                for qd, qy in points)}
             mismatched += got != brute
         report("frontier_oracle", mismatched == 0,
                f"{mismatched} mismatches across 10 sets of 200 points")

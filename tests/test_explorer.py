@@ -1,10 +1,12 @@
-"""Tests for the proximal explorer: frontier, pools, campaign rounds."""
+"""Tests for the proximal explorer: the derived frontier, pools, campaign rounds."""
 
 import itertools
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import proxbo.explorer as explorer
 import proxbo.surrogate as surrogate
@@ -12,16 +14,18 @@ from proxbo.acquisition import KGConfig
 from proxbo.errors import DomainExhausted
 from proxbo.explorer import (
     ExplorerState,
-    FrontierPoint,
+    frontier_rows,
     propose_pool,
     random_search_round,
     run_round,
-    update_frontier,
 )
 from proxbo.harness import gen_nk
 from proxbo.landscape import BudgetedOracle, load_lookup, make_nk
-from proxbo.sequences import Sequence, hamming_distance, residue_array, small_alphabet
+from proxbo.sequences import (Sequence, hamming_distance, hamming_distances, residue_array,
+                              small_alphabet)
 from proxbo.surrogate import ConvRegressorConfig, Ensemble, TrainConfig
+
+from frontier_oracle import FrontierPoint, frontier_oracle, update_frontier
 
 AB2 = small_alphabet(2)
 SMALL_CONV = ConvRegressorConfig(channels=(4, 4), kernel_size=3, hidden_dense=6)
@@ -32,27 +36,15 @@ def wt(length=8):
     return Sequence((0,) * length, AB2)
 
 
-def frontier_oracle(points):
-    """O(n^2) reference: keep points not dominated by any other."""
-    kept = []
-    for p in points:
-        dominated = any(
-            q.distance <= p.distance and q.fitness >= p.fitness
-            and (q.distance < p.distance or q.fitness > p.fitness)
-            for q in points)
-        if not dominated and not any(
-                k.distance == p.distance and k.fitness == p.fitness for k in kept):
-            kept.append(p)
-    return sorted(kept, key=lambda p: p.distance)
+def points_of(codes, scores, wild_type):
+    """The rows of `codes` as the oracles' `FrontierPoint`s."""
+    seqs = [Sequence(tuple(r), wild_type.alphabet) for r in codes.tolist()]
+    return [FrontierPoint(s, hamming_distance(s, wild_type), float(y))
+            for s, y in zip(seqs, scores)]
 
 
-def random_points(rng, n, length=8):
-    points = []
-    for _ in range(n):
-        s = Sequence(tuple(rng.integers(0, 2, length)), AB2)
-        points.append(FrontierPoint(s, hamming_distance(s, wt(length)),
-                                    float(rng.random())))
-    return points
+def random_rows(rng, n, length=8):
+    return rng.integers(0, 2, (n, length)), rng.random(n)
 
 
 class TestRegularizedScore:
@@ -74,35 +66,48 @@ class TestRegularizedScore:
                 prev = d
 
 
+@st.composite
+def frontier_problems(draw):
+    """Distinct rows, as in a dataset, with fitness from a few values, so ties abound."""
+    v, length = draw(st.integers(2, 4)), draw(st.integers(1, 6))
+    row = st.tuples(*[st.integers(0, v - 1)] * length)
+    rows = draw(st.lists(row, max_size=60, unique=True))
+    values = draw(st.lists(st.floats(-1, 1), min_size=1, max_size=3))
+    scores = draw(st.lists(st.sampled_from(values), min_size=len(rows), max_size=len(rows)))
+    cuts = sorted(draw(st.lists(st.integers(0, len(rows)), max_size=6)))
+    return (np.array(rows, dtype=np.uint8).reshape(-1, length), np.array(scores),
+            Sequence(draw(row), small_alphabet(v)), cuts)
+
+
 class TestFrontier:
     def test_matches_quadratic_oracle(self):
         rng = np.random.default_rng(1)
         for _ in range(30):
-            points = random_points(rng, 50)
-            got = update_frontier([], points)
+            codes, scores = random_rows(rng, 50)
+            points = points_of(codes, scores, wt())
+            got = [points[i] for i in frontier_rows(codes, scores, wt())]
             want = frontier_oracle(points)
             assert [(p.distance, p.fitness) for p in got] == \
                    [(p.distance, p.fitness) for p in want]
 
-    def test_incremental_equals_batch(self):
-        rng = np.random.default_rng(2)
-        points = random_points(rng, 60)
-        inc = []
-        for p in points:
-            inc = update_frontier(inc, [p])
-        assert inc == update_frontier([], points)
-
-    def test_idempotent(self):
-        rng = np.random.default_rng(3)
-        points = random_points(rng, 40)
-        once = update_frontier([], points)
-        assert update_frontier(once, []) == once
+    @given(frontier_problems())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_batched_merge_and_the_quadratic_oracle_under_ties(self, problem):
+        codes, scores, wild_type, cuts = problem
+        points = points_of(codes, scores, wild_type)
+        got = [points[i] for i in frontier_rows(codes, scores, wild_type)]
+        merged = []
+        for lo, hi in zip([0] + cuts, cuts + [len(points)]):
+            merged = update_frontier(merged, points[lo:hi])
+        assert got == merged  # the same rows, in order, the same tie-break
+        assert [(p.distance, p.fitness) for p in got] == \
+               [(p.distance, p.fitness) for p in frontier_oracle(points)]
 
     def test_strictly_increasing_fitness_by_distance(self):
-        rng = np.random.default_rng(4)
-        front = update_frontier([], random_points(rng, 80))
-        dists = [p.distance for p in front]
-        fits = [p.fitness for p in front]
+        codes, scores = random_rows(np.random.default_rng(4), 80)
+        rows = frontier_rows(codes, scores, wt())
+        dists = hamming_distances(codes[rows], wt()).tolist()
+        fits = scores[rows].tolist()
         assert dists == sorted(dists) and len(set(dists)) == len(dists)
         assert all(a < b for a, b in zip(fits, fits[1:]))
 
@@ -111,8 +116,6 @@ class TestProposePool:
     def _state(self, land, measured=()):
         state = ExplorerState(wild_type=wt(land.n))
         state.data.add(state.wild_type, land.fitness(state.wild_type))
-        state.frontier = update_frontier(
-            [], [state.make_point(state.wild_type, land.fitness(state.wild_type))])
         for s in measured:
             if s not in state.data:
                 state.data.add(s, land.fitness(s))
@@ -139,20 +142,25 @@ class TestProposePool:
     def test_enumeration_fallback_builds_no_sequences(self, monkeypatch):
         land = make_nk(8, 1, 2, 0)  # 256 states
         # every state within one substitution of the wild type is measured,
-        # so radius-1 draws add nothing and the pool comes from the fallback
-        near = [Sequence(r, AB2) for r in itertools.product((0, 1), repeat=8)
-                if sum(r) <= 1]
-        state = self._state(land, measured=near)
+        # below the wild type's fitness, so the wild type is the one anchor,
+        # radius-1 draws add nothing and the pool comes from the fallback
+        state = self._state(land)
+        below = state.data.max_score() - 1.0
+        for r in itertools.product((0, 1), repeat=8):
+            if sum(r) == 1:
+                state.data.add(Sequence(r, AB2), below)
 
         def no_sequences(self):
             raise AssertionError("the fallback filters the states array")
 
         monkeypatch.setattr(type(land), "iter_domain", no_sequences)
+        enumerated, states = [], land.states
+        monkeypatch.setattr(land, "states", lambda: enumerated.append(1) or states())
         built = []
         monkeypatch.setattr(explorer, "Sequence",
                             lambda *args: built.append(args) or Sequence(*args))
         pool = propose_pool(state, land, 20, 1, np.random.default_rng(3))
-        assert not pool.short and not built and pool.codes.shape == (20, 8)
+        assert enumerated and not pool.short and not built and pool.codes.shape == (20, 8)
         assert len(set(pool.sequences)) == 20
         assert all(s not in state.data and s.alphabet == land.alphabet for s in pool.sequences)
 
@@ -168,7 +176,6 @@ class TestProposePool:
         state = ExplorerState(wild_type=wt(8))
         y = land.evaluate_batch(np.array([state.wild_type.residues]))[0]
         state.data.add(state.wild_type, y)
-        state.frontier = update_frontier([], [state.make_point(state.wild_type, y)])
 
         blocks, checked, built = [], [], []
         draw, in_domain = explorer.mutant_block, land.in_domain
@@ -203,8 +210,6 @@ class TestRounds:
         oracle = BudgetedOracle(land, rounds_total=rounds, batch_size=batch)
         state = ExplorerState(wild_type=wt(8))
         state.data.add(state.wild_type, land.fitness(state.wild_type))
-        state.frontier = update_frontier(
-            [], [state.make_point(state.wild_type, land.fitness(state.wild_type))])
         ens = Ensemble("conv", SMALL_CONV, n_members=2, seed=seed)
         return land, oracle, state, ens
 

@@ -6,6 +6,7 @@ import re
 import shutil
 import subprocess
 import sys
+from concurrent.futures import Future
 from pathlib import Path
 
 import numpy as np
@@ -395,6 +396,55 @@ class TestCrashSafety:
         assert info.value is errors[1]  # the first failure in seed order
         assert sorted(errors) == [1, 2]  # seed 2 still ran
         assert "seed 2 failed as well" in capsys.readouterr().err
+
+
+class _InlineExecutor:
+    """A stand-in for `ProcessPoolExecutor`: records `max_workers`, runs each task at submit."""
+
+    def __init__(self, made, max_workers):
+        made.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+
+class TestThreadCount:
+    @pytest.fixture
+    def made(self, monkeypatch):
+        made = []
+        monkeypatch.setattr(harness, "ProcessPoolExecutor",
+                            lambda max_workers: _InlineExecutor(made, max_workers))
+        return made
+
+    @pytest.mark.parametrize("threads, seeds, workers", [
+        ("8", "0,1", 2), ("2", "0,1,2", 2), ("3", "0,1,2", 3)])
+    def test_no_more_workers_than_seeds(self, tmp_path, monkeypatch, made, threads, seeds,
+                                        workers):
+        cfg = parse_config_text(RANDOM_NK_CONFIG.replace("seeds=0,1", f"seeds={seeds}")
+                                + f"out={tmp_path / 'runs'}\n")
+        monkeypatch.setenv("PROXBO_THREADS", threads)
+        assert list(run_campaign(cfg)) == list(cfg.seeds)
+        assert made == [workers]
+        assert sorted(_artifacts(tmp_path / "runs")) == \
+            ["manifest.txt"] + [f"run_{seed}.csv" for seed in cfg.seeds]
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_count_below_one_is_a_config_error(self, tmp_path, monkeypatch, made, threads):
+        monkeypatch.setenv("PROXBO_THREADS", threads)
+        with pytest.raises(ConfigError, match=f"PROXBO_THREADS: expected at least 1, got {threads}"):
+            run_campaign(parse_config_text(RANDOM_NK_CONFIG + f"out={tmp_path / 'runs'}\n"))
+        assert not made and not (tmp_path / "runs").exists()
 
 
 class TestSharedLandscape:

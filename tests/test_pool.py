@@ -10,12 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import proxbo.explorer as explorer
-from proxbo.explorer import ExplorerState, propose_pool, update_frontier
+from proxbo.explorer import ExplorerState, frontier_rows, propose_pool
 from proxbo.landscape import make_nk
 from proxbo.sequences import (Sequence, hamming_distance, hamming_distances, mutant_block,
                               residue_array, small_alphabet)
 
-from pool_oracle import rejection_draws, rejection_propose_pool
+from pool_oracle import frontier_anchors, rejection_draws, rejection_propose_pool
 
 DRAWS = 24_000
 
@@ -65,11 +65,9 @@ class TestPerCandidateLaw:
         ab = land.alphabet
         points = [Sequence((0,) * 14, ab), Sequence((1,) * 7 + (0,) * 7, ab),
                   Sequence((2,) * 14, ab)]
-        state = ExplorerState(wild_type=points[0])
-        state.frontier = update_frontier(
-            [], [state.make_point(s, land.fitness(s)) for s in points])
-        assert [p.sequence for p in state.frontier] == points
         anchors = np.array([s.residues for s in points])
+        scores = np.array(land.evaluate_batch(anchors))
+        assert frontier_rows(anchors, scores, points[0]).tolist() == [0, 1, 2]  # three anchors
         block = mutant_block(anchors, self.RADIUS, DRAWS, 4, np.random.default_rng(11))
         old = rejection_draws(points, self.RADIUS, DRAWS, np.random.default_rng(12))
         return anchors, {"block": block, "rejection": np.array([s.residues for s in old])}
@@ -208,12 +206,8 @@ def _setup(problem):
     kind = _EnumerableDomain if problem["enumerable"] else _Domain
     domain = kind(problem["members"], ab)
     state = ExplorerState(wild_type=Sequence((0,) * problem["length"], ab))
-    points = []
     for r, y in zip(problem["measured"], problem["fitness"]):
-        s = Sequence(r, ab)
-        state.data.add(s, y)
-        points.append(state.make_point(s, y))
-    state.frontier = update_frontier([], points)
+        state.data.add(Sequence(r, ab), y)
     return state, domain
 
 
@@ -256,9 +250,7 @@ class TestProposePoolProperties:
 
         # drawn candidates come first, each within its block's radius of an anchor;
         # the rest come from the enumeration fallback
-        anchors = [p.sequence for p in state.frontier]
-        if state.wild_type not in anchors:
-            anchors.append(state.wild_type)
+        anchors = frontier_anchors(state)
         from_draws = [s.residues in drawn for s in pool]
         assert from_draws == sorted(from_draws, reverse=True)
         for s, was_drawn in zip(pool, from_draws):

@@ -14,7 +14,7 @@ import pytest
 import proxbo.acquisition as acquisition
 import proxbo.explorer as explorer
 from proxbo.acquisition import KGConfig, select_batch
-from proxbo.explorer import ExplorerState, propose_pool, update_frontier
+from proxbo.explorer import ExplorerState, propose_pool
 from proxbo.harness import CampaignConfig, run_campaign
 from proxbo.landscape import make_nk
 from proxbo.sequences import Sequence
@@ -37,8 +37,6 @@ def problem():
         s = Sequence(tuple(residues), land.alphabet)
         if s not in state.data:
             state.data.add(s, land.fitness(s))
-    state.frontier = update_frontier(
-        [], [state.make_point(s, y) for s, y in zip(state.data.sequences, state.data.scores)])
     ens = Ensemble("conv", ConvRegressorConfig(channels=(4, 4), kernel_size=3, hidden_dense=6),
                    n_members=3, seed=1)
     ens.fit(state.data, TrainConfig(epochs=20, minibatch=16), rng)
