@@ -157,7 +157,8 @@ def _query_draws(state: ExplorerState, oracle: BudgetedOracle, m: int, tries: in
         if len(chosen) == m:
             break
         c = draw()
-        if c not in state.data and c not in chosen and oracle.inner.contains(c):
+        if (c not in state.data and c not in chosen
+                and oracle.inner.in_domain(np.array([c.residues]))[0]):
             chosen[c] = None
     if not chosen:
         raise DomainExhausted(f"{what} found no unmeasured in-domain mutants")

@@ -25,8 +25,8 @@ import numpy as np
 from .acquisition import KGConfig
 from .errors import ConfigError, DataError, DomainExhausted, ParseError
 from .explorer import ExplorerState, RoundRecord, random_search_round, run_round
-from .landscape import BudgetedOracle, LookupLandscape, NKLandscape, load_lookup
-from .sequences import Sequence, small_alphabet
+from .landscape import BudgetedOracle, LookupLandscape, NKLandscape, check_nk, load_lookup
+from .sequences import Alphabet, Sequence, small_alphabet
 from .surrogate import (REGRESSORS, ConvRegressorConfig, Dataset, Ensemble,
                         RecurrentRegressorConfig, TrainConfig)
 
@@ -120,8 +120,8 @@ class CampaignConfig:
         _train_configs(self)
         _kg_config(self)
         _surrogate_config(self)
-        if self.landscape_kind == "nk":
-            _wild_type_of(self, _build_landscape(self))
+        if self.landscape_kind == "nk":  # checked without drawing the NK tables
+            _nk_wild_type(self, _nk_alphabet(self.nk_n, self.nk_k, self.nk_v, self.nk_seed))
 
 
 def _parse_bool(v: str) -> bool:
@@ -143,8 +143,8 @@ for _f in _KEYS.values():
 
 
 def parse_config_text(text: str) -> CampaignConfig:
-    """Parse flat `key=value` config text into a CampaignConfig."""
-    kwargs = {}
+    """Parse flat `key=value` config text into a CampaignConfig; a key may be set once."""
+    kwargs, lines = {}, {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -158,6 +158,8 @@ def parse_config_text(text: str) -> CampaignConfig:
                               "and take no update steps or learning rate")
         if key not in _KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        if lines.setdefault(key, lineno) != lineno:
+            raise ConfigError(f"line {lineno}: key {key!r} repeats line {lines[key]}")
         f = _KEYS[key]
         try:
             kwargs[f.name] = _PARSERS[f.type](value)
@@ -207,10 +209,16 @@ def _checked(prefix: str, build):
         raise ConfigError(f"{prefix}{e}") from None
 
 
-def _nk(n: int, k: int, v: int, seed: int) -> NKLandscape:
-    """`make_nk`, with a bad parameter raised as a ConfigError naming its `landscape.*` key."""
+def _nk_alphabet(n: int, k: int, v: int, seed: int) -> Alphabet:
+    """NK(n, k, v, seed)'s alphabet, its parameters checked (a ConfigError names the key)."""
     alphabet = _checked("landscape.v: ", lambda: small_alphabet(v))
-    return _checked("landscape.", lambda: NKLandscape(n, k, alphabet, seed))
+    _checked("landscape.", lambda: check_nk(n, k, v, seed))
+    return alphabet
+
+
+def _nk(n: int, k: int, v: int, seed: int) -> NKLandscape:
+    """`make_nk`, its parameters checked by `_nk_alphabet`."""
+    return NKLandscape(n, k, _nk_alphabet(n, k, v, seed), seed)
 
 
 def _build_landscape(cfg: CampaignConfig):
@@ -220,15 +228,14 @@ def _build_landscape(cfg: CampaignConfig):
     return _nk(cfg.nk_n, cfg.nk_k, cfg.nk_v, cfg.nk_seed)
 
 
-def _wild_type_of(cfg: CampaignConfig, landscape) -> Sequence:
-    if isinstance(landscape, LookupLandscape):
-        return landscape.wild_type
+def _nk_wild_type(cfg: CampaignConfig, alphabet: Alphabet) -> Sequence:
+    """`landscape.wild_type` over the NK landscape's alphabet, or its all-first-symbol state."""
     if not cfg.wild_type:
-        return Sequence((0,) * landscape.length, landscape.alphabet)
-    wt = _checked("landscape.wild_type: ", lambda: landscape.alphabet.encode(cfg.wild_type))
-    if len(wt) != landscape.length:
+        return Sequence((0,) * cfg.nk_n, alphabet)
+    wt = _checked("landscape.wild_type: ", lambda: alphabet.encode(cfg.wild_type))
+    if len(wt) != cfg.nk_n:
         raise ConfigError(f"landscape.wild_type: length {len(wt)} differs from the "
-                          f"landscape's {landscape.length}")
+                          f"landscape's {cfg.nk_n}")
     return wt
 
 
@@ -270,7 +277,8 @@ def run_one_seed(cfg: CampaignConfig, seed: int,
     """
     if landscape is None:
         landscape = _build_landscape(cfg)
-    wt = _wild_type_of(cfg, landscape)
+    wt = (landscape.wild_type if isinstance(landscape, LookupLandscape)
+          else _nk_wild_type(cfg, landscape.alphabet))
     wt_fitness = landscape.evaluate_batch(np.array([wt.residues]))[0]  # outside the budget
     oracle = BudgetedOracle(landscape, rounds_total=cfg.rounds, batch_size=cfg.batch)
     state = ExplorerState(wild_type=wt)

@@ -27,8 +27,6 @@ class FitnessLandscape(Protocol):
 
     def in_domain(self, codes: np.ndarray) -> np.ndarray: ...
 
-    def contains(self, s: Sequence) -> bool: ...
-
 
 @dataclass(eq=False)
 class LookupLandscape:
@@ -52,7 +50,7 @@ class LookupLandscape:
         self._keys = keys[self._order]
         if np.any(self._keys[1:] == self._keys[:-1]):
             raise DataError("the lookup table's rows are not distinct")
-        if not self.contains(self.wild_type):
+        if not self.in_domain(np.array([self.wild_type.residues]))[0]:
             raise DataError("wild type is not a key of the lookup table")
 
     @property
@@ -78,9 +76,6 @@ class LookupLandscape:
 
     def in_domain(self, codes: np.ndarray) -> np.ndarray:
         return self._find(codes) >= 0
-
-    def contains(self, s: Sequence) -> bool:
-        return bool(self.in_domain(np.array([s.residues]))[0])
 
     def evaluate_batch(self, codes: np.ndarray) -> list[float]:
         rows = self._find(codes)
@@ -255,7 +250,7 @@ def load_lookup(
             wt = alphabet.encode(wild_type)
         except ValueError as e:
             raise DataError(f"wild-type override {wild_type}: {e}") from None
-        if not land.contains(wt):
+        if not land.in_domain(np.array([wt.residues]))[0]:
             raise DataError(f"wild-type override {wild_type}: not in the table")
         land.wild_type = wt
     return land
@@ -290,6 +285,19 @@ def _raise_line_error(where: str, line: str, alphabet: Alphabet, length: int | N
 MAX_NK_TABLE_ENTRIES = 10**8
 
 
+def check_nk(n: int, k: int, v: int, seed: int) -> None:
+    """Raise ValueError, naming the field, when NK(n, k, v, seed) cannot be built; draws nothing."""
+    if not 1 <= n <= 10_000:  # the neighbour draw takes O(n**2) time
+        raise ValueError(f"n: must be in [1, 10000], got {n}")
+    if seed < 0:
+        raise ValueError(f"seed: must be >= 0, got {seed}")
+    if not 0 <= k <= n - 1:
+        raise ValueError(f"k: must be in [0, n-1] = [0, {n - 1}], got {k}")
+    if n * v ** (k + 1) > MAX_NK_TABLE_ENTRIES:
+        raise ValueError(f"k: the tables would hold n*v^(k+1) = {n}*{v}^{k + 1} "
+                         f"entries, more than {MAX_NK_TABLE_ENTRIES:,}; lower k, n or v")
+
+
 @dataclass
 class NKLandscape:
     """NK model: N sites, each interacting with K others through a random table.
@@ -308,16 +316,8 @@ class NKLandscape:
     tables: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not 1 <= self.n <= 10_000:  # the neighbour draw below takes O(n**2) time
-            raise ValueError(f"n: must be in [1, 10000], got {self.n}")
-        if self.seed < 0:
-            raise ValueError(f"seed: must be >= 0, got {self.seed}")
-        if not 0 <= self.k <= self.n - 1:
-            raise ValueError(f"k: must be in [0, n-1] = [0, {self.n - 1}], got {self.k}")
         v = self.alphabet.size
-        if self.n * v ** (self.k + 1) > MAX_NK_TABLE_ENTRIES:
-            raise ValueError(f"k: the tables would hold n*v^(k+1) = {self.n}*{v}^{self.k + 1} "
-                             f"entries, more than {MAX_NK_TABLE_ENTRIES:,}; lower k, n or v")
+        check_nk(self.n, self.k, v, self.seed)
         rng = np.random.default_rng(self.seed)
         self.neighbor_map = np.stack([
             np.sort(rng.choice(np.delete(np.arange(self.n), i), size=self.k, replace=False))
@@ -332,9 +332,6 @@ class NKLandscape:
         if codes.ndim == 2 and codes.shape[1] == self.n:
             return ((codes >= 0) & (codes < self.alphabet.size)).all(axis=1)
         return np.zeros(len(codes), dtype=bool)
-
-    def contains(self, s: Sequence) -> bool:
-        return bool(self.in_domain(np.array([s.residues]))[0])
 
     def fitness_rows(self, codes: np.ndarray) -> np.ndarray:
         """Fitness of each row of a (B, N) in-domain ordinal array.

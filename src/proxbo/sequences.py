@@ -177,13 +177,12 @@ def mutant_block(anchors: np.ndarray, radius: int, count: int, alphabet_size: in
     return np.where(ranks < n_mut[:, None], (base + offsets) % alphabet_size, base)
 
 
-def sample_mutants(
-    s: Sequence,
-    radius: int,
-    count: int,
-    rng: np.random.Generator,
-    max_attempts_per_mutant: int = 50,
-) -> list[Sequence]:
+# draws `sample_mutants` may make per mutant asked for
+MAX_ATTEMPTS_PER_MUTANT = 50
+
+
+def sample_mutants(s: Sequence, radius: int, count: int,
+                   rng: np.random.Generator) -> list[Sequence]:
     """Sample up to `count` distinct mutants within Hamming radius of `s`.
 
     The number of mutated positions is uniform on [1, radius], positions are
@@ -199,7 +198,7 @@ def sample_mutants(
     seen: set[Sequence] = set()
     out: list[Sequence] = []
     attempts = 0
-    limit = count * max_attempts_per_mutant
+    limit = count * MAX_ATTEMPTS_PER_MUTANT
     while len(out) < count and attempts < limit:
         attempts += 1
         m = random_mutant(s, radius, rng)

@@ -152,7 +152,7 @@ def evidence_posterior(phi: np.ndarray, t: np.ndarray) -> tuple[float, float, np
 class _StackedNet:
     """What both stacked regressors share: the stacked parameters and the output layer.
 
-    `forward` runs each regressor's `_features`, then its `_hidden` layers,
+    `forward` runs each regressor's `_features` and `_hidden` (`last_hidden`),
     then the output layer; `backward` runs the output layer, then `_backward`.
 
     `rngs` holds one generator per member; each draws its member's weights
@@ -179,17 +179,13 @@ class _StackedNet:
         """Each member's input for the sequences at `rows` (M, b) of `inputs`."""
         return inputs[rows]
 
-    def features(self, x: np.ndarray) -> np.ndarray:
-        """(M, B, d) features of the input x (see `inputs`), per member or shared by all."""
-        return self._features(x)[0]
-
     def _hidden(self, feats: np.ndarray):
         """The layers between the features and the output layer, and their cache: none here."""
         return feats, None
 
-    def last_hidden(self, feats: np.ndarray) -> np.ndarray:
-        """(M, B, h) input of each member's output layer on its own (M, B, d) features."""
-        return self._hidden(feats)[0]
+    def last_hidden(self, x: np.ndarray) -> np.ndarray:
+        """(M, B, h) input of each member's output layer, from the input x (see `inputs`)."""
+        return self._hidden(self._features(x)[0])[0]
 
     def forward(self, x: np.ndarray):
         feats, c_feats = self._features(x)
@@ -358,7 +354,7 @@ class Ensemble:
         self.net: ConvRegressor | RecurrentRegressor | None = None
         self.y_mean = 0.0
         self.y_std = 1.0
-        self._predicted_features: np.ndarray | None = None  # see predict_batch
+        self._predicted_design: np.ndarray | None = None  # see predict_batch
         self._head_post: tuple | None = None  # see _head_posterior
 
     @property
@@ -407,7 +403,7 @@ class Ensemble:
         net = self.net
         x_all = net.inputs(x_all)  # built once per fit
         y_all = ((y_raw - self.y_mean) / self.y_std).astype(NET_DTYPE)
-        self._predicted_features = None
+        self._predicted_design = None
         self._head_post = None
 
         n = len(data)
@@ -436,33 +432,29 @@ class Ensemble:
         _check_finite(loss)
         return loss.tolist()
 
-    def _features(self, codes: np.ndarray) -> np.ndarray:
-        """(n_members, B, d) float32 feature-map outputs of the (B, L) residue rows `codes`."""
+    def _design(self, codes: np.ndarray) -> np.ndarray:
+        """(M, B, h + 1) float64 Φ of (B, L) residue rows: each member's last hidden layer, 1s."""
         if not self.trained:
             raise TrainingError("ensemble has not been fitted")
         x = self.net.inputs(encode_batch(codes, self.net.vocab).astype(NET_DTYPE))
         # member by member: a whole pool's activations for every member at
         # once would multiply the peak memory by the member count
-        return np.concatenate([self.net.member(m).features(x) for m in range(self.n_members)])
+        hid = np.concatenate([self.net.member(m).last_hidden(x) for m in range(self.n_members)])
+        return np.concatenate([hid, np.ones(hid.shape[:-1] + (1,))], axis=-1)  # cast to float64
 
     def predict_batch(self, codes: np.ndarray) -> np.ndarray:
         """(B, 2) array: per-row mean and population variance of the member predictions.
 
-        `codes` is a (B, L) residue array. Only this method keeps the rows'
-        features (`fit` drops them); `fantasy_inner_means_multi` takes row
-        indices into the last call's. Each member's output layer runs in
-        float64 on its float32 last hidden layer, as in the fantasies: a
-        fantasy whose outcomes are the predictions leaves the means in place.
+        `codes` is a (B, L) residue array. Only this method keeps the rows' Φ
+        (`fit` drops it); `fantasy_inner_means_multi` indexes the last call's.
+        Each member's output layer runs in float64 on the float32 last hidden
+        layer, and the fantasies read the same Φ: a fantasy whose outcomes
+        are the predictions leaves the means in place.
         """
-        feats = self._predicted_features = self._features(codes)
-        preds = (self._design(feats) @ self._head_weights()[..., None])[..., 0]
+        phi = self._predicted_design = self._design(codes)
+        preds = (phi @ self._head_weights()[..., None])[..., 0]
         preds = preds * self.y_std + self.y_mean
         return np.stack([preds.mean(axis=0), preds.var(axis=0)], axis=1)
-
-    def _design(self, feats: np.ndarray) -> np.ndarray:
-        """(M, B, h + 1) float64 output-layer inputs of (M, B, d) features, then a ones column."""
-        hid = self.net.last_hidden(feats).astype(np.float64)
-        return np.concatenate([hid, np.ones(hid.shape[:-1] + (1,))], axis=-1)
 
     def _head_weights(self) -> np.ndarray:
         """(M, h + 1) float64 output-layer weights of every member, bias last."""
@@ -473,7 +465,7 @@ class Ensemble:
         """Per member: w0 (trained output layer, bias last), S and 1/β of `evidence_posterior`."""
         post = self._head_post
         if post is None or post[0] is not data or post[1] != len(data):
-            phi = self._design(self._features(data.codes))
+            phi = self._design(data.codes)
             t = (data.scores - self.y_mean) / self.y_std
             _, beta, cov = zip(*(evidence_posterior(phi[m], t) for m in range(self.n_members)))
             self._head_post = post = (data, len(data),
@@ -486,8 +478,9 @@ class Ensemble:
         """Posterior means over `inner_pool` under each fantasy outcome of each batch.
 
         `batches` (C, w) and `inner_pool` (P,) are row indices into the rows
-        of the last `predict_batch` call. `ys` has shape (C, n_fantasies, w):
-        one hypothetical outcome vector per (batch, fantasy). Returns an
+        of the last `predict_batch` call, whose Φ they index (no network layer
+        runs). `ys` has shape (C, n_fantasies, w): one hypothetical outcome
+        vector per (batch, fantasy). Returns an
         array of shape (C, n_fantasies, P) of de-standardized ensemble means.
 
         Each member's output layer is a Bayesian linear regression on its
@@ -505,8 +498,8 @@ class Ensemble:
             self.predict_batch(residue_array(flat + list(inner_pool)))
             batches, inner_pool = (np.arange(len(flat)).reshape(len(batches), -1),
                                    np.arange(len(flat), len(flat) + len(inner_pool)))
-        feats = self._predicted_features
-        if feats is None:
+        phi = self._predicted_design
+        if phi is None:
             raise TrainingError("no rows predicted since the last fit")
         ys = np.asarray(ys, dtype=np.float64)
         if batches.ndim != 2 or not len(batches) or ys.ndim != 3 or ys.shape[::2] != batches.shape:
@@ -514,8 +507,8 @@ class Ensemble:
                              f"{batches.shape}, got {ys.shape}")
         w0, cov, noise = self._head_posterior(data)
         (n_c, width), n_m = batches.shape, self.n_members
-        phi_b = self._design(np.take(feats, batches.ravel(), axis=1)).reshape(n_m, n_c, width, -1)
-        phi_p = self._design(np.take(feats, inner_pool, axis=1))[:, None]  # (M, 1, P, D)
+        phi_b = np.take(phi, batches.ravel(), axis=1).reshape(n_m, n_c, width, -1)
+        phi_p = np.take(phi, inner_pool, axis=1)[:, None]         # (M, 1, P, D)
         y = (ys - self.y_mean) / self.y_std                        # (C, F, w)
         g = phi_b @ cov[:, None]                                   # Φ_b S: (M, C, w, D)
         gram = g @ np.swapaxes(phi_b, -1, -2)                      # (M, C, w, w)

@@ -2,14 +2,14 @@
 
 - `looped_fantasy_inner_means_multi` computes the closed-form fantasy means
   of `Ensemble.fantasy_inner_means_multi` one (candidate, fantasy, member)
-  at a time, with explicit inverses, rebuilding each member's design matrix
-  and posterior covariance from the network's parameters.
+  at a time, with explicit inverses, rebuilding each member's posterior
+  covariance from the network's parameters (`member_posterior`).
 - `tiled_fantasy_inner_means_multi` computes the same closed form on a
   tiled stack: the member posteriors are copied once per candidate into one
-  (candidate x member) stack, with each candidate's design rows cut out of
-  one design call. Every matrix operation then runs on a 2-D slice of the
-  same shape as in the fast path, so the two agree bit for bit. It checks
-  the fast path's broadcasting and reshapes, not the posterior they share.
+  (candidate x member) stack. Every matrix operation then runs on a 2-D
+  slice of the same shape as in the fast path, so the two agree bit for
+  bit. It checks the fast path's broadcasting and reshapes, not the
+  posterior they share.
 - `sequential_fantasy_inner_means` conditions each member's output layer on
   the batch one row at a time (rank-one Kalman updates), which must agree
   with conditioning on the whole batch at once.
@@ -20,13 +20,17 @@
   posterior of the whole pool.
 
 Like the fast path, the fantasy oracles take row indices into the rows of
-the ensemble's last `predict_batch` call and read those rows' features.
+the ensemble's last `predict_batch` call and read those rows' stored design
+Φ (`Ensemble._predicted_design`). `member_design` recomputes a member's Φ
+from the network's parameters; the posterior oracle builds on it, and a
+test compares it with the stored rows bit for bit.
 """
 
 import numpy as np
 
 from proxbo.errors import TrainingError
-from proxbo.surrogate import evidence_posterior
+from proxbo.sequences import encode_batch
+from proxbo.surrogate import NET_DTYPE, evidence_posterior
 
 
 def per_candidate_slot_scores(pool):
@@ -55,10 +59,15 @@ def per_candidate_slot_scores(pool):
     return slot_scores
 
 
-def member_design(ens, m, feats):
-    """Member m's (B, h + 1) design matrix of (M, B, d) features: its output layer's input, 1s."""
+def member_design(ens, m, codes):
+    """Member m's (B, h + 1) design matrix of (B, L) residue rows: its output layer's input, 1s.
+
+    The layers before the last hidden one are the regressor's own
+    `_features`; the dense layer and its ReLU are written out here.
+    """
     params = {name: arr[m] for name, arr in ens.net.params.items()}
-    hid = feats[m]
+    x = ens.net.inputs(encode_batch(codes, ens.net.vocab).astype(NET_DTYPE))
+    hid = ens.net.member(m)._features(x)[0][0]
     if ens.kind == "conv":
         hid = np.maximum(hid @ params["dense_w"] + params["dense_b"], 0.0)
     return np.hstack([hid, np.ones((len(hid), 1))])
@@ -66,7 +75,7 @@ def member_design(ens, m, feats):
 
 def member_posterior(ens, m, data):
     """(w0, S, noise variance) of member m's output layer, with S from an explicit inverse."""
-    phi = member_design(ens, m, ens._features(data.codes))
+    phi = member_design(ens, m, data.codes)
     t = (data.scores - ens.y_mean) / ens.y_std
     alpha, beta, _ = evidence_posterior(phi, t)
     cov = np.linalg.inv(alpha * np.eye(phi.shape[1]) + beta * phi.T @ phi)
@@ -85,16 +94,11 @@ def looped_fantasy_inner_means_multi(ens, batches, ys, inner_pool, data):
     width = batches.shape[1]
     n_m = ens.n_members
     posts = [member_posterior(ens, m, data) for m in range(n_m)]
-    feats = ens._predicted_features
-    phi_p = [member_design(ens, m, np.take(feats, inner_pool, axis=1)) for m in range(n_m)]
-    # the batches' rows come from one design call, as in the fast path: the
-    # float32 hidden layer can round a row differently in a product of
-    # another height, which no float64 step downstream would undo
-    phi_all = [member_design(ens, m, np.take(feats, batches.ravel(), axis=1))
-               for m in range(n_m)]
+    design = ens._predicted_design
+    phi_p = design[:, inner_pool]
     out = np.empty((len(batches), ys.shape[1], len(inner_pool)))
     for c in range(len(batches)):
-        phi_b = [phi[c * width:(c + 1) * width] for phi in phi_all]
+        phi_b = design[:, batches[c]]
         for f in range(ys.shape[1]):
             y = (ys[c, f] - ens.y_mean) / ens.y_std
             total = np.zeros(len(inner_pool))
@@ -117,16 +121,13 @@ def tiled_fantasy_inner_means_multi(ens, batches, ys, inner_pool, data):
                          f"{batches.shape}, got {ys.shape}")
     (n_c, width), n_m = batches.shape, ens.n_members
     w0, cov, noise = ens._head_posterior(data)
-    # candidate-major, then member-major within each candidate; one design call
-    # over every batch's rows, since a (1, d) row times a matrix is a
-    # matrix-vector product whose last bits differ from the matrix-matrix one
-    feats = ens._predicted_features
-    phi_all = ens._design(np.take(feats, batches.ravel(), axis=1))    # (M, C*w, D)
-    phi_b = np.concatenate([phi_all[:, c * width:(c + 1) * width] for c in range(n_c)])
+    # candidate-major, then member-major within each candidate
+    design = ens._predicted_design
+    phi_b = np.concatenate([design[:, batch] for batch in batches])         # (C*M, w, D)
     w0_t = np.tile(w0, (n_c, 1))
     cov_t = np.tile(cov, (n_c, 1, 1))
     noise_t = np.tile(noise, n_c)
-    phi_p = np.tile(ens._design(np.take(feats, inner_pool, axis=1)), (n_c, 1, 1))
+    phi_p = np.tile(design[:, inner_pool], (n_c, 1, 1))
     y = np.repeat((ys - ens.y_mean) / ens.y_std, n_m, axis=0)               # (C*M, F, w)
     g = phi_b @ cov_t
     gram = g @ phi_b.transpose(0, 2, 1) + noise_t[:, None, None] * np.eye(width)
@@ -142,8 +143,8 @@ def sequential_fantasy_inner_means(ens, batch, ys, inner_pool, data):
     out = np.zeros((len(ys), len(inner_pool)))
     for m in range(ens.n_members):
         w0, cov0, noise = member_posterior(ens, m, data)
-        phi_b = member_design(ens, m, np.take(ens._predicted_features, batch, axis=1))
-        phi_p = member_design(ens, m, np.take(ens._predicted_features, inner_pool, axis=1))
+        phi_b = ens._predicted_design[m, batch]
+        phi_p = ens._predicted_design[m, inner_pool]
         for f, y_raw in enumerate(ys):
             w, cov = w0.copy(), cov0.copy()
             for phi, y in zip(phi_b, (np.asarray(y_raw) - ens.y_mean) / ens.y_std):

@@ -3,7 +3,8 @@
 Implements the same duck-typed model interface as the ensemble, with exact
 posterior conditioning, so acquisition values can be checked against
 closed forms and quadrature: `predict_batch(codes)` gives the posterior of
-the rows of a (B, L) residue array and keeps their features, and
+the rows of a (B, L) residue array and keeps their design rows Φ (here the
+features themselves), as the ensemble does, and
 `fantasy_inner_means_multi(batches, ys, inner_pool, data)` takes (C, w)
 batches and (I,) inner-pool row indices into those rows.
 """
@@ -28,7 +29,7 @@ class LinearGaussianModel:
             rhs = phi.T @ np.asarray(ys, dtype=np.float64) / noise_var
         self.cov = np.linalg.inv(precision)
         self.mean_w = self.cov @ rhs
-        self._rows_phi = None  # features of the last predict_batch's rows
+        self._rows_phi = None  # design rows Φ of the last predict_batch's rows
 
     def _phi(self, codes):
         return np.stack([self.feature_fn(row) for row in codes])

@@ -45,7 +45,7 @@ def rejection_propose_pool(state: ExplorerState, domain, pool_size: int, radius:
             for c in chunk:
                 if c in seen or c in state.data:
                     continue
-                if domain is not None and not domain.contains(c):
+                if domain is not None and not domain.in_domain(residue_array([c]))[0]:
                     continue
                 seen.add(c)
                 pool.append(c)

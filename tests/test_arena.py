@@ -138,9 +138,18 @@ class TestNetArena:
         (opt,) = optimizers
         assert opt.m.flat.dtype == opt.v.flat.dtype == np.float32
         assert all(work.dtype == np.float32 for work in opt._work)
+        hidden = []
+        last_hidden = type(ens.net).last_hidden
+
+        def recording(net, x):
+            hidden.append(last_hidden(net, x))
+            return hidden[-1]
+
+        monkeypatch.setattr(type(ens.net), "last_hidden", recording)
         pool = random_dataset(12, seed=2).codes
-        assert ens._features(pool).dtype == np.float32
         assert ens.predict_batch(pool).dtype == np.float64
+        assert len(hidden) == 3 and all(h.dtype == np.float32 for h in hidden)
+        assert ens._predicted_design.dtype == np.float64
         means = ens.fantasy_inner_means_multi(np.array([[0, 1]]), np.zeros((1, 3, 2)),
                                               np.arange(2, 12), data)
         assert means.dtype == np.float64 and means.shape == (1, 3, 10)

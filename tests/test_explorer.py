@@ -128,7 +128,7 @@ class TestProposePool:
         assert not pool.short
         assert len(set(pool.sequences)) == len(pool.sequences) == 64
         assert all(s not in state.data for s in pool.sequences)
-        assert all(land.contains(s) for s in pool.sequences)
+        assert all(land.in_domain(residue_array([s]))[0] for s in pool.sequences)
 
     def test_near_exhausted_domain_flags_short(self):
         land = make_nk(8, 1, 2, 0)  # 256 states

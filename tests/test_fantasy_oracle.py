@@ -3,11 +3,15 @@
 The closed-form fantasy means are compared with a looped oracle to a
 relative 1e-9, because the looped oracle orders its floating-point work
 differently, and bit for bit with a tiled-stack oracle that does the same
-work in another layout. The KG slot scoring and the in-place Adam are
-compared bit for bit too: the arrays must have the same bytes, which also
-catches a flipped sign of zero.
+work in another layout. Both read the design rows Φ that `predict_batch`
+stored, as the fast path does; those rows are compared bit for bit with
+each member's design recomputed from its parameters, and a fantasy call is
+checked to run no network layer. The KG slot scoring and the in-place Adam
+are compared bit for bit too: the arrays must have the same bytes, which
+also catches a flipped sign of zero.
 """
 
+import collections
 import itertools
 
 import numpy as np
@@ -16,13 +20,14 @@ import pytest
 import proxbo.acquisition as acquisition
 import proxbo.explorer as explorer
 import proxbo.nn as nn
+import proxbo.surrogate as surrogate
 from proxbo.harness import CampaignConfig, run_campaign
 from proxbo.sequences import hamming_distances, residue_array
 from proxbo.surrogate import (NOISE_VAR_FLOOR, ConvRegressorConfig, Ensemble,
                               RecurrentRegressorConfig, TrainConfig, evidence_posterior)
 
 import test_acceptance
-from fantasy_oracle import (log_evidence, looped_fantasy_inner_means_multi,
+from fantasy_oracle import (log_evidence, looped_fantasy_inner_means_multi, member_design,
                             per_candidate_slot_scores, tiled_fantasy_inner_means_multi)
 from sequential_fit import Adam as AllocatingAdam
 from test_surrogate import random_dataset
@@ -153,6 +158,44 @@ class TestFantasyHead:
         np.testing.assert_allclose(fast, slow, rtol=1e-9, atol=0)
         assert not np.allclose(fast, first, rtol=1e-6, atol=0)
         assert_same_bits(ens.fantasy_inner_means_multi(batches, ys, inner_pool, data), first)
+
+
+class TestStoredDesign:
+    """`predict_batch` keeps each row's Φ once; the fantasies index it."""
+
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    @pytest.mark.parametrize("n_members", [1, 3])
+    def test_rows_equal_each_members_design_bit_for_bit(self, fitted, kind, n_members):
+        ens, _, unmeasured = fitted(kind, n_members)
+        ens.predict_batch(unmeasured)
+        design = ens._predicted_design
+        assert design.shape[:2] == (n_members, len(unmeasured))
+        for m in range(n_members):
+            assert_same_bits(design[m], member_design(ens, m, unmeasured))
+
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_fantasies_run_no_network_layer(self, fitted, kind, monkeypatch):
+        ens, data, unmeasured = fitted(kind, 3)
+        batches, ys, inner_pool = _problem(ens, unmeasured, 3, 2, 4, seed=9)
+        ens._head_posterior(data)  # built once per dataset, not per fantasy call
+        calls = collections.Counter()
+
+        def spy(owner, name):
+            real = getattr(owner, name)
+
+            def counted(*args):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(owner, name, counted)
+
+        for owner, name in ((type(ens.net), "last_hidden"), (type(ens.net), "_features"),
+                            (surrogate, "encode_batch")):
+            spy(owner, name)
+        ens.fantasy_inner_means_multi(batches, ys, inner_pool, data)
+        assert not calls
+        ens.predict_batch(unmeasured)  # the spies see the layers where they do run
+        assert calls == {"last_hidden": 3, "_features": 3, "encode_batch": 1}
 
 
 class TestEvidence:

@@ -6,7 +6,9 @@ import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from concurrent.futures import Future
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -73,6 +75,14 @@ seeds=0
 """
 
 
+def with_lines(base: str, extra: str) -> str:
+    """Config text `base` with the lines of `extra` appended, each replacing `base`'s line
+    for its key: a config key may be set once."""
+    keys = {line.partition("=")[0] for line in extra.splitlines()}
+    kept = [line for line in base.splitlines() if line.partition("=")[0] not in keys]
+    return "\n".join(kept + extra.splitlines()) + "\n"
+
+
 class TestConfigParsing:
     def test_roundtrip_through_canonical_echo(self):
         cfg = parse_config_text(RANDOM_NK_CONFIG)
@@ -86,6 +96,21 @@ class TestConfigParsing:
     def test_unknown_key_rejected_with_line_number(self):
         with pytest.raises(ConfigError, match="line 1"):
             parse_config_text("no.such.key=1\n")
+
+    def test_repeated_key_rejected_naming_both_lines(self):
+        with pytest.raises(ConfigError, match=r"^line 4: key 'rounds' repeats line 2$"):
+            parse_config_text("# first\nrounds=3\nbatch=2\nrounds=5\n")
+
+    def test_nk_config_is_checked_without_drawing_the_tables(self):
+        """NK N=20 K=3 V=20 has 25.6 MB of tables: neither the config nor a `replace` draws them."""
+        tracemalloc.start()
+        try:
+            cfg = CampaignConfig(nk_n=20, nk_k=3, nk_v=20, wild_type="ACDEFGHIKLMNPQRSTVWY")
+            replace(cfg, seeds=(1,))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
 
     def test_missing_equals_rejected(self):
         with pytest.raises(ConfigError, match="key=value"):
@@ -622,10 +647,10 @@ class TestCLI:
     def test_bad_config_value_exits_one_before_the_manifest(self, tmp_path, line, argv, key):
         gen_nk(6, 1, 2, 9, tmp_path / "land")
         cfg_path = tmp_path / "campaign.cfg"
-        cfg_path.write_text(
+        cfg_path.write_text(with_lines(
             "landscape.kind=nk\nlandscape.n=6\nlandscape.k=0\nlandscape.v=2\n"
-            f"rounds=1\nbatch=2\nseeds=0\nout={tmp_path / 'runs'}\n"
-            f"{line.format(tmp=tmp_path)}\n")
+            f"rounds=1\nbatch=2\nseeds=0\nout={tmp_path / 'runs'}\n",
+            line.format(tmp=tmp_path)))
         result = cli("run", str(cfg_path), *argv)
         assert result.returncode == 1
         assert result.stderr.startswith(f"error: {key}: "), result.stderr
@@ -641,7 +666,7 @@ class TestCLI:
         assert not list(tmp_path.iterdir())
 
 
-# the fuzz tests add one key=value line to this 2-round NK6 campaign, small enough to run
+# the fuzz tests set one key=value line of this 2-round NK6 campaign, small enough to run
 FUZZ_CONFIG = """
 landscape.kind=nk
 landscape.n=6
@@ -672,13 +697,13 @@ PAIR_VALUES = {"method": ("random", "pex_greedy"), "acquisition.kind": ("ei", "k
 
 
 def _parse_fuzzed(*lines):
-    """The config FUZZ_CONFIG gives with the (key, value) `lines` added, or None when rejected.
+    """The config FUZZ_CONFIG gives with the (key, value) `lines` set, or None when rejected.
 
     A rejection must be a ConfigError or DataError whose message starts with
     one of the added keys; any other exception escapes to the calling test.
     """
     try:
-        cfg = parse_config_text(FUZZ_CONFIG + "".join(f"{k}={v}\n" for k, v in lines))
+        cfg = parse_config_text(with_lines(FUZZ_CONFIG, "".join(f"{k}={v}\n" for k, v in lines)))
         harness._train_configs(cfg)
         harness._kg_config(cfg)
         harness._surrogate_config(cfg)
@@ -719,7 +744,7 @@ class TestConfigFuzz:
                 continue
             work = tmp_path / str(i)
             work.mkdir()
-            (work / "campaign.cfg").write_text(FUZZ_CONFIG + f"{key}={value}\n")
+            (work / "campaign.cfg").write_text(with_lines(FUZZ_CONFIG, f"{key}={value}"))
             monkeypatch.chdir(work)
             code = cli_main(["run", "campaign.cfg"])
             err = capsys.readouterr().err

@@ -118,7 +118,7 @@ class TestLoadLookup:
         p = write(tmp_path, "AC\t1.0\n")
         land = load_lookup(p)
         stranger = Sequence((3, 3), land.alphabet)
-        assert not land.contains(stranger)
+        assert not land.in_domain(residue_array([stranger]))[0]
         with pytest.raises(DomainError):
             land.evaluate_batch(residue_array([stranger]))
 
@@ -138,7 +138,7 @@ class TestLookupTable:
         assert copy.states().tobytes() == land.states().tobytes()
         assert copy.wild_type == land.wild_type and copy.alphabet == land.alphabet
         states = list(land.iter_domain())
-        assert all(copy.contains(s) for s in states)
+        assert all(copy.in_domain(residue_array([s]))[0] for s in states)
         assert copy.evaluate_batch(land.states()) == land.evaluate_batch(land.states())
         assert copy.scores.tobytes() == land.scores.tobytes()
 
@@ -147,7 +147,7 @@ class TestLookupTable:
         land = self._table(tmp_path)
         for table in (land, pickle.loads(pickle.dumps(land))):
             stranger = Sequence(residues, AB4)
-            assert not table.contains(stranger)
+            assert not table.in_domain(residue_array([stranger]))[0]
             rows = residue_array([land.wild_type, stranger] if len(residues) == 5 else [stranger])
             message = rf"^row {len(rows) - 1} \[{', '.join(map(str, residues))}\] is not in the lookup table$"
             with pytest.raises(DomainError, match=message):
@@ -157,7 +157,7 @@ class TestLookupTable:
         land = self._table(tmp_path)
         assert land.codes.dtype == np.uint8
         wide = Alphabet("".join(chr(0x100 + i) for i in range(300)))
-        assert not land.contains(Sequence((0, 0, 0, 0, 299), wide))
+        assert not land.in_domain(residue_array([Sequence((0, 0, 0, 0, 299), wide)]))[0]
 
     def test_repeated_rows_are_refused(self):
         codes = np.array([[0, 1], [0, 1]], dtype=np.uint8)
@@ -173,7 +173,7 @@ class TestLookupTable:
         assert land.codes.dtype == np.uint16
         assert land.states().tolist() == [[299, 0], [0, 1]]
         assert land.evaluate_batch(residue_array([land.alphabet.encode(wide[0] + wide[1])])) == [2.0]
-        assert not land.contains(Sequence((299, 1), land.alphabet))
+        assert not land.in_domain(residue_array([Sequence((299, 1), land.alphabet)]))[0]
 
 
 class TestLookupSearch:
@@ -237,11 +237,12 @@ class TestLookupSearch:
                     if 0 <= min(q) and max(q) < v]
             hits = [s for s in seqs if s.residues in table]
             assert land.evaluate_batch(residue_array(hits)) == [table[s.residues] for s in hits]
-            assert [land.contains(s) for s in seqs] == [s.residues in table for s in seqs]
+            assert ([land.in_domain(residue_array([s]))[0] for s in seqs]
+                    == [s.residues in table for s in seqs])
             miss = next(s for s in seqs if s.residues not in table)
             short = [Sequence(rows[0][:-1], alphabet)] if length > 1 else []
             for stranger in [miss] + short:
-                assert not land.contains(stranger)
+                assert not land.in_domain(residue_array([stranger]))[0]
                 batch = hits[:3] + [stranger] + hits[3:5] if len(stranger) == length else [stranger]
                 at = batch.index(stranger)
                 message = rf"^row {at} {re.escape(str(list(stranger.residues)))} is not in"

@@ -163,9 +163,6 @@ class _Domain:
         self.alphabet = alphabet
         self.enumerated = False
 
-    def contains(self, s: Sequence) -> bool:
-        return s.residues in self.members
-
     def in_domain(self, codes: np.ndarray) -> np.ndarray:
         return np.array([tuple(r) in self.members for r in codes.tolist()], dtype=bool)
 
@@ -236,7 +233,8 @@ class TestProposePoolProperties:
 
         # distinct, unmeasured, in the domain, at most pool_size
         assert len({s.residues for s in pool}) == len(pool) <= pool_size
-        assert all(s not in state.data and domain.contains(s) for s in pool)
+        assert all(s not in state.data for s in pool)
+        assert domain.in_domain(residue_array(pool)).all()
 
         # short iff the pool is not full; on an enumerable domain, iff the domain cannot fill it
         assert got.short == (len(pool) < pool_size)
