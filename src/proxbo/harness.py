@@ -187,10 +187,21 @@ def config_lines(cfg: CampaignConfig) -> list[str]:
     return lines
 
 
-def config_hash(cfg: CampaignConfig) -> str:
-    """Hash of everything that defines the experiment, excluding seeds/output."""
-    lines = [l for l in config_lines(cfg)
-             if not l.startswith(("seeds=", "out="))]
+def _table_lines(cfg: CampaignConfig) -> list[str]:
+    """The manifest line naming a lookup table by the SHA-256 of its bytes; none for NK."""
+    if cfg.landscape_kind != "lookup":
+        return []
+    return [f"landscape.sha256={hashlib.sha256(Path(cfg.lookup_path).read_bytes()).hexdigest()}"]
+
+
+def config_hash(cfg: CampaignConfig, table_lines: list[str] | None = None) -> str:
+    """Hash of everything that defines the experiment, excluding seeds/output.
+
+    A lookup table enters by its bytes (`_table_lines`, read unless given), not by its path.
+    """
+    table_lines = _table_lines(cfg) if table_lines is None else table_lines
+    skip = ("seeds=", "out=") + ("landscape.path=",) * bool(table_lines)
+    lines = [l for l in config_lines(cfg) if not l.startswith(skip)] + table_lines
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
 
 
@@ -365,8 +376,9 @@ def run_campaign(cfg: CampaignConfig) -> dict[int, list[RoundRecord]]:
     out = Path(cfg.out)
     made_out = not out.exists()
     out.mkdir(parents=True, exist_ok=True)
+    table = _table_lines(cfg)
     manifest = [f"artifact_version={ARTIFACT_VERSION}",
-                f"config_hash={config_hash(cfg)}"] + config_lines(cfg)
+                f"config_hash={config_hash(cfg, table)}", *table] + config_lines(cfg)
     manifest_path = out / "manifest.txt"
     manifest_path.write_text("\n".join(manifest) + "\n", encoding="utf-8")
 

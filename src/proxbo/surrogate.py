@@ -150,10 +150,11 @@ def evidence_posterior(phi: np.ndarray, t: np.ndarray) -> tuple[float, float, np
 
 
 class _StackedNet:
-    """What both stacked regressors share: the stacked parameters and the output layer.
+    """What both stacked regressors share: the stacked parameters, the input and the output layer.
 
-    `forward` runs each regressor's `_features` and `_hidden` (`last_hidden`),
-    then the output layer; `backward` runs the output layer, then `_backward`.
+    Each regressor implements `_init_member`, `_body(x) -> (last hidden layer,
+    cache)` and `_body_backward(cache, dhid, grads)`: `forward` runs `_body`, then
+    the output layer, and `backward` the reverse, on position-major `inputs`.
 
     `rngs` holds one generator per member; each draws its member's weights
     layer by layer in float64, and the members' parameters are stacked on a
@@ -172,33 +173,30 @@ class _StackedNet:
             self.params[name] = np.stack([p[name] for p in members])
 
     def inputs(self, x: np.ndarray) -> np.ndarray:
-        """The network's input for one-hot x (..., B, L, V): x itself."""
-        return x
+        """The network's input (..., L, B, V) for one-hot x (..., B, L, V): a position-major copy."""
+        return np.ascontiguousarray(np.swapaxes(x, -2, -3))
 
     def take(self, inputs: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """Each member's input for the sequences at `rows` (M, b) of `inputs`."""
-        return inputs[rows]
-
-    def _hidden(self, feats: np.ndarray):
-        """The layers between the features and the output layer, and their cache: none here."""
-        return feats, None
+        """(M, L, b, W) inputs of the sequences at `rows` (M, b) of (L, n, W) `inputs`, at once."""
+        l, n = inputs.shape[:2]
+        return np.take(inputs.reshape(l * n, -1), np.arange(l)[:, None] * n + rows[..., None, :],
+                       axis=0)
 
     def last_hidden(self, x: np.ndarray) -> np.ndarray:
         """(M, B, h) input of each member's output layer, from the input x (see `inputs`)."""
-        return self._hidden(self._features(x)[0])[0]
+        return self._body(x)[0]
 
     def forward(self, x: np.ndarray):
-        feats, c_feats = self._features(x)
-        hid, c_hid = self._hidden(feats)
+        hid, c_body = self._body(x)
         out, c_out = nn.dense_forward(hid, self.params["out_w"], self.params["out_b"])
-        return out[..., 0], (c_feats, c_hid, c_out)
+        return out[..., 0], (c_body, c_out)
 
     def backward(self, cache, dpred: np.ndarray, grads: nn.Arena | None = None) -> nn.Arena:
         """Gradients of every parameter, written into `grads` (a new arena when None)."""
         grads = nn.Arena.like(self.params) if grads is None else grads
-        c_feats, c_hid, c_out = cache
+        c_body, c_out = cache
         dhid, _, _ = nn.dense_backward(c_out, dpred[..., None], grads["out_w"], grads["out_b"])
-        self._backward(c_feats, c_hid, dhid, grads)
+        self._body_backward(c_body, dhid, grads)
         return grads
 
     def member(self, m: int):
@@ -216,8 +214,6 @@ class ConvRegressor(_StackedNet):
     position-major (see `nn`): its input is the first layer's im2col
     columns (L, B, k*V) of the one-hot sequences, or (M, L, B, k*V) per member.
     """
-
-    kind = "conv"
 
     def _init_member(self, rng: np.random.Generator) -> dict[str, np.ndarray]:
         cfg = self.cfg
@@ -238,13 +234,7 @@ class ConvRegressor(_StackedNet):
         """The first layer's columns (..., L, B, k*V) of one-hot x (..., B, L, V)."""
         return nn.conv1d_columns(x, self.cfg.kernel_size)
 
-    def take(self, inputs: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """(M, L, b, k*V) columns of the sequences at `rows` (M, b), gathered at once."""
-        l, n = inputs.shape[:2]
-        return np.take(inputs.reshape(l * n, -1), np.arange(l)[:, None] * n + rows[..., None, :],
-                       axis=0)
-
-    def _features(self, x: np.ndarray):
+    def _body(self, x: np.ndarray):
         caches = []
         h = x
         for i in range(len(self.cfg.channels)):
@@ -255,17 +245,13 @@ class ConvRegressor(_StackedNet):
         # the mean pool: L contiguous (B, C) blocks summed, then divided as `mean` divides
         feats = np.add.reduce(h, axis=-3)
         feats /= h.shape[-3]
-        return feats, (caches, h.shape[-3])
-
-    def _hidden(self, feats: np.ndarray):
-        """The dense layer and its ReLU on (M, B, d) features, and their cache."""
         hid, c_dense = nn.dense_forward(feats, self.params["dense_w"], self.params["dense_b"])
         hid, c_relu = nn.relu_forward(hid)
-        return hid, (c_dense, c_relu)
+        return hid, (caches, h.shape[-3], c_dense, c_relu)
 
-    def _backward(self, c_feats, c_hid, dhid: np.ndarray, grads: nn.Arena) -> None:
+    def _body_backward(self, cache, dhid: np.ndarray, grads: nn.Arena) -> None:
         """Write the gradients of every parameter before the output layer into `grads`."""
-        (caches, length), (c_dense, c_relu) = c_feats, c_hid
+        caches, length, c_dense, c_relu = cache
         d = nn.relu_backward(c_relu, dhid)
         d, _, _ = nn.dense_backward(c_dense, d, grads["dense_w"], grads["dense_b"])
         d = d[..., None, :, :] / length  # mean pool; the mask below broadcasts it over L
@@ -278,9 +264,10 @@ class ConvRegressor(_StackedNet):
 
 
 class RecurrentRegressor(_StackedNet):
-    """M plain tanh recurrences over positions, stacked; final hidden state -> scalar."""
+    """M plain tanh recurrences over positions, stacked; final hidden state -> scalar.
 
-    kind = "recurrent"
+    Each position's rows are one contiguous (B, V) block of the input (`inputs`).
+    """
 
     def _init_member(self, rng: np.random.Generator) -> dict[str, np.ndarray]:
         h, v = self.cfg.hidden_size, self.vocab
@@ -292,29 +279,29 @@ class RecurrentRegressor(_StackedNet):
             "out_b": np.zeros(1),
         }
 
-    def _features(self, x: np.ndarray):
+    def _body(self, x: np.ndarray):
         wx, wh, bh = self.params["wx"], self.params["wh"], self.params["bh"]
-        hs = [np.zeros((len(wx), x.shape[-3], self.cfg.hidden_size), np.result_type(x, wx))]
-        for t in range(x.shape[-2]):
-            a = x[..., t, :] @ wx
+        hs = []  # the state after each position
+        for t in range(x.shape[-3]):
+            a = x[..., t, :, :] @ wx
             if t:  # the initial state is zero: no product with it
                 a += hs[-1] @ wh
             hs.append(np.tanh(a + bh[:, None, :]))
         return hs[-1], (x, hs)
 
-    def _backward(self, c_feats, c_hid, dh: np.ndarray, grads: nn.Arena) -> None:
+    def _body_backward(self, cache, dh: np.ndarray, grads: nn.Arena) -> None:
         """Write the gradients of the recurrence into `grads`, summed over positions."""
-        x, hs = c_feats
+        x, hs = cache
         wh = self.params["wh"]
         gwx, gwh, gbh = grads["wx"], grads["wh"], grads["bh"]
         for g in (gwx, gwh, gbh):
             g.fill(0.0)  # accumulated below; the output layer's are already written
-        for t in reversed(range(x.shape[-2])):
-            da = dh * (1.0 - hs[t + 1] ** 2)  # through tanh
-            gwx += np.swapaxes(x[..., t, :], -1, -2) @ da
+        for t in reversed(range(x.shape[-3])):
+            da = dh * (1.0 - hs[t] ** 2)  # through tanh
+            gwx += np.swapaxes(x[..., t, :, :], -1, -2) @ da
             gbh += da.sum(axis=-2)
             if t:  # the initial state is a zero constant: no product with it
-                gwh += np.swapaxes(hs[t], -1, -2) @ da
+                gwh += np.swapaxes(hs[t - 1], -1, -2) @ da
                 dh = da @ np.swapaxes(wh, -1, -2)
 
 

@@ -28,9 +28,12 @@ test compares it with the stored rows bit for bit.
 
 import numpy as np
 
+import proxbo.nn as nn
 from proxbo.errors import TrainingError
 from proxbo.sequences import encode_batch
 from proxbo.surrogate import NET_DTYPE, evidence_posterior
+
+import recurrent_oracle
 
 
 def per_candidate_slot_scores(pool):
@@ -62,15 +65,24 @@ def per_candidate_slot_scores(pool):
 def member_design(ens, m, codes):
     """Member m's (B, h + 1) design matrix of (B, L) residue rows: its output layer's input, 1s.
 
-    The layers before the last hidden one are the regressor's own
-    `_features`; the dense layer and its ReLU are written out here.
+    It runs member m's own parameters through layers written out here: for
+    conv, the `nn` conv stack with its ReLUs, the mean pool, the dense layer
+    and its ReLU; for recurrent, the batch-major recurrence of
+    `tests/recurrent_oracle.py`. No method of the network runs.
     """
-    params = {name: arr[m] for name, arr in ens.net.params.items()}
-    x = ens.net.inputs(encode_batch(codes, ens.net.vocab).astype(NET_DTYPE))
-    hid = ens.net.member(m)._features(x)[0][0]
+    params = {name: arr[m:m + 1] for name, arr in ens.net.params.items()}
+    x = encode_batch(codes, ens.net.vocab).astype(NET_DTYPE)
     if ens.kind == "conv":
-        hid = np.maximum(hid @ params["dense_w"] + params["dense_b"], 0.0)
-    return np.hstack([hid, np.ones((len(hid), 1))])
+        cfg = ens.config
+        h = nn.conv1d_columns(x, cfg.kernel_size)
+        for i in range(len(cfg.channels)):
+            h = nn.stacked_conv1d_forward(h, params[f"conv{i}_w"], params[f"conv{i}_b"])[0]
+            h = nn.relu_forward(h)[0]
+        h = nn.dense_forward(h.mean(axis=-3), params["dense_w"], params["dense_b"])[0]
+        hid = nn.relu_forward(h)[0]
+    else:
+        hid = recurrent_oracle.features(params, x)[0]
+    return np.hstack([hid[0], np.ones((len(codes), 1))])
 
 
 def member_posterior(ens, m, data):

@@ -189,13 +189,13 @@ class TestStoredDesign:
 
             monkeypatch.setattr(owner, name, counted)
 
-        for owner, name in ((type(ens.net), "last_hidden"), (type(ens.net), "_features"),
+        for owner, name in ((type(ens.net), "last_hidden"), (type(ens.net), "_body"),
                             (surrogate, "encode_batch")):
             spy(owner, name)
         ens.fantasy_inner_means_multi(batches, ys, inner_pool, data)
         assert not calls
         ens.predict_batch(unmeasured)  # the spies see the layers where they do run
-        assert calls == {"last_hidden": 3, "_features": 3, "encode_batch": 1}
+        assert calls == {"last_hidden": 3, "_body": 3, "encode_batch": 1}
 
 
 class TestEvidence:

@@ -1,5 +1,6 @@
 """Tests for campaign configuration, CSV artifacts, aggregation, and the CLI."""
 
+import hashlib
 import itertools
 import os
 import re
@@ -189,6 +190,35 @@ class TestRunArtifacts:
         manifest = (tmp_path / "manifest.txt").read_text().splitlines()
         assert manifest[0] == "artifact_version=0.5.0"
         assert manifest[1] == f"config_hash={config_hash(cfg)}"
+
+    def test_nk_manifest_keeps_the_0_5_0_bytes(self, tmp_path):
+        cfg = parse_config_text(RANDOM_NK_CONFIG + f"out={tmp_path}\n")
+        run_campaign(cfg)
+        manifest = (tmp_path / "manifest.txt").read_text().splitlines()
+        # the hash this config had before lookup tables were hashed by their bytes
+        assert manifest[:2] == ["artifact_version=0.5.0", "config_hash=8c3c4e0cf363fd17"]
+        assert manifest[2:] == config_lines(cfg)
+
+    def test_lookup_table_is_identified_by_its_bytes(self, tmp_path):
+        gen_nk(5, 1, 4, 11, tmp_path / "a" / "land")
+        (tmp_path / "b").mkdir()
+        shutil.copyfile(tmp_path / "a" / "land.tsv", tmp_path / "b" / "land.tsv")
+
+        def config(table):
+            return parse_config_text(f"landscape.kind=lookup\nlandscape.path={table}\n"
+                                     f"method=random\nrounds=1\nbatch=2\nseeds=0\n"
+                                     f"out={tmp_path / 'runs'}\n")
+
+        same = config_hash(config(tmp_path / "a" / "land.tsv"))
+        assert config_hash(config(tmp_path / "b" / "land.tsv")) == same
+        cfg = config(tmp_path / "a" / "land.tsv")
+        run_campaign(cfg)
+        manifest = (tmp_path / "runs" / "manifest.txt").read_text().splitlines()
+        digest = hashlib.sha256((tmp_path / "a" / "land.tsv").read_bytes()).hexdigest()
+        assert manifest[1:3] == [f"config_hash={same}", f"landscape.sha256={digest}"]
+        assert manifest[3:] == config_lines(cfg)
+        gen_nk(5, 1, 4, 12, tmp_path / "a" / "land")  # another table at the same path
+        assert config_hash(config(tmp_path / "a" / "land.tsv")) != same
 
     def test_cold_start_rows_equal_the_0_1_0_artifact(self, tmp_path):
         # round 0 (the wild type) and round 1 (the model-free cold start) do not
