@@ -16,7 +16,6 @@ import hashlib
 import os
 import sys
 import traceback
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -25,7 +24,7 @@ import numpy as np
 from .acquisition import KGConfig
 from .errors import ConfigError, DataError, DomainExhausted, ParseError
 from .explorer import ExplorerState, RoundRecord, random_search_round, run_round
-from .landscape import BudgetedOracle, LookupLandscape, NKLandscape, check_nk, load_lookup
+from .landscape import BudgetedOracle, NKLandscape, check_nk, load_lookup
 from .sequences import Alphabet, Sequence, small_alphabet
 from .surrogate import (REGRESSORS, ConvRegressorConfig, Dataset, Ensemble,
                         RecurrentRegressorConfig, TrainConfig)
@@ -187,11 +186,16 @@ def config_lines(cfg: CampaignConfig) -> list[str]:
     return lines
 
 
-def _table_lines(cfg: CampaignConfig) -> list[str]:
-    """The manifest line naming a lookup table by the SHA-256 of its bytes; none for NK."""
+def _table_lines(cfg: CampaignConfig, landscape=None) -> list[str]:
+    """The manifest line naming a lookup table by the SHA-256 of its bytes; none for NK.
+
+    The digest is the one `landscape` was loaded with; without it, the file is read.
+    """
     if cfg.landscape_kind != "lookup":
         return []
-    return [f"landscape.sha256={hashlib.sha256(Path(cfg.lookup_path).read_bytes()).hexdigest()}"]
+    digest = (landscape.sha256 if landscape is not None
+              else hashlib.sha256(Path(cfg.lookup_path).read_bytes()).hexdigest())
+    return [f"landscape.sha256={digest}"]
 
 
 def config_hash(cfg: CampaignConfig, table_lines: list[str] | None = None) -> str:
@@ -227,16 +231,12 @@ def _nk_alphabet(n: int, k: int, v: int, seed: int) -> Alphabet:
     return alphabet
 
 
-def _nk(n: int, k: int, v: int, seed: int) -> NKLandscape:
-    """`make_nk`, its parameters checked by `_nk_alphabet`."""
-    return NKLandscape(n, k, _nk_alphabet(n, k, v, seed), seed)
-
-
 def _build_landscape(cfg: CampaignConfig):
     if cfg.landscape_kind == "lookup":
         return load_lookup(cfg.lookup_path, wild_type=cfg.wild_type or None,
                            negate=cfg.negate)
-    return _nk(cfg.nk_n, cfg.nk_k, cfg.nk_v, cfg.nk_seed)
+    alphabet = _nk_alphabet(cfg.nk_n, cfg.nk_k, cfg.nk_v, cfg.nk_seed)
+    return NKLandscape(cfg.nk_n, cfg.nk_k, alphabet, cfg.nk_seed, _nk_wild_type(cfg, alphabet))
 
 
 def _nk_wild_type(cfg: CampaignConfig, alphabet: Alphabet) -> Sequence:
@@ -284,12 +284,12 @@ def run_one_seed(cfg: CampaignConfig, seed: int,
     """Execute one campaign; returns (records, wild type, its fitness, exhausted flag).
 
     `landscape` is the one `cfg` describes, built here when not given; a
-    campaign only reads it, so seeds may share one.
+    campaign only reads it, so seeds may share one. The campaign starts from
+    its wild type.
     """
     if landscape is None:
         landscape = _build_landscape(cfg)
-    wt = (landscape.wild_type if isinstance(landscape, LookupLandscape)
-          else _nk_wild_type(cfg, landscape.alphabet))
+    wt = landscape.wild_type
     wt_fitness = landscape.evaluate_batch(np.array([wt.residues]))[0]  # outside the budget
     oracle = BudgetedOracle(landscape, rounds_total=cfg.rounds, batch_size=cfg.batch)
     state = ExplorerState(wild_type=wt)
@@ -358,12 +358,14 @@ def run_campaign(cfg: CampaignConfig) -> dict[int, list[RoundRecord]]:
 
     The landscape is built first, once, so a bad table or wild type fails
     before the output directory exists; every seed, serial or in a worker
-    process, runs on it. The manifest comes next, and each seed's CSV as soon
-    as that seed finishes. A seed that raises does not stop the others; once
-    every seed has run, the first error in seed order is raised again, and
-    the tracebacks of any later ones go to stderr. When no seed finished, the
-    manifest is deleted first, and so is the output directory if this call
-    made it: a campaign with no results leaves no output.
+    process, runs on it. The manifest comes next, naming a lookup table by the
+    digest of the bytes the landscape was parsed from, so the table is read
+    once; then each seed's CSV as soon as that seed finishes. A seed that
+    raises does not stop the others; once every seed has run, the first error
+    in seed order is raised again, and the tracebacks of any later ones go to
+    stderr. When no seed finished, the manifest is deleted first, and so is
+    the output directory if this call made it: a campaign with no results
+    leaves no output.
     """
     raw_threads = os.environ.get("PROXBO_THREADS", "1")
     try:
@@ -376,7 +378,7 @@ def run_campaign(cfg: CampaignConfig) -> dict[int, list[RoundRecord]]:
     out = Path(cfg.out)
     made_out = not out.exists()
     out.mkdir(parents=True, exist_ok=True)
-    table = _table_lines(cfg)
+    table = _table_lines(cfg, landscape)
     manifest = [f"artifact_version={ARTIFACT_VERSION}",
                 f"config_hash={config_hash(cfg, table)}", *table] + config_lines(cfg)
     manifest_path = out / "manifest.txt"
@@ -390,7 +392,10 @@ def run_campaign(cfg: CampaignConfig) -> dict[int, list[RoundRecord]]:
         all_records[seed] = result[0]
 
     if threads > 1 and len(cfg.seeds) > 1:
-        # a fork start forks every worker at the first submit: one per seed at most
+        # imported here, as it imports multiprocessing; a fork start forks every
+        # worker at the first submit: one per seed at most
+        from concurrent.futures import ProcessPoolExecutor, as_completed
+
         with ProcessPoolExecutor(max_workers=min(threads, len(cfg.seeds))) as pool:
             futures = {pool.submit(run_one_seed, cfg, seed, landscape): seed
                        for seed in cfg.seeds}
@@ -514,7 +519,7 @@ def gen_nk(n: int, k: int, alphabet_size: int, seed: int, out_prefix: str | Path
     optimum in a header comment; its first data row (all-first-symbol) is
     the wild type by the lookup file convention.
     """
-    landscape = _nk(n, k, alphabet_size, seed)
+    landscape = NKLandscape(n, k, _nk_alphabet(n, k, alphabet_size, seed), seed)
     states = landscape.num_states()
     if enumerate_table is None:
         enumerate_table = states <= 2**20

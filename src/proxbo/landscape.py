@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import hashlib
 import io
 from dataclasses import dataclass, field
 from math import isfinite
 from pathlib import Path
-from typing import Iterator, Protocol
+from typing import Iterator, NoReturn, Protocol
 
 import numpy as np
 
@@ -23,6 +24,8 @@ class FitnessLandscape(Protocol):
     @property
     def alphabet(self) -> Alphabet: ...
 
+    wild_type: Sequence  # the campaign's starting point, a state of the landscape
+
     def evaluate_batch(self, codes: np.ndarray) -> list[float]: ...
 
     def in_domain(self, codes: np.ndarray) -> np.ndarray: ...
@@ -36,11 +39,13 @@ class LookupLandscape:
     smallest unsigned dtype that holds them, and `scores[i]` its fitness. The
     rows are distinct and keep table order. Rows are found by binary search in
     `_keys`, the rows' `row_keys` sorted once; `_order[i]` is the row of `_keys[i]`.
+    `sha256` is the digest of the file the table was loaded from, if any.
     """
 
     codes: np.ndarray
     scores: np.ndarray
     wild_type: Sequence
+    sha256: str | None = None
     _keys: np.ndarray = field(init=False, repr=False)
     _order: np.ndarray = field(init=False, repr=False)
 
@@ -100,24 +105,9 @@ class LookupLandscape:
 _BLOCK = 1 << 14
 
 
-def _first(bad: np.ndarray, default: int) -> int:
-    """Index of the first True in `bad`, or `default` when there is none."""
-    hits = np.flatnonzero(bad)
-    return int(hits[0]) if len(hits) else default
-
-
-def _floats(fields: Iterator[str | bytes]) -> Iterator[float]:
-    """float() of each field, stopping at the first one that is not a number."""
-    try:
-        for f in fields:
-            yield float(f)
-    except ValueError:
-        return
-
-
 def _scores(units: np.ndarray, codec: str, starts: np.ndarray, stops: np.ndarray,
-            skip: int) -> np.ndarray:
-    """Python's own float() of each row's score field, up to the first that is not a number.
+            skip: int) -> np.ndarray | None:
+    """Python's own float() of each row's score field; None when one is missing or not a number.
 
     A field starts `skip` code units into its row and keeps its newline,
     which float() ignores. The fields of a block of rows are cut out as the
@@ -134,47 +124,40 @@ def _scores(units: np.ndarray, codec: str, starts: np.ndarray, stops: np.ndarray
         np.cumsum(inside, out=inside)
         fields = span[inside[:len(span)].view(bool)].tobytes()
         lines = io.BytesIO(fields) if codec == "ascii" else io.StringIO(fields.decode(codec))
-        blocks.append(np.fromiter(_floats(lines), dtype=np.float64))
-        if len(blocks[-1]) < len(block_starts):
-            break
-    return np.concatenate(blocks) if blocks else np.empty(0)
+        try:  # an empty last field leaves the block a line short
+            blocks.append(np.fromiter(map(float, lines), np.float64, count=len(block_starts)))
+        except ValueError:
+            return None
+    return np.concatenate(blocks)
 
 
-def load_lookup(
-    path: str | Path,
-    alphabet: Alphabet | None = None,
-    wild_type: str | None = None,
-    negate: bool = False,
-) -> LookupLandscape:
+def load_lookup(path: str | Path, alphabet: Alphabet | None = None,
+                wild_type: str | None = None, negate: bool = False) -> LookupLandscape:
     """Load a TSV lookup landscape: one `SEQUENCE<TAB>SCORE` record per line.
 
     Lines starting with `# ` are comments; a `# alphabet SYMBOLS` directive
     (as written by gen_nk) sets the alphabet when the caller does not. The
     first data row is the wild type unless `wild_type` overrides it. With
     `negate`, scores are sign-flipped on load (for lower-is-better energies).
-    A sequence may repeat with its score; its first row is kept.
+    A sequence may repeat with its score; its first row is kept. The
+    landscape keeps the SHA-256 of the bytes read.
 
-    The file is parsed with NumPy over one array of its code units: its
-    bytes when it is ASCII, with newlines translated as text mode translates
-    them, else its text as UTF-32, so positions are character positions.
-    `end` is the first data row found bad so far; each check looks only at
-    the rows before it. The row it ends on is the first bad line, and
-    `_raise_line_error` checks that line alone for its error. Scores are
-    read a block of rows at a time (`_scores`), and the text is freed before
-    the rows are sorted, so the parse's buffers stay small next to the table.
+    The file is read once and parsed with NumPy over one array of its code
+    units: its bytes when it is ASCII, else its text as UTF-32, so positions
+    are character positions. Each check looks at every row at once and only
+    decides whether the table is good; a bad table is read again by
+    `_raise_bad_line`, which names its first bad line. Scores are read a
+    block of rows at a time (`_scores`), and the text is freed before the
+    rows are sorted, so the parse's buffers stay small next to the table.
     """
     path = Path(path)
     raw = path.read_bytes()
-    if raw.isascii():  # CRLF and a lone CR end a line, as in text mode
-        codec = "ascii"
-        units = np.frombuffer(raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n"), np.uint8)
-    else:
-        codec = "utf-32-le"
-        units = np.frombuffer(path.read_text(encoding="utf-8").encode(codec), np.uint32)
+    sha256 = hashlib.sha256(raw).hexdigest()
+    raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")  # line ends as in text mode
+    codec = "ascii" if raw.isascii() else "utf-32-le"
+    units = (np.frombuffer(raw, np.uint8) if codec == "ascii"
+             else np.frombuffer(raw.decode("utf-8").encode(codec), np.uint32))
     del raw
-
-    def decode(a: int, b: int) -> str:
-        return units[a:b].tobytes().decode(codec)
 
     offset = np.int32 if len(units) < 2**30 else np.intp
     breaks = np.flatnonzero(units == ord("\n")).astype(offset)
@@ -184,67 +167,48 @@ def load_lookup(
     lines = np.flatnonzero(starts < stops).astype(offset)  # the non-empty ones
     comment = units[starts[lines]] == ord("#")
     data = lines[~comment]
-    if alphabet is None:
-        # the first directive before the first data row sets the alphabet
-        for line in lines[comment].tolist():
-            if len(data) and line > data[0]:
-                break
-            parts = decode(starts[line] + 1, stops[line]).split()
-            if len(parts) == 2 and parts[0] == "alphabet":
-                alphabet = Alphabet(parts[1])
-                break
-    if not len(data):
-        raise ParseError(f"{path}: no data rows")
-    if alphabet is None:
-        alphabet = protein_alphabet()
+    if alphabet is None:  # the first directive before the first data row sets it
+        heads = (units[starts[line] + 1:stops[line]].tobytes().decode(codec).split()
+                 for line in lines[comment].tolist() if not len(data) or line < data[0])
+        alphabet = next((Alphabet(h[1]) for h in heads if len(h) == 2 and h[0] == "alphabet"),
+                        protein_alphabet())
     starts, stops = starts[data], stops[data]
-    del lines, comment
+    del lines, comment, data
 
     # the shape: one tab, after a sequence as long as the first row's
     tabs = np.flatnonzero(units == ord("\t")).astype(offset)
     after = np.searchsorted(tabs, starts)
-    one_tab = np.searchsorted(tabs, stops) - after == 1
     tab = tabs[np.minimum(after, len(tabs) - 1)] if len(tabs) else stops
-    del tabs, after
-    length = int(tab[0] - starts[0]) if one_tab[0] else 0
-    end = _first(~one_tab | (tab - starts != length), len(data)) if length else 0
-    del tab, one_tab
+    length = int(tab[0] - starts[0]) if len(starts) else 0
+    if (length < 1 or np.any(np.searchsorted(tabs, stops) - after != 1)
+            or np.any(tab - starts != length)):
+        _raise_bad_line(path, alphabet, negate)
+    del tabs, after, tab
 
     # residues: column by column through a code unit -> ordinal table, v = unknown
     v = alphabet.size
     lut = np.full(max(map(ord, alphabet.symbols)) + 2, v, dtype=np.min_scalar_type(v))
     lut[[ord(c) for c in alphabet.symbols]] = np.arange(v)
-    codes = np.empty((end, length), dtype=np.min_scalar_type(v - 1))
-    known = np.ones(end, dtype=bool)
+    codes = np.empty((len(starts), length), dtype=np.min_scalar_type(v - 1))
     for j in range(length):
-        col = lut[np.minimum(units[starts[:end] + j], len(lut) - 1)]
-        known &= col < v
-        codes[:, j] = col
-    end = _first(~known, end)
+        codes[:, j] = col = lut[np.minimum(units[starts + j], len(lut) - 1)]
+        if np.any(col == v):
+            _raise_bad_line(path, alphabet, negate)
 
-    scores = _scores(units, codec, starts[:end], stops[:end], length + 1)
-    end = _first(~np.isfinite(scores), len(scores))
-    codes, scores = codes[:end], scores[:end]
-    if negate:
-        scores = -scores
-    # of the text, only the first bad line is kept
-    bad_line = decode(starts[end], stops[end]) if end < len(data) else None
+    scores = _scores(units, codec, starts, stops, length + 1)
     del units, starts, stops
+    if scores is None or not np.isfinite(scores).all():
+        _raise_bad_line(path, alphabet, negate)
 
     # a repeated sequence: its first row keeps it, the others must repeat its score
     _, first, inverse = np.unique(row_keys(codes), return_index=True, return_inverse=True)
     first = first[inverse]  # each row's first row with its sequence
-    repeat = first != np.arange(end)
-    row = _first(repeat & (scores != scores[first]), end)
-    if row < end:
-        seq = Sequence(tuple(codes[row].tolist()), alphabet).text
-        raise DataError(f"{path}:{data[row] + 1}: conflicting scores for {seq}: "
-                        f"{float(scores[first[row]])} vs {float(scores[row])}")
-    codes, scores = codes[~repeat], scores[~repeat]
+    if np.any(scores != scores[first]):
+        _raise_bad_line(path, alphabet, negate)
+    keep = first == np.arange(len(first))
+    codes, scores = codes[keep], -scores[keep] if negate else scores[keep]
 
-    if bad_line is not None:
-        _raise_line_error(f"{path}:{data[end] + 1}", bad_line, alphabet, length if end else None)
-    land = LookupLandscape(codes, scores, Sequence(tuple(codes[0].tolist()), alphabet))
+    land = LookupLandscape(codes, scores, Sequence(tuple(codes[0].tolist()), alphabet), sha256)
     if wild_type is not None:
         try:
             wt = alphabet.encode(wild_type)
@@ -256,29 +220,41 @@ def load_lookup(
     return land
 
 
-def _raise_line_error(where: str, line: str, alphabet: Alphabet, length: int | None):
-    """Raise the ParseError of a bad data line, checking it as the line-by-line loader did.
+def _raise_bad_line(path: Path, alphabet: Alphabet, negate: bool) -> NoReturn:
+    """Raise the error of a bad table's first bad data line, reading it line by line.
 
-    `length` is the first row's sequence length (None on the first row).
+    The checks, their order and their messages are the line-by-line loader's.
     """
-    cols = line.split("\t")
-    if len(cols) != 2:
-        raise ParseError(f"{where}: expected 2 tab-separated columns, got {len(cols)}")
-    try:
-        residues = alphabet.ordinals(cols[0])
-    except ValueError as e:
-        raise ParseError(f"{where}: {e}") from None
-    if not residues:
-        raise ParseError(f"{where}: sequence must have at least one residue")
-    try:
-        score = float(cols[1])
-    except ValueError:
-        raise ParseError(f"{where}: non-numeric score {cols[1]!r}") from None
-    if not isfinite(score):
-        raise ParseError(f"{where}: non-finite score {cols[1]!r}")
-    if length is not None and len(residues) != length:
-        raise ParseError(f"{where}: sequence length {len(residues)} != {length}")
-    raise AssertionError(f"{where}: {line!r} was found bad but passes every check")
+    table: dict[tuple[int, ...], float] = {}
+    for lineno, line in enumerate(path.read_text(encoding="utf-8").split("\n"), start=1):
+        if not line or line.startswith("#"):
+            continue
+        where = f"{path}:{lineno}"
+        cols = line.split("\t")
+        if len(cols) != 2:
+            raise ParseError(f"{where}: expected 2 tab-separated columns, got {len(cols)}")
+        try:
+            residues = alphabet.ordinals(cols[0])
+        except ValueError as e:
+            raise ParseError(f"{where}: {e}") from None
+        if not residues:
+            raise ParseError(f"{where}: sequence must have at least one residue")
+        try:
+            score = float(cols[1])
+        except ValueError:
+            raise ParseError(f"{where}: non-numeric score {cols[1]!r}") from None
+        if not isfinite(score):
+            raise ParseError(f"{where}: non-finite score {cols[1]!r}")
+        score = -score if negate else score
+        first = next(iter(table), residues)  # the first row's sequence
+        if len(residues) != len(first):
+            raise ParseError(f"{where}: sequence length {len(residues)} != {len(first)}")
+        if table.setdefault(residues, score) != score:
+            raise DataError(f"{where}: conflicting scores for {cols[0]}: "
+                            f"{table[residues]} vs {score}")
+    if not table:
+        raise ParseError(f"{path}: no data rows")
+    raise AssertionError(f"{path}: found bad, but every line passes on a second read")
 
 
 # the most contribution-table entries an NK landscape may have (800 MB of float64)
@@ -305,13 +281,15 @@ class NKLandscape:
     Fitness is the mean over sites of a per-site contribution drawn uniform on
     [0, 1), indexed by the site's own residue and its K neighbors. K = 0 gives
     an additive (site-separable) landscape; larger K increases ruggedness.
-    Construction is bit-reproducible for a fixed seed.
+    Construction is bit-reproducible for a fixed seed. The wild type defaults
+    to the all-first-symbol state.
     """
 
     n: int
     k: int
     alphabet: Alphabet
     seed: int
+    wild_type: Sequence | None = None
     neighbor_map: np.ndarray = field(init=False, repr=False)
     tables: np.ndarray = field(init=False, repr=False)
 
@@ -323,6 +301,10 @@ class NKLandscape:
             np.sort(rng.choice(np.delete(np.arange(self.n), i), size=self.k, replace=False))
             for i in range(self.n)])
         self.tables = rng.uniform(size=(self.n, v ** (self.k + 1)))
+        if self.wild_type is None:
+            self.wild_type = Sequence((0,) * self.n, self.alphabet)
+        if not self.in_domain(np.array([self.wild_type.residues]))[0]:
+            raise ValueError(f"wild_type: {self.wild_type.text} is not a state of the landscape")
 
     @property
     def length(self) -> int:

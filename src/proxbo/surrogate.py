@@ -372,7 +372,8 @@ class Ensemble:
         Each member still sees its own bootstrap resample (of size n) in its
         own order. Before training, `rng` draws member by member: the
         bootstrap indices (when `cfg.bootstrap`), then one permutation per
-        epoch. That is the order in which training one member after another
+        epoch (one `permuted` call, which draws as a `permutation` per epoch
+        would). That is the order in which training one member after another
         would draw, so the parameters, the losses and the state `rng` is left
         in are those of member-by-member training, bit for bit.
         """
@@ -399,8 +400,7 @@ class Ensemble:
         rows = np.empty((self.n_members, cfg.epochs, n), dtype=np.int64)
         for m in range(self.n_members):
             idx[m] = rng.integers(0, n, size=n) if cfg.bootstrap else np.arange(n)
-            for e in range(cfg.epochs):
-                rows[m, e] = idx[m, rng.permutation(n)]
+            rows[m] = idx[m, rng.permuted(np.tile(np.arange(n), (cfg.epochs, 1)), axis=1)]
 
         grads = nn.Arena.like(net.params)
         opt = nn.Adam(net.params, lr=cfg.learning_rate)

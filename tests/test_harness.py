@@ -1,5 +1,7 @@
 """Tests for campaign configuration, CSV artifacts, aggregation, and the CLI."""
 
+import builtins
+import concurrent.futures
 import hashlib
 import itertools
 import os
@@ -35,7 +37,8 @@ from proxbo.harness import (
     write_aggregate,
     write_run_csv,
 )
-from proxbo.landscape import load_lookup
+from proxbo.landscape import load_lookup, make_nk
+from proxbo.sequences import Sequence
 
 import test_acceptance
 
@@ -478,7 +481,8 @@ class TestThreadCount:
     @pytest.fixture
     def made(self, monkeypatch):
         made = []
-        monkeypatch.setattr(harness, "ProcessPoolExecutor",
+        # run_campaign imports the pool class from here when it starts a pool
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                             lambda max_workers: _InlineExecutor(made, max_workers))
         return made
 
@@ -500,6 +504,14 @@ class TestThreadCount:
         with pytest.raises(ConfigError, match=f"PROXBO_THREADS: expected at least 1, got {threads}"):
             run_campaign(parse_config_text(RANDOM_NK_CONFIG + f"out={tmp_path / 'runs'}\n"))
         assert not made and not (tmp_path / "runs").exists()
+
+    def test_import_leaves_the_pool_modules_unloaded(self):
+        # the pool imports multiprocessing, socket and signal; a serial campaign needs none
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-c", "import sys, proxbo; print('multiprocessing' in sys.modules)"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+        assert result.stdout == "False\n", result.stderr
 
 
 class TestSharedLandscape:
@@ -525,6 +537,80 @@ class TestSharedLandscape:
         assert len(calls) == 1
         for seed in cfg.seeds:
             assert (tmp_path / "runs" / f"run_{seed}.csv").read_bytes() == per_seed[seed]
+
+
+def _ascii_table(tmp_path):
+    gen_nk(6, 1, 2, 9, tmp_path / "land")
+    return tmp_path / "land.tsv"
+
+
+def _non_ascii_table(tmp_path):
+    table = _ascii_table(tmp_path)
+    table.write_text(table.read_text().translate(str.maketrans("AC", "αβ")), encoding="utf-8")
+    return table
+
+
+class TestTableReadOnce:
+    @staticmethod
+    def config(table, out):
+        return parse_config_text(f"landscape.kind=lookup\nlandscape.path={table}\n"
+                                 f"method=random\nrounds=1\nbatch=2\nseeds=0,1\nout={out}\n")
+
+    @pytest.mark.parametrize("make_table", [_ascii_table, _non_ascii_table])
+    def test_a_campaign_opens_its_table_once(self, tmp_path, monkeypatch, make_table):
+        table = make_table(tmp_path)
+        opened = []
+
+        def counting(open_):
+            def counting_open(file, *args, **kwargs):
+                if isinstance(file, (str, os.PathLike)) and Path(file) == table:
+                    opened.append(file)
+                return open_(file, *args, **kwargs)
+            return counting_open
+
+        monkeypatch.setattr(builtins, "open", counting(builtins.open))
+        monkeypatch.setattr(Path, "open", counting(Path.open))
+        monkeypatch.delenv("PROXBO_THREADS", raising=False)
+        run_campaign(self.config(table, tmp_path / "runs"))
+        assert len(opened) == 1
+        assert (tmp_path / "runs" / "run_1.csv").exists()
+
+    def test_the_manifest_names_the_bytes_the_loader_parsed(self, tmp_path, monkeypatch):
+        table = _ascii_table(tmp_path)
+        parsed = table.read_bytes()
+        loaded = []
+
+        def load_then_replace(*args, **kwargs):
+            loaded.append(load_lookup(*args, **kwargs))
+            gen_nk(6, 1, 2, 10, tmp_path / "land")  # another table at the path, once parsed
+            return loaded[-1]
+
+        monkeypatch.setattr(harness, "load_lookup", load_then_replace)
+        cfg = self.config(table, tmp_path / "runs")
+        run_campaign(cfg)
+        assert table.read_bytes() != parsed
+        digest = hashlib.sha256(parsed).hexdigest()
+        assert loaded[0].sha256 == digest
+        manifest = (tmp_path / "runs" / "manifest.txt").read_text().splitlines()
+        table.write_bytes(parsed)
+        assert manifest[1:3] == [f"config_hash={config_hash(cfg)}", f"landscape.sha256={digest}"]
+
+
+class TestNKWildType:
+    def test_a_campaign_starts_from_the_landscapes_wild_type(self, tmp_path):
+        cfg = parse_config_text(RANDOM_NK_CONFIG)
+        land = make_nk(8, 1, 2, 3)
+        land.wild_type = Sequence((1, 0, 1, 1, 0, 0, 1, 0), land.alphabet)
+        write_run_csv(tmp_path / "run_0.csv", *run_one_seed(cfg, 0, land))
+        row = (tmp_path / "run_0.csv").read_text().splitlines()[1]
+        assert row.split(",")[:4] == ["0", "0", "CACCAACA",
+                                      f"{land.fitness(land.wild_type):.17g}"]
+
+    def test_the_config_sets_the_wild_type(self):
+        cfg = parse_config_text(RANDOM_NK_CONFIG + "landscape.wild_type=CCAAAAAC\n")
+        assert harness._build_landscape(cfg).wild_type.text == "CCAAAAAC"
+        default = harness._build_landscape(parse_config_text(RANDOM_NK_CONFIG))
+        assert default.wild_type.text == "A" * 8
 
 
 class TestGenNK:

@@ -1,5 +1,6 @@
 """Tests for lookup tables, NK landscapes, and the budgeted oracle."""
 
+import hashlib
 import itertools
 import pickle
 import re
@@ -95,6 +96,13 @@ class TestLoadLookup:
         with pytest.raises(ParseError, match="2 tab-separated columns"):
             load_lookup(p)
 
+    @pytest.mark.parametrize("text, line", [("AC\t1.0\t\n", 1), ("AC\t1.0\nAD\t2\t \n", 2)])
+    def test_a_trailing_tab_is_a_third_column(self, tmp_path, text, line):
+        # float() would read the score with the tab: only the tab count rejects the line
+        p = write(tmp_path, text)
+        with pytest.raises(ParseError, match=f":{line}: expected 2 tab-separated columns, got 3"):
+            load_lookup(p)
+
     def test_length_mismatch_raises(self, tmp_path):
         p = write(tmp_path, "AC\t1.0\nACD\t2.0\n")
         with pytest.raises(ParseError, match=":2"):
@@ -113,6 +121,12 @@ class TestLoadLookup:
         p = write(tmp_path, "# nothing here\n")
         with pytest.raises(ParseError, match="no data rows"):
             load_lookup(p)
+
+    @pytest.mark.parametrize("text", ["AC\t1.0\r\nAD\t2\n", "# alphabet αβ\nαβ\t1\rββ\t2"])
+    def test_keeps_the_digest_of_the_bytes_it_parsed(self, tmp_path, text):
+        p = tmp_path / "table.tsv"
+        p.write_bytes(text.encode("utf-8"))
+        assert load_lookup(p).sha256 == hashlib.sha256(text.encode("utf-8")).hexdigest()
 
     def test_unknown_sequence_raises_domain_error(self, tmp_path):
         p = write(tmp_path, "AC\t1.0\n")
@@ -369,6 +383,13 @@ class TestNKLandscape:
         land = make_nk(4, 1, 2, 0)
         with pytest.raises(ValueError):
             land.fitness(Sequence((0, 1), AB2))
+
+    def test_wild_type_defaults_to_the_all_first_symbol_state(self):
+        assert make_nk(4, 1, 2, 0).wild_type == Sequence((0,) * 4, AB2)
+        wt = Sequence((1, 0, 1, 1), AB2)
+        assert NKLandscape(4, 1, AB2, 0, wt).wild_type == wt
+        with pytest.raises(ValueError, match="^wild_type: ACAAA is not a state"):
+            NKLandscape(4, 1, AB2, 0, Sequence((0, 1, 0, 0, 0), AB2))
 
 
 class TestBudgetedOracle:
