@@ -132,7 +132,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ProxboError, FileNotFoundError) as e:
+    except (ProxboError, OSError) as e:  # a missing file, a directory, a file in the way
         print(f"error: {e}", file=sys.stderr)
         return 1
 

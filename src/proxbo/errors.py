@@ -1,4 +1,5 @@
-"""Exception types shared across the package, and the field check of its config classes."""
+"""Exception types shared across the package, the field check of its config classes,
+and the decoding of the text files it reads."""
 
 
 class ProxboError(Exception):
@@ -46,3 +47,18 @@ def check_positive(obj, *names: str) -> None:
         value = getattr(obj, name)
         if not value > 0:
             raise ValueError(f"{name}: must be > 0, got {value!r}")
+
+
+def decode_utf8(raw: bytes, path) -> str:
+    """The UTF-8 text of the bytes of file `path`, line ends read as text mode reads them.
+
+    A byte that is not UTF-8 is a ParseError naming `path` and its line: 1
+    plus the newlines before it.
+    """
+    raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as e:
+        line = raw.count(b"\n", 0, e.start) + 1
+        raise ParseError(f"{path}:{line}: not UTF-8 text: {e.reason} "
+                         f"(byte 0x{raw[e.start]:02x})") from None

@@ -18,8 +18,8 @@ import numpy as np
 from .acquisition import KGConfig, select_batch
 from .errors import DomainExhausted
 from .landscape import BudgetedOracle
-from .sequences import (Alphabet, Sequence, hamming_distances, mutant_block, residue_array,
-                        row_keys, sample_mutants)
+from .sequences import (Alphabet, Sequence, hamming_distances, mutant_block, mutant_residues,
+                        row_keys)
 from .surrogate import Dataset, Ensemble, TrainConfig
 
 
@@ -130,7 +130,7 @@ def propose_pool(state: ExplorerState, domain, pool_size: int, radius: int,
 @dataclass
 class RoundRecord:
     round_index: int
-    sequences: list[Sequence]
+    codes: np.ndarray  # (B, L) residue ordinals of the batch measured, in query order
     scores: list[float]
     cumulative_max: float
     wall_time: float
@@ -139,33 +139,32 @@ class RoundRecord:
     short_pool: bool = False
 
 
-def _finish_round(state: ExplorerState, batch, scores, t0, **extra) -> RoundRecord:
+def _finish_round(state: ExplorerState, codes, scores, t0, **extra) -> RoundRecord:
     state.round_index += 1
-    return RoundRecord(round_index=state.round_index, sequences=batch, scores=scores,
+    return RoundRecord(round_index=state.round_index, codes=codes, scores=scores,
                        cumulative_max=state.data.max_score(),
                        wall_time=time.perf_counter() - t0, **extra)
 
 
 def _query_draws(state: ExplorerState, oracle: BudgetedOracle, m: int, tries: int,
-                 draw, what: str) -> tuple[list[Sequence], list[float]]:
-    """Query and ingest up to `m` distinct unmeasured in-domain sequences from `draw()`.
+                 draw, what: str) -> tuple[np.ndarray, list[float]]:
+    """Query and ingest up to `m` distinct unmeasured in-domain residue tuples from `draw()`.
 
     `draw()` is called at most `m * tries` times; rejected draws are dropped.
     """
-    chosen: dict[Sequence, None] = {}  # insertion-ordered set
+    chosen: dict[tuple[int, ...], None] = {}  # insertion-ordered set
     for _ in range(m * tries):
         if len(chosen) == m:
             break
         c = draw()
-        if (c not in state.data and c not in chosen
-                and oracle.inner.in_domain(np.array([c.residues]))[0]):
+        if c not in state.data and c not in chosen and oracle.inner.in_domain(np.array([c]))[0]:
             chosen[c] = None
     if not chosen:
         raise DomainExhausted(f"{what} found no unmeasured in-domain mutants")
-    batch = list(chosen)
-    scores = oracle.query_batch(residue_array(batch))
-    state.data.extend(zip(batch, scores))
-    return batch, scores
+    codes = np.array(list(chosen), dtype=np.min_scalar_type(state.wild_type.alphabet.size - 1))
+    scores = oracle.query_batch(codes)
+    state.data.add_rows(codes, scores, state.wild_type.alphabet)
+    return codes, scores
 
 
 def run_round(state: ExplorerState, ensemble: Ensemble, oracle: BudgetedOracle,
@@ -188,12 +187,13 @@ def run_round(state: ExplorerState, ensemble: Ensemble, oracle: BudgetedOracle,
     t0 = time.perf_counter()
     if len(state.data) <= 1:
         wt = state.wild_type
-        batch, scores = _query_draws(state, oracle, oracle.batch_size, 200,
-                                     lambda: sample_mutants(wt, min(2, len(wt)), 1, rng)[0],
-                                     "cold start")
+        codes, scores = _query_draws(
+            state, oracle, oracle.batch_size, 200,
+            lambda: mutant_residues(wt.residues, min(2, len(wt)), wt.alphabet.size, rng),
+            "cold start")
         if oracle.rounds_remaining > 0:
             ensemble.fit(state.data, train_cfg, rng)
-        return state, _finish_round(state, batch, scores, t0)
+        return state, _finish_round(state, codes, scores, t0)
 
     proposal = propose_pool(state, oracle.inner, pool_size, radius, rng)
     m = min(oracle.batch_size, len(proposal.codes))
@@ -204,11 +204,10 @@ def run_round(state: ExplorerState, ensemble: Ensemble, oracle: BudgetedOracle,
                         beta=beta, kg_config=kg_config, wild_type=state.wild_type, rng=rng)
     codes = proposal.codes[rows]
     scores = oracle.query_batch(codes)
-    batch = [Sequence(tuple(r), proposal.alphabet) for r in codes.tolist()]
-    state.data.extend(zip(batch, scores))
+    state.data.add_rows(codes, scores, proposal.alphabet)
     if oracle.rounds_remaining > 0:
         ensemble.fit(state.data, warm_cfg or train_cfg, rng, warm_start=warm_cfg is not None)
-    return state, _finish_round(state, batch, scores, t0, lambda_used=lam,
+    return state, _finish_round(state, codes, scores, t0, lambda_used=lam,
                                 pool_size=len(proposal.codes),
                                 short_pool=proposal.short)
 
@@ -219,9 +218,9 @@ def random_search_round(state: ExplorerState, oracle: BudgetedOracle, m: int,
     if len(state.data) == 0:
         raise ValueError("random search needs at least one measured sequence")
     t0 = time.perf_counter()
-    parents = state.data.sequences
-    batch, scores = _query_draws(
+    parents, size = state.data.codes.tolist(), state.data.alphabet.size
+    codes, scores = _query_draws(
         state, oracle, m, 500,
-        lambda: sample_mutants(parents[int(rng.integers(len(parents)))], 1, 1, rng)[0],
+        lambda: mutant_residues(parents[int(rng.integers(len(parents)))], 1, size, rng),
         "random search")
-    return state, _finish_round(state, batch, scores, t0)
+    return state, _finish_round(state, codes, scores, t0)

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .acquisition import KGConfig
-from .errors import ConfigError, DataError, DomainExhausted, ParseError
+from .errors import ConfigError, DataError, DomainExhausted, ParseError, decode_utf8
 from .explorer import ExplorerState, RoundRecord, random_search_round, run_round
 from .landscape import BudgetedOracle, NKLandscape, check_nk, load_lookup
 from .sequences import Alphabet, Sequence, small_alphabet
@@ -168,7 +168,7 @@ def parse_config_text(text: str) -> CampaignConfig:
 
 
 def load_config(path: str | Path) -> CampaignConfig:
-    return parse_config_text(Path(path).read_text(encoding="utf-8"))
+    return parse_config_text(decode_utf8(Path(path).read_bytes(), path))
 
 
 def config_lines(cfg: CampaignConfig) -> list[str]:
@@ -333,9 +333,9 @@ def write_run_csv(path: Path, records: list[RoundRecord],
     lines.append(f"0,0,{wt.text},{_FLOAT(wt_fitness)},{_FLOAT(cum)}")
     qi = 1
     for rec in records:
-        for s, y in zip(rec.sequences, rec.scores):
+        for text, y in zip(map(wt.alphabet.text, rec.codes.tolist()), rec.scores):
             cum = max(cum, y)
-            lines.append(f"{rec.round_index},{qi},{s.text},{_FLOAT(y)},{_FLOAT(cum)}")
+            lines.append(f"{rec.round_index},{qi},{text},{_FLOAT(y)},{_FLOAT(cum)}")
             qi += 1
     if exhausted:
         lines.append("# early_stop=domain_exhausted")
@@ -443,19 +443,18 @@ class AggregateCurve:
 def read_run_csv(path: str | Path) -> dict[int, float]:
     """Per-round final cumulative max (round 0 = the wild type); a bad line is a ParseError."""
     per_round: dict[int, float] = {}
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != _RUN_HEADER:
-            raise ParseError(f"{path}:1: unexpected header {header!r}")
-        for lineno, line in enumerate(map(str.strip, fh), start=2):
-            if line and not line.startswith("#"):
-                cols = line.split(",")
-                try:
-                    if len(cols) != 5:
-                        raise ValueError(f"expected 5 comma-separated columns, got {len(cols)}")
-                    per_round[int(cols[0])] = float(cols[4])
-                except ValueError as e:
-                    raise ParseError(f"{path}:{lineno}: {e}") from None
+    header, *lines = map(str.strip, decode_utf8(Path(path).read_bytes(), path).split("\n"))
+    if header != _RUN_HEADER:
+        raise ParseError(f"{path}:1: unexpected header {header!r}")
+    for lineno, line in enumerate(lines, start=2):
+        if line and not line.startswith("#"):
+            cols = line.split(",")
+            try:
+                if len(cols) != 5:
+                    raise ValueError(f"expected 5 comma-separated columns, got {len(cols)}")
+                per_round[int(cols[0])] = float(cols[4])
+            except ValueError as e:
+                raise ParseError(f"{path}:{lineno}: {e}") from None
     return per_round
 
 

@@ -11,7 +11,7 @@ from typing import Iterator, NoReturn, Protocol
 
 import numpy as np
 
-from .errors import BudgetError, DataError, DomainError, ParseError
+from .errors import BudgetError, DataError, DomainError, ParseError, decode_utf8
 from .sequences import Alphabet, Sequence, protein_alphabet, row_keys, small_alphabet
 
 
@@ -156,7 +156,7 @@ def load_lookup(path: str | Path, alphabet: Alphabet | None = None,
     raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")  # line ends as in text mode
     codec = "ascii" if raw.isascii() else "utf-32-le"
     units = (np.frombuffer(raw, np.uint8) if codec == "ascii"
-             else np.frombuffer(raw.decode("utf-8").encode(codec), np.uint32))
+             else np.frombuffer(decode_utf8(raw, path).encode(codec), np.uint32))
     del raw
 
     offset = np.int32 if len(units) < 2**30 else np.intp
@@ -226,7 +226,7 @@ def _raise_bad_line(path: Path, alphabet: Alphabet, negate: bool) -> NoReturn:
     The checks, their order and their messages are the line-by-line loader's.
     """
     table: dict[tuple[int, ...], float] = {}
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").split("\n"), start=1):
+    for lineno, line in enumerate(decode_utf8(path.read_bytes(), path).split("\n"), start=1):
         if not line or line.startswith("#"):
             continue
         where = f"{path}:{lineno}"

@@ -40,6 +40,10 @@ class Alphabet:
         """Parse a text sequence into ordinals."""
         return Sequence(self.ordinals(text), self)
 
+    def text(self, residues) -> str:
+        """The text of a sequence of residue ordinals, the inverse of `ordinals`."""
+        return "".join(map(self.symbols.__getitem__, residues))
+
 
 def protein_alphabet() -> Alphabet:
     return Alphabet(PROTEIN_SYMBOLS)
@@ -85,7 +89,7 @@ class Sequence:
 
     @property
     def text(self) -> str:
-        return "".join(self.alphabet.symbols[r] for r in self.residues)
+        return self.alphabet.text(self.residues)
 
 
 def hamming_distance(a: Sequence, b: Sequence) -> int:
@@ -139,16 +143,19 @@ def encode_batch(codes: np.ndarray, size: int) -> np.ndarray:
     return np.eye(size)[codes]
 
 
+def mutant_residues(residues, radius: int, size: int, rng: np.random.Generator) -> tuple:
+    """One mutant's residue tuple: 1..radius substitutions at distinct positions, each
+    uniform over the `size` - 1 alternatives to the residue it replaces."""
+    n_mut = int(rng.integers(1, radius + 1))
+    residues = list(residues)
+    for pos in rng.choice(len(residues), size=n_mut, replace=False):
+        residues[pos] = (residues[pos] + int(rng.integers(1, size))) % size
+    return tuple(residues)
+
+
 def random_mutant(s: Sequence, radius: int, rng: np.random.Generator) -> Sequence:
     """One mutant with 1..radius substitutions at distinct positions."""
-    n_mut = int(rng.integers(1, radius + 1))
-    positions = rng.choice(len(s), size=n_mut, replace=False)
-    residues = list(s.residues)
-    for pos in positions:
-        # uniform over the V-1 alternatives to the current residue
-        offset = int(rng.integers(1, s.alphabet.size))
-        residues[pos] = (residues[pos] + offset) % s.alphabet.size
-    return Sequence(tuple(residues), s.alphabet)
+    return Sequence(mutant_residues(s.residues, radius, s.alphabet.size, rng), s.alphabet)
 
 
 def mutant_block(anchors: np.ndarray, radius: int, count: int, alphabet_size: int,
@@ -195,14 +202,9 @@ def sample_mutants(s: Sequence, radius: int, count: int,
         raise ValueError(f"radius must be in [1, {len(s)}], got {radius}")
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    seen: set[Sequence] = set()
-    out: list[Sequence] = []
-    attempts = 0
-    limit = count * MAX_ATTEMPTS_PER_MUTANT
-    while len(out) < count and attempts < limit:
-        attempts += 1
-        m = random_mutant(s, radius, rng)
-        if m not in seen:
-            seen.add(m)
-            out.append(m)
-    return out
+    out: dict[Sequence, None] = {}  # insertion-ordered set
+    for _ in range(count * MAX_ATTEMPTS_PER_MUTANT):
+        if len(out) == count:
+            break
+        out[random_mutant(s, radius, rng)] = None
+    return list(out)

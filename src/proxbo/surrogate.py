@@ -62,56 +62,53 @@ class TrainConfig:
 
 
 class Dataset:
-    """Append-only (sequence, measured fitness) pairs, in insertion order, keyed by residues.
-
-    Every sequence shares the first one's `alphabet` and length. `codes` gives
-    them as (N, L) ordinals in the alphabet's smallest unsigned dtype, and
-    `scores` as (N,) float64 fitness.
-    """
+    """Append-only measured rows and their fitness, each row once, in insertion order."""
 
     def __init__(self):
         self.alphabet: Alphabet | None = None
-        self._length = 0
-        self._scores: dict[tuple[int, ...], float] = {}
+        # read-only (N, L) ordinals over `alphabet` in its smallest unsigned dtype, (N,) fitness
+        self.codes, self.scores = np.zeros((0, 0), dtype=np.uint8), np.zeros(0)
+        self._rows: dict[tuple[int, ...], int] = {}  # each row's residues -> its index
 
     def __len__(self) -> int:
-        return len(self._scores)
+        return len(self._rows)
 
-    def __contains__(self, s: Sequence) -> bool:
-        return s.residues in self._scores
-
-    @property
-    def codes(self) -> np.ndarray:
-        if not self._scores:
-            return np.zeros((0, 0), dtype=np.uint8)
-        return np.array(list(self._scores), dtype=np.min_scalar_type(self.alphabet.size - 1))
-
-    @property
-    def scores(self) -> np.ndarray:
-        return np.fromiter(self._scores.values(), dtype=np.float64, count=len(self._scores))
-
-    @property
-    def sequences(self) -> list[Sequence]:
-        return [Sequence(r, self.alphabet) for r in self._scores]
+    def __contains__(self, s: Sequence | tuple[int, ...]) -> bool:
+        return (s.residues if isinstance(s, Sequence) else s) in self._rows
 
     def add(self, s: Sequence, y: float) -> None:
-        self.alphabet, self._length = self.alphabet or s.alphabet, self._length or len(s)
-        if (s.alphabet, len(s)) != (self.alphabet, self._length):
-            raise DataError(f"{s.text} (alphabet {s.alphabet.symbols!r}) does not fit a dataset "
-                            f"of length-{self._length} sequences over {self.alphabet.symbols!r}")
-        if s.residues not in self._scores:
-            self._scores[s.residues] = float(y)
-        elif self._scores[s.residues] != y:
-            raise DataError(f"conflicting scores for {s.text}: {self._scores[s.residues]} vs {y}")
+        self.add_rows(np.array([s.residues]), [y], s.alphabet)
 
-    def extend(self, pairs) -> None:
-        for s, y in pairs:
-            self.add(s, y)
+    def add_rows(self, codes: np.ndarray, scores, alphabet: Alphabet) -> None:
+        """Append a (B, L) ordinal array over `alphabet` and its scores, checked whole first.
+
+        Its alphabet and length must be the dataset's. A row measured before, or
+        earlier in the batch, must repeat its score, else a DataError; it is kept once.
+        """
+        codes, scores = np.asarray(codes), np.asarray(scores, dtype=np.float64)
+        if codes.size and not (codes.min() >= 0 and codes.max() < alphabet.size):
+            raise DataError(f"residue ordinals out of range for alphabet {alphabet.symbols!r}")
+        fits, length = self.alphabet or alphabet, self.codes.shape[1] or codes.shape[1]
+        if (alphabet, codes.shape[1]) != (fits, length):
+            raise DataError(f"{alphabet.text(codes[0])} (alphabet {alphabet.symbols!r}) does not "
+                            f"fit a dataset of length-{length} sequences over {fits.symbols!r}")
+        batch: dict[tuple[int, ...], int] = {}  # each new row's residues -> its batch index
+        for i, (key, y) in enumerate(zip(map(tuple, codes.tolist()), scores.tolist())):
+            held = self._rows.get(key)
+            known = scores[batch.setdefault(key, i)] if held is None else self.scores[held]
+            if known != y:
+                raise DataError(f"conflicting scores for {alphabet.text(key)}: {known} vs {y}")
+        self.alphabet, new = fits, list(batch.values())
+        self._rows.update(zip(batch, range(len(self), len(self) + len(new))))
+        self.codes = np.concatenate([self.codes.reshape(-1, length), codes[new]]).astype(
+            np.min_scalar_type(fits.size - 1))
+        self.scores = np.concatenate([self.scores, scores[new]])
+        self.codes.flags.writeable = self.scores.flags.writeable = False
 
     def max_score(self) -> float:
-        if not self._scores:
+        if not len(self):
             raise ValueError("dataset is empty")
-        return max(self._scores.values())
+        return float(self.scores.max())
 
 
 NOISE_VAR_FLOOR = 1e-4  # the least noise variance the evidence may fit, in standardized units

@@ -216,5 +216,5 @@ def scalar_penalised_select_batch(strategy: str, model, pool: np.ndarray, data: 
 
 def regularized_incumbent(data: Dataset, wild_type: Sequence, lam: float) -> float:
     """max(y − λ·d(s, wild_type)) over the measured rows, one row at a time."""
-    return max(y - lam * hamming_distance(s, wild_type)
-               for s, y in zip(data.sequences, data.scores.tolist()))
+    return max(y - lam * hamming_distance(Sequence(tuple(r), data.alphabet), wild_type)
+               for r, y in zip(data.codes.tolist(), data.scores.tolist()))

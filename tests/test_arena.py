@@ -178,9 +178,8 @@ class TestNetArena:
         assert_arena_views(loaded.net.params)
         assert_same_bits(loaded.net.params.flat, ens.net.params.flat)
 
-        extra = [s for s in random_dataset(30, seed=3).sequences if s not in data][:5]
-        for i, s in enumerate(extra):
-            data.add(s, 0.2 * i)
+        extra = [r for r in random_dataset(30, seed=3).codes.tolist() if tuple(r) not in data][:5]
+        data.add_rows(np.array(extra), [0.2 * i for i in range(len(extra))], data.alphabet)
         warm = TrainConfig(epochs=4, minibatch=8)
         losses = ens.fit(data, warm, np.random.default_rng(7), warm_start=True)
         assert loaded.fit(data, warm, np.random.default_rng(7), warm_start=True) == losses

@@ -218,8 +218,8 @@ class TestRounds:
         rng = np.random.default_rng(1)
         state, rec = run_round(state, ens, oracle, strategy="ucb",
                                train_cfg=FAST_TRAIN, rng=rng)
-        assert len(rec.sequences) == 8
-        assert all(hamming_distance(s, state.wild_type) <= 2 for s in rec.sequences)
+        assert rec.codes.shape == (8, 8)
+        assert (hamming_distances(rec.codes, state.wild_type) <= 2).all()
         assert ens.trained
         assert oracle.rounds_remaining == 2
 
@@ -243,7 +243,7 @@ class TestRounds:
         state, rec = run_round(state, ens, oracle, strategy="kg", kg_config=kg,
                                pool_size=32, train_cfg=FAST_TRAIN, rng=rng)
         assert oracle.rounds_remaining == 0
-        assert len(set(rec.sequences)) == 4
+        assert len(set(map(tuple, rec.codes.tolist()))) == 4
 
     def test_lambda_shifts_batch_toward_wild_type(self):
         # heavy regularization: selected mutants sit closer to the wild type
@@ -259,8 +259,7 @@ class TestRounds:
             state, rec = run_round(state, ens, oracle, strategy="ucb", lam=lam,
                                    pool_size=128, radius=4,
                                    train_cfg=FAST_TRAIN, rng=rng)
-            return np.mean([hamming_distance(s, state.wild_type)
-                            for s in rec.sequences])
+            return np.mean(hamming_distances(rec.codes, state.wild_type))
         assert np.mean([mean_dist(0.5, s) for s in range(3)]) <= \
                np.mean([mean_dist(0.0, s) for s in range(3)])
 
@@ -303,8 +302,8 @@ class TestRounds:
                                train_cfg=FAST_TRAIN, warm_cfg=warm_cfg, rng=rng)
         assert oracle.rounds_remaining == 0 and fits == [2, 1]
         assert (ens.net.params.flat.tobytes(), ens.y_mean, ens.y_std) == before
-        assert rec.round_index == 3 and len(rec.sequences) == 4
-        assert rec.scores == land.evaluate_batch(residue_array(rec.sequences))
+        assert rec.round_index == 3 and len(rec.codes) == 4
+        assert rec.scores == land.evaluate_batch(rec.codes)
         assert rec.cumulative_max == state.data.max_score()
         assert rec.pool_size == 32 and not rec.short_pool and rec.wall_time > 0
 
@@ -320,10 +319,10 @@ class TestRounds:
     def test_random_search_proposals_are_single_mutations(self):
         land, oracle, state, ens = self._setup()
         rng = np.random.default_rng(6)
-        measured_before = list(state.data.sequences)
+        measured_before = state.data.codes
         state, rec = random_search_round(state, oracle, 8, rng)
-        for s in rec.sequences:
-            assert min(hamming_distance(s, p) for p in measured_before) == 1
+        for row in rec.codes:
+            assert (row != measured_before).sum(axis=1).min() == 1
 
     def test_pex_greedy_sweeps_distance_classes(self):
         land, oracle, state, ens = self._setup(rounds=2)
@@ -332,7 +331,7 @@ class TestRounds:
                              train_cfg=FAST_TRAIN, rng=rng)
         state, rec = run_round(state, ens, oracle, strategy="greedy", pool_size=64,
                                radius=3, train_cfg=FAST_TRAIN, rng=rng)
-        dists = sorted({hamming_distance(s, state.wild_type) for s in rec.sequences})
+        dists = sorted(set(hamming_distances(rec.codes, state.wild_type).tolist()))
         # round-robin over distance classes covers more than one class
         assert len(dists) > 1
 
@@ -343,4 +342,4 @@ class TestRounds:
                              train_cfg=FAST_TRAIN, rng=rng)
         state, rec = run_round(state, ens, oracle, strategy="ucb", lam=0.7,
                                pool_size=32, train_cfg=FAST_TRAIN, rng=rng)
-        assert rec.scores == land.evaluate_batch(residue_array(rec.sequences))
+        assert rec.scores == land.evaluate_batch(rec.codes)

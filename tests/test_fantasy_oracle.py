@@ -22,7 +22,7 @@ import proxbo.explorer as explorer
 import proxbo.nn as nn
 import proxbo.surrogate as surrogate
 from proxbo.harness import CampaignConfig, run_campaign
-from proxbo.sequences import hamming_distances, residue_array
+from proxbo.sequences import Sequence, hamming_distances
 from proxbo.surrogate import (NOISE_VAR_FLOOR, ConvRegressorConfig, Ensemble,
                               RecurrentRegressorConfig, TrainConfig, evidence_posterior)
 
@@ -56,8 +56,8 @@ def fitted():
     and caps α, and every fantasy mean is then the prediction.
     """
     data = random_dataset(20, seed=21, fn=_linear)
-    unmeasured = residue_array([s for s in random_dataset(40, seed=22).sequences
-                                if s not in data])
+    unmeasured = np.array([r for r in random_dataset(40, seed=22).codes.tolist()
+                           if tuple(r) not in data])
     cache = {}
 
     def get(kind, n_members):
@@ -114,7 +114,8 @@ class TestFantasyHead:
     def test_matches_through_shifted_model(self, fitted, kind, monkeypatch):
         """KG slot scores on the posterior shifted by a λ = 0.05 distance penalty."""
         ens, data, unmeasured = fitted(kind, 3)
-        penalty = 0.05 * hamming_distances(unmeasured, data.sequences[0])
+        first = Sequence(tuple(data.codes[0].tolist()), data.alphabet)
+        penalty = 0.05 * hamming_distances(unmeasured, first)
         cfg = acquisition.KGConfig(n_fantasies=4)
         n = len(unmeasured)
         mean, std = acquisition._mean_std(ens, unmeasured, penalty)

@@ -292,6 +292,49 @@ class TestRunArtifacts:
             assert float(cols[4]) == running
 
 
+# one small campaign per path a seed can take: KG on a conv surrogate over NK,
+# UCB on a recurrent surrogate over a lookup table, random search, frontier-greedy
+CAMPAIGNS = ["kg_conv_nk", "ucb_recurrent_lookup", "random", "pex_greedy"]
+
+
+def _campaign_config(kind, tmp_path):
+    fields = {**test_acceptance.TestReproducibility.CONFIG.__dict__,
+              "rounds": 3, "seeds": (0,), "out": str(tmp_path / "out")}
+    if kind == "ucb_recurrent_lookup":
+        gen_nk(5, 1, 4, 11, tmp_path / "land")
+        fields.update(landscape_kind="lookup", lookup_path=str(tmp_path / "land.tsv"),
+                      surrogate_kind="recurrent", hidden_size=8, acquisition="ucb")
+    elif kind != "kg_conv_nk":
+        fields["method"] = kind
+    return CampaignConfig(**fields)
+
+
+class TestResidueRows:
+    @pytest.mark.parametrize("kind", CAMPAIGNS)
+    def test_a_seed_on_a_built_landscape_builds_no_sequence(self, tmp_path, monkeypatch, kind):
+        cfg = _campaign_config(kind, tmp_path)
+        landscape = harness._build_landscape(cfg)
+        built, check = [], Sequence.__post_init__
+        monkeypatch.setattr(Sequence, "__post_init__",
+                            lambda self: built.append(self) or check(self))
+        records, *_ = run_one_seed(cfg, 0, landscape)
+        assert len(records) == 3 and not built
+
+    @pytest.mark.parametrize("kind", CAMPAIGNS)
+    def test_each_record_holds_the_rows_of_its_round_in_the_csv(self, tmp_path, kind):
+        cfg = _campaign_config(kind, tmp_path)
+        records = run_campaign(cfg)[0]
+        alphabet = harness._build_landscape(cfg).alphabet
+        lines = (tmp_path / "out" / "run_0.csv").read_text().splitlines()[2:]  # past round 0
+        rows = [line.split(",") for line in lines]
+        assert len(rows) == sum(len(rec.codes) for rec in records)
+        for rec in records:
+            measured = [r for r in rows if int(r[0]) == rec.round_index]
+            assert [alphabet.ordinals(r[2]) for r in measured] == \
+                   list(map(tuple, rec.codes.tolist()))
+            assert [float(r[3]) for r in measured] == rec.scores
+
+
 class TestAggregation:
     def _write_run(self, path, cum_by_round):
         lines = ["round,query_index,sequence,fitness,cumulative_max"]
@@ -357,7 +400,7 @@ class TestSeedFailures:
             f"method=random\nrounds=4\nbatch=4\nseeds=0\nout={tmp_path}\n")
         records, _, _, exhausted = run_one_seed(cfg, 0)
         assert exhausted
-        assert sum(len(r.sequences) for r in records) == 7
+        assert sum(len(r.codes) for r in records) == 7
         run_campaign(cfg)
         lines = (tmp_path / "run_0.csv").read_text().splitlines()
         assert lines[-1] == "# early_stop=domain_exhausted"
@@ -700,12 +743,16 @@ class TestCLI:
          r"run_1\.csv:3: invalid literal for int\(\) with base 10: ''"),
         ("round,query_index,sequence,fitness,cumulative_max\n0,0,AA,1.0,1.0\n",
          r"run_1\.csv: round structure differs from the first run"),
-        ], ids=["columns", "header", "number", "empty-round", "rounds"])
+        (b"round,query_index,sequence,fitness,cumulative_max\r\n0,0,AA,1.0,1.0\r\n"
+         b"1,1,A\xe9,2.0,2.0\r\n",
+         r"run_1\.csv:3: not UTF-8 text: invalid continuation byte \(byte 0xe9\)"),
+        ], ids=["columns", "header", "number", "empty-round", "rounds", "not-utf8"])
     def test_malformed_run_csv_exits_one_with_one_line(self, tmp_path, run_1, message):
         (tmp_path / "run_0.csv").write_text(
             "round,query_index,sequence,fitness,cumulative_max\n0,0,AA,1.0,1.0\n"
             "1,1,AC,2.0,2.0\n")
-        (tmp_path / "run_1.csv").write_text(run_1)
+        (tmp_path / "run_1.csv").write_bytes(
+            run_1 if isinstance(run_1, bytes) else run_1.encode("utf-8"))
         result = cli("aggregate", str(tmp_path))
         assert result.returncode == 1
         assert re.fullmatch(rf"error: \S*{message}.*\n", result.stderr), result.stderr
@@ -759,6 +806,8 @@ class TestCLI:
         # checked whichever method reads it: the value enters the manifest and config_hash
         ("method=random\nacquisition.kind=entropy", (), "acquisition.kind"),
         ("method=pex_greedy\nacquisition.kind=entropy", (), "acquisition.kind"),
+        # the file is written as Latin-1: the comment's é is a byte that is not UTF-8
+        pytest.param("# caf\xe9", (), "{tmp}/campaign.cfg:9: not UTF-8 text", id="latin-1"),
     ])
     def test_bad_config_value_exits_one_before_the_manifest(self, tmp_path, line, argv, key):
         gen_nk(6, 1, 2, 9, tmp_path / "land")
@@ -766,12 +815,46 @@ class TestCLI:
         cfg_path.write_text(with_lines(
             "landscape.kind=nk\nlandscape.n=6\nlandscape.k=0\nlandscape.v=2\n"
             f"rounds=1\nbatch=2\nseeds=0\nout={tmp_path / 'runs'}\n",
-            line.format(tmp=tmp_path)))
+            line.format(tmp=tmp_path)), encoding="latin-1")
         result = cli("run", str(cfg_path), *argv)
         assert result.returncode == 1
-        assert result.stderr.startswith(f"error: {key}: "), result.stderr
+        assert result.stderr.startswith(f"error: {key.format(tmp=tmp_path)}: "), result.stderr
         assert "Traceback" not in result.stderr
         assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("case, message", [pytest.param(*p, id=p[0]) for p in (
+        ("out-is-a-file", "[Errno 17] File exists"),
+        ("out-under-a-file", "[Errno 20] Not a directory"),
+        ("config-is-a-directory", "[Errno 21] Is a directory"),
+        ("table-is-a-directory", "[Errno 21] Is a directory"),
+        ("table-not-utf8", "{tmp}/latin1.tsv:2: not UTF-8 text"),
+        ("gen-nk-under-a-file", "[Errno 17] File exists"),
+    )])
+    def test_an_input_the_os_refuses_exits_one_with_one_line(self, tmp_path, case, message):
+        (tmp_path / "taken").write_text("a file\n")
+        (tmp_path / "folder").mkdir()
+        (tmp_path / "latin1.tsv").write_bytes(b"AC\t1.0\nA\xe9\t2\n")
+        line = {"out-is-a-file": f"out={tmp_path / 'taken'}",
+                "out-under-a-file": f"out={tmp_path / 'taken' / 'runs'}",
+                "table-is-a-directory": LOOKUP.replace("land.tsv", "folder"),
+                "table-not-utf8": LOOKUP.replace("land.tsv", "latin1.tsv"),
+                }.get(case, "")
+        cfg_path = tmp_path / "campaign.cfg"
+        cfg_path.write_text(with_lines(
+            "landscape.kind=nk\nlandscape.n=6\nlandscape.k=0\nlandscape.v=2\n"
+            f"method=random\nrounds=1\nbatch=2\nseeds=0\nout={tmp_path / 'runs'}\n",
+            line.format(tmp=tmp_path)))
+        argv = {"config-is-a-directory": ("run", str(tmp_path / "folder")),
+                "gen-nk-under-a-file": ("gen-nk", "--n", "4", "--k", "1",
+                                        "--out", str(tmp_path / "taken" / "land")),
+                }.get(case, ("run", str(cfg_path)))
+        before = sorted(tmp_path.rglob("*"))
+        result = cli(*argv)
+        assert result.returncode == 1
+        assert re.fullmatch(r"error: [^\n]*\n", result.stderr), result.stderr
+        assert result.stderr.startswith(f"error: {message.format(tmp=tmp_path)}"), result.stderr
+        assert sorted(tmp_path.rglob("*")) == before  # no output directory, no manifest
+        assert (tmp_path / "taken").read_text() == "a file\n"
 
     @pytest.mark.parametrize("argv, key", [(("--k", "5"), "landscape.k"),
                                            (("--k", "1", "--v", "1"), "landscape.v")])

@@ -85,6 +85,18 @@ class TestLoadLookup:
         with pytest.raises(ParseError, match=r"table\.tsv:2"):
             load_lookup(p)
 
+    @pytest.mark.parametrize("raw, line", [
+        (b"AC\t1.0\nA\xe9\t2\n", 2),                     # Latin-1 in a sequence
+        (b"# caf\xe9\nAC\t1.0\n", 1),                      # in a comment
+        (b"AC\t1.0\r\nAD\t2\r\n\xff", 3),                # CRLF line ends, a stray last byte
+        (b"# alphabet \xce\xb1\xce\xb2\r\xce\xb1\t1\r\xce", 3),  # CR line ends, cut short
+    ], ids=["sequence", "comment", "crlf", "cr-truncated"])
+    def test_text_that_is_not_utf8_names_its_line(self, tmp_path, raw, line):
+        p = tmp_path / "table.tsv"
+        p.write_bytes(raw)
+        with pytest.raises(ParseError, match=rf"table\.tsv:{line}: not UTF-8 text: "):
+            load_lookup(p)
+
     @pytest.mark.parametrize("score", ["nan", "inf", "-inf"])
     def test_non_finite_score_raises_with_location(self, tmp_path, score):
         p = write(tmp_path, f"AC\t1.0\nAD\t{score}\nAE\t2.0\n")

@@ -58,29 +58,61 @@ class TestDataset:
 
     def test_rows_are_arrays_in_insertion_order(self):
         data = Dataset()
-        data.extend([(Sequence((1, 0, 1), AB4), 0.5), (Sequence((3, 2, 0), AB4), -1.0),
-                     (Sequence((1, 0, 1), AB4), 0.5)])
+        data.add_rows(np.array([[1, 0, 1], [3, 2, 0], [1, 0, 1]]), [0.5, -1.0, 0.5], AB4)
         data.add(Sequence((0, 0, 0), AB4), 2.0)
+        data.add_rows(np.array([[3, 2, 0], [0, 1, 2]], dtype=np.uint8), [-1.0, 3.0], AB4)
         assert data.codes.dtype == np.uint8
-        assert data.codes.tolist() == [[1, 0, 1], [3, 2, 0], [0, 0, 0]]
-        assert data.scores.tolist() == [0.5, -1.0, 2.0]
-        assert data.sequences == [Sequence(tuple(r), AB4) for r in data.codes.tolist()]
+        assert data.codes.tolist() == [[1, 0, 1], [3, 2, 0], [0, 0, 0], [0, 1, 2]]
+        assert data.scores.tolist() == [0.5, -1.0, 2.0, 3.0]
         assert Sequence((3, 2, 0), AB4) in data and Sequence((3, 2, 1), AB4) not in data
+        assert (3, 2, 0) in data and (3, 2, 1) not in data
+        assert not data.codes.flags.writeable and not data.scores.flags.writeable
 
     def test_a_conflict_keeps_the_pairs_before_it(self):
+        # a batch is checked whole: a conflict in it adds none of its rows
         data = Dataset()
         data.add(Sequence((0, 1), AB2), 1.0)
+        data.add(Sequence((1, 1), AB2), 3.0)
         with pytest.raises(DataError):
-            data.extend([(Sequence((1, 1), AB2), 3.0), (Sequence((0, 1), AB2), 2.0)])
+            data.add_rows(np.array([[0, 0], [0, 1]]), [4.0, 2.0], AB2)
         assert data.codes.tolist() == [[0, 1], [1, 1]]
         assert data.scores.tolist() == [1.0, 3.0]
+        assert (0, 0) not in data and len(data) == 2
+
+    @pytest.mark.parametrize("rows, scores, alphabet, message", [
+        ([[0, 1]], [2.0], AB2, "conflicting scores for AC: 1.0 vs 2.0"),
+        ([[1, 1], [1, 1]], [3.0, 4.0], AB2, "conflicting scores for CC: 3.0 vs 4.0"),
+        ([[1, 1]], [0.5], AB4, "CC (alphabet 'ACDE') does not fit a dataset of length-2 "
+                               "sequences over 'AC'"),
+    ], ids=["conflict", "repeat-in-batch", "alphabet"])
+    def test_add_rows_raises_the_error_of_add(self, rows, scores, alphabet, message):
+        # the same rows through add, one at a time, raise the same text
+        errors = []
+        for add in ("rows", "one by one"):
+            data = Dataset()
+            data.add(Sequence((0, 1), AB2), 1.0)
+            with pytest.raises(DataError) as e:
+                if add == "rows":
+                    data.add_rows(np.array(rows), scores, alphabet)
+                for r, y in zip(rows, scores):
+                    data.add(Sequence(tuple(r), alphabet), y)
+            errors.append(str(e.value))
+            if add == "rows":  # checked whole: none of the batch is added
+                assert data.codes.tolist() == [[0, 1]] and data.scores.tolist() == [1.0]
+        assert errors == [message, message]
+
+    def test_add_rows_rejects_ordinals_outside_the_alphabet(self):
+        data = Dataset()
+        with pytest.raises(DataError, match="out of range for alphabet 'AC'"):
+            data.add_rows(np.array([[0, 2]]), [1.0], AB2)
+        assert len(data) == 0 and data.alphabet is None
 
     @pytest.mark.parametrize("first, second", [(AB2, AB4), (AB4, AB2)],
                              ids=["smaller-first", "larger-first"])
     def test_rejects_mixed_alphabet_sizes(self, first, second):
         # a row of another alphabet would one-hot encode past or short of the fitted vocab
         data = Dataset()
-        data.extend([(Sequence((0, 1, 1), first), 1.0), (Sequence((1, 0, 0), first), 2.0)])
+        data.add_rows(np.array([[0, 1, 1], [1, 0, 0]]), [1.0, 2.0], first)
         with pytest.raises(DataError, match="does not fit"):
             data.add(Sequence((1, 1, 1), second), 0.5)
         assert data.codes.tolist() == [[0, 1, 1], [1, 0, 0]]
@@ -199,15 +231,14 @@ class TestLockstepFit:
     def test_matches_sequential_fit_bit_for_bit(self, kind, cfg, bootstrap, n_members):
         # 13 and then 16 rows in minibatches of 5: the last minibatch is ragged
         data = random_dataset(13, seed=11)
-        extra = [s for s in random_dataset(24, seed=12).sequences if s not in data][:3]
+        extra = [r for r in random_dataset(24, seed=12).codes.tolist() if tuple(r) not in data][:3]
         train = TrainConfig(epochs=4, minibatch=5, learning_rate=1e-2, bootstrap=bootstrap)
         ens = Ensemble(kind, cfg, n_members=n_members, seed=4)
         ref = SequentialEnsemble(kind, cfg, n_members, seed=4)
         rng, ref_rng = np.random.default_rng(8), np.random.default_rng(8)
         for warm in (False, True):
             if warm:
-                for i, s in enumerate(extra):
-                    data.add(s, 0.1 * i)
+                data.add_rows(np.array(extra), [0.1 * i for i in range(len(extra))], data.alphabet)
             losses = ens.fit(data, train, rng, warm_start=warm)
             assert losses == ref.fit(data, train, ref_rng, warm_start=warm)
             assert rng.bit_generator.state == ref_rng.bit_generator.state
