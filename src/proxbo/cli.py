@@ -12,7 +12,7 @@ import numpy as np
 from .acquisition import ei
 from .errors import ProxboError
 from .explorer import frontier_rows
-from .harness import aggregate_dir, gen_nk, load_config, run_campaign
+from .harness import aggregate_dir, gen_nk, load_config, read_run_csv, run_campaign
 from .sequences import Sequence, small_alphabet
 from .surrogate import gradient_check
 
@@ -25,11 +25,10 @@ def _cmd_run(args) -> int:
         cfg = replace(cfg, wild_type=args.wild_type)
     if args.out is not None:
         cfg = replace(cfg, out=args.out)
-    records = run_campaign(cfg)
-    for seed in cfg.seeds:
-        recs = records[seed]
-        final = recs[-1].cumulative_max if recs else float("nan")
-        print(f"seed {seed}: {len(recs)} rounds, cumulative max {final:.6g}")
+    for seed, path in run_campaign(cfg).items():
+        per_round = read_run_csv(path)  # round 0 is the wild type
+        print(f"seed {seed}: {len(per_round) - 1} rounds, "
+              f"cumulative max {per_round[max(per_round)]:.6g}")
     print(f"wrote {Path(cfg.out).resolve()}")
     return 0
 

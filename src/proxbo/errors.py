@@ -49,15 +49,22 @@ def check_positive(obj, *names: str) -> None:
             raise ValueError(f"{name}: must be > 0, got {value!r}")
 
 
+def text_line_ends(raw: bytes) -> bytes:
+    """`raw` with each CR LF and lone CR read as LF, as text mode reads line ends;
+    `raw` itself, not a copy, when it holds no CR."""
+    return raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n") if b"\r" in raw else raw
+
+
 def decode_utf8(raw: bytes, path) -> str:
-    """The UTF-8 text of the bytes of file `path`, line ends read as text mode reads them.
+    """The UTF-8 text of the bytes of file `path`, line ends read as text mode reads them
+    and a leading byte-order mark skipped.
 
     A byte that is not UTF-8 is a ParseError naming `path` and its line: 1
     plus the newlines before it.
     """
-    raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    raw = text_line_ends(raw)
     try:
-        return raw.decode("utf-8")
+        return raw.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as e:
         line = raw.count(b"\n", 0, e.start) + 1
         raise ParseError(f"{path}:{line}: not UTF-8 text: {e.reason} "

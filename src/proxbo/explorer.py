@@ -17,7 +17,7 @@ import numpy as np
 
 from .acquisition import KGConfig, select_batch
 from .errors import DomainExhausted
-from .landscape import BudgetedOracle
+from .landscape import MAX_ENUMERATED_STATES, BudgetedOracle
 from .sequences import (Alphabet, Sequence, hamming_distances, mutant_block, mutant_residues,
                         row_keys)
 from .surrogate import Dataset, Ensemble, TrainConfig
@@ -115,7 +115,8 @@ def propose_pool(state: ExplorerState, domain, pool_size: int, radius: int,
 
     draw_at(min(radius, length))
     enumerable = (domain is not None and hasattr(domain, "states")
-                  and hasattr(domain, "num_states") and domain.num_states() <= 2**20)
+                  and hasattr(domain, "num_states")
+                  and domain.num_states() <= MAX_ENUMERATED_STATES)
     if len(pool) < pool_size and enumerable:
         # small enumerable domain: fill from the shuffled unmeasured remainder
         rest = fresh(domain.states())

@@ -24,7 +24,7 @@ import numpy as np
 from .acquisition import KGConfig
 from .errors import ConfigError, DataError, DomainExhausted, ParseError, decode_utf8
 from .explorer import ExplorerState, RoundRecord, random_search_round, run_round
-from .landscape import BudgetedOracle, NKLandscape, check_nk, load_lookup
+from .landscape import MAX_ENUMERATED_STATES, BudgetedOracle, NKLandscape, check_nk, load_lookup
 from .sequences import Alphabet, Sequence, small_alphabet
 from .surrogate import (REGRESSORS, ConvRegressorConfig, Dataset, Ensemble,
                         RecurrentRegressorConfig, TrainConfig)
@@ -342,25 +342,25 @@ def write_run_csv(path: Path, records: list[RoundRecord],
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _write_seed_csv(out: Path, seed: int, result) -> None:
-    """Write `run_<seed>.csv` whole or not at all: a temp file, then a rename."""
-    records, wt, wt_fitness, exhausted = result
+def _run_seed(cfg: CampaignConfig, seed: int, landscape, out: Path) -> None:
+    """Run `seed` and write its `run_<seed>.csv` whole or not at all: a temp file, then a rename."""
     tmp = out / f".run_{seed}.csv.tmp"
     try:
-        write_run_csv(tmp, records, wt, wt_fitness, exhausted)
+        write_run_csv(tmp, *run_one_seed(cfg, seed, landscape))
         os.replace(tmp, out / f"run_{seed}.csv")
     finally:
         tmp.unlink(missing_ok=True)
 
 
-def run_campaign(cfg: CampaignConfig) -> dict[int, list[RoundRecord]]:
+def run_campaign(cfg: CampaignConfig) -> dict[int, Path]:
     """Run every configured seed, writing one run CSV per seed plus a manifest.
 
-    The landscape is built first, once, so a bad table or wild type fails
-    before the output directory exists; every seed, serial or in a worker
-    process, runs on it. The manifest comes next, naming a lookup table by the
-    digest of the bytes the landscape was parsed from, so the table is read
-    once; then each seed's CSV as soon as that seed finishes. A seed that
+    Returns each seed's run CSV path, in seed order. The landscape is built
+    first, once, so a bad table or wild type fails before the output
+    directory exists; every seed, serial or in a worker process, runs on it.
+    The manifest comes next, naming a lookup table by the digest of the bytes
+    the landscape was parsed from, so the table is read once. The process
+    that runs a seed writes its CSV as soon as the seed finishes. A seed that
     raises does not stop the others; once every seed has run, the first error
     in seed order is raised again, and the tracebacks of any later ones go to
     stderr. When no seed finished, the manifest is deleted first, and so is
@@ -384,44 +384,36 @@ def run_campaign(cfg: CampaignConfig) -> dict[int, list[RoundRecord]]:
     manifest_path = out / "manifest.txt"
     manifest_path.write_text("\n".join(manifest) + "\n", encoding="utf-8")
 
-    all_records: dict[int, list[RoundRecord]] = {}
-    errors: dict[int, Exception] = {}
-
-    def finish(seed: int, result) -> None:
-        _write_seed_csv(out, seed, result)
-        all_records[seed] = result[0]
-
+    errors: dict[int, BaseException] = {}
     if threads > 1 and len(cfg.seeds) > 1:
         # imported here, as it imports multiprocessing; a fork start forks every
         # worker at the first submit: one per seed at most
-        from concurrent.futures import ProcessPoolExecutor, as_completed
+        from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=min(threads, len(cfg.seeds))) as pool:
-            futures = {pool.submit(run_one_seed, cfg, seed, landscape): seed
+            futures = {seed: pool.submit(_run_seed, cfg, seed, landscape, out)
                        for seed in cfg.seeds}
-            for future in as_completed(futures):
-                seed = futures[future]
-                try:
-                    finish(seed, future.result())
-                except Exception as exc:
-                    errors[seed] = exc
+        errors = {seed: exc for seed, future in futures.items()
+                  if (exc := future.exception()) is not None}
+        for seed in errors:  # a worker killed between write and rename ran no `finally`
+            (out / f".run_{seed}.csv.tmp").unlink(missing_ok=True)
     else:
         for seed in cfg.seeds:
             try:
-                finish(seed, run_one_seed(cfg, seed, landscape))
+                _run_seed(cfg, seed, landscape, out)
             except Exception as exc:
                 errors[seed] = exc
     if errors:
-        if not all_records:
+        if len(errors) == len(cfg.seeds):
             manifest_path.unlink()
             if made_out and not any(out.iterdir()):
                 out.rmdir()
-        first, *others = sorted(errors, key=cfg.seeds.index)
+        first, *others = errors  # in seed order, as both paths fill it
         for seed in others:
             print(f"seed {seed} failed as well:", file=sys.stderr)
             traceback.print_exception(errors[seed])
         raise errors[first]
-    return {seed: all_records[seed] for seed in cfg.seeds}
+    return {seed: out / f"run_{seed}.csv" for seed in cfg.seeds}
 
 
 # ---------------------------------------------------------------------------
@@ -514,16 +506,17 @@ def gen_nk(n: int, k: int, alphabet_size: int, seed: int, out_prefix: str | Path
            enumerate_table: bool | None = None) -> list[Path]:
     """Write an NK landscape spec file and (if enumerable) its lookup TSV.
 
-    Enumeration is refused above 2**20 states. The TSV records the exact
-    optimum in a header comment; its first data row (all-first-symbol) is
-    the wild type by the lookup file convention.
+    Enumeration is refused above `MAX_ENUMERATED_STATES` states. The TSV
+    records the exact optimum in a header comment; its first data row
+    (all-first-symbol) is the wild type by the lookup file convention.
     """
     landscape = NKLandscape(n, k, _nk_alphabet(n, k, alphabet_size, seed), seed)
     states = landscape.num_states()
     if enumerate_table is None:
-        enumerate_table = states <= 2**20
-    elif enumerate_table and states > 2**20:
-        raise ConfigError(f"{states} states exceed the 2**20 enumeration limit")
+        enumerate_table = states <= MAX_ENUMERATED_STATES
+    elif enumerate_table and states > MAX_ENUMERATED_STATES:
+        raise ConfigError(f"{states:,} states exceed the enumeration limit of "
+                          f"{MAX_ENUMERATED_STATES:,}")
     out_prefix = Path(out_prefix)
     out_prefix.parent.mkdir(parents=True, exist_ok=True)
     spec_path = out_prefix.with_suffix(".nk.txt")

@@ -11,7 +11,7 @@ from typing import Iterator, NoReturn, Protocol
 
 import numpy as np
 
-from .errors import BudgetError, DataError, DomainError, ParseError, decode_utf8
+from .errors import BudgetError, DataError, DomainError, ParseError, decode_utf8, text_line_ends
 from .sequences import Alphabet, Sequence, protein_alphabet, row_keys, small_alphabet
 
 
@@ -140,7 +140,8 @@ def load_lookup(path: str | Path, alphabet: Alphabet | None = None,
     first data row is the wild type unless `wild_type` overrides it. With
     `negate`, scores are sign-flipped on load (for lower-is-better energies).
     A sequence may repeat with its score; its first row is kept. The
-    landscape keeps the SHA-256 of the bytes read.
+    landscape keeps the SHA-256 of the bytes read, a leading byte-order
+    mark included; the parse skips the mark.
 
     The file is read once and parsed with NumPy over one array of its code
     units: its bytes when it is ASCII, else its text as UTF-32, so positions
@@ -153,7 +154,7 @@ def load_lookup(path: str | Path, alphabet: Alphabet | None = None,
     path = Path(path)
     raw = path.read_bytes()
     sha256 = hashlib.sha256(raw).hexdigest()
-    raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")  # line ends as in text mode
+    raw = text_line_ends(raw)
     codec = "ascii" if raw.isascii() else "utf-32-le"
     units = (np.frombuffer(raw, np.uint8) if codec == "ascii"
              else np.frombuffer(decode_utf8(raw, path).encode(codec), np.uint32))
@@ -259,6 +260,9 @@ def _raise_bad_line(path: Path, alphabet: Alphabet, negate: bool) -> NoReturn:
 
 # the most contribution-table entries an NK landscape may have (800 MB of float64)
 MAX_NK_TABLE_ENTRIES = 10**8
+# the most states a landscape may have for its whole domain to be listed: a gen_nk
+# table, or a candidate pool filled from the unmeasured remainder
+MAX_ENUMERATED_STATES = 2**20
 
 
 def check_nk(n: int, k: int, v: int, seed: int) -> None:

@@ -21,7 +21,7 @@ import proxbo.acquisition as acquisition
 import proxbo.explorer as explorer
 import proxbo.nn as nn
 import proxbo.surrogate as surrogate
-from proxbo.harness import CampaignConfig, run_campaign
+from proxbo.harness import CampaignConfig, read_run_csv, run_campaign
 from proxbo.sequences import Sequence, hamming_distances
 from proxbo.surrogate import (NOISE_VAR_FLOOR, ConvRegressorConfig, Ensemble,
                               RecurrentRegressorConfig, TrainConfig, evidence_posterior)
@@ -294,7 +294,7 @@ def test_kg_campaign_with_penalty_runs_on_the_recurrent_surrogate(tmp_path):
     blobs = []
     for name in ("first", "second"):
         cfg = CampaignConfig(**{**base, "out": str(tmp_path / name)})
-        records = run_campaign(cfg)
-        assert all(len(records[s]) == cfg.rounds for s in cfg.seeds)
-        blobs.append([(tmp_path / name / f"run_{s}.csv").read_bytes() for s in cfg.seeds])
+        paths = run_campaign(cfg)
+        assert all(max(read_run_csv(path)) == cfg.rounds for path in paths.values())
+        blobs.append([path.read_bytes() for path in paths.values()])
     assert blobs[0] == blobs[1]

@@ -116,6 +116,12 @@ class TestConfigParsing:
             tracemalloc.stop()
         assert peak < 2_000_000
 
+    def test_a_byte_order_mark_is_skipped(self, tmp_path):
+        path = tmp_path / "campaign.cfg"
+        path.write_text(RANDOM_NK_CONFIG.lstrip(), encoding="utf-8-sig")  # as Excel writes it
+        assert path.read_bytes().startswith(b"\xef\xbb\xbflandscape.kind=nk\n")
+        assert load_config(path) == parse_config_text(RANDOM_NK_CONFIG)
+
     def test_missing_equals_rejected(self):
         with pytest.raises(ConfigError, match="key=value"):
             parse_config_text("just a line\n")
@@ -172,8 +178,8 @@ class TestRunArtifacts:
         cfg = parse_config_text(
             "landscape.kind=nk\nlandscape.n=6\nlandscape.k=0\nlandscape.v=2\n"
             f"method=random\nrounds=1\nbatch=4\nseeds=3\nout={tmp_path}\n")
-        records = run_campaign(cfg)
-        assert len(records[3]) == 1
+        assert run_campaign(cfg) == {3: tmp_path / "run_3.csv"}
+        assert list(read_run_csv(tmp_path / "run_3.csv")) == [0, 1]
         text = (tmp_path / "run_3.csv").read_text().strip().splitlines()
         assert text[0] == "round,query_index,sequence,fitness,cumulative_max"
         assert len(text) == 1 + 1 + 4  # header + seeded wild type + one batch
@@ -278,8 +284,8 @@ class TestRunArtifacts:
                                 .replace("seeds=0", "seeds=0,1")
                                 .replace("method=batch_bo", f"method={method}")
                                 + f"out={tmp_path}\n")
-        records = run_campaign(cfg)
-        assert [len(records[s]) for s in (0, 1)] == [3, 3]
+        paths = run_campaign(cfg)
+        assert [list(read_run_csv(paths[s])) for s in (0, 1)] == [[0, 1, 2, 3]] * 2
         assert len(calls) == 2 * fits  # rounds - 1 fits per model-guided seed
 
     def test_cumulative_max_column_is_running_maximum(self, tmp_path):
@@ -323,9 +329,9 @@ class TestResidueRows:
     @pytest.mark.parametrize("kind", CAMPAIGNS)
     def test_each_record_holds_the_rows_of_its_round_in_the_csv(self, tmp_path, kind):
         cfg = _campaign_config(kind, tmp_path)
-        records = run_campaign(cfg)[0]
+        records, *_ = run_one_seed(cfg, 0)
         alphabet = harness._build_landscape(cfg).alphabet
-        lines = (tmp_path / "out" / "run_0.csv").read_text().splitlines()[2:]  # past round 0
+        lines = run_campaign(cfg)[0].read_text().splitlines()[2:]  # past round 0
         rows = [line.split(",") for line in lines]
         assert len(rows) == sum(len(rec.codes) for rec in records)
         for rec in records:
@@ -373,6 +379,13 @@ class TestAggregation:
         p = tmp_path / "run_0.csv"
         p.write_text("round,query_index,sequence,fitness,cumulative_max\n"
                      "0,0,AA,1.0,1.0\n1,1,AC,0.5,1.0\n1,2,CC,2.0,2.0\n")
+        assert read_run_csv(p) == {0: 1.0, 1: 2.0}
+
+    def test_read_run_csv_skips_a_byte_order_mark(self, tmp_path):
+        p = tmp_path / "run_0.csv"
+        p.write_text("round,query_index,sequence,fitness,cumulative_max\n"
+                     "0,0,AA,1.0,1.0\n1,1,AC,0.5,1.0\n1,2,CC,2.0,2.0\n", encoding="utf-8-sig")
+        assert p.read_bytes().startswith(b"\xef\xbb\xbfround,")
         assert read_run_csv(p) == {0: 1.0, 1: 2.0}
 
 
@@ -453,6 +466,34 @@ class TestCrashSafety:
         assert outs[0] == outs[1]
         assert sorted(outs[0]) == ["manifest.txt", "run_0.csv", "run_1.csv", "run_2.csv"]
 
+    def test_pool_workers_write_the_csvs(self, tmp_path, monkeypatch):
+        # a worker writes its own seed's CSV: no record comes back to this process
+        cfg = parse_config_text(THREE_SEEDS + f"out={tmp_path / 'runs'}\n")
+        monkeypatch.setenv("PROXBO_THREADS", "1")
+        run_campaign(cfg)
+        serial = _artifacts(tmp_path / "runs")
+        calls = []
+
+        def counting_write_run_csv(*args):
+            calls.append(os.getpid())  # a worker appends to its own copy of the list
+            return write_run_csv(*args)
+
+        monkeypatch.setattr(harness, "write_run_csv", counting_write_run_csv)
+        monkeypatch.setenv("PROXBO_THREADS", "2")
+        run_campaign(cfg)
+        assert calls == []
+        assert _artifacts(tmp_path / "runs") == serial
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_returns_each_seeds_csv_path_in_seed_order(self, tmp_path, monkeypatch, threads):
+        monkeypatch.setenv("PROXBO_THREADS", threads)
+        cfg = parse_config_text(THREE_SEEDS.replace("seeds=0,1,2", "seeds=2,0,1")
+                                + f"out={tmp_path / 'runs'}\n")
+        paths = run_campaign(cfg)
+        assert list(paths.items()) == [(seed, tmp_path / "runs" / f"run_{seed}.csv")
+                                       for seed in (2, 0, 1)]
+        assert all(path.is_file() for path in paths.values())
+
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_failing_seed_keeps_the_others_and_reraises(self, tmp_path, monkeypatch, threads):
         cfg = parse_config_text(THREE_SEEDS + f"out={tmp_path / 'runs'}\n")
@@ -481,6 +522,22 @@ class TestCrashSafety:
         with pytest.raises(TrainingError, match="seed 0: member 0 diverged"):
             run_campaign(cfg)
         assert sorted(_artifacts(tmp_path / "runs")) == ["notes.txt"]
+
+    def test_a_worker_that_dies_mid_write_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        from concurrent.futures.process import BrokenProcessPool
+
+        parent = os.getpid()
+
+        def dying_write_run_csv(path, *args):
+            write_run_csv(path, *args)
+            if path.name == ".run_1.csv.tmp" and os.getpid() != parent:
+                os._exit(9)  # seed 1's worker dies between the write and the rename
+
+        monkeypatch.setattr(harness, "write_run_csv", dying_write_run_csv)
+        monkeypatch.setenv("PROXBO_THREADS", "2")
+        with pytest.raises(BrokenProcessPool):
+            run_campaign(parse_config_text(THREE_SEEDS + f"out={tmp_path / 'runs'}\n"))
+        assert not list(tmp_path.rglob("*.tmp"))
 
     def test_error_is_raised_unchanged(self, tmp_path, monkeypatch, capsys):
         errors = {}
@@ -677,7 +734,8 @@ class TestGenNK:
         assert (cfg.nk_n, cfg.nk_k, cfg.nk_v, cfg.nk_seed) == (6, 1, 2, 9)
 
     def test_enumeration_limit_enforced(self, tmp_path):
-        with pytest.raises(ValueError, match="2\\*\\*20"):
+        with pytest.raises(ValueError, match="^1,073,741,824 states exceed the enumeration "
+                                             "limit of 1,048,576$"):
             gen_nk(30, 2, 2, 0, tmp_path / "big", enumerate_table=True)
 
     def test_lookup_campaign_on_generated_table(self, tmp_path):
@@ -685,8 +743,7 @@ class TestGenNK:
         cfg = parse_config_text(
             f"landscape.kind=lookup\nlandscape.path={tmp_path / 'land.tsv'}\n"
             f"method=random\nrounds=1\nbatch=4\nseeds=0\nout={tmp_path / 'runs'}\n")
-        records = run_campaign(cfg)
-        assert len(records[0]) == 1
+        assert list(read_run_csv(run_campaign(cfg)[0])) == [0, 1]
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -757,6 +814,35 @@ class TestCLI:
         assert result.returncode == 1
         assert re.fullmatch(rf"error: \S*{message}.*\n", result.stderr), result.stderr
         assert not (tmp_path / "aggregate.csv").exists()
+
+    def test_run_prints_one_line_per_seed_matching_its_csv(self, tmp_path):
+        # an NK6 campaign, one over 8 states that runs out after 2 of its 4 rounds, and
+        # one over a single-row table that runs out before its first round
+        (tmp_path / "one.tsv").write_text("AC\t1.5\n")
+        configs = {"full": "landscape.n=6\nlandscape.k=1\nrounds=2\nseeds=0,1",
+                   "cut-short": "landscape.n=3\nlandscape.k=0\nrounds=4\nseeds=0,1",
+                   "no-round": f"landscape.kind=lookup\nlandscape.path={tmp_path}/one.tsv\n"
+                               "rounds=2\nseeds=4"}
+        for name, lines in configs.items():
+            out = tmp_path / name
+            cfg_path = tmp_path / f"{name}.cfg"
+            cfg_path.write_text(with_lines(
+                "landscape.kind=nk\nlandscape.v=2\nmethod=random\nbatch=4\n"
+                f"out={out}\n", lines))
+            result = cli("run", str(cfg_path))
+            assert result.returncode == 0, result.stderr
+            *summaries, wrote = result.stdout.splitlines()
+            assert wrote == f"wrote {out.resolve()}"
+            expected = []
+            for csv in sorted(out.glob("run_*.csv")):
+                lines = csv.read_text().splitlines()
+                rows = [line.split(",") for line in lines[1:] if not line.startswith("#")]
+                rounds = len({row[0] for row in rows}) - 1  # past round 0, the wild type
+                expected.append(f"seed {csv.stem[4:]}: {rounds} rounds, "
+                                f"cumulative max {float(rows[-1][4]):.6g}")
+                assert (lines[-1] == "# early_stop=domain_exhausted") == (name != "full")
+            assert summaries == expected, name
+        assert expected == ["seed 4: 0 rounds, cumulative max 1.5"]
 
     def test_run_seed_override(self, tmp_path):
         cfg_path = tmp_path / "campaign.cfg"

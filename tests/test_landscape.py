@@ -140,6 +140,39 @@ class TestLoadLookup:
         p.write_bytes(text.encode("utf-8"))
         assert load_lookup(p).sha256 == hashlib.sha256(text.encode("utf-8")).hexdigest()
 
+    @staticmethod
+    def loaded(path):
+        """A table's rows, scores, wild type and alphabet as loaded, or its error's message."""
+        try:
+            land = load_lookup(path)
+        except (ParseError, DataError) as e:
+            return str(e)
+        return (land.codes.tolist(), land.scores.tolist(), land.wild_type.text,
+                land.alphabet.symbols)
+
+    TABLES = {"comment-first": "# alphabet ACD\nACD\t1.5\nAAD\t0.25\nDDA\t-3\n",
+              "data-first": "ACD\t1.5\nAAD\t0.25\n",
+              "bad-length": "ACD\t1.5\nAAD\t0.25\nAC\t2\n",
+              "conflict": "ACD\t1.5\nAAD\t0.25\nACD\t2\n",
+              "non-ascii": "# alphabet αβ\nαβ\t1\nββ\t2\n",
+              "non-ascii-bad": "# alphabet αβ\nαβ\t1\nβγ\t2\n"}
+
+    @pytest.mark.parametrize("bom, newline", [("", "\r\n"), ("", "\r"), ("\ufeff", "\n"),
+                                              ("\ufeff", "\r\n")],
+                             ids=["crlf", "cr", "bom", "bom-crlf"])
+    @pytest.mark.parametrize("name", TABLES)
+    def test_line_ends_and_a_byte_order_mark_read_as_the_plain_lf_table(self, tmp_path, name,
+                                                                         bom, newline):
+        # Excel's "CSV UTF-8" starts the file with a byte-order mark; the digest is
+        # still that of the file's bytes
+        p = tmp_path / "table.tsv"
+        p.write_bytes(self.TABLES[name].encode("utf-8"))
+        plain = self.loaded(p)
+        p.write_bytes((bom + self.TABLES[name].replace("\n", newline)).encode("utf-8"))
+        assert self.loaded(p) == plain
+        if not isinstance(plain, str):
+            assert load_lookup(p).sha256 == hashlib.sha256(p.read_bytes()).hexdigest()
+
     def test_unknown_sequence_raises_domain_error(self, tmp_path):
         p = write(tmp_path, "AC\t1.0\n")
         land = load_lookup(p)
